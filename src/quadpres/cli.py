@@ -71,27 +71,9 @@ class Report:
     def structure(self, kind, summary):
         self.data["structures"].append({"kind": kind, **_jsonable(summary)})
 
-    def check(self, name, report):
+    def check(self, name, passed, failures=(), **fields):
         self.data["reports"].append(
-            {
-                "check": name,
-                "level": getattr(report, "level_passed", None),
-                "passed": report.passed,
-                "failures": _jsonable(getattr(report, "failures", [])),
-            }
-        )
-
-    def poset_check(self, name, report):
-        self.data["reports"].append(
-            {
-                "check": name,
-                "passed": report.passed,
-                "weakly_presentable": report.weakly_presentable,
-                "basepoint_minimal": report.basepoint_minimal,
-                "all_minimals_compact": report.all_minimals_compact,
-                "tests_agree": report.tests_agree,
-                "failures": _jsonable(report.witnesses),
-            }
+            {"check": name, "passed": passed, "failures": _jsonable(failures), **_jsonable(fields)}
         )
 
     def document(self, name, text):
@@ -153,7 +135,15 @@ def cmd_check_poset(args, rep):
     P = _load_structure(args, want=posets.FinitePointedPoset)
     rep.structure("poset", {"size": P.n, "names": list(P.names), "basepoint": P.names[P.basepoint]})
     report = posets.check_presentable(P)
-    rep.poset_check("presentable-poset", report)
+    rep.check(
+        "presentable-poset",
+        report.passed,
+        report.witnesses,
+        weakly_presentable=report.weakly_presentable,
+        basepoint_minimal=report.basepoint_minimal,
+        all_minimals_compact=report.all_minimals_compact,
+        tests_agree=report.tests_agree,
+    )
     rep.say(f"poset: {P.n} elements, basepoint {P.names[P.basepoint]}")
     rep.say(
         "weakly presentable: %s | basepoint minimal: %s | minimals compact: %s"
@@ -170,7 +160,7 @@ def cmd_check_hyperfield(args, rep):
     F = _load_structure(args, want=Hyperfield)
     _hyperfield_summary(rep, F)
     report = check_hyperfield(F)
-    rep.check("hyperfield-axioms", report)
+    rep.check("hyperfield-axioms", report.passed, report.failures, level=report.level_passed)
     rep.say(f"hyperfield candidate: {F.size} elements")
     rep.say(f"level passed: {report.level_passed}")
     for axiom, wit in report.failures:
@@ -185,7 +175,7 @@ def cmd_check_presentable(args, rep):
         {"size": R.n, "claimed": "field" if R.is_field else "ring", "supercompacts": len(R.supercompacts())},
     )
     report = presentable.check_presentable(R, seed=args.seed or 0)
-    rep.check("presentable-ladder", report)
+    rep.check("presentable-ladder", report.passed, report.failures, level=report.level_passed)
     rep.say(f"presentable structure: {R.n} elements, claimed {'field' if R.is_field else 'ring'}")
     rep.say(f"level passed: {report.level_passed}")
     for axiom, wit in report.failures[:10]:
@@ -200,7 +190,7 @@ def cmd_qhf(args, rep):
     Q = quadratic_hyperfield(k)
     _hyperfield_summary(rep, Q)
     report = check_hyperfield(Q)
-    rep.check("hyperfield-axioms", report)
+    rep.check("hyperfield-axioms", report.passed, report.failures, level=report.level_passed)
     doc = documents.emit_hyperfield(Q)
     rep.document("quadratic-hyperfield", doc)
     rep.say(f"Q(GF({p**n})): {Q.size} square classes (with zero)")
@@ -213,7 +203,7 @@ def cmd_prime(args, rep):
     P = prime_hyperfield(F)
     _hyperfield_summary(rep, P)
     report = check_hyperfield(P)
-    rep.check("hyperfield-axioms", report)
+    rep.check("hyperfield-axioms", report.passed, report.failures, level=report.level_passed)
     doc = documents.emit_hyperfield(P)
     rep.document("prime-hyperfield", doc)
     rep.say(doc.rstrip("\n"))
@@ -226,7 +216,7 @@ def cmd_quotient(args, rep):
     Q = presentable.quotient_mod_multiplicative_set(F, T)
     _hyperfield_summary(rep, Q)
     report = check_hyperfield(Q)
-    rep.check("hyperfield-axioms", report)
+    rep.check("hyperfield-axioms", report.passed, report.failures, level=report.level_passed)
     doc = documents.emit_hyperfield(Q)
     rep.document("quotient-hyperfield", doc)
     rep.say(f"quotient by T of size {len(T)}: {Q.size} classes")
@@ -249,9 +239,7 @@ def cmd_pipeline(args, rep):
     iso = None
     if out.size == Q.size:
         iso = hyperfield_isomorphic(out, Q)
-    rep.data["reports"].append(
-        {"check": "pipeline-vs-quadratic-hyperfield", "passed": iso is not None, "failures": []}
-    )
+    rep.check("pipeline-vs-quadratic-hyperfield", iso is not None)
     rep.say(f"pipeline output: {out.size} classes; Q(GF({p**n})): {Q.size} classes")
     if iso is not None:
         rep.say("isomorphic to the quadratic hyperfield: yes")
@@ -268,7 +256,7 @@ def cmd_isom(args, rep):
     phi = _parse_form(F, args.form[0])
     psi = _parse_form(F, args.form[1])
     verdict = ctx.isometric(phi, psi)
-    rep.data["reports"].append({"check": "isometry", "passed": True, "verdict": verdict, "failures": []})
+    rep.check("isometry", True, verdict=verdict)
     rep.say(f"form 1: {args.form[0]}  form 2: {args.form[1]}")
     return EXIT_OK, "isometric" if verdict else "not isometric"
 
@@ -286,26 +274,17 @@ def cmd_witt(args, rep):
         q = None
     _hyperfield_summary(rep, F)
     hrep = check_hyperfield(F)
-    rep.check("hyperfield-axioms", hrep)
+    rep.check("hyperfield-axioms", hrep.passed, hrep.failures, level=hrep.level_passed)
     rep.say(f"{label}: hyperfield axioms {'pass' if hrep.passed else 'FAIL'}")
     if not hrep.passed:
         return EXIT_MATH, "witt: FAIL (hyperfield axioms)"
     qrep = quadratic.check_quadratic(F, min(args.max_dim, 4))
-    rep.check("quadratic-presentability", qrep)
+    rep.check("quadratic-presentability", qrep.passed, qrep.failures, level=qrep.level_passed)
     rep.say(f"quadratic presentability to dim {min(args.max_dim, 4)}: {'pass' if qrep.passed else 'FAIL'}")
     if not qrep.passed:
         return EXIT_MATH, "witt: FAIL (quadratic axioms)"
     W = quadratic.witt_ring(F, args.max_dim)
-    rep.data["reports"].append(
-        {
-            "check": "witt-ring",
-            "passed": True,
-            "status": W.status,
-            "classes": len(W.classes),
-            "growth": W.growth,
-            "failures": [],
-        }
-    )
+    rep.check("witt-ring", True, status=W.status, classes=len(W.classes), growth=W.growth)
     doc = documents.emit_witt_ring(W, F.names)
     rep.document("witt-ring", doc)
     rep.say(doc.rstrip("\n"))
@@ -313,9 +292,7 @@ def cmd_witt(args, rep):
     if q is not None and q in oracle.ORACLE_SIZES and W.status == "finite":
         WO = oracle.classical_witt_ring(q, min(args.max_dim, 4))
         match = quadratic.ring_isomorphic(W, WO) is not None
-        rep.data["reports"].append(
-            {"check": "oracle-match", "passed": match, "oracle_classes": len(WO.classes), "failures": []}
-        )
+        rep.check("oracle-match", match, oracle_classes=len(WO.classes))
         rep.say(f"classical oracle: {len(WO.classes)} classes (diagonal forms, char-2 via <1,1> stabilization)")
         rep.say(f"oracle match: {'yes' if match else 'no'}")
         if not match:
@@ -326,9 +303,7 @@ def cmd_witt(args, rep):
 def cmd_oracle(args, rep):
     if args.oracle_op == "classes":
         cc = oracle.congruence_classes(args.q, args.dim)
-        rep.data["reports"].append(
-            {"check": "congruence-classes", "passed": True, "count": cc.count, "failures": []}
-        )
+        rep.check("congruence-classes", True, count=cc.count)
         rep.say(f"GF({args.q}) dim {args.dim}: {cc.count} congruence classes")
         return EXIT_OK, f"classes: {cc.count}"
     if args.oracle_op == "isom":
@@ -337,15 +312,11 @@ def cmd_oracle(args, rep):
         phi = tuple(int(s) for s in args.form[0].split(","))
         psi = tuple(int(s) for s in args.form[1].split(","))
         verdict = oracle.classical_isometric(args.q, phi, psi)
-        rep.data["reports"].append(
-            {"check": "classical-isometry", "passed": True, "verdict": verdict, "failures": []}
-        )
+        rep.check("classical-isometry", True, verdict=verdict)
         return EXIT_OK, "isometric" if verdict else "not isometric"
     if args.oracle_op == "witt":
         W = oracle.classical_witt_ring(args.q, args.max_dim)
-        rep.data["reports"].append(
-            {"check": "classical-witt-ring", "passed": True, "classes": len(W.classes), "failures": []}
-        )
+        rep.check("classical-witt-ring", True, classes=len(W.classes))
         rep.say(W.summary())
         return EXIT_OK, f"oracle witt: {len(W.classes)} classes"
     raise InputError(f"unknown oracle operation {args.oracle_op!r}")

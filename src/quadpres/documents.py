@@ -55,6 +55,50 @@ class _Reader:
         return lineno, line[len(key) + 1 :].strip()
 
 
+def _start(text, kind):
+    """A reader past the header and 'elements:' lines, and the element names."""
+    r = _Reader(text)
+    lineno, head = r.next(f"'{kind}' header")
+    if head != kind:
+        raise InputError(f"line {lineno}: expected '{kind}', got {head!r}")
+    _, elems = r.expect_key("elements")
+    names = elems.split()
+    _check_names(names)
+    return r, names
+
+
+def _resolver(names):
+    index = {s: i for i, s in enumerate(names)}
+
+    def resolve(lineno, token):
+        if token not in index:
+            raise InputError(f"line {lineno}: unknown element {token!r}")
+        return index[token]
+
+    return resolve
+
+
+def _covers(r):
+    pairs = []
+    while True:
+        lineno, line = r.peek()
+        if line is None or not line.startswith("cover:"):
+            return pairs
+        r.next("cover")
+        parts = line[len("cover:") :].split()
+        if len(parts) != 2:
+            raise InputError(f"line {lineno}: cover needs exactly two names")
+        pairs.append((parts[0], parts[1]))
+
+
+def _neg_row(r, n, resolve):
+    lineno, negs = r.expect_key("neg")
+    neg_names = negs.split()
+    if len(neg_names) != n:
+        raise InputError(f"line {lineno}: neg needs {n} entries")
+    return [resolve(lineno, s) for s in neg_names]
+
+
 # -- posets ------------------------------------------------------------------
 
 
@@ -69,27 +113,11 @@ def emit_poset(P: FinitePointedPoset) -> str:
 
 
 def parse_poset(text: str) -> FinitePointedPoset:
-    r = _Reader(text)
-    lineno, head = r.next("'poset' header")
-    if head != "poset":
-        raise InputError(f"line {lineno}: expected 'poset', got {head!r}")
-    _, elems = r.expect_key("elements")
-    names = elems.split()
+    r, names = _start(text, "poset")
     if not names:
         raise InputError("poset needs at least one element")
-    _check_names(names)
     _, bp = r.expect_key("basepoint")
-    pairs = []
-    while True:
-        lineno, line = r.peek()
-        if line is None or not line.startswith("cover:"):
-            break
-        r.next("cover")
-        parts = line[len("cover:") :].split()
-        if len(parts) != 2:
-            raise InputError(f"line {lineno}: cover needs exactly two names")
-        pairs.append((parts[0], parts[1]))
-    return explicit_poset(names, pairs, basepoint_name=bp)
+    return explicit_poset(names, _covers(r), basepoint_name=bp)
 
 
 # -- hyperfields ---------------------------------------------------------------
@@ -127,28 +155,12 @@ def _parse_table_rows(r, n, resolve, what):
 
 
 def parse_hyperfield(text: str) -> Hyperfield:
-    r = _Reader(text)
-    lineno, head = r.next("'hyperfield' header")
-    if head != "hyperfield":
-        raise InputError(f"line {lineno}: expected 'hyperfield', got {head!r}")
-    _, elems = r.expect_key("elements")
-    names = elems.split()
-    _check_names(names)
-    index = {s: i for i, s in enumerate(names)}
+    r, names = _start(text, "hyperfield")
+    resolve = _resolver(names)
     n = len(names)
-
-    def resolve(lineno, token):
-        if token not in index:
-            raise InputError(f"line {lineno}: unknown element {token!r}")
-        return index[token]
-
     _, z = r.expect_key("zero")
     _, o = r.expect_key("one")
-    lineno, negs = r.expect_key("neg")
-    neg_names = negs.split()
-    if len(neg_names) != n:
-        raise InputError(f"line {lineno}: neg needs {n} entries")
-    neg = [resolve(lineno, s) for s in neg_names]
+    neg = _neg_row(r, n, resolve)
     lineno, rest = r.expect_key("mul")
     if rest:
         raise InputError(f"line {lineno}: 'mul:' takes no inline value")
@@ -190,42 +202,16 @@ def emit_presentable(R: PresentableRing) -> str:
 
 
 def parse_presentable(text: str) -> PresentableRing:
-    r = _Reader(text)
-    lineno, head = r.next("'presentable' header")
-    if head != "presentable":
-        raise InputError(f"line {lineno}: expected 'presentable', got {head!r}")
-    _, elems = r.expect_key("elements")
-    names = elems.split()
-    _check_names(names)
-    index = {s: i for i, s in enumerate(names)}
+    r, names = _start(text, "presentable")
+    resolve = _resolver(names)
     n = len(names)
     _, bp = r.expect_key("basepoint")
     _, one = r.expect_key("one")
     lineno, is_field = r.expect_key("is_field")
     if is_field not in ("true", "false"):
         raise InputError(f"line {lineno}: is_field must be true or false")
-    pairs = []
-    while True:
-        lineno, line = r.peek()
-        if line is None or not line.startswith("cover:"):
-            break
-        r.next("cover")
-        parts = line[len("cover:") :].split()
-        if len(parts) != 2:
-            raise InputError(f"line {lineno}: cover needs exactly two names")
-        pairs.append((parts[0], parts[1]))
-    poset = explicit_poset(names, pairs, basepoint_name=bp)
-
-    def resolve(lineno, token):
-        if token not in index:
-            raise InputError(f"line {lineno}: unknown element {token!r}")
-        return index[token]
-
-    lineno, negs = r.expect_key("neg")
-    neg_names = negs.split()
-    if len(neg_names) != n:
-        raise InputError(f"line {lineno}: neg needs {n} entries")
-    neg = [resolve(lineno, s) for s in neg_names]
+    poset = explicit_poset(names, _covers(r), basepoint_name=bp)
+    neg = _neg_row(r, n, resolve)
     lineno, rest = r.expect_key("add")
     if rest:
         raise InputError(f"line {lineno}: 'add:' takes no inline value")
@@ -234,9 +220,9 @@ def parse_presentable(text: str) -> PresentableRing:
     if rest:
         raise InputError(f"line {lineno}: 'mul:' takes no inline value")
     mul = _parse_table_rows(r, n, resolve, "mul")
-    if one not in index:
+    if one not in names:
         raise InputError(f"unknown element {one!r} for one")
-    return PresentableRing(poset, add, neg, mul, one=index[one], is_field=is_field == "true")
+    return PresentableRing(poset, add, neg, mul, one=names.index(one), is_field=is_field == "true")
 
 
 def emit_witt_ring(W, names) -> str:

@@ -282,9 +282,6 @@ class SquareClasses:
     def nonzero_count(self):
         return len(self.classes) - 1
 
-    def representative(self, i):
-        return min(self.classes[i])
-
 
 def square_classes(k: FiniteField) -> SquareClasses:
     squares = {k.mul(a, a) for a in k.nonzero()}

@@ -13,6 +13,7 @@ construction and is verified on ingest of full square tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .errors import InputError, SizeGuardError, ValidationError
 from .finitefield import FiniteField
@@ -251,40 +252,32 @@ def _validate_subgroup(F, T):
     return T
 
 
-def _quotient_classes(F, relation_holds):
-    """Partition the carrier by an equivalence relation on ids."""
-    class_of = [None] * F.size
-    classes = []
-    for x in range(F.size):
-        if class_of[x] is not None:
-            continue
-        members = [x] + [y for y in range(x + 1, F.size) if relation_holds(x, y)]
-        idx = len(classes)
-        for y in members:
-            class_of[y] = idx
-        classes.append(tuple(members))
-    return classes, class_of
+def _quotient_tables(F, class_of):
+    """The quotient of F whose classes are numbered by ``class_of``.
 
-
-def _quotient_hyperfield(F, classes, class_of):
-    m = len(classes)
-    reps = [c[0] for c in classes]
-    zero = class_of[F.zero]
-    one = class_of[F.one]
+    abar is in bbar + cbar iff a' is in b' + c' for some members of the three
+    classes; every class is represented and named by its least member.
+    """
+    m = max(class_of) + 1
+    reps = [None] * m
+    for x in reversed(range(F.size)):
+        reps[class_of[x]] = x
+    cells = [[set() for _ in range(m)] for _ in range(m)]
+    image = {}
+    for a, row in enumerate(F._add):
+        out = cells[class_of[a]]
+        for b, cell in enumerate(row, start=a):
+            classes = image.get(cell)
+            if classes is None:
+                classes = image[cell] = {class_of[x] for x in cell}
+            out[class_of[b]] |= classes
+    add = [[cells[i][j] | cells[j][i] for j in range(m)] for i in range(m)]
     neg = [class_of[F.neg(r)] for r in reps]
     mul = [[class_of[F.mul(ra, rb)] for rb in reps] for ra in reps]
-    add = []
-    for ca in classes:
-        row = []
-        for cb in classes:
-            image = set()
-            for a in ca:
-                for b in cb:
-                    image |= F.add(a, b)
-            row.append(frozenset(class_of[y] for y in image))
-        add.append(row)
-    names = [F.names[min(c)] for c in classes]
-    return Hyperfield(zero=zero, one=one, neg=neg, mul=mul, add=add, names=names)
+    names = [F.names[r] for r in reps]
+    return Hyperfield(
+        zero=class_of[F.zero], one=class_of[F.one], neg=neg, mul=mul, add=add, names=names
+    )
 
 
 def quotient_by_subgroup(F: Hyperfield, T) -> Hyperfield:
@@ -294,12 +287,26 @@ def quotient_by_subgroup(F: Hyperfield, T) -> Hyperfield:
     induced addition is inherited elementwise from the class members.
     """
     T = _validate_subgroup(F, T)
+    parent = list(range(F.size))
 
-    def related(x, y):
-        return any(F.mul(x, s) == F.mul(y, t) for s in T for t in T)
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    classes, class_of = _quotient_classes(F, related)
-    return _quotient_hyperfield(F, classes, class_of)
+    # the orbits aT and bT meet iff a ~ b: join each a to the first element
+    # whose orbit reached each member of aT
+    owner = {}
+    for a in range(F.size):
+        for s in T:
+            first = owner.setdefault(F.mul(a, s), a)
+            ra, rf = find(a), find(first)
+            if ra != rf:
+                parent[max(ra, rf)] = min(ra, rf)
+    ids = {}
+    class_of = [ids.setdefault(find(x), len(ids)) for x in range(F.size)]
+    return _quotient_tables(F, class_of)
 
 
 def prime_hyperfield(F: Hyperfield) -> Hyperfield:
@@ -375,6 +382,54 @@ def _profile(F, a):
     )
 
 
+def _isomorphism_search(n, fixed, prof1, prof2, ops):
+    """A bijection of range(n) preserving profiles and operations, or None.
+
+    ``fixed`` holds forced images (0 -> 0, 1 -> 1); every other element is
+    tried against the same-profile candidates in id order.  ``ops`` lists
+    (arity, op1, op2) triples whose values are ids or frozensets of ids; a
+    partial map is pruned as soon as an operation on mapped arguments with a
+    mapped value disagrees, so a complete map that survives is an isomorphism.
+    """
+    if sorted(prof1) != sorted(prof2):
+        return None
+    if any(prof1[a] != prof2[fa] for a, fa in fixed.items()):
+        return None
+    mapping = dict(fixed)
+    domain = [a for a in range(n) if a not in mapping]
+
+    def consistent():
+        for arity, op1, op2 in ops:
+            for args in product(mapping, repeat=arity):
+                value = op1(*args)
+                if isinstance(value, frozenset):
+                    if not value <= mapping.keys():
+                        continue
+                    image = frozenset(mapping[x] for x in value)
+                elif value in mapping:
+                    image = mapping[value]
+                else:
+                    continue
+                if image != op2(*(mapping[x] for x in args)):
+                    return False
+        return True
+
+    def backtrack(i):
+        if i == len(domain):
+            return True
+        a = domain[i]
+        for fa in range(n):
+            if fa in mapping.values() or prof2[fa] != prof1[a]:
+                continue
+            mapping[a] = fa
+            if consistent() and backtrack(i + 1):
+                return True
+            del mapping[a]
+        return False
+
+    return dict(mapping) if consistent() and backtrack(0) else None
+
+
 def hyperfield_isomorphic(F1: Hyperfield, F2: Hyperfield):
     """A bijection preserving 0, 1, neg, mul and hyperaddition, or None.
 
@@ -389,54 +444,10 @@ def hyperfield_isomorphic(F1: Hyperfield, F2: Hyperfield):
             raise ValidationError(f"input is not a hyperfield: {rep.first_failure()}")
     if F1.size != F2.size:
         return None
-    prof1 = {a: _profile(F1, a) for a in range(F1.size)}
-    prof2 = {a: _profile(F2, a) for a in range(F2.size)}
-    if sorted(prof1.values()) != sorted(prof2.values()):
-        return None
-
-    domain = [a for a in range(F1.size) if a not in (F1.zero, F1.one)]
-    mapping = {F1.zero: F2.zero, F1.one: F2.one}
-    if prof1[F1.zero] != prof2[F2.zero] or prof1[F1.one] != prof2[F2.one]:
-        return None
-
-    def consistent(a, fa):
-        for b, fb in mapping.items():
-            if F1.mul(a, b) in mapping and mapping[F1.mul(a, b)] != F2.mul(fa, fb):
-                return False
-        if F1.neg(a) in mapping and mapping[F1.neg(a)] != F2.neg(fa):
-            return False
-        return True
-
-    def full_check():
-        for a in range(F1.size):
-            fa = mapping[a]
-            if mapping[F1.neg(a)] != F2.neg(fa):
-                return False
-            for b in range(F1.size):
-                fb = mapping[b]
-                if mapping[F1.mul(a, b)] != F2.mul(fa, fb):
-                    return False
-                if frozenset(mapping[x] for x in F1.add(a, b)) != F2.add(fa, fb):
-                    return False
-        return True
-
-    def backtrack(i):
-        if i == len(domain):
-            return full_check()
-        a = domain[i]
-        for fa in range(F2.size):
-            if fa in mapping.values():
-                continue
-            if prof2[fa] != prof1[a]:
-                continue
-            if not consistent(a, fa):
-                continue
-            mapping[a] = fa
-            if backtrack(i + 1):
-                return True
-            del mapping[a]
-        return False
-
-    if backtrack(0):
-        return dict(mapping)
-    return None
+    return _isomorphism_search(
+        F1.size,
+        {F1.zero: F2.zero, F1.one: F2.one},
+        [_profile(F1, a) for a in range(F1.size)],
+        [_profile(F2, a) for a in range(F2.size)],
+        [(1, F1.neg, F2.neg), (2, F1.mul, F2.mul), (2, F1.add, F2.add)],
+    )

@@ -170,9 +170,6 @@ class FinitePointedPoset:
         if not isinstance(x, int) or not 0 <= x < self.n:
             raise InputError(f"unknown element id {x!r}")
 
-    def name_of(self, x):
-        return self.names[x]
-
     def id_of(self, name):
         try:
             return self.names.index(name)
@@ -361,10 +358,18 @@ def pierced_powerset(n: int, basepoint_index: int = 0) -> FinitePointedPoset:
         raise SizeGuardError(f"pierced powerset of {n} points has {size} elements, cap {MAX_CARRIER}")
     if not 0 <= basepoint_index < n:
         raise InputError(f"basepoint index {basepoint_index} out of range")
+    names = tuple("{" + ",".join(str(i) for i in _bits(m)) + "}" for m in range(1, size + 1))
+    return FinitePointedPoset.from_up_masks(
+        _inclusion_up_masks(n), basepoint=(1 << basepoint_index) - 1, names=names
+    )
+
+
+def _inclusion_up_masks(n):
+    """Up-rows of the nonempty subsets of n points under inclusion, ids mask - 1."""
+    size = (1 << n) - 1
     up = [0] * size
-    full = size  # the mask with all n bits set
     for mask in range(1, size + 1):
-        free = full & ~mask
+        free = size & ~mask
         row = 0
         s = free
         while True:
@@ -373,8 +378,7 @@ def pierced_powerset(n: int, basepoint_index: int = 0) -> FinitePointedPoset:
                 break
             s = (s - 1) & free
         up[mask - 1] = row
-    names = tuple("{" + ",".join(str(i) for i in _bits(m)) + "}" for m in range(1, size + 1))
-    return FinitePointedPoset.from_up_masks(up, basepoint=(1 << basepoint_index) - 1, names=names)
+    return up
 
 
 def squarefree_divisors(N: int) -> FinitePointedPoset:

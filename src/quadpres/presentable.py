@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import InputError, SizeGuardError, ValidationError
-from .hyperfields import Hyperfield, check_hyperfield
-from .posets import FinitePointedPoset, _bits, check_presentable as check_poset
+from .hyperfields import Hyperfield, _quotient_tables, check_hyperfield, quotient_by_subgroup
+from .posets import FinitePointedPoset, _bits, _inclusion_up_masks, check_presentable as check_poset
 
 MAX_HYPERFIELD_BASE = 10   # powerset carrier is 2^|F| - 1
 FULL_CUBIC_LIMIT = 128     # carriers up to this get O(n^3) exhaustive laws
@@ -90,22 +90,12 @@ def powerset_of_hyperfield(F: Hyperfield) -> PresentableRing:
             f"powerset of a {m}-element hyperfield has {2**m - 1} elements; cap {MAX_HYPERFIELD_BASE}"
         )
     size = (1 << m) - 1
-    full = size
-    up = [0] * size
-    for mask in range(1, size + 1):
-        free = full & ~mask
-        row = 0
-        s = free
-        while True:
-            row |= 1 << ((mask | s) - 1)
-            if s == 0:
-                break
-            s = (s - 1) & free
-        up[mask - 1] = row
     names = tuple(
         "{" + ",".join(F.names[i] for i in _bits(mask)) + "}" for mask in range(1, size + 1)
     )
-    poset = FinitePointedPoset.from_up_masks(up, basepoint=(1 << F.zero) - 1, names=names)
+    poset = FinitePointedPoset.from_up_masks(
+        _inclusion_up_masks(m), basepoint=(1 << F.zero) - 1, names=names
+    )
 
     add_mask = [[0] * m for _ in range(m)]
     mul_bit = [[0] * m for _ in range(m)]
@@ -385,75 +375,10 @@ def supercompact_hyperfield(R: PresentableRing, verify=True) -> Hyperfield:
     )
 
 
-def _validate_multiplicative_set(F, T):
-    T = frozenset(T)
-    if not T:
-        raise ValidationError("T is empty")
-    if F.zero in T:
-        raise ValidationError("T contains zero", witness=(F.zero,))
-    for s in T:
-        if not 0 <= s < F.size:
-            raise InputError(f"unknown id {s} in T")
-        for t in T:
-            if F.mul(s, t) not in T:
-                raise ValidationError(
-                    f"T not multiplicatively closed at ({s},{t})", witness=(s, t)
-                )
-    return T
-
-
-def quotient_mod_multiplicative_set(F: Hyperfield, T) -> Hyperfield:
-    """Quotient of a (supercompact-level) hyperfield by a multiplicative set.
-
-    Classes: a ~ b iff as = bt for some s, t in T.  Membership:
-    abar in bbar + cbar iff as in bt + cu for some s, t, u in T.
-    """
-    T = _validate_multiplicative_set(F, T)
-    n = F.size
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    # a ~ b iff as = bt for some s,t in T, i.e. the orbits aT and bT meet;
-    # union-find closes it transitively for robustness on arbitrary tables
-    orbit = [frozenset(F.mul(a, s) for s in T) for a in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            if orbit[a] & orbit[b]:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    roots = sorted({find(a) for a in range(n)})
-    class_of = [roots.index(find(a)) for a in range(n)]
-    classes = [tuple(a for a in range(n) if class_of[a] == i) for i in range(len(roots))]
-    if class_of[F.zero] == class_of[F.one]:
-        raise ValidationError("quotient relation identifies 0 and 1")
-
-    m = len(classes)
-    reps = [c[0] for c in classes]
-    zero = class_of[F.zero]
-    one = class_of[F.one]
-    neg = [class_of[F.neg(r)] for r in reps]
-    mul = [[class_of[F.mul(ra, rb)] for rb in reps] for ra in reps]
-    add = []
-    for b in reps:
-        row = []
-        for c in reps:
-            sums = set()
-            for t in T:
-                bt = F.mul(b, t)
-                for u in T:
-                    sums |= F.add(bt, F.mul(c, u))
-            # abar is in the cell iff a*s lands in some bt + cu
-            cell = frozenset(i for i in range(m) if orbit[reps[i]] & sums)
-            row.append(cell)
-        add.append(row)
-    names = [F.names[min(c)] for c in classes]
-    return Hyperfield(zero=zero, one=one, neg=neg, mul=mul, add=add, names=names)
+# Quotient of a (supercompact-level) hyperfield by a multiplicative set: in a
+# hyperfield a nonempty multiplicatively closed set of nonzero elements is a
+# finite group, so this is the subgroup quotient.
+quotient_mod_multiplicative_set = quotient_by_subgroup
 
 
 def quotient_by_congruence(F: Hyperfield, partition) -> Hyperfield:
@@ -469,6 +394,8 @@ def quotient_by_congruence(F: Hyperfield, partition) -> Hyperfield:
     quotients, so per-pair equality would reject the intended inputs.
     """
     classes = [tuple(sorted(c)) for c in partition]
+    if not all(classes):
+        raise InputError("partition has an empty class")
     seen = [x for c in classes for x in c]
     if sorted(seen) != list(range(F.size)):
         raise InputError("partition does not cover the carrier exactly once")
@@ -492,24 +419,7 @@ def quotient_by_congruence(F: Hyperfield, partition) -> Hyperfield:
                         raise ValidationError(
                             "multiplication not respected", witness=(a0, a, b0, b)
                         )
-    m = len(classes)
-    zero = class_of[F.zero]
-    one = class_of[F.one]
-    reps = [c[0] for c in classes]
-    neg = [class_of[F.neg(r)] for r in reps]
-    mul = [[class_of[F.mul(ra, rb)] for rb in reps] for ra in reps]
-    add = []
-    for ci in classes:
-        row = []
-        for cj in classes:
-            cell = set()
-            for a in ci:
-                for b in cj:
-                    cell |= {class_of[x] for x in F.add(a, b)}
-            row.append(frozenset(cell))
-        add.append(row)
-    names = [F.names[min(c)] for c in classes]
-    Q = Hyperfield(zero=zero, one=one, neg=neg, mul=mul, add=add, names=names)
+    Q = _quotient_tables(F, class_of)
     report = check_hyperfield(Q)
     if not report.passed:
         raise ValidationError(

@@ -20,7 +20,7 @@ from math import comb
 from typing import Optional
 
 from .errors import InputError, SizeGuardError, ValidationError
-from .hyperfields import AxiomReport, Hyperfield
+from .hyperfields import AxiomReport, Hyperfield, _isomorphism_search
 
 QUADRATIC_BUDGET = 20_000_000  # cap on (forms per dim)^3 for equivalence checks
 CANDIDATE_BUDGET = 200_000     # cap on multiset enumerations per splitting step
@@ -222,6 +222,27 @@ def isometric(F, phi, psi, ctx=None) -> bool:
     return ctx.isometric(phi, psi)
 
 
+def _equivalence_failures(items, related, name):
+    """Reflexivity, symmetry and transitivity witnesses of a relation.
+
+    The relation is tabulated once over ``items``; failures are named
+    ``name.format(law)`` and carry (s,), (s, t) or (s, t, u).
+    """
+    table = {(s, t): related(s, t) for s in items for t in items}
+    failures = [(name.format("reflexive"), (s,)) for s in items if not table[(s, s)]]
+    for s in items:
+        for t in items:
+            if table[(s, t)] and not table[(t, s)]:
+                failures.append((name.format("symmetric"), (s, t)))
+    nbrs = {s: [t for t in items if table[(s, t)]] for s in items}
+    for s in items:
+        for t in nbrs[s]:
+            for u in nbrs[t]:
+                if not table[(s, u)]:
+                    failures.append((name.format("transitive"), (s, t, u)))
+    return failures
+
+
 def check_quadratic(F: Hyperfield, dmax: int) -> AxiomReport:
     """Equivalence of the isometry relation up to dimension dmax.
 
@@ -245,23 +266,7 @@ def check_quadratic(F: Hyperfield, dmax: int) -> AxiomReport:
     notes = {"dims_checked": dmax, "low_dims": None}
     for d in range(1, dmax + 1):
         forms = list(product(nz, repeat=d))
-        rel = {}
-        for s in forms:
-            for t in forms:
-                rel[(s, t)] = ctx._iso(s, t)
-        for s in forms:
-            if not rel[(s, s)]:
-                failures.append((f"equivalence.reflexive.dim{d}", (s,)))
-        for s in forms:
-            for t in forms:
-                if rel[(s, t)] and not rel[(t, s)]:
-                    failures.append((f"equivalence.symmetric.dim{d}", (s, t)))
-        related = {s: [t for t in forms if rel[(s, t)]] for s in forms}
-        for s in forms:
-            for t in related[s]:
-                for u in related[t]:
-                    if not rel[(s, u)]:
-                        failures.append((f"equivalence.transitive.dim{d}", (s, t, u)))
+        failures += _equivalence_failures(forms, ctx._iso, f"equivalence.{{}}.dim{d}")
         if d == 2:
             notes["low_dims"] = not failures
     level = "quadratic" if not failures else "prequadratic"
@@ -405,56 +410,20 @@ def ring_isomorphic(W1: WittRing, W2: WittRing):
             raise InputError("ring_isomorphic needs finite Witt rings; got truncated input")
         if W.size > RING_ISO_MAX:
             raise SizeGuardError(f"ring isomorphism search capped at {RING_ISO_MAX} classes")
-        if any(x is None for row in W.add_table for x in row):
+        if any(x is None for table in (W.add_table, W.mul_table) for row in table for x in row):
             raise InputError("finite Witt ring with incomplete tables")
     if W1.size != W2.size:
         return None
-    ord1 = [_additive_order(W1, i) for i in range(W1.size)]
-    ord2 = [_additive_order(W2, i) for i in range(W2.size)]
-    if sorted(ord1) != sorted(ord2):
-        return None
-    mapping = {W1.zero_class: W2.zero_class, W1.one_class: W2.one_class}
-    if ord1[W1.zero_class] != ord2[W2.zero_class] or ord1[W1.one_class] != ord2[W2.one_class]:
-        return None
-    domain = [i for i in range(W1.size) if i not in mapping]
-
-    def consistent():
-        items = list(mapping.items())
-        for a, fa in items:
-            for b, fb in items:
-                s1 = W1.add_table[a][b]
-                if s1 in mapping and mapping[s1] != W2.add_table[fa][fb]:
-                    return False
-                p1 = W1.mul_table[a][b]
-                if p1 in mapping and mapping[p1] != W2.mul_table[fa][fb]:
-                    return False
-        return True
-
-    def full_check():
-        for a in range(W1.size):
-            for b in range(W1.size):
-                if mapping[W1.add_table[a][b]] != W2.add_table[mapping[a]][mapping[b]]:
-                    return False
-                if mapping[W1.mul_table[a][b]] != W2.mul_table[mapping[a]][mapping[b]]:
-                    return False
-        return True
-
-    def backtrack(k):
-        if k == len(domain):
-            return full_check()
-        a = domain[k]
-        for fa in range(W2.size):
-            if fa in mapping.values() or ord2[fa] != ord1[a]:
-                continue
-            mapping[a] = fa
-            if consistent() and backtrack(k + 1):
-                return True
-            del mapping[a]
-        return False
-
-    if backtrack(0):
-        return dict(mapping)
-    return None
+    return _isomorphism_search(
+        W1.size,
+        {W1.zero_class: W2.zero_class, W1.one_class: W2.one_class},
+        [_additive_order(W1, i) for i in range(W1.size)],
+        [_additive_order(W2, i) for i in range(W2.size)],
+        [
+            (2, lambda a, b: W1.add_table[a][b], lambda a, b: W2.add_table[a][b]),
+            (2, lambda a, b: W1.mul_table[a][b], lambda a, b: W2.mul_table[a][b]),
+        ],
+    )
 
 
 # -- special groups ---------------------------------------------------------
@@ -530,18 +499,11 @@ def check_special_group(S: SpecialGroupTable, nmax: int = 4) -> AxiomReport:
 
     rel = S.binary_isometry
     pairs = [(a, b) for a in g for b in g]
-    for p in pairs:
-        if (p, p) not in rel:
-            failures.append(("dm.i.reflexive", p))
-    for p, q in product(pairs, repeat=2):
-        if (p, q) in rel and (q, p) not in rel:
-            failures.append(("dm.i.symmetric", (p, q)))
-    fwd = {p: {q for q in pairs if (p, q) in rel} for p in pairs}
-    for p in pairs:
-        for q in fwd[p]:
-            for r in fwd[q]:
-                if (p, r) not in rel:
-                    failures.append(("dm.i.transitive", (p, q, r)))
+    # dm.i reports a reflexivity failure by the bare pair
+    failures += [
+        (law, wit[0] if law == "dm.i.reflexive" else wit)
+        for law, wit in _equivalence_failures(pairs, S.related, "dm.i.{}")
+    ]
     for a in g:
         for b in g:
             if (((a, b), (b, a))) not in rel:
@@ -561,49 +523,23 @@ def check_special_group(S: SpecialGroupTable, nmax: int = 4) -> AxiomReport:
     if failures:
         return AxiomReport("group", failures)
 
-    # inductive n-ary extension, checked to be an equivalence per dimension
-    memo = {}
-
-    def rel_n(s, t):
-        n = len(s)
-        if n == 1:
-            return s == t
-        if n == 2:
-            return (s, t) in rel
-        key = (s, t)
-        if key in memo:
-            return memo[key]
-        memo[key] = False
-        ok = False
-        for x in g:
-            for y in g:
-                if ((s[0], x), (t[0], y)) not in rel:
-                    continue
-                for cs in product(g, repeat=n - 2):
-                    if rel_n(s[1:], (x,) + cs) and rel_n(t[1:], (y,) + cs):
-                        ok = True
-                        break
-                if ok:
-                    break
-            if ok:
-                break
-        memo[key] = ok
-        return ok
-
+    # once dm.iv holds, binary isometry in S's hyperfield is exactly rel, so
+    # the hyperfield's inductive isometry is the n-ary extension of rel
+    ctx = IsometryContext(_hyperfield_of(S), canonical=False)
     for n in range(3, nmax + 1):
-        tuples = list(product(g, repeat=n))
-        table = {(s, t): rel_n(s, t) for s in tuples for t in tuples}
-        for s in tuples:
-            if not table[(s, s)]:
-                failures.append((f"iso_{n}.reflexive", (s,)))
-        for s in tuples:
-            for t in tuples:
-                if table[(s, t)] and not table[(t, s)]:
-                    failures.append((f"iso_{n}.symmetric", (s, t)))
-        nbrs = {s: [t for t in tuples if table[(s, t)]] for s in tuples}
-        for s in tuples:
-            for t in nbrs[s]:
-                for u in nbrs[t]:
-                    if not table[(s, u)]:
-                        failures.append((f"iso_{n}.transitive", (s, t, u)))
+        failures += _equivalence_failures(list(product(g, repeat=n)), ctx._iso, f"iso_{n}.{{}}")
     return AxiomReport("special" if not failures else "prespecial", failures)
+
+
+def _hyperfield_of(S: SpecialGroupTable) -> Hyperfield:
+    """S with zero adjoined as id S.size, so group ids stay form entries, and
+    a in b + c iff ((b, c), (a, d)) is in the binary isometry for some d."""
+    z = S.size
+    mul = [list(row) + [z] for row in S.mul] + [[z] * (z + 1)]
+    neg = [S.mul[S.minus_one][x] for x in range(z)] + [z]
+    add = [[set() for _ in range(z + 1)] for _ in range(z + 1)]
+    for x in range(z + 1):
+        add[x][z] = add[z][x] = {x}
+    for (b, c), (a, _) in S.binary_isometry:
+        add[b][c].add(a)
+    return Hyperfield(zero=z, one=S.identity, neg=neg, mul=mul, add=add)

@@ -14,6 +14,7 @@ from quadpres.hyperfields import (
     quadratic_hyperfield,
     quotient_by_subgroup,
 )
+from quadpres.presentable import quotient_mod_multiplicative_set
 
 
 def mutate_add(F, a, b, new_cell):
@@ -71,31 +72,36 @@ def test_mutated_euclidean_fails_with_witness():
     assert all(len(w) > 0 for _, w in report.failures)
 
 
+# every GF(q) with q <= 32 that has a built-in modulus
+REFERENCE_FIELDS = [(p, 1) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)]
+REFERENCE_FIELDS += [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]
+
+
 def test_quotient_gf5_by_squares():
-    k = ff_make(5)
-    F = from_field(k)
-    Q = quotient_by_subgroup(F, {1, 4})
-    assert Q.size == 3
-    # independent derivation of the classes from modular arithmetic
-    T = {1, 4}
-    cls = {}
-    for x in range(5):
-        cls[x] = frozenset(
-            y for y in range(5) if any((x * s) % 5 == (y * t) % 5 for s in T for t in T)
-        )
-    assert {cls[0], cls[1], cls[2]} == {
-        frozenset({0}),
-        frozenset({1, 4}),
-        frozenset({2, 3}),
-    }
-    # membership rule: xbar in ybar + zbar iff x*s = y*t + z*u for s,t,u in T
-    one = Q.id_of("1")
-    derived = set()
-    for xbar, rep in [(Q.id_of("0"), 0), (Q.id_of("1"), 1), (Q.id_of("2"), 2)]:
-        if any((rep * s) % 5 == (t + u) % 5 for s in T for t in T for u in T):
-            derived.add(xbar)
-    assert Q.add(one, one) == derived
-    assert check_hyperfield(Q).passed
+    # both quotient names against classes and cells read straight off field
+    # arithmetic, for every subgroup T of GF(q)* (the d-th roots of unity for
+    # each d | q - 1); GF(5) by its squares {1, 4} is one of the inputs
+    for p, n in REFERENCE_FIELDS:
+        k = ff_make(p, n)
+        F = from_field(k)
+        order = k.q - 1
+        for d in (d for d in range(1, order + 1) if order % d == 0):
+            T = {x for x in k.nonzero() if k.power(x, d) == 1}
+            # x ~ y iff x * y^-1 is in T; zero is alone
+            cls = [frozenset([0])] + [
+                frozenset(y for y in k.nonzero() if k.mul(x, k.inv(y)) in T)
+                for x in k.nonzero()
+            ]
+            for quotient in (quotient_by_subgroup, quotient_mod_multiplicative_set):
+                Q = quotient(F, T)
+                ref = [cls[F.id_of(name)] for name in Q.names]
+                assert len(ref) == len(set(cls)) == len(set(ref)), (k.q, T)
+                assert ref[Q.zero] == cls[0] and ref[Q.one] == cls[1]
+                for i in range(Q.size):
+                    for j in range(Q.size):
+                        cell = {cls[k.add(x, y)] for x in ref[i] for y in ref[j]}
+                        assert {ref[c] for c in Q.add(i, j)} == cell, (k.q, T, i, j)
+                        assert ref[Q.mul(i, j)] == cls[k.mul(min(ref[i]), min(ref[j]))]
 
 
 def test_quotient_by_trivial_subgroup_is_isomorphic():

@@ -170,13 +170,6 @@ def test_quotient_mod_full_group_of_euclidean():
     assert check_hyperfield(Q).passed
 
 
-def test_quotient_mod_agrees_with_subgroup_quotient():
-    for k in (ff_make(5), ff_make(7)):
-        F = from_field(k)
-        squares = {k.mul(a, a) for a in k.nonzero()}
-        assert quotient_mod_multiplicative_set(F, squares) == quotient_by_subgroup(F, squares)
-
-
 def test_quotient_mod_on_supercompacts_of_powerset_gf7():
     k = ff_make(7)
     R = powerset_of_hyperfield(from_field(k))
@@ -200,6 +193,12 @@ def test_quotient_mod_rejects_bad_sets():
     F = from_field(ff_make(5))
     with pytest.raises(ValidationError):
         quotient_mod_multiplicative_set(F, {2})  # 2*2=4 not in T
+    # closed but not a group: 2 is an idempotent non-unit of these tables
+    mul = [[0, 0, 0], [0, 1, 2], [0, 2, 2]]
+    add = [[{0}, {1}, {2}], [{1}, {0, 1, 2}, {2}], [{2}, {2}, {0, 2}]]
+    G = Hyperfield(0, 1, (0, 1, 2), mul, add)
+    with pytest.raises(ValidationError, match="no inverse inside T"):
+        quotient_mod_multiplicative_set(G, {2})
 
 
 def test_congruence_singleton_partition():
@@ -222,6 +221,12 @@ def test_congruence_rejects_zero_one_merge():
     with pytest.raises(ValidationError) as err:
         quotient_by_congruence(E, [[0, 1], [2]])
     assert "0 ~ 1" in str(err.value)
+
+
+def test_congruence_rejects_empty_class():
+    E = euclidean_hyperfield()
+    with pytest.raises(InputError, match="empty class"):
+        quotient_by_congruence(E, [[0], [1], [2], []])
 
 
 def test_congruence_rejects_incompatible_partition():

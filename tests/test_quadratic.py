@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations_with_replacement, permutations, product
 
 import pytest
@@ -245,6 +246,15 @@ def test_ring_isomorphic_rejects_truncated():
     W = witt_ring(E, 4)
     with pytest.raises(InputError):
         ring_isomorphic(W, W)
+
+
+def test_ring_isomorphic_rejects_incomplete_mul_table():
+    _, ctx3 = q_ctx(3)
+    W = witt_ring(ctx3.F, 4, ctx3)
+    mul = [list(row) for row in W.mul_table]
+    mul[1][1] = None
+    with pytest.raises(InputError):
+        ring_isomorphic(replace(W, mul_table=mul), W)
 
 
 def test_ring_isomorphic_distinguishes_z4_from_klein():
