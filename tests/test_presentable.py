@@ -170,6 +170,17 @@ def test_quotient_mod_full_group_of_euclidean():
     assert check_hyperfield(Q).passed
 
 
+def test_quotient_mod_agrees_with_subgroup_quotient():
+    for k in (ff_make(5), ff_make(7)):
+        F = from_field(k)
+        squares = {k.mul(a, a) for a in k.nonzero()}
+        Q = quotient_mod_multiplicative_set(F, squares)
+        assert Q == quotient_by_subgroup(F, squares)
+        # the cosets of the squares, fed in as an explicit partition
+        cosets = {frozenset(k.mul(x, s) for s in squares) for x in k.nonzero()}
+        assert Q == quotient_by_congruence(F, [[0]] + sorted(sorted(c) for c in cosets))
+
+
 def test_quotient_mod_on_supercompacts_of_powerset_gf7():
     k = ff_make(7)
     R = powerset_of_hyperfield(from_field(k))
