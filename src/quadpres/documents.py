@@ -158,8 +158,8 @@ def parse_hyperfield(text: str) -> Hyperfield:
     r, names = _start(text, "hyperfield")
     resolve = _resolver(names)
     n = len(names)
-    _, z = r.expect_key("zero")
-    _, o = r.expect_key("one")
+    zero = resolve(*r.expect_key("zero"))
+    one = resolve(*r.expect_key("one"))
     neg = _neg_row(r, n, resolve)
     lineno, rest = r.expect_key("mul")
     if rest:
@@ -173,9 +173,7 @@ def parse_hyperfield(text: str) -> Hyperfield:
         return frozenset(resolve(lineno, part) for part in token.split(";"))
 
     add = _parse_table_rows(r, n, resolve_cell, "add")
-    return Hyperfield(
-        zero=resolve(lineno, z), one=resolve(lineno, o), neg=neg, mul=mul, add=add, names=names
-    )
+    return Hyperfield(zero=zero, one=one, neg=neg, mul=mul, add=add, names=names)
 
 
 # -- presentable rings ---------------------------------------------------------
@@ -206,7 +204,7 @@ def parse_presentable(text: str) -> PresentableRing:
     resolve = _resolver(names)
     n = len(names)
     _, bp = r.expect_key("basepoint")
-    _, one = r.expect_key("one")
+    one = resolve(*r.expect_key("one"))
     lineno, is_field = r.expect_key("is_field")
     if is_field not in ("true", "false"):
         raise InputError(f"line {lineno}: is_field must be true or false")
@@ -220,9 +218,7 @@ def parse_presentable(text: str) -> PresentableRing:
     if rest:
         raise InputError(f"line {lineno}: 'mul:' takes no inline value")
     mul = _parse_table_rows(r, n, resolve, "mul")
-    if one not in names:
-        raise InputError(f"unknown element {one!r} for one")
-    return PresentableRing(poset, add, neg, mul, one=names.index(one), is_field=is_field == "true")
+    return PresentableRing(poset, add, neg, mul, one=one, is_field=is_field == "true")
 
 
 def emit_witt_ring(W, names) -> str:

@@ -3,7 +3,8 @@
 This is the validation oracle for the hyperfield pipeline: everything here
 is computed at field level (Gram matrices, value sets, chain steps on
 diagonal forms) and shares no code with the hyperfield machinery beyond the
-finite-field tables and the inert WittRing/WittClass dataclasses.
+finite-field tables and the WittRing/WittClass dataclasses.  The oracle builds
+its class tables alone; WittRing only reads its status off them.
 
 Characteristic-2 convention: the oracle works with diagonal non-alternating
 forms and stabilizes by <1,1> = <1,-1>, the comparable classical object for
@@ -302,58 +303,36 @@ def classical_witt_ring(q: int, dmax: int) -> WittRing:
         raise SizeGuardError(f"oracle dmax must be 2..4, got {dmax}")
     k = _field_for(q)
     calc = _DiagonalWitt(k)
-    zero_rep = calc.hyperbolic
-
-    class_entries = [None]  # index 0: the zero class, represented by nothing
-    growth = []
-    for d in range(1, dmax + 1):
-        new = 0
-        for cand in combinations_with_replacement(calc.reps, d):
-            if calc.witt_equivalent(cand, zero_rep):
-                continue
-            if any(
-                e is not None and calc.witt_equivalent(cand, e) for e in class_entries
-            ):
-                continue
-            class_entries.append(cand)
-            new += 1
-        growth.append(new)
+    reps = [()]  # diagonal entries per class; () is the zero class
 
     def index_of(entries):
-        if not entries or calc.witt_equivalent(entries, zero_rep):
-            return 0
-        for i, e in enumerate(class_entries):
-            if e is not None and calc.witt_equivalent(entries, e):
+        for i, e in enumerate(reps):
+            if calc.witt_equivalent(entries, e):
                 return i
         return None
 
-    n = len(class_entries)
+    growth = []
+    for d in range(1, dmax + 1):
+        before = len(reps)
+        for cand in combinations_with_replacement(calc.reps, d):
+            if index_of(cand) is None:
+                reps.append(cand)
+        growth.append(len(reps) - before)
+
+    n = len(reps)
     add_table = [[None] * n for _ in range(n)]
     mul_table = [[None] * n for _ in range(n)]
-    escaped = False
     for i in range(n):
         for j in range(i, n):
-            ei = class_entries[i] or ()
-            ej = class_entries[j] or ()
-            s = index_of(ei + ej)
-            if s is None:
-                escaped = True
-            add_table[i][j] = add_table[j][i] = s
-            if not ei or not ej:
-                p = 0
-            else:
-                p = index_of(tuple(k.mul(a, b) for a in ei for b in ej))
-                if p is None:
-                    escaped = True
-            mul_table[i][j] = mul_table[j][i] = p
-    one_class = index_of((1,))
-    classes = [WittClass(Form(e) if e else None) for e in class_entries]
+            ei, ej = reps[i], reps[j]
+            add_table[i][j] = add_table[j][i] = index_of(ei + ej)
+            prod = tuple(k.mul(a, b) for a in ei for b in ej)
+            mul_table[i][j] = mul_table[j][i] = index_of(prod)
     return WittRing(
-        status="truncated" if escaped else "finite",
-        classes=classes,
+        classes=[WittClass(Form(e) if e else None) for e in reps],
         add_table=add_table,
         mul_table=mul_table,
         zero_class=0,
-        one_class=one_class,
+        one_class=index_of((1,)),
         growth=growth,
     )

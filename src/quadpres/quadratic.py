@@ -14,7 +14,7 @@ by tests against the raw (unsorted) mode rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import comb
 from typing import Optional
@@ -298,7 +298,14 @@ class WittClass:
 
 @dataclass
 class WittRing:
-    status: str  # "finite" | "truncated"
+    """Witt classes with their sum and product tables.
+
+    A table entry is None when the class of a sum or product was not among
+    the found classes.  The ring is finite iff no entry is None: every form
+    is a sum of unary forms and every unary class is found at dim 1, so
+    closed tables hold the whole ring.
+    """
+
     classes: list
     add_table: list
     mul_table: list
@@ -309,6 +316,12 @@ class WittRing:
     @property
     def size(self):
         return len(self.classes)
+
+    @property
+    def status(self):
+        tables = (self.add_table, self.mul_table)
+        closed = all(x is not None for table in tables for row in table for x in row)
+        return "finite" if closed else "truncated"
 
     def summary(self):
         if self.status == "finite":
@@ -323,10 +336,9 @@ def witt_ring(F: Hyperfield, dmax: int, ctx=None) -> WittRing:
     """Enumerate anisotropic classes up to dmax and build the class tables.
 
     Addition concatenates then strips hyperbolic planes; multiplication
-    tensors then strips.  Status is "finite" only when the last two
-    dimensions contributed no new class and every table entry reduced into
-    the found set; otherwise "truncated" with per-dimension growth, and
-    entries that escape the found classes stay None.
+    tensors then strips.  A sum or product whose anisotropic part is not
+    among the found classes stays None, and the ring reads as "finite"
+    exactly when no entry is None.
     """
     if dmax < 2:
         raise InputError("dmax must be at least 2 (the hyperbolic plane has dim 2)")
@@ -336,56 +348,37 @@ def witt_ring(F: Hyperfield, dmax: int, ctx=None) -> WittRing:
         raise SizeGuardError(
             f"{len(nz)} classes at dmax {dmax} exceed the enumeration budget {CANDIDATE_BUDGET}"
         )
-    entries_by_class = [()]
-    reps_by_dim = {}
-    growth = []
-    for d in range(1, dmax + 1):
-        new = 0
-        for cand in combinations_with_replacement(nz, d):
-            if ctx.is_isotropic(cand):
-                continue
-            bucket = reps_by_dim.setdefault(d, [])
-            if any(ctx._iso(cand, rep) for rep in bucket):
-                continue
-            bucket.append(cand)
-            entries_by_class.append(cand)
-            new += 1
-        growth.append(new)
-    classes = [WittClass(Form(e) if e else None) for e in entries_by_class]
+    reps = [()]  # anisotropic entries per class; () is the zero class
 
-    def class_index(entries):
-        part = ctx.anisotropic_entries(entries) if entries else ()
-        if not part:
-            return 0
-        bucket = reps_by_dim.get(len(part), [])
-        for rep in bucket:
-            if ctx._iso(part, rep):
-                return entries_by_class.index(rep)
+    def find(part):
+        for i, rep in enumerate(reps):
+            if len(rep) == len(part) and (rep == part or ctx._iso(part, rep)):
+                return i
         return None
 
+    growth = []
+    for d in range(1, dmax + 1):
+        before = len(reps)
+        for cand in combinations_with_replacement(nz, d):
+            if not ctx.is_isotropic(cand) and find(cand) is None:
+                reps.append(cand)
+        growth.append(len(reps) - before)
+
+    def class_index(entries):
+        return find(ctx.anisotropic_entries(entries) if entries else ())
+
     one_class = class_index((F.one,))
-    escaped = False
-    n = len(classes)
+    n = len(reps)
     add_table = [[None] * n for _ in range(n)]
     mul_table = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            ei, ej = entries_by_class[i], entries_by_class[j]
-            s = class_index(ei + ej)
-            if s is None:
-                escaped = True
-            add_table[i][j] = add_table[j][i] = s
-            if not ei or not ej:
-                p = 0
-            else:
-                p = class_index(tuple(F.mul(a, b) for a in ei for b in ej))
-                if p is None:
-                    escaped = True
-            mul_table[i][j] = mul_table[j][i] = p
-    finite = len(growth) >= 2 and growth[-1] == 0 and growth[-2] == 0 and not escaped
+            ei, ej = reps[i], reps[j]
+            add_table[i][j] = add_table[j][i] = class_index(ei + ej)
+            prod = tuple(F.mul(a, b) for a in ei for b in ej)
+            mul_table[i][j] = mul_table[j][i] = class_index(prod)
     return WittRing(
-        status="finite" if finite else "truncated",
-        classes=classes,
+        classes=[WittClass(Form(e) if e else None) for e in reps],
         add_table=add_table,
         mul_table=mul_table,
         zero_class=0,
@@ -410,8 +403,6 @@ def ring_isomorphic(W1: WittRing, W2: WittRing):
             raise InputError("ring_isomorphic needs finite Witt rings; got truncated input")
         if W.size > RING_ISO_MAX:
             raise SizeGuardError(f"ring isomorphism search capped at {RING_ISO_MAX} classes")
-        if any(x is None for table in (W.add_table, W.mul_table) for row in table for x in row):
-            raise InputError("finite Witt ring with incomplete tables")
     if W1.size != W2.size:
         return None
     return _isomorphism_search(
@@ -479,8 +470,10 @@ def check_special_group(S: SpecialGroupTable, nmax: int = 4) -> AxiomReport:
     """Verify the six pre-special axioms and that the inductive n-ary
     extension stays an equivalence up to nmax."""
     g = range(S.size)
-    if S.size**nmax > 4096:
-        raise SizeGuardError(f"{S.size}^{nmax} tuples exceed the special-group budget")
+    if (S.size**nmax) ** 3 > QUADRATIC_BUDGET:
+        raise SizeGuardError(
+            f"{S.size}^{nmax} tuples give {(S.size**nmax)**3} triples; budget {QUADRATIC_BUDGET}"
+        )
     failures = []
     e = S.identity
     for a in g:

@@ -12,10 +12,11 @@ def run(capsys, *argv):
 
 
 def test_witt_field_3(capsys):
-    code, out = run(capsys, "witt", "--field", "3", "--max-dim", "4")
-    assert code == 0
-    assert "W: finite, 4 classes" in out
-    assert "oracle match: yes" in out
+    for max_dim in ("3", "4"):
+        code, out = run(capsys, "witt", "--field", "3", "--max-dim", max_dim)
+        assert code == 0, max_dim
+        assert "W: finite, 4 classes" in out, max_dim
+        assert "oracle match: yes" in out, max_dim
 
 
 def test_witt_euclidean_truncated(capsys):

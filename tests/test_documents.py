@@ -77,7 +77,11 @@ def test_parse_errors_name_the_line():
     assert "line" in str(err.value)
     with pytest.raises(InputError) as err:
         parse_hyperfield(doc.replace("zero: 0", "zero: q", 1))
-    assert "unknown element" in str(err.value)
+    assert str(err.value) == "line 3: unknown element 'q'"
+    presentable = emit_presentable(example_sq_structure())
+    with pytest.raises(InputError) as err:
+        parse_presentable(presentable.replace("one: I", "one: q", 1))
+    assert str(err.value) == "line 4: unknown element 'q'"
 
 
 def test_comments_and_blank_lines_ignored():

@@ -11,6 +11,7 @@ from quadpres.hyperfields import (
     from_field,
     quadratic_hyperfield,
 )
+from quadpres.oracle import ORACLE_SIZES, classical_witt_ring
 from quadpres.quadratic import (
     Form,
     IsometryContext,
@@ -241,6 +242,17 @@ def test_witt_ring_euclidean_truncated_signature():
                 assert sigs[entry] == si + sj
 
 
+@pytest.mark.parametrize("dmax", [2, 3, 4])
+@pytest.mark.parametrize("q", ORACLE_SIZES)
+def test_witt_ring_agrees_with_classical_oracle(q, dmax):
+    F, ctx = q_ctx(q)
+    W = witt_ring(F, dmax, ctx)
+    WO = classical_witt_ring(q, dmax)
+    assert W.status == WO.status == "finite"
+    assert W.size == WO.size
+    assert ring_isomorphic(W, WO) is not None
+
+
 def test_ring_isomorphic_rejects_truncated():
     E = euclidean_hyperfield()
     W = witt_ring(E, 4)
@@ -353,6 +365,12 @@ def test_special_group_euclidean():
     report = check_special_group(S, nmax=4)
     assert report.passed
     assert report.level_passed == "special"
+
+
+def test_special_group_size_guard():
+    S = special_group_of(euclidean_hyperfield())
+    with pytest.raises(SizeGuardError):
+        check_special_group(S, nmax=9)
 
 
 def test_special_group_of_quadratic_hyperfields():
