@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, SizeGuardError, ValidationError
 
-MAX_FIELD = 4096
+MAX_FIELD = 1024
 
 # Fixed moduli for the supported tiny extensions keep element encodings
 # reproducible across runs (coefficients constant-term first, monic).

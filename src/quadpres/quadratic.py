@@ -6,6 +6,12 @@ nothing).  Isometry is the inductive relation: unary forms by equality,
 binary forms by equal products plus membership of the head in the hypersum,
 higher dimensions by the three-clause existential recursion.
 
+Isotropy and hyperbolic splitting use value sets instead: <a1, ..., an> is
+isotropic iff 0 is in the iterated hypersum a1 + ... + an, and the split is
+read off one fold over the entries (n * m^2 cell lookups for m elements).
+That criterion assumes a quadratically presentable field; `cli witt` checks
+the field first.  The recursion stays the reference for isometry.
+
 An IsometryContext memoizes decisions.  In canonical mode forms are entry-
 sorted before lookup, which is sound because isometry is permutation
 invariant on quadratically presentable fields; that invariance is asserted
@@ -23,7 +29,7 @@ from .errors import InputError, SizeGuardError, ValidationError
 from .hyperfields import AxiomReport, Hyperfield, _isomorphism_search
 
 QUADRATIC_BUDGET = 20_000_000  # cap on (forms per dim)^3 for equivalence checks
-CANDIDATE_BUDGET = 200_000     # cap on multiset enumerations per splitting step
+CANDIDATE_BUDGET = 200_000     # cap on witt_ring's class enumeration (multisets up to dmax)
 RING_ISO_MAX = 16
 
 
@@ -95,6 +101,7 @@ class IsometryContext:
         self.canonical = canonical
         self.nonzero = F.nonzero()
         self._memo = {}
+        self._split = {}
         self._aniso = {}
 
     # -- plumbing --------------------------------------------------------
@@ -167,23 +174,46 @@ class IsometryContext:
     # -- isotropy and Witt reduction --------------------------------------
 
     def split_hyperbolic(self, entries) -> Optional[tuple]:
-        """The tail psi with entries ~ H + psi, or None if anisotropic."""
+        """The tail psi with entries ~ H + psi, or None if anisotropic.
+
+        One value-set fold: prov[k] maps each b in the hypersum of
+        entries[k:] to one x in the hypersum of entries[k+1:] (that of no
+        entries is {0}) with b in entries[k] + x.  The form is isotropic iff
+        0 is in the hypersum of all its entries, and the tail is read off
+        the provenance.
+        """
         entries = self._norm(self._entries_of(entries))
+        if entries in self._split:
+            return self._split[entries]
+        F, zero = self.F, self.F.zero
         n = len(entries)
-        if n == 1:
-            return None
-        H = self.hyperbolic()
-        if n == 2:
-            return () if self._iso(entries, H) else None
-        if comb(n - 2 + len(self.nonzero) - 1, len(self.nonzero) - 1) > CANDIDATE_BUDGET:
-            raise SizeGuardError(
-                f"candidate enumeration for dim {n} over {len(self.nonzero)} classes "
-                f"exceeds {CANDIDATE_BUDGET}"
-            )
-        for cs in combinations_with_replacement(self.nonzero, n - 2):
-            if self._iso(entries, self._norm(H + cs)):
-                return cs
-        return None
+        prov = [None] * n + [{zero: None}]
+        for k in range(n - 1, -1, -1):
+            row = {}
+            for x in prov[k + 1]:
+                for b in F.add(entries[k], x):
+                    row.setdefault(b, x)
+            prov[k] = row
+        tail = None
+        if zero in prov[0]:
+            # keep heads while the rest is isotropic; entries[n-1:] never is
+            k = 0
+            while zero in prov[k + 1]:
+                k += 1
+            tail = list(entries[:k])
+            # entries[k+1:] is anisotropic and represents b = -entries[k]:
+            # walk b's provenance, using <a, x> ~ <b, a*x*b> when b in a + x
+            b = prov[k][zero]
+            for j in range(k + 1, n):
+                x = prov[j][b]
+                if x == zero:
+                    tail += entries[j + 1:]
+                    break
+                tail.append(F.mul(F.mul(entries[j], x), b))
+                b = x
+            tail = self._norm(tail)
+        self._split[entries] = tail
+        return tail
 
     def is_isotropic(self, phi) -> bool:
         return self.split_hyperbolic(phi) is not None

@@ -5,6 +5,7 @@ import pytest
 from quadpres.errors import InputError, SizeGuardError, ValidationError
 from quadpres.finitefield import (
     DEFAULT_MODULI,
+    FiniteField,
     ff_make,
     parse_field_arg,
     poly_is_irreducible,
@@ -82,6 +83,17 @@ def test_guards():
         ff_make(4, 1)
     with pytest.raises(InputError):
         ff_make(3, 0)
+
+
+def test_field_size_guard_refuses_before_building_tables(monkeypatch):
+    def build_tables(self, a):
+        raise AssertionError("tables built")
+
+    monkeypatch.setattr(FiniteField, "_decode", build_tables)
+    with pytest.raises(SizeGuardError):
+        ff_make(2039)
+    with pytest.raises(AssertionError):  # 1021 passes the guard
+        ff_make(1021)
 
 
 def test_square_classes_gf3():

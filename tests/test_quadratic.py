@@ -221,25 +221,79 @@ def test_witt_ring_q5_is_klein_four():
         assert W.add_table[i][i] == W.zero_class  # exponent 2
 
 
-def test_witt_ring_euclidean_truncated_signature():
-    E = euclidean_hyperfield()
-    W = witt_ring(E, 6)
-    assert W.status == "truncated"
-    assert W.growth == [2, 2, 2, 2, 2, 2]
-    assert W.summary() == "W: truncated at dim 6, growth 2 per dim"
-    # classes are k x <1> and k x <-1>: read signatures off representatives
+def assert_signature_ring(W, dmax):
+    """Euclidean classes are k x <1> and k x <-1> for |k| <= dmax, and the
+    sum table adds the signatures read off the representatives."""
     def signature(cls):
         if cls.representative is None:
             return 0
         entries = cls.representative.entries
         return sum(1 if e == 1 else -1 for e in entries)
     sigs = [signature(c) for c in W.classes]
-    assert sorted(sigs) == sorted([0] + [s for k in range(1, 7) for s in (k, -k)])
+    assert sorted(sigs) == sorted([0] + [s for k in range(1, dmax + 1) for s in (k, -k)])
     for i, si in enumerate(sigs):
         for j, sj in enumerate(sigs):
             entry = W.add_table[i][j]
             if entry is not None:
                 assert sigs[entry] == si + sj
+
+
+def test_witt_ring_euclidean_truncated_signature():
+    E = euclidean_hyperfield()
+    W = witt_ring(E, 6)
+    assert W.status == "truncated"
+    assert W.growth == [2, 2, 2, 2, 2, 2]
+    assert W.summary() == "W: truncated at dim 6, growth 2 per dim"
+    assert_signature_ring(W, 6)
+
+
+def test_value_set_engine_scales_past_the_search():
+    # the candidate search took about 45 s for these; no timing is asserted
+    E = euclidean_hyperfield()
+    W = witt_ring(E, 8)
+    assert W.status == "truncated"
+    assert W.growth == [2] * 8
+    assert W.size == 17
+    assert_signature_ring(W, 8)
+    one, minus = E.one, E.neg(E.one)
+    ctx = IsometryContext(E)
+    assert not ctx.is_isotropic((one,) * 64)
+    assert ctx.anisotropic_part((one,) * 32 + (minus,)) == Form((one,) * 31)
+
+
+def reference_split(ctx, entries):
+    """The candidate search the value-set fold replaced: the first multiset
+    cs with entries ~ H + cs under the inductive recursion, or None."""
+    if len(entries) == 1:
+        return None
+    H = ctx.hyperbolic()
+    for cs in combinations_with_replacement(ctx.nonzero, len(entries) - 2):
+        if ctx._iso(entries, ctx._norm(H + cs)):
+            return cs
+    return None
+
+
+def assert_split_matches_reference(ctx, entries):
+    tail = ctx.split_hyperbolic(entries)
+    ref = reference_split(ctx, entries)
+    assert (tail is None) == (ref is None), entries
+    if tail is not None:
+        assert len(tail) == len(entries) - 2, entries
+        assert ctx._iso(entries, ctx._norm(ctx.hyperbolic() + tail)), (entries, tail)
+        assert not tail or ctx._iso(ctx._norm(tail), ctx._norm(ref)), (entries, tail, ref)
+
+
+@pytest.mark.parametrize("q", (None,) + ORACLE_SIZES)
+def test_split_hyperbolic_agrees_with_candidate_search(q):
+    F = euclidean_hyperfield() if q is None else q_ctx(q)[0]
+    ctx = IsometryContext(F)
+    for d in range(1, 8):
+        for entries in combinations_with_replacement(ctx.nonzero, d):
+            assert_split_matches_reference(ctx, entries)
+    raw = IsometryContext(F, canonical=False)
+    for d in range(1, 6):
+        for entries in product(raw.nonzero, repeat=d):
+            assert_split_matches_reference(raw, entries)
 
 
 @pytest.mark.parametrize("dmax", [2, 3, 4])
