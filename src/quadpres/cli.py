@@ -174,7 +174,7 @@ def cmd_check_presentable(args, rep):
         "presentable",
         {"size": R.n, "claimed": "field" if R.is_field else "ring", "supercompacts": len(R.supercompacts())},
     )
-    report = presentable.check_presentable(R, seed=args.seed or 0)
+    report = presentable.check_presentable(R)
     rep.check("presentable-ladder", report.passed, report.failures, level=report.level_passed)
     rep.say(f"presentable structure: {R.n} elements, claimed {'field' if R.is_field else 'ring'}")
     rep.say(f"level passed: {report.level_passed}")
@@ -262,14 +262,12 @@ def cmd_isom(args, rep):
 
 
 def cmd_witt(args, rep):
+    F = _load_structure(args, want=Hyperfield, field_builder=quadratic_hyperfield)
     if args.field:
         p, n = parse_field_arg(args.field)
-        k = ff_make(p, n)
-        F = quadratic_hyperfield(k)
         label = f"Q(GF({p**n}))"
         q = p**n
     else:
-        F = _load_structure(args, want=Hyperfield)
         label = args.builtin or args.input
         q = None
     _hyperfield_summary(rep, F)
@@ -338,7 +336,6 @@ def build_parser():
         if modulus:
             p.add_argument("--modulus", help="comma-separated coefficients, constant first")
         p.add_argument("--out", help="write the machine report (JSON) here")
-        p.add_argument("--seed", type=int, help="seed for randomized sampling")
 
     p = sub.add_parser("check-poset", help="presentability ladder of a pointed poset")
     common(p, field=False)
@@ -350,7 +347,6 @@ def build_parser():
     p.add_argument("--field", required=True)
     p.add_argument("--modulus")
     p.add_argument("--out")
-    p.add_argument("--seed", type=int)
     p = sub.add_parser("prime", help="prime hyperfield (three-case addition)")
     common(p, modulus=True)
     p = sub.add_parser("quotient", help="quotient by a multiplicative subset")
@@ -360,7 +356,6 @@ def build_parser():
     p.add_argument("--field", required=True)
     p.add_argument("--literal-squares", action="store_true", dest="literal_squares")
     p.add_argument("--out")
-    p.add_argument("--seed", type=int)
     p = sub.add_parser("isom", help="decide isometry of two forms")
     common(p)
     p.add_argument("--form", action="append", required=True, help="comma-separated element names")

@@ -10,7 +10,6 @@ ladder and reports per-axiom witnesses.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .errors import InputError, SizeGuardError, ValidationError
@@ -18,7 +17,6 @@ from .hyperfields import Hyperfield, _quotient_tables, check_hyperfield, quotien
 from .posets import FinitePointedPoset, _bits, _inclusion_up_masks, check_presentable as check_poset
 
 MAX_HYPERFIELD_BASE = 10   # powerset carrier is 2^|F| - 1
-FULL_CUBIC_LIMIT = 128     # carriers up to this get O(n^3) exhaustive laws
 
 LEVELS = ("none", "poset", "monoid", "group", "ring", "field")
 
@@ -203,17 +201,27 @@ def _sup(poset, cache, xs):
     return v
 
 
-def check_presentable(R: PresentableRing, seed=0, family_samples=100) -> PresentableReport:
+def check_presentable(R: PresentableRing) -> PresentableReport:
     """Verify the poset/monoid/group/ring/field ladder with witnesses.
 
-    Suprema preservation is checked (a) by the pairwise supercompact
-    decomposition x + y = sup{s + t}, (b) exhaustively over families of
-    supercompacts against every carrier element, and (c) on ``family_samples``
-    seeded random families of arbitrary carrier elements.  Cubic laws
-    (associativity, distributivity, order-compatibility) run exhaustively for
-    carriers up to FULL_CUBIC_LIMIT; above that they are checked on
-    supercompact triples, which the decomposition identities lift to the
-    whole carrier.
+    Suprema preservation of + is checked (a) by the pairwise supercompact
+    decomposition x + y = sup{s + t} and (b) exhaustively over families of
+    supercompacts against every carrier element.  The cubic laws run on
+    supercompact triples only, at every carrier size.  Write S_x for the
+    supercompacts below x; weak presentability (WP), checked at the poset
+    stage, gives x = sup S_x and x <= y iff S_x is inside S_y.  The laws left
+    unchecked on the whole carrier follow from the checked ones:
+
+    - + associativity: from supercompact triples, commutativity and (b),
+      since a + (b + c) = sup{(s + t) + u} over s, t, u in S_a, S_b, S_c.
+    - * associativity: ring.supercompact_products gives S_ab = {st}, so
+      S_a(bc) = {s(tu)}.
+    - a(b + c) <= ab + ac: from ring.distributive_supercompact,
+      ring.supercompact_products and the monotonicity of + that (b) gives.
+    - a <= b implies ac <= bc: under WP, a <= b iff S_a is inside S_b, and
+      S_ac = {su}.
+    - + preserves the supremum of any family X: sup X = sup(union of S_x),
+      so (b) on that union and on each S_x gives the same equality.
     """
     claimed = "field" if R.is_field else "ring"
     poset = R.poset
@@ -228,8 +236,6 @@ def check_presentable(R: PresentableRing, seed=0, family_samples=100) -> Present
     sc = R.supercompacts()
     sup_cache = {}
     smask = [poset.minimals_below_mask(x) for x in range(n)]
-    exhaustive = n <= FULL_CUBIC_LIMIT
-    triple_range = range(n) if exhaustive else sc
 
     failures = []
     for a in range(n):
@@ -239,9 +245,9 @@ def check_presentable(R: PresentableRing, seed=0, family_samples=100) -> Present
         for b in range(a + 1, n):
             if R.add[a][b] != R.add[b][a]:
                 failures.append(("monoid.iii", (a, b)))
-    for a in triple_range:
-        for b in triple_range:
-            for c in triple_range:
+    for a in sc:
+        for b in sc:
+            for c in sc:
                 if R.add[a][R.add[b][c]] != R.add[R.add[a][b]][c]:
                     failures.append(("monoid.i", (a, b, c)))
     # suprema preservation of +: pairwise supercompact decomposition
@@ -265,18 +271,6 @@ def check_presentable(R: PresentableRing, seed=0, family_samples=100) -> Present
             if lhs != rhs:
                 failures.append(("monoid.suprema", ("+", members, b, lhs, rhs)))
         fam = (fam - 1) & mins
-    rng = random.Random(seed)
-    for _ in range(family_samples):
-        members = tuple(rng.randrange(n) for _ in range(rng.randint(1, 3)))
-        b = rng.randrange(n)
-        base = _sup(poset, sup_cache, members)
-        if base is None:
-            failures.append(("monoid.suprema", ("+", members, b, None, None)))
-            continue
-        lhs = R.add[base][b]
-        rhs = _sup(poset, sup_cache, {R.add[a][b] for a in members})
-        if lhs != rhs:
-            failures.append(("monoid.suprema", ("+", members, b, lhs, rhs)))
     if failures:
         return PresentableReport("poset", failures, claimed)
 
@@ -302,9 +296,9 @@ def check_presentable(R: PresentableRing, seed=0, family_samples=100) -> Present
         for b in range(a + 1, n):
             if R.mul[a][b] != R.mul[b][a]:
                 failures.append(("ring.commutative", (a, b)))
-    for a in triple_range:
-        for b in triple_range:
-            for c in triple_range:
+    for a in sc:
+        for b in sc:
+            for c in sc:
                 if R.mul[a][R.mul[b][c]] != R.mul[R.mul[a][b]][c]:
                     failures.append(("ring.mul_associative", (a, b, c)))
                 # powerset cross-terms make the right side bigger in general,
@@ -326,12 +320,6 @@ def check_presentable(R: PresentableRing, seed=0, family_samples=100) -> Present
                 failures.append(
                     ("ring.supercompact_products", (a, b, sorted(_bits(smask[R.mul[a][b]])), sorted(expected)))
                 )
-    if exhaustive:
-        for a in range(n):
-            for b in _bits(poset.up[a]):
-                for c in range(n):
-                    if not poset.leq(R.mul[a][c], R.mul[b][c]):
-                        failures.append(("ring.compat_leq", (a, b, c)))
     if failures:
         return PresentableReport("group", failures, claimed)
 
@@ -350,16 +338,15 @@ def check_presentable(R: PresentableRing, seed=0, family_samples=100) -> Present
     return PresentableReport("field", [], claimed)
 
 
-def supercompact_hyperfield(R: PresentableRing, verify=True) -> Hyperfield:
+def supercompact_hyperfield(R: PresentableRing) -> Hyperfield:
     """Restrict a presentable field to its supercompacts, with a <= b + c as
     the membership rule of the induced multivalued addition."""
-    if verify:
-        report = check_presentable(R)
-        if not report.passed or not R.is_field:
-            raise ValidationError(
-                f"not a presentable field: level {report.level_passed}, "
-                f"first failure {report.failures[0] if report.failures else None}"
-            )
+    report = check_presentable(R)
+    if not report.passed or not R.is_field:
+        raise ValidationError(
+            f"not a presentable field: level {report.level_passed}, "
+            f"first failure {report.failures[0] if report.failures else None}"
+        )
     sc = R.supercompacts()
     index = {x: i for i, x in enumerate(sc)}
     poset = R.poset

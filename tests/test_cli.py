@@ -69,6 +69,8 @@ def test_usage_errors_exit_two(capsys):
     assert main(["check-hyperfield"]) == 2  # no input selected
     assert main(["check-hyperfield", "--builtin", "nope"]) == 2
     assert main(["witt", "--field", "6"]) == 2  # not a prime power
+    assert main(["witt", "--field", "3", "--builtin", "euclidean3"]) == 2  # two sources
+    assert main(["check-presentable", "--builtin", "example-sq-7", "--seed", "1"]) == 2
     capsys.readouterr()
 
 
@@ -102,23 +104,32 @@ def test_pipeline_literal_squares_reports_collapse(capsys):
     assert "collapses to 2 classes" in out
 
 
+REPORT_COMMANDS = (
+    ("witt", "--field", "3", "--max-dim", "4"),
+    ("check-presentable", "--builtin", "example-sq-7"),
+    ("check-hyperfield", "--field", "5"),
+    ("check-poset", "--builtin", "walking-supremum"),
+    ("qhf", "--field", "9"),
+)
+
+
 def test_machine_report_determinism_and_roundtrip(tmp_path, capsys):
     out = tmp_path / "report.json"
-    assert main(["witt", "--field", "3", "--max-dim", "4", "--out", str(out)]) == 0
-    first = out.read_text()
-    assert main(["witt", "--field", "3", "--max-dim", "4", "--out", str(out)]) == 0
-    second = out.read_text()
-    capsys.readouterr()
-    d1 = json.loads(first)
-    d2 = json.loads(second)
-    # machine rendering parses back to the same data; byte-identical modulo
-    # the timestamp field
-    assert "timestamp" in d1
-    d1.pop("timestamp")
-    d2.pop("timestamp")
-    assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
-    checks = {r["check"] for r in d1["reports"]}
-    assert {"hyperfield-axioms", "quadratic-presentability", "witt-ring", "oracle-match"} <= checks
+    for argv in REPORT_COMMANDS:
+        texts = []
+        for _ in range(2):
+            assert main([*argv, "--out", str(out)]) == 0, argv
+            texts.append(out.read_text())
+        capsys.readouterr()
+        # keys are sorted, so the timestamp block comes last and every byte
+        # before it must be identical across the two runs
+        data = json.loads(texts[0])
+        assert list(data)[-1] == "timestamp", argv
+        before = [t[: t.index('\n  "timestamp"')] for t in texts]
+        assert before[0] == before[1], argv
+        if argv[0] == "witt":
+            checks = {r["check"] for r in data["reports"]}
+            assert {"hyperfield-axioms", "quadratic-presentability", "witt-ring", "oracle-match"} <= checks
 
 
 def test_oracle_subcommands(capsys):
