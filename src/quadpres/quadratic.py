@@ -26,9 +26,8 @@ from math import comb
 from typing import Optional
 
 from .errors import InputError, SizeGuardError, ValidationError
-from .hyperfields import AxiomReport, Hyperfield, _isomorphism_search
+from .hyperfields import TRIPLE_BUDGET, AxiomReport, Hyperfield, _isomorphism_search
 
-QUADRATIC_BUDGET = 20_000_000  # cap on (forms per dim)^3 for equivalence checks
 CANDIDATE_BUDGET = 200_000     # cap on witt_ring's class enumeration (multisets up to dmax)
 RING_ISO_MAX = 16
 
@@ -286,10 +285,10 @@ def check_quadratic(F: Hyperfield, dmax: int) -> AxiomReport:
         return AxiomReport("none", pre.failures, notes={"layer": "prequadratic"})
     nz = F.nonzero()
     m = len(nz)
-    if (m**dmax) ** 3 > QUADRATIC_BUDGET:
+    if (m**dmax) ** 3 > TRIPLE_BUDGET:
         raise SizeGuardError(
             f"{m} classes at dmax {dmax} give {(m**dmax)**3} triples; "
-            f"budget {QUADRATIC_BUDGET}"
+            f"budget {TRIPLE_BUDGET}"
         )
     ctx = IsometryContext(F, canonical=False)
     failures = []
@@ -500,9 +499,9 @@ def check_special_group(S: SpecialGroupTable, nmax: int = 4) -> AxiomReport:
     """Verify the six pre-special axioms and that the inductive n-ary
     extension stays an equivalence up to nmax."""
     g = range(S.size)
-    if (S.size**nmax) ** 3 > QUADRATIC_BUDGET:
+    if (S.size**nmax) ** 3 > TRIPLE_BUDGET:
         raise SizeGuardError(
-            f"{S.size}^{nmax} tuples give {(S.size**nmax)**3} triples; budget {QUADRATIC_BUDGET}"
+            f"{S.size}^{nmax} tuples give {(S.size**nmax)**3} triples; budget {TRIPLE_BUDGET}"
         )
     failures = []
     e = S.identity

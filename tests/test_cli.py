@@ -31,6 +31,15 @@ def test_check_hyperfield_builtin(capsys):
     assert "hyperfield: pass" in out
 
 
+def test_ladder_commands_on_larger_prime_fields(capsys):
+    code, out = run(capsys, "check-hyperfield", "--field", "127")
+    assert code == 0
+    assert "hyperfield: pass" in out
+    code, out = run(capsys, "prime", "--field", "61")
+    assert code == 0
+    assert "prime: pass" in out
+
+
 def test_isom_decided_query_exits_zero(capsys):
     code, out = run(capsys, "isom", "--builtin", "euclidean3", "--form", "1,-1", "--form", "-1,1")
     assert code == 0

@@ -1,11 +1,15 @@
+import random
 from itertools import combinations
 
 import pytest
 
+from quadpres import hyperfields
 from quadpres.errors import SizeGuardError, ValidationError
 from quadpres.finitefield import ff_make
 from quadpres.hyperfields import (
     Hyperfield,
+    _ladder,
+    _multiplicative_laws_hold,
     check_hyperfield,
     euclidean_hyperfield,
     from_field,
@@ -304,3 +308,77 @@ def test_quotient_class_names_use_min_member():
     k = ff_make(7)
     Q = quotient_by_subgroup(from_field(k), {1, 2, 4})
     assert set(Q.names) == {"0", "1", "3"}
+
+
+def cell_mutants(F, rng, count):
+    """``count`` copies of F with one or two add, mul or neg entries redrawn:
+    add cells and products symmetrically, neg conjugated by a transposition
+    so that it stays an involution.  Copies the constructor refuses (a
+    redrawn product with one) are skipped."""
+    n = F.size
+    made = 0
+    while made < count:
+        add, mul, neg = F.add_full_table(), F.mul_table(), F.neg_table()
+        for _ in range(rng.randint(1, 2)):
+            kind = rng.choice(("add", "mul", "neg"))
+            a, b = rng.randrange(n), rng.randrange(n)
+            if kind == "add":
+                add[a][b] = add[b][a] = rng.sample(range(n), rng.randint(1, n))
+            elif kind == "mul":
+                mul[a][b] = mul[b][a] = rng.randrange(n)
+            else:
+                swap = {a: b, b: a}
+                neg = [swap.get(x, x) for x in (neg[swap.get(y, y)] for y in range(n))]
+        try:
+            G = Hyperfield(F.zero, F.one, neg, mul, add)
+        except ValidationError:
+            continue
+        made += 1
+        yield G
+
+
+# the coordinate of each triple law that the reduced ladder scales to 0 or 1
+SCALED = {"hypermonoid.iii": 0, "hypergroup.ii": 1, "mul.associative": 0, "hyperring.ii": 0}
+
+
+def test_reduced_ladder_matches_full_ladder_on_mutants():
+    # the full-carrier ladder is the reference: the same level, and on the
+    # reduced path exactly its witnesses at the scalar triples (so a subset
+    # of them, non-empty exactly when they are)
+    rng = random.Random(6)
+    bases = [euclidean_hyperfield()]
+    for p, n in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]:
+        k = ff_make(p, n)
+        bases += [from_field(k), prime_hyperfield(from_field(k)), quadratic_hyperfield(k)]
+    paths = {True: 0, False: 0}
+    for F in bases:
+        for G in cell_mutants(F, rng, 40):
+            reduced, full = check_hyperfield(G), _ladder(G, range(G.size))
+            reduced_path = _multiplicative_laws_hold(G)
+            paths[reduced_path] += 1
+            expected = full.failures
+            if reduced_path:
+                scalars = (G.zero, G.one)
+                expected = [f for f in expected if f[0] not in SCALED or f[1][SCALED[f[0]]] in scalars]
+            assert reduced.level_passed == full.level_passed
+            assert reduced.failures == expected
+            assert bool(reduced.failures) == bool(full.failures)
+    assert min(paths.values()) >= 100, paths
+
+
+def test_ladder_guard_refuses_large_tables_before_any_triple(monkeypatch):
+    F = from_field(ff_make(277))  # 277^3 > 20,000,000 >= 271^3
+    mul = F.mul_table()
+    mul[2][3] = mul[3][2] = 5
+    G = Hyperfield(F.zero, F.one, F.neg_table(), mul, F.add_full_table())
+
+    def triple_loop(*args):
+        raise AssertionError("the triple loop ran")
+
+    monkeypatch.setattr(hyperfields, "_ladder", triple_loop)
+    with pytest.raises(SizeGuardError):
+        check_hyperfield(G)
+
+
+def test_ladder_passes_gf127():
+    assert check_hyperfield(from_field(ff_make(127))).level_passed == "hyperfield"
