@@ -252,10 +252,21 @@ def cmd_isom(args, rep):
     F = _load_structure(args, want=Hyperfield, field_builder=quadratic_hyperfield)
     if len(args.form) != 2:
         raise InputError("isom needs exactly two --form options")
-    ctx = quadratic.IsometryContext(F)
     phi = _parse_form(F, args.form[0])
     psi = _parse_form(F, args.form[1])
-    verdict = ctx.isometric(phi, psi)
+    # the value-set engine decides isometry only on quadratically presentable
+    # fields; refuse tables that are not even pre-quadratic hyperfields
+    hrep = check_hyperfield(F)
+    rep.check("hyperfield-axioms", hrep.passed, hrep.failures, level=hrep.level_passed)
+    if not hrep.passed:
+        rep.say(f"hyperfield axioms: FAIL, first failure {hrep.first_failure()}")
+        return EXIT_MATH, "isom: FAIL (hyperfield axioms)"
+    prep = quadratic.check_prequadratic(F)
+    rep.check("prequadratic-axioms", prep.passed, prep.failures, level=prep.level_passed)
+    if not prep.passed:
+        rep.say(f"pre-quadratic axioms: FAIL, first failure {prep.first_failure()}")
+        return EXIT_MATH, "isom: FAIL (pre-quadratic axioms)"
+    verdict = quadratic.IsometryContext(F).isometric(phi, psi)
     rep.check("isometry", True, verdict=verdict)
     rep.say(f"form 1: {args.form[0]}  form 2: {args.form[1]}")
     return EXIT_OK, "isometric" if verdict else "not isometric"

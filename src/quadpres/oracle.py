@@ -22,6 +22,7 @@ from .finitefield import FiniteField, ff_make, parse_field_arg, square_classes
 from .quadratic import Form, WittClass, WittRing
 
 ORACLE_SIZES = (2, 3, 4, 5, 7, 9)
+PAD_DIMS = 6  # dimensions of hyperbolic padding witt_equivalent tries past the larger form
 
 
 def _field_for(q: int) -> FiniteField:
@@ -225,13 +226,9 @@ class _DiagonalWitt:
     def __init__(self, k):
         self.k = k
         sq = square_classes(k)
-        self.reps = tuple(sorted(min(c) for i, c in enumerate(sq.classes) if i != sq.zero_class))
-        self.rep_of = {}
-        for x in k.nonzero():
-            for r in self.reps:
-                if same_square_class(k, x, r):
-                    self.rep_of[x] = r
-                    break
+        least = [min(c) for c in sq.classes]
+        self.reps = tuple(sorted(r for i, r in enumerate(least) if i != sq.zero_class))
+        self.rep_of = {x: least[sq.class_of[x]] for x in k.nonzero()}
         self.hyperbolic = tuple(sorted((1, self.rep_of[k.neg(1)])))
         self._partitions = {}
 
@@ -278,9 +275,9 @@ class _DiagonalWitt:
         label = self._dim_partition(len(s))
         return label[s] == label[t]
 
-    def witt_equivalent(self, s, t, pad_extra=6):
+    def witt_equivalent(self, s, t):
         s, t = self.canon(s), self.canon(t)
-        cap = max(len(s), len(t)) + pad_extra
+        cap = max(len(s), len(t)) + PAD_DIMS
         for ds in range(len(s), cap + 1, 2):
             dt = ds  # compare at equal padded dimension
             if dt < len(t) or (dt - len(t)) % 2 != 0:

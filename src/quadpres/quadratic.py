@@ -1,21 +1,25 @@
-"""Forms over pre-quadratically presentable fields, at supercompact level.
+"""Forms over quadratically presentable fields, at supercompact level.
 
 Forms are tuples of nonzero elements of a hyperfield F (the supercompacts of
 the powerset field P*(F) are its singletons, so working in F directly loses
-nothing).  Isometry is the inductive relation: unary forms by equality,
-binary forms by equal products plus membership of the head in the hypersum,
-higher dimensions by the three-clause existential recursion.
+nothing).
 
-Isotropy and hyperbolic splitting use value sets instead: <a1, ..., an> is
-isotropic iff 0 is in the iterated hypersum a1 + ... + an, and the split is
-read off one fold over the entries (n * m^2 cell lookups for m elements).
-That criterion assumes a quadratically presentable field; `cli witt` checks
-the field first.  The recursion stays the reference for isometry.
+Every public form question is decided by one engine, a fold over value sets:
+<a1, ..., an> is isotropic iff 0 is in the iterated hypersum a1 + ... + an,
+and the hyperbolic split is read off the fold's provenance (n * m^2 cell
+lookups for m elements).  Stripping planes until none splits gives the
+anisotropic part.  phi and psi are Witt equivalent iff phi + (-psi) strips to
+the zero class, and isometric iff they also have equal dimensions (Witt
+cancellation).  These criteria assume a quadratically presentable field;
+`cli witt` checks the field first, and `cli isom` refuses tables that are not
+pre-quadratic hyperfields.
 
-An IsometryContext memoizes decisions.  In canonical mode forms are entry-
-sorted before lookup, which is sound because isometry is permutation
-invariant on quadratically presentable fields; that invariance is asserted
-by tests against the raw (unsorted) mode rather than assumed.
+The paper's inductive isometry stays as IsometryContext._iso: unary forms by
+equality, binary forms by equal products plus membership of the head in the
+hypersum, higher dimensions by the three-clause existential recursion, on raw
+(unsorted) entry tuples.  It is the engine of check_quadratic and
+check_special_group, which must not assume the laws they check, and the
+reference the tests compare the fold against.
 """
 
 from __future__ import annotations
@@ -89,34 +93,41 @@ def check_prequadratic(F: Hyperfield) -> AxiomReport:
 
 
 class IsometryContext:
-    """Memoized isometry decisions over a fixed hyperfield.
+    """Memoized form decisions over a fixed hyperfield.
+
+    The context assumes a quadratically presentable field: on other tables
+    the value-set verdicts need not agree with the inductive isometry.  Each
+    public method validates its input once, then works on entry-sorted
+    tuples.
 
     A context is single-owner while a computation runs; share the hyperfield,
     not the context.
     """
 
-    def __init__(self, F: Hyperfield, canonical=True):
+    def __init__(self, F: Hyperfield):
         self.F = F
-        self.canonical = canonical
         self.nonzero = F.nonzero()
+        self._nonzero_set = frozenset(self.nonzero)
+        self._neg = F.neg_table()
         self._memo = {}
-        self._split = {}
-        self._aniso = {}
+        self._splits = {}
+        self._stripped = {}
 
     # -- plumbing --------------------------------------------------------
 
     def _norm(self, entries):
-        return tuple(sorted(entries)) if self.canonical else tuple(entries)
+        return tuple(sorted(entries))
 
     def _entries_of(self, phi):
         entries = phi.entries if isinstance(phi, Form) else tuple(phi)
         if not entries:
             raise InputError("empty form")
-        for e in entries:
-            if not 0 <= e < self.F.size:
-                raise InputError(f"unknown element id {e}")
-            if e == self.F.zero:
-                raise InputError("form entries must be nonzero")
+        if not self._nonzero_set.issuperset(entries):  # name the first bad entry
+            for e in entries:
+                if not 0 <= e < self.F.size:
+                    raise InputError(f"unknown element id {e}")
+                if e == self.F.zero:
+                    raise InputError("form entries must be nonzero")
         return entries
 
     def hyperbolic(self):
@@ -129,13 +140,19 @@ class IsometryContext:
         b = self._entries_of(psi)
         if len(a) != len(b):
             raise InputError(f"dimension mismatch: {len(a)} vs {len(b)}")
-        return self._iso(self._norm(a), self._norm(b))
+        return self._cancels(a, b)
 
     def _binary(self, a1, a2, b1, b2):
         F = self.F
         return F.mul(a1, a2) == F.mul(b1, b2) and b1 in F.add(a1, a2)
 
     def _iso(self, a, b):
+        """Inductive isometry of raw entry tuples of equal length.
+
+        Candidates range over all tuples, not multisets, so the recursion
+        does not rely on permutation invariance, which is one of the laws
+        check_quadratic checks.
+        """
         if len(a) == 1:
             return a[0] == b[0]
         if len(a) == 2:
@@ -144,23 +161,17 @@ class IsometryContext:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        n = len(a)
         tail_a = a[1:]
         tail_b = b[1:]
-        if self.canonical:
-            c_space = combinations_with_replacement(self.nonzero, n - 2)
-        else:
-            c_space = product(self.nonzero, repeat=n - 2)
         found = False
-        for cs in c_space:
+        for cs in product(self.nonzero, repeat=len(a) - 2):
             for x in self.nonzero:
-                mid_a = self._norm((x,) + cs)
-                if not self._iso(self._norm(tail_a), mid_a):
+                if not self._iso(tail_a, (x,) + cs):
                     continue
                 for y in self.nonzero:
                     if not self._binary(a[0], x, b[0], y):
                         continue
-                    if self._iso(self._norm(tail_b), self._norm((y,) + cs)):
+                    if self._iso(tail_b, (y,) + cs):
                         found = True
                         break
                 if found:
@@ -173,7 +184,11 @@ class IsometryContext:
     # -- isotropy and Witt reduction --------------------------------------
 
     def split_hyperbolic(self, entries) -> Optional[tuple]:
-        """The tail psi with entries ~ H + psi, or None if anisotropic.
+        """The tail psi with entries ~ H + psi, or None if anisotropic."""
+        return self._split(self._norm(self._entries_of(entries)))
+
+    def _split(self, entries):
+        """split_hyperbolic on validated, sorted entries.
 
         One value-set fold: prov[k] maps each b in the hypersum of
         entries[k:] to one x in the hypersum of entries[k+1:] (that of no
@@ -181,9 +196,8 @@ class IsometryContext:
         0 is in the hypersum of all its entries, and the tail is read off
         the provenance.
         """
-        entries = self._norm(self._entries_of(entries))
-        if entries in self._split:
-            return self._split[entries]
+        if entries in self._splits:
+            return self._splits[entries]
         F, zero = self.F, self.F.zero
         n = len(entries)
         prov = [None] * n + [{zero: None}]
@@ -211,7 +225,7 @@ class IsometryContext:
                 tail.append(F.mul(F.mul(entries[j], x), b))
                 b = x
             tail = self._norm(tail)
-        self._split[entries] = tail
+        self._splits[entries] = tail
         return tail
 
     def is_isotropic(self, phi) -> bool:
@@ -219,31 +233,36 @@ class IsometryContext:
 
     def anisotropic_entries(self, entries) -> tuple:
         """Strip hyperbolic planes until nothing splits; () is the zero class."""
-        entries = self._norm(self._entries_of(entries))
-        if entries in self._aniso:
-            return self._aniso[entries]
-        tail = self.split_hyperbolic(entries)
+        return self._strip(self._norm(self._entries_of(entries)))
+
+    def _strip(self, entries):
+        """anisotropic_entries on validated, sorted entries."""
+        hit = self._stripped.get(entries)
+        if hit is not None:
+            return hit
+        tail = self._split(entries)
         if tail is None:
             result = entries
         elif not tail:
             result = ()
         else:
-            result = self.anisotropic_entries(tail)
-        self._aniso[entries] = result
+            result = self._strip(tail)
+        self._stripped[entries] = result
         return result
 
     def anisotropic_part(self, phi) -> Optional[Form]:
-        part = self.anisotropic_entries(self._entries_of(phi))
+        part = self.anisotropic_entries(phi)
         return Form(part) if part else None
 
     def witt_equivalent(self, phi, psi) -> bool:
-        a = self.anisotropic_entries(self._entries_of(phi))
-        b = self.anisotropic_entries(self._entries_of(psi))
-        if not a and not b:
-            return True
-        if len(a) != len(b):
-            return False
-        return self._iso(a, b)
+        return self._cancels(self._entries_of(phi), self._entries_of(psi))
+
+    def _cancels(self, a, b):
+        """Whether a + (-b) strips to the zero class; a and b are validated."""
+        minus_b = tuple(map(self._neg.__getitem__, b))
+        if self.F.zero in minus_b:
+            raise InputError("negation sends a nonzero form entry to zero")
+        return not self._strip(self._norm(a + minus_b))
 
 
 def isometric(F, phi, psi, ctx=None) -> bool:
@@ -290,7 +309,7 @@ def check_quadratic(F: Hyperfield, dmax: int) -> AxiomReport:
             f"{m} classes at dmax {dmax} give {(m**dmax)**3} triples; "
             f"budget {TRIPLE_BUDGET}"
         )
-    ctx = IsometryContext(F, canonical=False)
+    ctx = IsometryContext(F)
     failures = []
     notes = {"dims_checked": dmax, "low_dims": None}
     for d in range(1, dmax + 1):
@@ -381,7 +400,7 @@ def witt_ring(F: Hyperfield, dmax: int, ctx=None) -> WittRing:
 
     def find(part):
         for i, rep in enumerate(reps):
-            if len(rep) == len(part) and (rep == part or ctx._iso(part, rep)):
+            if len(rep) == len(part) and (rep == part or ctx._cancels(part, rep)):
                 return i
         return None
 
@@ -547,7 +566,7 @@ def check_special_group(S: SpecialGroupTable, nmax: int = 4) -> AxiomReport:
 
     # once dm.iv holds, binary isometry in S's hyperfield is exactly rel, so
     # the hyperfield's inductive isometry is the n-ary extension of rel
-    ctx = IsometryContext(_hyperfield_of(S), canonical=False)
+    ctx = IsometryContext(_hyperfield_of(S))
     for n in range(3, nmax + 1):
         failures += _equivalence_failures(list(product(g, repeat=n)), ctx._iso, f"iso_{n}.{{}}")
     return AxiomReport("special" if not failures else "prespecial", failures)

@@ -2,7 +2,8 @@ import json
 
 from quadpres.cli import main
 from quadpres.documents import emit_hyperfield
-from quadpres.hyperfields import Hyperfield, euclidean_hyperfield
+from quadpres.finitefield import ff_make
+from quadpres.hyperfields import Hyperfield, euclidean_hyperfield, from_field
 
 
 def run(capsys, *argv):
@@ -47,6 +48,20 @@ def test_isom_decided_query_exits_zero(capsys):
     code, out = run(capsys, "isom", "--builtin", "euclidean3", "--form", "1,1", "--form", "-1,-1")
     assert code == 0
     assert "not isometric" in out
+
+
+def test_isom_refuses_a_field_that_is_not_prequadratic(tmp_path, capsys):
+    # GF(5) with singleton addition fails a in a + b, so no value-set verdict
+    # on it means anything
+    doc = tmp_path / "gf5.hf"
+    doc.write_text(emit_hyperfield(from_field(ff_make(5))))
+    out_path = tmp_path / "report.json"
+    code, out = run(capsys, "isom", "--input", str(doc), "--form", "1,4", "--form", "1,4",
+                    "--out", str(out_path))
+    assert code == 1
+    assert "isom: FAIL (pre-quadratic axioms)" in out
+    checks = {r["check"]: r["passed"] for r in json.loads(out_path.read_text())["reports"]}
+    assert checks == {"hyperfield-axioms": True, "prequadratic-axioms": False}
 
 
 def test_check_presentable_builtin(capsys):

@@ -7,6 +7,7 @@ from quadpres.errors import InputError, SizeGuardError, ValidationError
 from quadpres.finitefield import ff_make, square_classes
 from quadpres.hyperfields import (
     Hyperfield,
+    check_hyperfield,
     euclidean_hyperfield,
     from_field,
     quadratic_hyperfield,
@@ -189,6 +190,77 @@ def test_witt_equivalent_dim_mismatch_false():
     assert not ctx.witt_equivalent(Form((1, 1)), Form((1,)))
 
 
+def laurent_extension(F):
+    """The table of F((t)) from that of F = Q(K), the hyperfield of K((t)).
+
+    Nonzero classes are (a, i) with a in F* and i in {0, 1} (a*t^i), and the
+    product adds parities mod 2.  The cell of (a, i) + (b, j) is
+    {(a, i), (b, j)} when i != j; when i == j it is {(c, i) : c in a + b,
+    c != 0}, or the whole carrier when 0 is in a + b.
+    """
+    elems = [None] + [(a, i) for i in (0, 1) for a in F.nonzero()]
+    index = {e: k for k, e in enumerate(elems)}
+    n = len(elems)
+
+    def mul(x, y):
+        if x == 0 or y == 0:
+            return 0
+        (a, i), (b, j) = elems[x], elems[y]
+        return index[(F.mul(a, b), (i + j) % 2)]
+
+    def add(x, y):
+        if x == 0 or y == 0:
+            return {x + y}
+        (a, i), (b, j) = elems[x], elems[y]
+        if i != j:
+            return {x, y}
+        cell = F.add(a, b)
+        if F.zero in cell:
+            return set(range(n))
+        return {index[(c, i)] for c in cell}
+
+    neg = [0] + [index[(F.neg(a), i)] for a, i in elems[1:]]
+    names = ["0"] + [F.names[a] + "t" * i for a, i in elems[1:]]
+    return Hyperfield(
+        zero=0,
+        one=index[(F.one, 0)],
+        neg=neg,
+        mul=[[mul(x, y) for y in range(n)] for x in range(n)],
+        add=[[add(x, y) for y in range(n)] for x in range(n)],
+        names=names,
+    )
+
+
+def four_class_fleet():
+    """E((t)), Q(GF(3))((t)) and Q(GF(5))((t)): 4 nonzero classes each."""
+    return [laurent_extension(F) for F in (euclidean_hyperfield(), q_ctx(3)[0], q_ctx(5)[0])]
+
+
+def test_laurent_fleet_passes_the_ladders():
+    for F in four_class_fleet():
+        assert len(F.nonzero()) == 4
+        assert check_hyperfield(F).passed, F.names
+        assert check_quadratic(F, 3).passed, F.names
+    EE = laurent_extension(laurent_extension(euclidean_hyperfield()))
+    assert len(EE.nonzero()) == 8
+    assert check_hyperfield(EE).passed
+
+
+@pytest.mark.parametrize(
+    "F, dmax",
+    [(F, 4) for F in four_class_fleet()]
+    + [(laurent_extension(laurent_extension(euclidean_hyperfield())), 3)],
+    ids=["E(t)", "Q3(t)", "Q5(t)", "E(t)(s)"],
+)
+def test_fold_agrees_with_inductive_isometry_past_two_classes(F, dmax):
+    ctx = IsometryContext(F)
+    for d in range(1, dmax + 1):
+        forms = list(combinations_with_replacement(ctx.nonzero, d))
+        for a in forms:
+            for b in forms:
+                assert ctx.isometric(a, b) == ctx._iso(a, b), (F.names, a, b)
+
+
 def test_witt_ring_q3_is_finite_with_4_classes():
     F, ctx = q_ctx(3)
     W = witt_ring(F, 4, ctx)
@@ -290,10 +362,9 @@ def test_split_hyperbolic_agrees_with_candidate_search(q):
     for d in range(1, 8):
         for entries in combinations_with_replacement(ctx.nonzero, d):
             assert_split_matches_reference(ctx, entries)
-    raw = IsometryContext(F, canonical=False)
     for d in range(1, 6):
-        for entries in product(raw.nonzero, repeat=d):
-            assert_split_matches_reference(raw, entries)
+        for entries in product(ctx.nonzero, repeat=d):
+            assert_split_matches_reference(ctx, entries)
 
 
 @pytest.mark.parametrize("dmax", [2, 3, 4])
@@ -340,25 +411,49 @@ def test_ring_isomorphic_size_mismatch():
 
 def test_permutation_invariance_raw_mode():
     for F in [euclidean_hyperfield(), q_ctx(3)[0], q_ctx(5)[0]]:
-        raw = IsometryContext(F, canonical=False)
+        raw = IsometryContext(F)
         nz = F.nonzero()
         for d in range(1, 5):
             for entries in combinations_with_replacement(nz, d):
                 for sigma in set(permutations(entries)):
-                    assert raw.isometric(Form(entries), Form(sigma)), (entries, sigma)
+                    assert raw._iso(entries, sigma), (entries, sigma)
 
 
-def test_canonical_agrees_with_raw():
+def test_inductive_isometry_agrees_with_fold_on_unsorted_pairs():
     for F in [euclidean_hyperfield(), q_ctx(3)[0]]:
-        raw = IsometryContext(F, canonical=False)
-        canon = IsometryContext(F, canonical=True)
+        ctx = IsometryContext(F)
         nz = F.nonzero()
         for d in range(1, 4):
             for a in product(nz, repeat=d):
                 for b in product(nz, repeat=d):
-                    assert raw.isometric(Form(a), Form(b)) == canon.isometric(
-                        Form(a), Form(b)
-                    )
+                    assert ctx._iso(a, b) == ctx.isometric(Form(a), Form(b)), (a, b)
+
+
+def test_fold_decides_isometry_where_the_recursion_cannot_finish():
+    # the inductive recursion cannot finish at dim 32; no timing is asserted
+    E = euclidean_hyperfield()
+    ctx = IsometryContext(E)
+    one, minus = E.one, E.neg(E.one)
+    forms = {k: (one,) * (32 - k) + (minus,) * k for k in range(33)}
+    for i, a in forms.items():
+        for j, b in forms.items():
+            assert ctx.isometric(a, b) == (i == j), (i, j)
+    for k in range(32):
+        phi = (one,) * (31 - k) + (minus,) * k
+        for unary in (one, minus):
+            same_signature = 31 - 2 * k == (1 if unary == one else -1)
+            assert ctx.witt_equivalent(phi, (unary,)) == same_signature, (k, unary)
+
+
+def test_negation_to_zero_is_an_input_error():
+    # an involutive negation that swaps 0 with a nonzero element
+    E = euclidean_hyperfield()
+    bad = Hyperfield(E.zero, E.one, [2, 1, 0], E.mul_table(), E.add_full_table(), names=E.names)
+    ctx = IsometryContext(bad)
+    with pytest.raises(InputError):
+        ctx.isometric((1, 2), (1, 2))
+    with pytest.raises(InputError):
+        ctx.witt_equivalent((1,), (2,))
 
 
 def test_isometry_preserves_products():
