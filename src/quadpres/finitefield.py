@@ -3,6 +3,14 @@
 Elements are ids 0..p^n-1 encoding coefficient vectors in base p (the id's
 i-th base-p digit is the coefficient of x^i).  Construction materializes
 total add/mul tables; everything downstream is table lookups.
+
+The tables are built a row at a time, not cell by cell.  Row a of the
+prime field's addition is range(p) rotated by a; addition is digitwise mod
+p, so the table for n digits is p shifted, rotated blocks of the table for
+n - 1 digits.  Multiplication is linear: row a of a prime field is a*b mod
+p, and in an extension the n images a*x^j come from polynomial arithmetic,
+after which row a is filled by additions along the digits of b.  Negatives
+and inverses are read off the rows as the positions of 0 and 1.
 """
 
 from __future__ import annotations
@@ -129,33 +137,52 @@ class FiniteField:
         self.q = q
         self.modulus = tuple(_trim(modulus)) if n > 1 else tuple(modulus[: n + 1])
 
-        digits = [self._decode(a) for a in range(q)]
-        self._add = [
-            [self._encode([(x + y) % p for x, y in zip(digits[a], digits[b])]) for b in range(q)]
-            for a in range(q)
-        ]
-        mred = list(self.modulus)
-        self._mul = []
-        for a in range(q):
-            pa = _trim(digits[a])
-            row = []
-            for b in range(q):
-                prod = _poly_mod(_poly_mul(pa, _trim(digits[b]), p), mred, p) if n > 1 else [
-                    digits[a][0] * digits[b][0] % p
+        self._build_tables()
+
+    def _build_tables(self):
+        p, n, q = self.p, self.n, self.q
+        # the prime field: row a of its addition is range(p) rotated by a
+        twice = list(range(p)) * 2
+        add = [twice[a : a + p] for a in range(p)]
+        # a top digit c adds c * m, and addition is digitwise mod p: row
+        # lo + m * hi is row lo of the smaller table in p shifted blocks,
+        # rotated by hi blocks
+        m = p
+        while m < q:
+            cats = [[x + s for s in range(0, m * p, m) for x in row] for row in add]
+            add = [cat[hi * m :] + cat[: hi * m] for hi in range(p) for cat in cats]
+            m *= p
+        if n == 1:
+            mul = [[0] * p] + [[b % p for b in range(0, a * p, a)] for a in range(1, p)]
+        else:
+            # b = b' + x^j with j the lowest nonzero digit of b and b' < b, so
+            # a*b = a*b' + a*x^j once the n images a*x^j are known
+            steps = []
+            for b in range(1, q):
+                j, pj = 0, 1
+                while b // pj % p == 0:
+                    j, pj = j + 1, pj * p
+                steps.append((b - pj, j))
+            mul = []
+            for a in range(q):
+                pa = _trim(self._decode(a))
+                images = [
+                    self._encode(_poly_mod(_poly_mul(pa, [0] * j + [1], p), self.modulus, p))
+                    for j in range(n)
                 ]
-                row.append(self._encode(prod))
-            self._mul.append(row)
-        self._neg = [self._encode([(-x) % p for x in digits[a]]) for a in range(q)]
-        self._inv = [None] * q
-        for a in range(1, q):
-            if self._inv[a] is None:
-                for b in range(1, q):
-                    if self._mul[a][b] == 1:
-                        self._inv[a] = b
-                        self._inv[b] = a
-                        break
-        if any(self._inv[a] is None for a in range(1, q)):
-            raise ValidationError("some nonzero element has no inverse; modulus not irreducible?")
+                row = [0] * q
+                for b, (prev, j) in enumerate(steps, start=1):
+                    row[b] = add[row[prev]][images[j]]
+                mul.append(row)
+        self._add = add
+        self._mul = mul
+        self._neg = [row.index(0) for row in add]
+        try:
+            self._inv = [None] + [row.index(1) for row in mul[1:]]
+        except ValueError:
+            raise ValidationError(
+                "some nonzero element has no inverse; modulus not irreducible?"
+            ) from None
 
     def _decode(self, a):
         out = []

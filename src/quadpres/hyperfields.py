@@ -22,6 +22,11 @@ MAX_ISO_SEARCH = 12
 TRIPLE_BUDGET = 20_000_000  # cap on the triples an exhaustive law check visits
 
 
+def _ids_in_range(cells, size):
+    ids = frozenset().union(*cells)
+    return 0 <= min(ids) and max(ids) < size
+
+
 class Hyperfield:
     __slots__ = ("size", "zero", "one", "names", "_neg", "_mul", "_add")
 
@@ -41,34 +46,39 @@ class Hyperfield:
                 raise ValidationError(f"negation is not an involution at {a}", witness=(a,))
         mul = tuple(tuple(row) for row in mul)
         if any(len(row) != size for row in mul) or any(
-            not 0 <= x < size for row in mul for x in row
+            min(row) < 0 or max(row) >= size for row in mul
         ):
             raise InputError("multiplication table malformed")
+        # each check reads a whole row at once; only a row that fails is
+        # scanned cell by cell for the first witness in (a, b) order
+        columns = tuple(zip(*mul))
         for a in range(size):
             if mul[a][one] != a:
                 raise ValidationError(f"one is not a multiplicative identity at {a}", witness=(a,))
-            for b in range(a, size):
-                if mul[a][b] != mul[b][a]:
-                    raise ValidationError(
-                        f"multiplication not commutative at ({a},{b})", witness=(a, b)
-                    )
+            if mul[a] != columns[a]:
+                b = next(b for b in range(a, size) if mul[a][b] != mul[b][a])
+                raise ValidationError(
+                    f"multiplication not commutative at ({a},{b})", witness=(a, b)
+                )
         if len(add) != size or any(len(row) != size for row in add):
             raise InputError("addition table malformed")
+        add = [tuple(map(frozenset, row)) for row in add]
+        columns = tuple(zip(*add))
         tri = []
         for a in range(size):
-            row = []
-            for b in range(a, size):
-                cell = frozenset(add[a][b])
+            row = add[a][a:]
+            if all(row) and _ids_in_range(row, size) and row == columns[a][a:]:
+                tri.append(row)
+                continue
+            for b, cell in enumerate(row, start=a):
                 if not cell:
                     raise ValidationError(f"addition cell ({a},{b}) is empty", witness=(a, b))
                 if any(not 0 <= x < size for x in cell):
                     raise InputError(f"addition cell ({a},{b}) mentions unknown ids")
-                if frozenset(add[b][a]) != cell:
+                if columns[a][b] != cell:
                     raise ValidationError(
                         f"addition not symmetric at ({a},{b})", witness=(a, b)
                     )
-                row.append(cell)
-            tri.append(tuple(row))
         self.size = size
         self.zero = zero
         self.one = one
@@ -297,12 +307,10 @@ def check_hyperfield(F: Hyperfield) -> AxiomReport:
 
 def from_field(k: FiniteField) -> Hyperfield:
     """The hyperfield with singleton addition a + b = {a+b}."""
-    size = k.q
-    add = [[frozenset([k.add(a, b)]) for b in range(size)] for a in range(size)]
-    mul = [[k.mul(a, b) for b in range(size)] for a in range(size)]
-    neg = [k.neg(a) for a in range(size)]
-    names = [k.element_name(a) for a in range(size)]
-    return Hyperfield(zero=0, one=1, neg=neg, mul=mul, add=add, names=names)
+    singletons = [frozenset([x]) for x in range(k.q)]
+    add = [list(map(singletons.__getitem__, row)) for row in k._add]
+    names = [k.element_name(a) for a in range(k.q)]
+    return Hyperfield(zero=0, one=1, neg=k._neg, mul=k._mul, add=add, names=names)
 
 
 def _validate_subgroup(F, T):
@@ -410,10 +418,40 @@ def prime_hyperfield(F: Hyperfield) -> Hyperfield:
 
 
 def quadratic_hyperfield(k: FiniteField) -> Hyperfield:
-    """Square-class quotient of k with the prime addition (uniform in char)."""
-    F = from_field(k)
+    """Square-class quotient of k with the prime addition (uniform in char).
+
+    The quotient is built in O(q) from the classes of 1 + y.  By
+    homogeneity, bs + ct = b(s + (c/b)t) for nonzero b and squares s, t, so
+    the class cell (i, j) is i * one_plus[j/i], where one_plus[c] holds the
+    classes of 1 + y for y in class c; cells with 0 are singletons.  Classes
+    are numbered as :func:`quotient_by_subgroup` numbers them (0, the
+    squares, then, for odd q where the squares have index 2, the class of
+    the least non-square) and named by their least members, so the result
+    equals
+    ``prime_hyperfield(quotient_by_subgroup(from_field(k), squares))``;
+    ``cli pipeline`` compares the two paths through
+    :func:`hyperfield_isomorphic`.
+    """
     squares = {k.mul(a, a) for a in k.nonzero()}
-    return prime_hyperfield(quotient_by_subgroup(F, squares))
+    reps = [0, 1] + [a for a in k.nonzero() if a not in squares][:1]
+    class_of = [0] + [1 if a in squares else 2 for a in k.nonzero()]
+    m = len(reps)
+    mul = [[class_of[k.mul(r, s)] for s in reps] for r in reps]
+    one_plus = [set() for _ in range(m)]
+    for y in range(k.q):
+        one_plus[class_of[y]].add(class_of[k.add(1, y)])
+    inv = [0] + [class_of[k.inv(r)] for r in reps[1:]]
+    add = [[{j} for j in range(m)]]
+    add += [[{mul[i][c] for c in one_plus[mul[j][inv[i]]]} for j in range(m)] for i in range(1, m)]
+    pre = Hyperfield(
+        zero=0,
+        one=1,
+        neg=[class_of[k.neg(r)] for r in reps],
+        mul=mul,
+        add=add,
+        names=[k.element_name(r) for r in reps],
+    )
+    return prime_hyperfield(pre)
 
 
 def euclidean_hyperfield() -> Hyperfield:

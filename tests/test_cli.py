@@ -41,6 +41,12 @@ def test_ladder_commands_on_larger_prime_fields(capsys):
     assert "prime: pass" in out
 
 
+def test_qhf_on_the_largest_prime_field_under_the_guard(capsys):
+    code, out = run(capsys, "qhf", "--field", "1021")
+    assert code == 0
+    assert "Q(GF(1021)): 3 square classes (with zero)" in out
+
+
 def test_isom_decided_query_exits_zero(capsys):
     code, out = run(capsys, "isom", "--builtin", "euclidean3", "--form", "1,-1", "--form", "-1,1")
     assert code == 0

@@ -6,6 +6,10 @@ from quadpres.errors import InputError, SizeGuardError, ValidationError
 from quadpres.finitefield import (
     DEFAULT_MODULI,
     FiniteField,
+    _is_prime,
+    _poly_mod,
+    _poly_mul,
+    _trim,
     ff_make,
     parse_field_arg,
     poly_is_irreducible,
@@ -54,6 +58,25 @@ def test_field_axioms_exhaustive_small():
                 assert k.mul(a, k.inv(a)) == 1
 
 
+def test_tables_match_per_cell_arithmetic():
+    # the reference is arithmetic cell by cell: addition digit by digit,
+    # multiplication of polynomials reduced by the modulus
+    fields = [(p, 1) for p in range(2, 129) if _is_prime(p)] + list(DEFAULT_MODULI)
+    for p, n in fields:
+        k = ff_make(p, n)
+        elems = range(k.q)
+        digits = [k._decode(a) for a in elems]
+        polys = [_trim(d) for d in digits]
+        add = [[k._encode([(x + y) % p for x, y in zip(digits[a], digits[b])]) for b in elems]
+               for a in elems]
+        mul = [[k._encode(_poly_mod(_poly_mul(polys[a], polys[b], p), k.modulus, p)) for b in elems]
+               for a in elems]
+        assert [[k.add(a, b) for b in elems] for a in elems] == add, (p, n)
+        assert [[k.mul(a, b) for b in elems] for a in elems] == mul, (p, n)
+        assert [k.neg(a) for a in elems] == [k._encode([-x % p for x in d]) for d in digits], (p, n)
+        assert [k.inv(a) for a in k.nonzero()] == [mul[a].index(1) for a in k.nonzero()], (p, n)
+
+
 def test_default_moduli_are_irreducible():
     for (p, n), m in DEFAULT_MODULI.items():
         assert poly_is_irreducible(m, p)
@@ -86,10 +109,10 @@ def test_guards():
 
 
 def test_field_size_guard_refuses_before_building_tables(monkeypatch):
-    def build_tables(self, a):
+    def build_tables(self):
         raise AssertionError("tables built")
 
-    monkeypatch.setattr(FiniteField, "_decode", build_tables)
+    monkeypatch.setattr(FiniteField, "_build_tables", build_tables)
     with pytest.raises(SizeGuardError):
         ff_make(2039)
     with pytest.raises(AssertionError):  # 1021 passes the guard

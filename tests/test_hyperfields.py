@@ -4,8 +4,8 @@ from itertools import combinations
 import pytest
 
 from quadpres import hyperfields
-from quadpres.errors import SizeGuardError, ValidationError
-from quadpres.finitefield import ff_make
+from quadpres.errors import InputError, SizeGuardError, ValidationError
+from quadpres.finitefield import DEFAULT_MODULI, _is_prime, ff_make
 from quadpres.hyperfields import (
     Hyperfield,
     _ladder,
@@ -196,6 +196,16 @@ def test_quadratic_hyperfield_fleet_passes():
         assert check_hyperfield(Q).passed
 
 
+def test_quadratic_hyperfield_matches_the_quotient_path():
+    # the reference: the square-class quotient of the q x q singleton table
+    for p, n in [(p, 1) for p in range(2, 129) if _is_prime(p)] + list(DEFAULT_MODULI):
+        k = ff_make(p, n)
+        squares = {k.mul(a, a) for a in k.nonzero()}
+        Q = quadratic_hyperfield(k)
+        ref = prime_hyperfield(quotient_by_subgroup(from_field(k), squares))
+        assert Q == ref and Q.names == ref.names, (p, n)
+
+
 def test_prime_addition_membership_property():
     # a is always in a +' b for nonzero a
     for name, F in fleet():
@@ -290,18 +300,50 @@ def test_isomorphic_guard():
         hyperfield_isomorphic(F, F)
 
 
+def rejection(F, add_edits=(), mul_edits=()):
+    """The exception type, message and witness with which the constructor
+    refuses F's tables after the given ((a, b), value) edits."""
+    add, mul = F.add_full_table(), F.mul_table()
+    for (a, b), cell in add_edits:
+        add[a][b] = cell
+    for (a, b), value in mul_edits:
+        mul[a][b] = value
+    with pytest.raises((InputError, ValidationError)) as info:
+        Hyperfield(F.zero, F.one, F.neg_table(), mul, add)
+    return type(info.value), str(info.value), getattr(info.value, "witness", None)
+
+
 def test_constructor_rejects_malformed_tables():
     E = euclidean_hyperfield()
-    with pytest.raises(ValidationError):
-        mutate_add(E, 1, 2, set())  # empty cell
     with pytest.raises(ValidationError):
         Hyperfield(0, 1, (0, 1, 1), E.mul_table(), E.add_full_table())  # bad involution
     with pytest.raises(ValidationError):
         Hyperfield(0, 0, E.neg_table(), E.mul_table(), E.add_full_table())  # zero == one
-    add = E.add_full_table()
-    add[1][2] = [0]  # asymmetric
-    with pytest.raises(ValidationError):
-        Hyperfield(0, 1, E.neg_table(), E.mul_table(), add)
+    V = ValidationError
+    assert rejection(E, add_edits=[((1, 2), []), ((2, 1), [])]) == (
+        V, "addition cell (1,2) is empty", (1, 2))
+    assert rejection(E, add_edits=[((1, 2), [1, 5]), ((2, 1), [1, 5])]) == (
+        InputError, "addition cell (1,2) mentions unknown ids", None)
+    assert rejection(E, add_edits=[((1, 2), [0])]) == (V, "addition not symmetric at (1,2)", (1, 2))
+    assert rejection(E, add_edits=[((2, 1), [0])]) == (V, "addition not symmetric at (1,2)", (1, 2))
+    assert rejection(E, mul_edits=[((1, 2), 3)]) == (
+        InputError, "multiplication table malformed", None)
+    assert rejection(E, mul_edits=[((1, 2), -1), ((2, 1), -1)]) == (
+        InputError, "multiplication table malformed", None)
+    assert rejection(E, mul_edits=[((1, 2), 1)]) == (
+        V, "multiplication not commutative at (1,2)", (1, 2))
+    assert rejection(E, mul_edits=[((2, 1), 1), ((1, 2), 1)]) == (
+        V, "one is not a multiplicative identity at 2", (2,))
+    # two faults: the first in (a, b) order is reported, whatever its kind
+    F = from_field(ff_make(5))
+    assert rejection(F, add_edits=[((3, 4), []), ((4, 3), []), ((3, 1), [0])]) == (
+        V, "addition not symmetric at (1,3)", (1, 3))
+    assert rejection(F, add_edits=[((2, 4), []), ((4, 2), []), ((2, 2), [7]), ((3, 3), [])]) == (
+        InputError, "addition cell (2,2) mentions unknown ids", None)
+    assert rejection(F, mul_edits=[((2, 1), 3), ((1, 2), 3), ((0, 2), 1)]) == (
+        V, "multiplication not commutative at (0,2)", (0, 2))
+    assert rejection(F, mul_edits=[((3, 4), 1), ((4, 1), 2), ((1, 4), 2)]) == (
+        V, "multiplication not commutative at (3,4)", (3, 4))
 
 
 def test_quotient_class_names_use_min_member():
