@@ -33,7 +33,6 @@ from .posets import (
     walking_supremum,
 )
 from .presentable import (
-    PresentableReport,
     PresentableRing,
     check_presentable,
     example_sq_structure,

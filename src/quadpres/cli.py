@@ -94,6 +94,13 @@ class Report:
                 fh.write("\n")
 
 
+def _int_list(option, text):
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise InputError(f"{option} needs comma-separated integers, got {text!r}") from None
+
+
 def _load_structure(args, want=None, field_builder=from_field):
     """Resolve --input / --builtin / --field to a structure."""
     sources = [s for s in ("input", "builtin", "field") if getattr(args, s, None)]
@@ -110,7 +117,7 @@ def _load_structure(args, want=None, field_builder=from_field):
         p, n = parse_field_arg(args.field)
         modulus = None
         if getattr(args, "modulus", None):
-            modulus = [int(c) for c in args.modulus.split(",")]
+            modulus = _int_list("--modulus", args.modulus)
         obj = field_builder(ff_make(p, n, modulus))
     if want is not None and not isinstance(obj, want):
         raise InputError(f"expected a {want.__name__} input, got {type(obj).__name__}")
@@ -185,7 +192,7 @@ def cmd_check_presentable(args, rep):
 
 def cmd_qhf(args, rep):
     p, n = parse_field_arg(args.field)
-    modulus = [int(c) for c in args.modulus.split(",")] if args.modulus else None
+    modulus = _int_list("--modulus", args.modulus) if args.modulus else None
     k = ff_make(p, n, modulus)
     Q = quadratic_hyperfield(k)
     _hyperfield_summary(rep, Q)
@@ -318,8 +325,7 @@ def cmd_oracle(args, rep):
     if args.oracle_op == "isom":
         if len(args.form) != 2:
             raise InputError("oracle isom needs exactly two --form options")
-        phi = tuple(int(s) for s in args.form[0].split(","))
-        psi = tuple(int(s) for s in args.form[1].split(","))
+        phi, psi = (_int_list("--form", f) for f in args.form)
         verdict = oracle.classical_isometric(args.q, phi, psi)
         rep.check("classical-isometry", True, verdict=verdict)
         return EXIT_OK, "isometric" if verdict else "not isometric"

@@ -144,6 +144,9 @@ def emit_hyperfield(F: Hyperfield) -> str:
 
 
 def _parse_table_rows(r, n, resolve, what):
+    lineno, rest = r.expect_key(what)
+    if rest:
+        raise InputError(f"line {lineno}: '{what}:' takes no inline value")
     rows = []
     for _ in range(n):
         lineno, line = r.next(f"{what} row")
@@ -161,13 +164,7 @@ def parse_hyperfield(text: str) -> Hyperfield:
     zero = resolve(*r.expect_key("zero"))
     one = resolve(*r.expect_key("one"))
     neg = _neg_row(r, n, resolve)
-    lineno, rest = r.expect_key("mul")
-    if rest:
-        raise InputError(f"line {lineno}: 'mul:' takes no inline value")
     mul = _parse_table_rows(r, n, resolve, "mul")
-    lineno, rest = r.expect_key("add")
-    if rest:
-        raise InputError(f"line {lineno}: 'add:' takes no inline value")
 
     def resolve_cell(lineno, token):
         return frozenset(resolve(lineno, part) for part in token.split(";"))
@@ -210,13 +207,7 @@ def parse_presentable(text: str) -> PresentableRing:
         raise InputError(f"line {lineno}: is_field must be true or false")
     poset = explicit_poset(names, _covers(r), basepoint_name=bp)
     neg = _neg_row(r, n, resolve)
-    lineno, rest = r.expect_key("add")
-    if rest:
-        raise InputError(f"line {lineno}: 'add:' takes no inline value")
     add = _parse_table_rows(r, n, resolve, "add")
-    lineno, rest = r.expect_key("mul")
-    if rest:
-        raise InputError(f"line {lineno}: 'mul:' takes no inline value")
     mul = _parse_table_rows(r, n, resolve, "mul")
     return PresentableRing(poset, add, neg, mul, one=one, is_field=is_field == "true")
 

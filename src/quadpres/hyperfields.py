@@ -1,13 +1,11 @@
 """Finite hyperfields: multivalued addition tables as first-class data.
 
 A Hyperfield object stores the tables of a *candidate* structure; the
-constructor enforces only shape-level invariants (nonempty addition cells,
-involutive negation, commutative multiplication with identity, 0 != 1).
-Whether the tables satisfy the hypermonoid/hypergroup/hyperring/hyperfield
-laws is decided by :func:`check_hyperfield`, which reports witnesses.
-
-Addition cells are stored for a <= b only; commutativity holds by
-construction and is verified on ingest of full square tables.
+constructor enforces only shape-level invariants (nonempty, commutative
+addition cells, involutive negation, commutative multiplication with
+identity, 0 != 1).  Whether the tables satisfy the
+hypermonoid/hypergroup/hyperring/hyperfield laws is decided by
+:func:`check_hyperfield`, which reports witnesses.
 """
 
 from __future__ import annotations
@@ -62,13 +60,11 @@ class Hyperfield:
                 )
         if len(add) != size or any(len(row) != size for row in add):
             raise InputError("addition table malformed")
-        add = [tuple(map(frozenset, row)) for row in add]
+        add = tuple(tuple(map(frozenset, row)) for row in add)
         columns = tuple(zip(*add))
-        tri = []
         for a in range(size):
             row = add[a][a:]
             if all(row) and _ids_in_range(row, size) and row == columns[a][a:]:
-                tri.append(row)
                 continue
             for b, cell in enumerate(row, start=a):
                 if not cell:
@@ -87,14 +83,12 @@ class Hyperfield:
             raise InputError("names length does not match carrier size")
         self._neg = neg
         self._mul = mul
-        self._add = tuple(tri)
+        self._add = add
 
     # -- operations ------------------------------------------------------
 
     def add(self, a, b):
-        if a > b:
-            a, b = b, a
-        return self._add[a][b - a]
+        return self._add[a][b]
 
     def mul(self, a, b):
         return self._mul[a][b]
@@ -109,7 +103,7 @@ class Hyperfield:
         return tuple(x for x in range(self.size) if x != self.zero)
 
     def add_full_table(self):
-        return [[sorted(self.add(a, b)) for b in range(self.size)] for a in range(self.size)]
+        return [[sorted(cell) for cell in row] for row in self._add]
 
     def mul_table(self):
         return [list(row) for row in self._mul]
@@ -136,7 +130,9 @@ class Hyperfield:
         )
 
     def __hash__(self):
-        return hash((self.size, self.zero, self.one, self._neg, self._mul, self._add))
+        # addition is commutative, so the cells with a <= b determine the table
+        upper = tuple(row[a:] for a, row in enumerate(self._add))
+        return hash((self.size, self.zero, self.one, self._neg, self._mul, upper))
 
     def __repr__(self):
         return f"Hyperfield(size={self.size}, names={list(self.names)})"
@@ -173,7 +169,7 @@ def _multiplicative_laws_hold(F: Hyperfield) -> bool:
     the laws fail; this keeps g at most log2(n) + 1.
     """
     z, one, nz = F.zero, F.one, F.nonzero()
-    mul = F._mul
+    mul, add = F._mul, F._add
     if any(v != z for v in mul[z]):
         return False
     if any(mul[x].count(z) != 1 or one not in mul[x] for x in nz):
@@ -201,9 +197,9 @@ def _multiplicative_laws_hold(F: Hyperfield) -> bool:
         return False
     for a in (z, *gens):
         ma = mul[a]
-        for b, row in enumerate(F._add):
-            for c, cell in enumerate(row, start=b):
-                if frozenset(map(ma.__getitem__, cell)) != F.add(ma[b], ma[c]):
+        for b, row in enumerate(add):
+            for c, cell in enumerate(row[b:], start=b):
+                if frozenset(map(ma.__getitem__, cell)) != add[ma[b]][ma[c]]:
                     return False
     return True
 
@@ -275,8 +271,8 @@ def check_hyperfield(F: Hyperfield) -> AxiomReport:
     (multiplicative associativity, distributivity, absorbing zero),
     hyperfield (nonzero multiplicative inverses).  All failures within the
     failing level are reported.  The Hyperfield constructor already enforces
-    the remaining laws: commutative addition (one cell per unordered pair),
-    commutative multiplication with identity one, and 0 != 1.
+    the remaining laws: commutative addition, commutative multiplication
+    with identity one, and 0 != 1.
 
     When the multiplicative laws hold (:func:`_multiplicative_laws_hold`,
     O(g n^2)), every triple law is checked at scalars 0 and 1 only, in
@@ -346,7 +342,7 @@ def _quotient_tables(F, class_of):
     image = {}
     for a, row in enumerate(F._add):
         out = cells[class_of[a]]
-        for b, cell in enumerate(row, start=a):
+        for b, cell in enumerate(row[a:], start=a):
             classes = image.get(cell)
             if classes is None:
                 classes = image[cell] = {class_of[x] for x in cell}

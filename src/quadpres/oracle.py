@@ -184,8 +184,8 @@ def classical_isometric(q: int, phi, psi) -> bool:
     k = _field_for(q)
     phi = tuple(phi)
     psi = tuple(psi)
-    if any(e == 0 for e in phi + psi):
-        raise InputError("diagonal entries must be nonzero")
+    if any(not 0 < e < q for e in phi + psi):
+        raise InputError(f"diagonal entries must be nonzero element ids 1..{q - 1}")
     if len(phi) != len(psi):
         return False
     disc = lambda es: _product(k, es)

@@ -10,10 +10,8 @@ ladder and reports per-axiom witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InputError, SizeGuardError, ValidationError
-from .hyperfields import Hyperfield, _quotient_tables, check_hyperfield, quotient_by_subgroup
+from .hyperfields import AxiomReport, Hyperfield, _quotient_tables, check_hyperfield, quotient_by_subgroup
 from .posets import FinitePointedPoset, _bits, _inclusion_up_masks, check_presentable as check_poset
 
 MAX_HYPERFIELD_BASE = 10   # powerset carrier is 2^|F| - 1
@@ -177,19 +175,6 @@ def example_sq_structure() -> PresentableRing:
     )
 
 
-@dataclass
-class PresentableReport:
-    """Ladder outcome; level_passed is the highest fully verified level."""
-
-    level_passed: str
-    failures: list = field(default_factory=list)
-    claimed_level: str = "field"
-
-    @property
-    def passed(self):
-        return self.level_passed == self.claimed_level
-
-
 def _sup(poset, cache, xs):
     key = 0
     for x in xs:
@@ -201,8 +186,11 @@ def _sup(poset, cache, xs):
     return v
 
 
-def check_presentable(R: PresentableRing) -> PresentableReport:
+def check_presentable(R: PresentableRing) -> AxiomReport:
     """Verify the poset/monoid/group/ring/field ladder with witnesses.
+
+    The report passes iff the ladder reaches the claimed level: field when
+    R.is_field, ring otherwise (the field stage runs only for a field).
 
     Suprema preservation of + is checked (a) by the pairwise supercompact
     decomposition x + y = sup{s + t} over s, t in S_x, S_y, the supercompacts
@@ -226,12 +214,11 @@ def check_presentable(R: PresentableRing) -> PresentableReport:
       S_(sup X) = union of S_x, so (a) expands (sup X) + b and every x + b
       over the same supercompacts.
     """
-    claimed = "field" if R.is_field else "ring"
     poset = R.poset
     report = check_poset(poset)
     if not report.passed:
         failures = [(f"poset.{axiom}", wit) for axiom, wit in report.witnesses]
-        return PresentableReport("none", failures, claimed)
+        return AxiomReport("none", failures)
 
     n = R.n
     zero = R.zero
@@ -261,7 +248,7 @@ def check_presentable(R: PresentableRing) -> PresentableReport:
             if got != R.add[x][y]:
                 failures.append(("monoid.suprema", ("+", (x, y), R.add[x][y], got)))
     if failures:
-        return PresentableReport("poset", failures, claimed)
+        return AxiomReport("poset", failures)
 
     for a in range(n):
         if R.neg[R.neg[a]] != a:
@@ -276,7 +263,7 @@ def check_presentable(R: PresentableRing) -> PresentableReport:
                 if poset.leq(s, R.add[t][u]) and not poset.leq(t, R.add[s][R.neg[u]]):
                     failures.append(("group.exchange", (s, t, u)))
     if failures:
-        return PresentableReport("monoid", failures, claimed)
+        return AxiomReport("monoid", failures)
 
     one = R.one
     for a in range(n):
@@ -306,10 +293,10 @@ def check_presentable(R: PresentableRing) -> PresentableReport:
                     ("ring.supercompact_products", (a, b, sorted(_bits(smask[R.mul[a][b]])), sorted(expected)))
                 )
     if failures:
-        return PresentableReport("group", failures, claimed)
+        return AxiomReport("group", failures)
 
     if not R.is_field:
-        return PresentableReport("ring", failures, claimed)
+        return AxiomReport("ring", failures)
     nz = [s for s in sc if s != zero]
     for s in nz:
         for t in nz:
@@ -319,8 +306,8 @@ def check_presentable(R: PresentableRing) -> PresentableReport:
         if not any(R.mul[s][t] == one for t in nz):
             failures.append(("field.group", ("inverse", s)))
     if failures:
-        return PresentableReport("ring", failures, claimed)
-    return PresentableReport("field", [], claimed)
+        return AxiomReport("ring", failures)
+    return AxiomReport("field", [])
 
 
 def supercompact_hyperfield(R: PresentableRing) -> Hyperfield:
@@ -330,7 +317,7 @@ def supercompact_hyperfield(R: PresentableRing) -> Hyperfield:
     if not report.passed or not R.is_field:
         raise ValidationError(
             f"not a presentable field: level {report.level_passed}, "
-            f"first failure {report.failures[0] if report.failures else None}"
+            f"first failure {report.first_failure()}"
         )
     sc = R.supercompacts()
     index = {x: i for i, x in enumerate(sc)}

@@ -487,7 +487,7 @@ class SpecialGroupTable:
         return (pair1, pair2) in self.binary_isometry
 
 
-def special_group_of(F: Hyperfield, ctx=None) -> SpecialGroupTable:
+def special_group_of(F: Hyperfield) -> SpecialGroupTable:
     """Extract (nonzero elements, binary isometry, -1) from a quadratically
     presentable hyperfield; refuses if squares are not 1."""
     pre = check_prequadratic(F)

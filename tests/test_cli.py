@@ -101,6 +101,10 @@ def test_usage_errors_exit_two(capsys):
     assert main(["witt", "--field", "6"]) == 2  # not a prime power
     assert main(["witt", "--field", "3", "--builtin", "euclidean3"]) == 2  # two sources
     assert main(["check-presentable", "--builtin", "example-sq-7", "--seed", "1"]) == 2
+    assert main(["qhf", "--field", "9", "--modulus", "1,a"]) == 2
+    assert main(["oracle", "isom", "--q", "3", "--form", "1,x", "--form", "1,1"]) == 2
+    assert main(["oracle", "isom", "--q", "3", "--form", "1,5", "--form", "1,1"]) == 2
+    assert main(["oracle", "isom", "--q", "9", "--form", "-1", "--form", "8"]) == 2  # -1 is id 2
     capsys.readouterr()
 
 
@@ -140,6 +144,13 @@ REPORT_COMMANDS = (
     ("check-hyperfield", "--field", "5"),
     ("check-poset", "--builtin", "walking-supremum"),
     ("qhf", "--field", "9"),
+    ("prime", "--field", "3"),
+    ("quotient", "--field", "5", "--subset", "1,4"),
+    ("pipeline", "--field", "9"),
+    ("isom", "--builtin", "euclidean3", "--form", "1,-1", "--form", "-1,1"),
+    ("oracle", "classes", "--q", "3", "--dim", "2"),
+    ("oracle", "isom", "--q", "3", "--form", "1,1", "--form", "2,2"),
+    ("oracle", "witt", "--q", "5", "--max-dim", "4"),
 )
 
 

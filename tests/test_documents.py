@@ -82,6 +82,12 @@ def test_parse_errors_name_the_line():
     with pytest.raises(InputError) as err:
         parse_presentable(presentable.replace("one: I", "one: q", 1))
     assert str(err.value) == "line 4: unknown element 'q'"
+    with pytest.raises(InputError) as err:
+        parse_hyperfield(doc.replace("mul:", "mul: 0", 1))
+    assert str(err.value) == "line 6: 'mul:' takes no inline value"
+    with pytest.raises(InputError) as err:
+        parse_presentable(presentable.replace("add:", "add: theta", 1))
+    assert str(err.value) == "line 16: 'add:' takes no inline value"
 
 
 def test_comments_and_blank_lines_ignored():

@@ -65,6 +65,16 @@ def test_classical_isometric_examples():
         classical_isometric(3, (0,), (1,))
 
 
+def test_classical_isometric_refuses_ids_outside_the_field():
+    for q, bad in ((3, 5), (3, 3), (9, -1), (9, 9)):
+        with pytest.raises(InputError):
+            classical_isometric(q, (1, bad), (1, 1))
+        with pytest.raises(InputError):
+            classical_isometric(q, (1, 1), (bad, 1))
+    # over GF(9) the element -1 is id 2, and <-1> and <2x+2> differ
+    assert not classical_isometric(9, (2,), (8,))
+
+
 def test_classical_isometric_agrees_with_congruence_orbits():
     for q in (3, 5, 7, 9):
         k = ff_make(*{3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2)}[q])

@@ -431,7 +431,10 @@ def test_supercompact_laws_decide_the_level_of_mutants():
     fleet += [R, *mutants(R, rng, 4)]
     reached = set()
     for R in fleet:
-        level = LEVELS.index(check_presentable(R).level_passed)
+        report = check_presentable(R)
+        claimed = "field" if R.is_field else "ring"
+        assert report.passed == (report.level_passed == claimed), R
+        level = LEVELS.index(report.level_passed)
         reached.add(LEVELS[level])
         for stage in ("monoid", "ring"):
             if level >= LEVELS.index(stage):
