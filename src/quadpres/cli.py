@@ -440,9 +440,12 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except ValidationError as err:
-        rep.finish(f"validation failure: {err}", getattr(args, "out", None))
-        return EXIT_MATH
-    rep.finish(result, getattr(args, "out", None))
+        code, result = EXIT_MATH, f"validation failure: {err}"
+    try:
+        rep.finish(result, getattr(args, "out", None))
+    except OSError as err:
+        print(f"error: cannot write the report: {err}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

@@ -117,17 +117,20 @@ class FiniteField:
         q = p**n
         if q > MAX_FIELD:
             raise SizeGuardError(f"field size {q} exceeds cap {MAX_FIELD}")
-        if n == 1:
-            modulus = (0, 1) if modulus is None else tuple(c % p for c in modulus)
-        elif modulus is None:
+        if modulus is not None:
+            modulus = tuple(modulus)
+            for c in modulus:
+                if not 0 <= c < p:
+                    raise InputError(f"modulus coefficient {c} is outside 0..{p - 1}")
+        elif n == 1:
+            modulus = (0, 1)
+        else:
             try:
                 modulus = DEFAULT_MODULI[(p, n)]
             except KeyError:
                 raise InputError(
                     f"no built-in modulus for GF({p}^{n}); supply one explicitly"
                 ) from None
-        else:
-            modulus = tuple(c % p for c in modulus)
         if len(_trim(modulus)) != n + 1 or _trim(modulus)[-1] != 1:
             raise InputError(f"modulus must be monic of degree {n}")
         if n > 1 and not poly_is_irreducible(modulus, p):

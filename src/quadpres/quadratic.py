@@ -14,12 +14,12 @@ cancellation).  These criteria assume a quadratically presentable field;
 `cli witt` checks the field first, and `cli isom` refuses tables that are not
 pre-quadratic hyperfields.
 
-The paper's inductive isometry stays as IsometryContext._iso: unary forms by
-equality, binary forms by equal products plus membership of the head in the
-hypersum, higher dimensions by the three-clause existential recursion, on raw
-(unsorted) entry tuples.  It is the engine of check_quadratic and
-check_special_group, which must not assume the laws they check, and the
-reference the tests compare the fold against.
+The paper's inductive isometry is _inductive_isometry: unary forms by
+equality, binary forms by _binary_isometry (equal products plus membership of
+the head in the hypersum), higher dimensions by the three-clause existential
+recursion, on raw (unsorted) entry tuples.  It is the engine of
+check_quadratic and check_special_group, which must not assume the laws they
+check, and the reference the tests compare the fold against.
 """
 
 from __future__ import annotations
@@ -92,13 +92,58 @@ def check_prequadratic(F: Hyperfield) -> AxiomReport:
     return AxiomReport("prequadratic" if not failures else "none", failures)
 
 
+def _binary_isometry(mul, add):
+    """<a1, a2> ~ <b1, b2> iff a1*a2 = b1*b2 and b1 is in a1 + a2, read off a
+    multiplication table and a table of sets."""
+    return lambda a1, a2, b1, b2: mul[a1][a2] == mul[b1][b2] and b1 in add[a1][a2]
+
+
+def _inductive_isometry(elements, binary):
+    """The memoized extension of ``binary`` to raw entry tuples of equal
+    length: <a1..an> ~ <b1..bn> iff <a2..an> ~ <x, cs>, <a1, x> ~ <b1, y> and
+    <b2..bn> ~ <y, cs> for some x, y, cs over ``elements``.  Candidates are
+    all tuples, not multisets, so the recursion does not rely on permutation
+    invariance, which is one of the laws the checkers check."""
+    memo = {}
+
+    def iso(a, b):
+        if len(a) == 1:
+            return a[0] == b[0]
+        if len(a) == 2:
+            return binary(a[0], a[1], b[0], b[1])
+        key = (a, b)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        tail_a = a[1:]
+        tail_b = b[1:]
+        found = False
+        for cs in product(elements, repeat=len(a) - 2):
+            for x in elements:
+                if not iso(tail_a, (x,) + cs):
+                    continue
+                for y in elements:
+                    if not binary(a[0], x, b[0], y):
+                        continue
+                    if iso(tail_b, (y,) + cs):
+                        found = True
+                        break
+                if found:
+                    break
+            if found:
+                break
+        memo[key] = found
+        return found
+
+    return iso
+
+
 class IsometryContext:
-    """Memoized form decisions over a fixed hyperfield.
+    """Memoized value-set fold over a fixed hyperfield.
 
     The context assumes a quadratically presentable field: on other tables
-    the value-set verdicts need not agree with the inductive isometry.  Each
-    public method validates its input once, then works on entry-sorted
-    tuples.
+    its verdicts need not agree with _inductive_isometry.  Each public
+    method validates its input once, then works on entry-sorted tuples.
 
     A context is single-owner while a computation runs; share the hyperfield,
     not the context.
@@ -109,7 +154,6 @@ class IsometryContext:
         self.nonzero = F.nonzero()
         self._nonzero_set = frozenset(self.nonzero)
         self._neg = F.neg_table()
-        self._memo = {}
         self._splits = {}
         self._stripped = {}
 
@@ -141,45 +185,6 @@ class IsometryContext:
         if len(a) != len(b):
             raise InputError(f"dimension mismatch: {len(a)} vs {len(b)}")
         return self._cancels(a, b)
-
-    def _binary(self, a1, a2, b1, b2):
-        F = self.F
-        return F.mul(a1, a2) == F.mul(b1, b2) and b1 in F.add(a1, a2)
-
-    def _iso(self, a, b):
-        """Inductive isometry of raw entry tuples of equal length.
-
-        Candidates range over all tuples, not multisets, so the recursion
-        does not rely on permutation invariance, which is one of the laws
-        check_quadratic checks.
-        """
-        if len(a) == 1:
-            return a[0] == b[0]
-        if len(a) == 2:
-            return self._binary(a[0], a[1], b[0], b[1])
-        key = (a, b)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        tail_a = a[1:]
-        tail_b = b[1:]
-        found = False
-        for cs in product(self.nonzero, repeat=len(a) - 2):
-            for x in self.nonzero:
-                if not self._iso(tail_a, (x,) + cs):
-                    continue
-                for y in self.nonzero:
-                    if not self._binary(a[0], x, b[0], y):
-                        continue
-                    if self._iso(tail_b, (y,) + cs):
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                break
-        self._memo[key] = found
-        return found
 
     # -- isotropy and Witt reduction --------------------------------------
 
@@ -265,9 +270,8 @@ class IsometryContext:
         return not self._strip(self._norm(a + minus_b))
 
 
-def isometric(F, phi, psi, ctx=None) -> bool:
-    ctx = ctx or IsometryContext(F)
-    return ctx.isometric(phi, psi)
+def isometric(F, phi, psi) -> bool:
+    return IsometryContext(F).isometric(phi, psi)
 
 
 def _equivalence_failures(items, related, name):
@@ -309,12 +313,12 @@ def check_quadratic(F: Hyperfield, dmax: int) -> AxiomReport:
             f"{m} classes at dmax {dmax} give {(m**dmax)**3} triples; "
             f"budget {TRIPLE_BUDGET}"
         )
-    ctx = IsometryContext(F)
+    iso = _inductive_isometry(nz, _binary_isometry(F._mul, F._add))
     failures = []
     notes = {"dims_checked": dmax, "low_dims": None}
     for d in range(1, dmax + 1):
         forms = list(product(nz, repeat=d))
-        failures += _equivalence_failures(forms, ctx._iso, f"equivalence.{{}}.dim{d}")
+        failures += _equivalence_failures(forms, iso, f"equivalence.{{}}.dim{d}")
         if d == 2:
             notes["low_dims"] = not failures
     level = "quadratic" if not failures else "prequadratic"
@@ -380,7 +384,7 @@ class WittRing:
         return f"W: truncated at dim {dmax}, growth {self.growth}"
 
 
-def witt_ring(F: Hyperfield, dmax: int, ctx=None) -> WittRing:
+def witt_ring(F: Hyperfield, dmax: int) -> WittRing:
     """Enumerate anisotropic classes up to dmax and build the class tables.
 
     Addition concatenates then strips hyperbolic planes; multiplication
@@ -390,7 +394,7 @@ def witt_ring(F: Hyperfield, dmax: int, ctx=None) -> WittRing:
     """
     if dmax < 2:
         raise InputError("dmax must be at least 2 (the hyperbolic plane has dim 2)")
-    ctx = ctx or IsometryContext(F)
+    ctx = IsometryContext(F)
     nz = ctx.nonzero
     if comb(dmax + len(nz) - 1, len(nz) - 1) > CANDIDATE_BUDGET:
         raise SizeGuardError(
@@ -498,18 +502,16 @@ def special_group_of(F: Hyperfield) -> SpecialGroupTable:
     nz = sorted(F.nonzero())
     index = {x: i for i, x in enumerate(nz)}
     mul = tuple(tuple(index[F.mul(a, b)] for b in nz) for a in nz)
-    rel = set()
-    for a in nz:
-        for b in nz:
-            for c in nz:
-                for d in nz:
-                    if F.mul(a, b) == F.mul(c, d) and c in F.add(a, b):
-                        rel.add(((index[a], index[b]), (index[c], index[d])))
+    binary = _binary_isometry(F._mul, F._add)
+    rel = frozenset(
+        ((index[a], index[b]), (index[c], index[d]))
+        for a, b, c, d in product(nz, repeat=4) if binary(a, b, c, d)
+    )
     return SpecialGroupTable(
         mul=mul,
         identity=index[F.one],
         minus_one=index[F.neg(F.one)],
-        binary_isometry=frozenset(rel),
+        binary_isometry=rel,
         names=tuple(F.names[x] for x in nz),
     )
 
@@ -564,23 +566,11 @@ def check_special_group(S: SpecialGroupTable, nmax: int = 4) -> AxiomReport:
     if failures:
         return AxiomReport("group", failures)
 
-    # once dm.iv holds, binary isometry in S's hyperfield is exactly rel, so
-    # the hyperfield's inductive isometry is the n-ary extension of rel
-    ctx = IsometryContext(_hyperfield_of(S))
+    # dm.iv holds, so _binary_isometry on these heads is membership in rel
+    heads = [[set() for _ in g] for _ in g]
+    for (a, b), (c, _) in rel:
+        heads[a][b].add(c)
+    iso = _inductive_isometry(g, _binary_isometry(S.mul, heads))
     for n in range(3, nmax + 1):
-        failures += _equivalence_failures(list(product(g, repeat=n)), ctx._iso, f"iso_{n}.{{}}")
+        failures += _equivalence_failures(list(product(g, repeat=n)), iso, f"iso_{n}.{{}}")
     return AxiomReport("special" if not failures else "prespecial", failures)
-
-
-def _hyperfield_of(S: SpecialGroupTable) -> Hyperfield:
-    """S with zero adjoined as id S.size, so group ids stay form entries, and
-    a in b + c iff ((b, c), (a, d)) is in the binary isometry for some d."""
-    z = S.size
-    mul = [list(row) + [z] for row in S.mul] + [[z] * (z + 1)]
-    neg = [S.mul[S.minus_one][x] for x in range(z)] + [z]
-    add = [[set() for _ in range(z + 1)] for _ in range(z + 1)]
-    for x in range(z + 1):
-        add[x][z] = add[z][x] = {x}
-    for (b, c), (a, _) in S.binary_isometry:
-        add[b][c].add(a)
-    return Hyperfield(zero=z, one=S.identity, neg=neg, mul=mul, add=add)

@@ -102,10 +102,20 @@ def test_usage_errors_exit_two(capsys):
     assert main(["witt", "--field", "3", "--builtin", "euclidean3"]) == 2  # two sources
     assert main(["check-presentable", "--builtin", "example-sq-7", "--seed", "1"]) == 2
     assert main(["qhf", "--field", "9", "--modulus", "1,a"]) == 2
+    assert main(["qhf", "--field", "9", "--modulus", "1,5,1"]) == 2  # 5 is not in GF(3)
     assert main(["oracle", "isom", "--q", "3", "--form", "1,x", "--form", "1,1"]) == 2
     assert main(["oracle", "isom", "--q", "3", "--form", "1,5", "--form", "1,1"]) == 2
     assert main(["oracle", "isom", "--q", "9", "--form", "-1", "--form", "8"]) == 2  # -1 is id 2
     capsys.readouterr()
+
+
+def test_unwritable_report_exits_two(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "r.json"
+    assert main(["qhf", "--field", "3", "--out", str(tmp_path)]) == 2  # a directory
+    assert main(["qhf", "--field", "3", "--out", str(missing)]) == 2
+    assert main(["quotient", "--field", "5", "--subset", "0", "--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: cannot write the report") == 3
 
 
 def test_quotient_command(capsys):

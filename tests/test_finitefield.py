@@ -90,6 +90,12 @@ def test_reducible_modulus_rejected():
         ff_make(3, 2, modulus=(2, 0, 1))  # x^2 + 2 = (x+1)(x+2) over GF(3)
 
 
+def test_modulus_coefficients_outside_the_prime_field_refused():
+    for p, n, modulus, bad in [(3, 2, (1, 5, 1), 5), (3, 2, (1, -2, 1), -2), (5, 1, (7, 1), 7)]:
+        with pytest.raises(InputError, match=f"coefficient {bad} "):
+            ff_make(p, n, modulus=modulus)
+
+
 def test_unsupported_size_without_modulus():
     with pytest.raises(InputError):
         ff_make(2, 5)

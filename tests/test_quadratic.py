@@ -17,6 +17,9 @@ from quadpres.quadratic import (
     Form,
     IsometryContext,
     WittClass,
+    WittRing,
+    _binary_isometry,
+    _inductive_isometry,
     check_prequadratic,
     check_quadratic,
     check_special_group,
@@ -32,6 +35,10 @@ from quadpres.quadratic import (
 
 def euclid_ctx():
     return IsometryContext(euclidean_hyperfield())
+
+
+def inductive_isometry(F):
+    return _inductive_isometry(F.nonzero(), _binary_isometry(F._mul, F._add))
 
 
 def q_ctx(q):
@@ -254,16 +261,17 @@ def test_laurent_fleet_passes_the_ladders():
 )
 def test_fold_agrees_with_inductive_isometry_past_two_classes(F, dmax):
     ctx = IsometryContext(F)
+    iso = inductive_isometry(F)
     for d in range(1, dmax + 1):
         forms = list(combinations_with_replacement(ctx.nonzero, d))
         for a in forms:
             for b in forms:
-                assert ctx.isometric(a, b) == ctx._iso(a, b), (F.names, a, b)
+                assert ctx.isometric(a, b) == iso(a, b), (F.names, a, b)
 
 
 def test_witt_ring_q3_is_finite_with_4_classes():
-    F, ctx = q_ctx(3)
-    W = witt_ring(F, 4, ctx)
+    F, _ = q_ctx(3)
+    W = witt_ring(F, 4)
     assert W.status == "finite"
     assert W.size == 4
     assert W.summary() == "W: finite, 4 classes"
@@ -277,16 +285,16 @@ def test_witt_ring_q3_is_finite_with_4_classes():
 
 
 def test_witt_ring_q2_is_finite_with_2_classes():
-    F, ctx = q_ctx(2)
-    W = witt_ring(F, 4, ctx)
+    F, _ = q_ctx(2)
+    W = witt_ring(F, 4)
     assert W.status == "finite"
     assert W.size == 2
     assert W.add_table[W.one_class][W.one_class] == W.zero_class
 
 
 def test_witt_ring_q5_is_klein_four():
-    F, ctx = q_ctx(5)
-    W = witt_ring(F, 4, ctx)
+    F, _ = q_ctx(5)
+    W = witt_ring(F, 4)
     assert W.status == "finite"
     assert W.size == 4
     for i in range(W.size):
@@ -333,49 +341,81 @@ def test_value_set_engine_scales_past_the_search():
     assert ctx.anisotropic_part((one,) * 32 + (minus,)) == Form((one,) * 31)
 
 
-def reference_split(ctx, entries):
+def reference_split(ctx, iso, entries):
     """The candidate search the value-set fold replaced: the first multiset
     cs with entries ~ H + cs under the inductive recursion, or None."""
     if len(entries) == 1:
         return None
     H = ctx.hyperbolic()
     for cs in combinations_with_replacement(ctx.nonzero, len(entries) - 2):
-        if ctx._iso(entries, ctx._norm(H + cs)):
+        if iso(entries, ctx._norm(H + cs)):
             return cs
     return None
 
 
-def assert_split_matches_reference(ctx, entries):
+def assert_split_matches_reference(ctx, iso, entries):
     tail = ctx.split_hyperbolic(entries)
-    ref = reference_split(ctx, entries)
+    ref = reference_split(ctx, iso, entries)
     assert (tail is None) == (ref is None), entries
     if tail is not None:
         assert len(tail) == len(entries) - 2, entries
-        assert ctx._iso(entries, ctx._norm(ctx.hyperbolic() + tail)), (entries, tail)
-        assert not tail or ctx._iso(ctx._norm(tail), ctx._norm(ref)), (entries, tail, ref)
+        assert iso(entries, ctx._norm(ctx.hyperbolic() + tail)), (entries, tail)
+        assert not tail or iso(ctx._norm(tail), ctx._norm(ref)), (entries, tail, ref)
 
 
 @pytest.mark.parametrize("q", (None,) + ORACLE_SIZES)
 def test_split_hyperbolic_agrees_with_candidate_search(q):
     F = euclidean_hyperfield() if q is None else q_ctx(q)[0]
     ctx = IsometryContext(F)
+    iso = inductive_isometry(F)
     for d in range(1, 8):
         for entries in combinations_with_replacement(ctx.nonzero, d):
-            assert_split_matches_reference(ctx, entries)
+            assert_split_matches_reference(ctx, iso, entries)
     for d in range(1, 6):
         for entries in product(ctx.nonzero, repeat=d):
-            assert_split_matches_reference(ctx, entries)
+            assert_split_matches_reference(ctx, iso, entries)
 
 
 @pytest.mark.parametrize("dmax", [2, 3, 4])
 @pytest.mark.parametrize("q", ORACLE_SIZES)
 def test_witt_ring_agrees_with_classical_oracle(q, dmax):
-    F, ctx = q_ctx(q)
-    W = witt_ring(F, dmax, ctx)
+    F, _ = q_ctx(q)
+    W = witt_ring(F, dmax)
     WO = classical_witt_ring(q, dmax)
     assert W.status == WO.status == "finite"
     assert W.size == WO.size
     assert ring_isomorphic(W, WO) is not None
+
+
+def group_ring_c2(W):
+    """W[C2] for a finite Witt ring W: pairs (x, y) standing for x + y*t with
+    t^2 = 1, added componentwise."""
+    pairs = list(product(range(W.size), repeat=2))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    add, mul = W.add_table, W.mul_table
+
+    def times(u, v):
+        (x1, y1), (x2, y2) = u, v
+        return index[(add[mul[x1][x2]][mul[y1][y2]], add[mul[x1][y2]][mul[y1][x2]])]
+
+    return WittRing(
+        classes=pairs,
+        add_table=[[index[(add[u[0]][v[0]], add[u[1]][v[1]])] for v in pairs] for u in pairs],
+        mul_table=[[times(u, v) for v in pairs] for u in pairs],
+        zero_class=index[(W.zero_class, W.zero_class)],
+        one_class=index[(W.one_class, W.zero_class)],
+        growth=[],
+    )
+
+
+def test_springer_laurent_witt_ring_is_the_group_ring():
+    # Springer's theorem: W(K((t))) is W(K)[C2]
+    laurent = {q: witt_ring(laurent_extension(q_ctx(q)[0]), 4) for q in (3, 5)}
+    group_rings = {q: group_ring_c2(classical_witt_ring(q, 4)) for q in (3, 5)}
+    for q, W in laurent.items():
+        assert W.status == "finite" and W.size == 16, q
+        for r, G in group_rings.items():
+            assert (ring_isomorphic(W, G) is not None) == (q == r), (q, r)
 
 
 def test_ring_isomorphic_rejects_truncated():
@@ -386,8 +426,8 @@ def test_ring_isomorphic_rejects_truncated():
 
 
 def test_ring_isomorphic_rejects_incomplete_mul_table():
-    _, ctx3 = q_ctx(3)
-    W = witt_ring(ctx3.F, 4, ctx3)
+    F3, _ = q_ctx(3)
+    W = witt_ring(F3, 4)
     mul = [list(row) for row in W.mul_table]
     mul[1][1] = None
     with pytest.raises(InputError):
@@ -395,38 +435,39 @@ def test_ring_isomorphic_rejects_incomplete_mul_table():
 
 
 def test_ring_isomorphic_distinguishes_z4_from_klein():
-    _, ctx3 = q_ctx(3)
-    _, ctx5 = q_ctx(5)
-    W3 = witt_ring(ctx3.F, 4, ctx3)
-    W5 = witt_ring(ctx5.F, 4, ctx5)
+    F3, _ = q_ctx(3)
+    F5, _ = q_ctx(5)
+    W3 = witt_ring(F3, 4)
+    W5 = witt_ring(F5, 4)
     assert W3.size == W5.size == 4
     assert ring_isomorphic(W3, W5) is None
 
 
 def test_ring_isomorphic_size_mismatch():
-    _, ctx3 = q_ctx(3)
-    _, ctx2 = q_ctx(2)
-    assert ring_isomorphic(witt_ring(ctx3.F, 4, ctx3), witt_ring(ctx2.F, 4, ctx2)) is None
+    F3, _ = q_ctx(3)
+    F2, _ = q_ctx(2)
+    assert ring_isomorphic(witt_ring(F3, 4), witt_ring(F2, 4)) is None
 
 
 def test_permutation_invariance_raw_mode():
     for F in [euclidean_hyperfield(), q_ctx(3)[0], q_ctx(5)[0]]:
-        raw = IsometryContext(F)
+        iso = inductive_isometry(F)
         nz = F.nonzero()
         for d in range(1, 5):
             for entries in combinations_with_replacement(nz, d):
                 for sigma in set(permutations(entries)):
-                    assert raw._iso(entries, sigma), (entries, sigma)
+                    assert iso(entries, sigma), (entries, sigma)
 
 
 def test_inductive_isometry_agrees_with_fold_on_unsorted_pairs():
     for F in [euclidean_hyperfield(), q_ctx(3)[0]]:
         ctx = IsometryContext(F)
+        iso = inductive_isometry(F)
         nz = F.nonzero()
         for d in range(1, 4):
             for a in product(nz, repeat=d):
                 for b in product(nz, repeat=d):
-                    assert ctx._iso(a, b) == ctx.isometric(Form(a), Form(b)), (a, b)
+                    assert iso(a, b) == ctx.isometric(Form(a), Form(b)), (a, b)
 
 
 def test_fold_decides_isometry_where_the_recursion_cannot_finish():
@@ -528,6 +569,33 @@ def test_special_group_of_quadratic_hyperfields():
         S = special_group_of(F)
         assert S.size == 2
         assert check_special_group(S, nmax=4).passed
+
+
+@pytest.mark.parametrize("F", four_class_fleet(), ids=["E(t)", "Q3(t)", "Q5(t)"])
+def test_special_groups_past_two_classes(F, monkeypatch):
+    S = special_group_of(F)
+    assert S.size == 4
+    built = []  # the n-ary relation check_special_group builds on S
+
+    def spy(elements, binary):
+        built.append(_inductive_isometry(elements, binary))
+        return built[-1]
+
+    monkeypatch.setattr("quadpres.quadratic._inductive_isometry", spy)
+    report = check_special_group(S, nmax=3)
+    assert report.passed and report.level_passed == "special", report.failures[:3]
+    for pair in S.binary_isometry:
+        dropped = replace(S, binary_isometry=S.binary_isometry - {pair})
+        assert not check_special_group(dropped, nmax=3).passed, pair
+    # that relation is F's inductive isometry through the index map
+    index = {x: i for i, x in enumerate(sorted(F.nonzero()))}
+    iso_S = built[0]
+    iso_F = inductive_isometry(F)
+    forms = list(product(F.nonzero(), repeat=3))
+    for a in forms:
+        for b in forms:
+            in_S = iso_S(tuple(map(index.get, a)), tuple(map(index.get, b)))
+            assert in_S == iso_F(a, b), (a, b)
 
 
 def test_special_group_extraction_refuses_non_exponent_two():
