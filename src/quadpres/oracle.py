@@ -46,27 +46,13 @@ def _det(k: FiniteField, A) -> int:
     return total
 
 
-def _mat_mul(k: FiniteField, A, B):
-    n = len(A)
-    return tuple(
-        tuple(
-            _dot(k, A[i], tuple(B[x][j] for x in range(n)))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
-def _dot(k, row, col):
-    out = 0
-    for a, b in zip(row, col):
-        out = k.add(out, k.mul(a, b))
-    return out
-
-
-def _transpose(A):
-    n = len(A)
-    return tuple(tuple(A[j][i] for j in range(n)) for i in range(n))
+def _elementary_congruence(k: FiniteField, A, i, j, c):
+    """P^T A P for P = I + c*E_ij: column j += c * column i, then row j += c * row i."""
+    B = [list(row) for row in A]
+    for row in B:
+        row[j] = k.add(row[j], k.mul(c, row[i]))
+    B[j] = [k.add(x, k.mul(c, y)) for x, y in zip(B[j], B[i])]
+    return tuple(map(tuple, B))
 
 
 @dataclass(frozen=True)
@@ -114,15 +100,6 @@ def _symmetric_nondegenerate(k, n):
     return out
 
 
-def _general_linear(k, n):
-    out = []
-    for vals in product(range(k.q), repeat=n * n):
-        P = tuple(tuple(vals[i * n + j] for j in range(n)) for i in range(n))
-        if _det(k, P) != 0:
-            out.append(P)
-    return out
-
-
 @dataclass
 class CongruenceClasses:
     """Orbit partition of nondegenerate symmetric matrices under P^T A P."""
@@ -143,25 +120,36 @@ class CongruenceClasses:
 
 
 def congruence_classes(q: int, dim: int) -> CongruenceClasses:
-    """Brute-force orbit enumeration of nondegenerate symmetric matrices."""
+    """Orbits of nondegenerate symmetric matrices under A -> P^T A P, each
+    closed breadth-first under P in the transvections I + E_ij (i != j) and
+    diag(g, 1, ..., 1) = I + (g - 1) E_11 for a generator g of F_q*.
+
+    These generate GL_n(F_q): conjugating by diag(g, 1, ..., 1)^m turns
+    I + E_1j and I + E_i1 into I + g^(+-m) E_1j and I + g^(+-m) E_i1, whose
+    commutators give every I + c E_ij, and those with diag(F_q*, 1, ..., 1)
+    generate GL_n.  In a finite group the closure of a generating set under
+    products is the whole group, so no inverses are needed.
+    """
     ok = (q <= 3 and dim <= 3) or (q <= 5 and dim <= 2) or (q <= 9 and dim <= 2)
     if not ok or dim < 1:
         raise SizeGuardError(f"congruence_classes guard exceeded for q={q}, dim={dim}")
     k = _field_for(q)
-    matrices = _symmetric_nondegenerate(k, dim)
-    gl = _general_linear(k, dim)
+    moves = [(i, j, 1) for i in range(dim) for j in range(dim) if i != j]
+    moves.append((0, 0, k.sub(k.generator(), 1)))
     orbit_index = {}
     reps = []
-    for A in matrices:
+    for A in _symmetric_nondegenerate(k, dim):
         if A in orbit_index:
             continue
         idx = len(reps)
-        orbit = set()
-        for P in gl:
-            B = _mat_mul(k, _mat_mul(k, _transpose(P), A), P)
-            orbit.add(B)
-        for B in orbit:
-            orbit_index[B] = idx
+        orbit_index[A] = idx
+        orbit = [A]
+        for B in orbit:  # the list grows while it is read: a breadth-first search
+            for move in moves:
+                C = _elementary_congruence(k, B, *move)
+                if C not in orbit_index:
+                    orbit_index[C] = idx
+                    orbit.append(C)
         reps.append(min(orbit))
     return CongruenceClasses(q=q, dim=dim, representatives=reps, orbit_index=orbit_index)
 
@@ -170,10 +158,11 @@ def _squares(k):
     return {k.mul(a, a) for a in k.nonzero()}
 
 
-def same_square_class(k: FiniteField, a: int, b: int) -> bool:
+def same_square_class(k: FiniteField, a: int, b: int, squares=None) -> bool:
+    """squares, if given, is _squares(k), for callers that ask many times."""
     if a == 0 or b == 0:
         return a == b
-    return k.mul(a, k.inv(b)) in _squares(k)
+    return k.mul(a, k.inv(b)) in (squares or _squares(k))
 
 
 def classical_isometric(q: int, phi, psi) -> bool:
@@ -199,10 +188,10 @@ def _product(k, entries):
     return out
 
 
-def binary_isometric_field(k: FiniteField, a, b, c, d) -> bool:
+def binary_isometric_field(k: FiniteField, a, b, c, d, squares=None) -> bool:
     """Value-set criterion: <a,b> ~ <c,d> iff ab = cd mod squares and
     c = a s^2 + b t^2 has a nontrivial solution."""
-    if not same_square_class(k, k.mul(a, b), k.mul(c, d)):
+    if not same_square_class(k, k.mul(a, b), k.mul(c, d), squares):
         return False
     return represents(k, a, b, c)
 
@@ -242,8 +231,9 @@ class _DiagonalWitt:
         states = list(combinations_with_replacement(self.reps, d))
         label = {}
         binary = {}
+        squares = _squares(self.k)
         for a, b, c, e in product(self.reps, repeat=4):
-            binary[(a, b, c, e)] = binary_isometric_field(self.k, a, b, c, e)
+            binary[(a, b, c, e)] = binary_isometric_field(self.k, a, b, c, e, squares)
         for s in states:
             if s in label:
                 continue

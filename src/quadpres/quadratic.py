@@ -520,6 +520,14 @@ def check_special_group(S: SpecialGroupTable, nmax: int = 4) -> AxiomReport:
     """Verify the six pre-special axioms and that the inductive n-ary
     extension stays an equivalence up to nmax."""
     g = range(S.size)
+    if any(len(row) != S.size or any(x not in g for x in row) for row in S.mul):
+        raise InputError(f"special group: mul must be a {S.size}x{S.size} table of ids in {g}")
+    for name in ("identity", "minus_one"):
+        if getattr(S, name) not in g:
+            raise InputError(f"special group: {name} {getattr(S, name)!r} is not an id in {g}")
+    for pairs in S.binary_isometry:
+        if any(x not in g for pair in pairs for x in pair):
+            raise InputError(f"special group: binary_isometry entry {pairs} has an id outside {g}")
     if (S.size**nmax) ** 3 > TRIPLE_BUDGET:
         raise SizeGuardError(
             f"{S.size}^{nmax} tuples give {(S.size**nmax)**3} triples; budget {TRIPLE_BUDGET}"

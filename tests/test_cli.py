@@ -190,3 +190,9 @@ def test_oracle_subcommands(capsys):
     assert code == 0 and "isometric" in out
     code, out = run(capsys, "oracle", "witt", "--q", "5", "--max-dim", "4")
     assert code == 0 and "4 classes" in out
+
+
+def test_oracle_classes_gf3_dim3(tmp_path, capsys):
+    code, out = run(capsys, "oracle", "classes", "--q", "3", "--dim", "3", "--out", str(tmp_path / "r.json"))
+    assert code == 0
+    assert "classes: 2" in out

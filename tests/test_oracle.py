@@ -7,6 +7,9 @@ from quadpres.finitefield import ff_make
 from quadpres.oracle import (
     GramForm,
     _DiagonalWitt,
+    _det,
+    _field_for,
+    _symmetric_nondegenerate,
     binary_isometric_field,
     classical_isometric,
     classical_witt_ring,
@@ -46,6 +49,65 @@ def test_gf3_dim2_orbit_count_matches_disc_criterion():
     for a, b in product((1, 2), repeat=2):
         disc_classes.add(same_square_class(k, k.mul(a, b), 1))
     assert cc.count == len(disc_classes)
+
+
+def _mat_mul(k, A, B):
+    n = len(A)
+    return tuple(
+        tuple(
+            _dot(k, A[i], tuple(B[x][j] for x in range(n)))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def _dot(k, row, col):
+    out = 0
+    for a, b in zip(row, col):
+        out = k.add(out, k.mul(a, b))
+    return out
+
+
+def _transpose(A):
+    n = len(A)
+    return tuple(tuple(A[j][i] for j in range(n)) for i in range(n))
+
+
+def _general_linear(k, n):
+    out = []
+    for vals in product(range(k.q), repeat=n * n):
+        P = tuple(tuple(vals[i * n + j] for j in range(n)) for i in range(n))
+        if _det(k, P) != 0:
+            out.append(P)
+    return out
+
+
+def _brute_force_classes(q, dim):
+    """Reference: apply every P in GL_n(F_q) to the first matrix of each orbit."""
+    k = _field_for(q)
+    gl = _general_linear(k, dim)
+    orbit_index = {}
+    reps = []
+    for A in _symmetric_nondegenerate(k, dim):
+        if A in orbit_index:
+            continue
+        orbit = {_mat_mul(k, _mat_mul(k, _transpose(P), A), P) for P in gl}
+        for B in orbit:
+            orbit_index[B] = len(reps)
+        reps.append(min(orbit))
+    return reps, orbit_index
+
+
+@pytest.mark.parametrize(
+    "q, dim",
+    [(q, dim) for q in (2, 3, 4, 5, 7, 8, 9) for dim in (1, 2)] + [(2, 3), (3, 3)],
+)
+def test_congruence_classes_match_brute_force(q, dim):
+    cc = congruence_classes(q, dim)
+    reps, orbit_index = _brute_force_classes(q, dim)
+    assert cc.representatives == reps
+    assert cc.orbit_index == orbit_index
 
 
 def test_congruence_guard():

@@ -598,6 +598,21 @@ def test_special_groups_past_two_classes(F, monkeypatch):
             assert in_S == iso_F(a, b), (a, b)
 
 
+def test_special_group_check_names_bad_ids():
+    S = special_group_of(euclidean_hyperfield())
+    bad_pair = ((0, 5), (0, 0))
+    cases = (
+        ("mul", replace(S, mul=S.mul[:1])),
+        ("mul", replace(S, mul=((0, 1), (1, 7)))),
+        ("identity", replace(S, identity=7)),
+        ("minus_one", replace(S, minus_one=-1)),
+        ("binary_isometry", replace(S, binary_isometry=S.binary_isometry | {bad_pair})),
+    )
+    for field, table in cases:
+        with pytest.raises(InputError, match=field):
+            check_special_group(table, nmax=3)
+
+
 def test_special_group_extraction_refuses_non_exponent_two():
     F = from_field(ff_make(5))
     with pytest.raises(ValidationError):
