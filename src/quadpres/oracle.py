@@ -158,11 +158,10 @@ def _squares(k):
     return {k.mul(a, a) for a in k.nonzero()}
 
 
-def same_square_class(k: FiniteField, a: int, b: int, squares=None) -> bool:
-    """squares, if given, is _squares(k), for callers that ask many times."""
+def same_square_class(k: FiniteField, a: int, b: int) -> bool:
     if a == 0 or b == 0:
         return a == b
-    return k.mul(a, k.inv(b)) in (squares or _squares(k))
+    return k.mul(a, k.inv(b)) in _squares(k)
 
 
 def classical_isometric(q: int, phi, psi) -> bool:
@@ -188,10 +187,10 @@ def _product(k, entries):
     return out
 
 
-def binary_isometric_field(k: FiniteField, a, b, c, d, squares=None) -> bool:
+def binary_isometric_field(k: FiniteField, a, b, c, d) -> bool:
     """Value-set criterion: <a,b> ~ <c,d> iff ab = cd mod squares and
     c = a s^2 + b t^2 has a nontrivial solution."""
-    if not same_square_class(k, k.mul(a, b), k.mul(c, d), squares):
+    if not same_square_class(k, k.mul(a, b), k.mul(c, d)):
         return False
     return represents(k, a, b, c)
 
@@ -231,9 +230,10 @@ class _DiagonalWitt:
         states = list(combinations_with_replacement(self.reps, d))
         label = {}
         binary = {}
-        squares = _squares(self.k)
+        k, rep_of = self.k, self.rep_of
         for a, b, c, e in product(self.reps, repeat=4):
-            binary[(a, b, c, e)] = binary_isometric_field(self.k, a, b, c, e, squares)
+            # binary_isometric_field, reading the square classes off rep_of
+            binary[(a, b, c, e)] = rep_of[k.mul(a, b)] == rep_of[k.mul(c, e)] and represents(k, a, b, c)
         for s in states:
             if s in label:
                 continue

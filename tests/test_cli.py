@@ -183,16 +183,12 @@ def test_machine_report_determinism_and_roundtrip(tmp_path, capsys):
             assert {"hyperfield-axioms", "quadratic-presentability", "witt-ring", "oracle-match"} <= checks
 
 
-def test_oracle_subcommands(capsys):
+def test_oracle_subcommands(tmp_path, capsys):
     code, out = run(capsys, "oracle", "classes", "--q", "3", "--dim", "1")
     assert code == 0 and "2 congruence classes" in out
+    code, out = run(capsys, "oracle", "classes", "--q", "3", "--dim", "3", "--out", str(tmp_path / "r.json"))
+    assert code == 0 and "classes: 2" in out
     code, out = run(capsys, "oracle", "isom", "--q", "3", "--form", "1,1", "--form", "2,2")
     assert code == 0 and "isometric" in out
     code, out = run(capsys, "oracle", "witt", "--q", "5", "--max-dim", "4")
     assert code == 0 and "4 classes" in out
-
-
-def test_oracle_classes_gf3_dim3(tmp_path, capsys):
-    code, out = run(capsys, "oracle", "classes", "--q", "3", "--dim", "3", "--out", str(tmp_path / "r.json"))
-    assert code == 0
-    assert "classes: 2" in out
