@@ -12,6 +12,7 @@ elapsed seconds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -107,8 +108,14 @@ def _load_structure(args, want=None, field_builder=from_field):
     if len(sources) != 1:
         raise InputError("exactly one of --input, --builtin, --field is required")
     if args.input:
-        with open(args.input) as fh:
-            obj = documents.parse_document(fh.read())
+        try:
+            with open(args.input, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as err:
+            raise InputError(f"cannot read --input {args.input}: {err.strerror}") from None
+        except UnicodeDecodeError as err:
+            raise InputError(f"--input {args.input} is not UTF-8 text: {err.reason} at byte {err.start}") from None
+        obj = documents.parse_document(text)
     elif args.builtin:
         if args.builtin not in BUILTINS:
             raise InputError(f"unknown builtin {args.builtin!r}; have {sorted(BUILTINS)}")
@@ -337,7 +344,11 @@ def cmd_oracle(args, rep):
     raise InputError(f"unknown oracle operation {args.oracle_op!r}")
 
 
+@functools.cache
 def build_parser():
+    """The one parser of this process, built on the first call and shared by
+    every later caller, who must not change it.  main asks for it on every
+    command; building it at import would cost every library import instead."""
     parser = argparse.ArgumentParser(
         prog="quadpres",
         description="Hyperfields, presentable structures, and Witt rings of "
@@ -436,7 +447,7 @@ def main(argv=None) -> int:
     rep = Report(argv)
     try:
         code, result = COMMANDS[args.cmd](args, rep)
-    except (InputError, SizeGuardError, FileNotFoundError) as err:
+    except (InputError, SizeGuardError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except ValidationError as err:

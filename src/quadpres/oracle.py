@@ -169,15 +169,11 @@ def classical_isometric(q: int, phi, psi) -> bool:
     p, _ = parse_field_arg(str(q))
     if p == 2:
         raise InputError("classical_isometric needs odd q; use congruence_classes")
-    k = _field_for(q)
     phi = tuple(phi)
     psi = tuple(psi)
     if any(not 0 < e < q for e in phi + psi):
         raise InputError(f"diagonal entries must be nonzero element ids 1..{q - 1}")
-    if len(phi) != len(psi):
-        return False
-    disc = lambda es: _product(k, es)
-    return same_square_class(k, disc(phi), disc(psi))
+    return diagonal_isometric_field(_field_for(q), phi, psi)
 
 
 def _product(k, entries):
@@ -185,6 +181,14 @@ def _product(k, entries):
     for e in entries:
         out = k.mul(out, e)
     return out
+
+
+def diagonal_isometric_field(k: FiniteField, phi, psi) -> bool:
+    """Diagonal forms with nonzero entries over an odd field k: same dimension
+    and same discriminant class."""
+    if len(phi) != len(psi):
+        return False
+    return same_square_class(k, _product(k, phi), _product(k, psi))
 
 
 def binary_isometric_field(k: FiniteField, a, b, c, d) -> bool:

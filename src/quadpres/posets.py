@@ -19,10 +19,6 @@ MAX_CARRIER = 4095
 # Exhaustive quantifiers over subsets of minimals stop here.
 MAX_MINIMALS = 16
 
-# Below this carrier size the compactness test quantifies over *all* subsets
-# of the carrier, not just subsets of minimals.
-FULL_SUBSET_LIMIT = 12
-
 
 def _bits(mask):
     while mask:
@@ -215,9 +211,9 @@ def check_presentable(P: FinitePointedPoset) -> PresentabilityReport:
     """Verify weak presentability, basepoint minimality and compactness.
 
     Compactness of every minimal element is evaluated directly from its
-    definition: for small carriers the bound-variable subset ranges over the
-    whole carrier, otherwise (on weakly presentable inputs, where this is an
-    exact reduction) over subsets of minimals only.  The unique-representation
+    definition, with the bound-variable subset ranging over subsets of
+    minimals on weakly presentable inputs and over the whole carrier
+    otherwise (see ``_compactness_direct``).  The unique-representation
     criterion is evaluated independently and the agreement of the two tests is
     recorded.
     """
@@ -275,24 +271,26 @@ def _compactness_direct(P, weakly):
 
     Returns (ok, witness) where witness = (a, Y) exhibits a minimal a with
     a <= sup(Y) but a below no member of Y.
+
+    On a weakly presentable poset Y ranges over subsets of minimals only, and
+    that is exact.  For Y in the carrier let S be the minimals below members
+    of Y; S is nonempty.  Each y in Y is the supremum of its minimals, so Y
+    and S have the same upper bounds and sup(S) = sup(Y).  A minimal a is
+    below a member of Y iff a is in S, and a minimal below a member of S is
+    that member, so Y fails for a iff S does.  Any other poset ranges Y over
+    the whole carrier, which the subset guard bounds by ``MAX_MINIMALS``.
     """
-    mins = P.minimals_mask
-    if P.n <= FULL_SUBSET_LIMIT:
-        return _compactness_over_masks(P, full=(1 << P.n) - 1)
     if weakly:
-        # sup(Y) = sup of the minimals below Y, so subsets of minimals suffice
-        return _compactness_over_masks(P, full=mins)
-    if P.n <= MAX_MINIMALS:
-        return _compactness_over_masks(P, full=(1 << P.n) - 1)
-    raise SizeGuardError(
-        f"direct compactness over all subsets needs carrier <= {MAX_MINIMALS}; got {P.n}"
-    )
+        return _compactness_over_masks(P, full=P.minimals_mask)
+    if P.n > MAX_MINIMALS:
+        raise SizeGuardError(
+            f"direct compactness over all subsets needs carrier <= {MAX_MINIMALS}; got {P.n}"
+        )
+    return _compactness_over_masks(P, full=(1 << P.n) - 1)
 
 
 def _compactness_over_masks(P, full):
     mins = P.minimals_mask
-    if full.bit_count() > MAX_MINIMALS:
-        raise SizeGuardError("compactness subset space too large")
     # memoized DP over submasks of `full`
     sup_memo = {0: None}
     cover_memo = {0: 0}

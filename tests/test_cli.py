@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 
-from quadpres.cli import main
+import quadpres
+from quadpres.cli import build_parser, main
 from quadpres.documents import emit_hyperfield
 from quadpres.finitefield import ff_make
 from quadpres.hyperfields import Hyperfield, euclidean_hyperfield, from_field
@@ -94,8 +98,12 @@ def test_mathematical_failure_exits_one(tmp_path, capsys):
     assert "hypermonoid" in out
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(tmp_path, capsys):
+    not_utf8 = tmp_path / "bytes.hf"
+    not_utf8.write_bytes(b"\xff\xfe\x00 hyperfield")
     assert main(["no-such-command"]) == 2
+    assert main(["check-poset", "--input", str(tmp_path)]) == 2  # a directory
+    assert main(["check-hyperfield", "--input", str(not_utf8)]) == 2
     assert main(["check-hyperfield"]) == 2  # no input selected
     assert main(["check-hyperfield", "--builtin", "nope"]) == 2
     assert main(["witt", "--field", "6"]) == 2  # not a prime power
@@ -106,7 +114,10 @@ def test_usage_errors_exit_two(capsys):
     assert main(["oracle", "isom", "--q", "3", "--form", "1,x", "--form", "1,1"]) == 2
     assert main(["oracle", "isom", "--q", "3", "--form", "1,5", "--form", "1,1"]) == 2
     assert main(["oracle", "isom", "--q", "9", "--form", "-1", "--form", "8"]) == 2  # -1 is id 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert f"error: cannot read --input {tmp_path}: " in err
+    assert f"error: --input {not_utf8} is not UTF-8 text" in err
+    assert "Traceback" not in err
 
 
 def test_unwritable_report_exits_two(tmp_path, capsys):
@@ -192,3 +203,57 @@ def test_oracle_subcommands(tmp_path, capsys):
     assert code == 0 and "isometric" in out
     code, out = run(capsys, "oracle", "witt", "--q", "5", "--max-dim", "4")
     assert code == 0 and "4 classes" in out
+
+
+# One process, one parser: no call may see what an earlier call parsed.
+REUSE_SEQUENCE = (
+    ("isom", "--field", "5", "--form", "1,2", "--form", "1,2"),
+    ("isom", "--field", "5", "--form", "1,2", "--form", "1,2"),
+    ("pipeline", "--field", "3", "--literal-squares"),
+    ("pipeline", "--field", "3"),
+    ("witt", "--field", "3", "--max-dim", "2"),
+    ("witt", "--field", "3"),
+    ("qhf",),
+    ("qhf", "--field", "3"),
+    ("--help",),
+)
+
+
+def test_parser_reuse_leaks_nothing_between_calls(tmp_path, capsys):
+    out = tmp_path / "report.json"
+
+    def run_in(order):
+        seen = {}
+        for i in order:
+            code = main([*REUSE_SEQUENCE[i], "--out", str(out)])
+            std = capsys.readouterr()
+            report = None
+            if out.exists():
+                report = json.loads(out.read_text())
+                del report["timestamp"]
+                out.unlink()
+            seen[i] = (code, std.out, std.err, report)
+        return [seen[i] for i in range(len(REUSE_SEQUENCE))]
+
+    forward = run_in(range(len(REUSE_SEQUENCE)))
+    backward = run_in(reversed(range(len(REUSE_SEQUENCE))))
+    assert forward == backward
+    codes = [r[0] for r in forward]
+    assert codes == [0, 0, 0, 0, 0, 0, 2, 0, 0]
+    assert forward[0] == forward[1]  # --form does not pile up
+    assert forward[2][3]["result"] == "pipeline: collapse reported"
+    assert forward[3][3]["result"] == "pipeline: pass"
+    assert "to dim 2: pass" in forward[4][1] and "to dim 4: pass" in forward[5][1]
+    assert "--field" in forward[6][2] and forward[6][3] is None
+    assert forward[8][1].startswith("usage: quadpres")
+    assert build_parser() is build_parser()
+
+
+def test_parser_is_not_built_at_import():
+    src = os.path.dirname(os.path.dirname(quadpres.__file__))
+    probe = "import quadpres.cli as c; print(c.build_parser.cache_info().currsize)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.strip() == "0"

@@ -14,6 +14,7 @@ from quadpres.oracle import (
     classical_isometric,
     classical_witt_ring,
     congruence_classes,
+    diagonal_isometric_field,
     represents,
     same_square_class,
 )
@@ -142,17 +143,19 @@ def test_classical_isometric_agrees_with_congruence_orbits():
         k = ff_make(*{3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2)}[q])
         for dim in (1, 2):
             cc = congruence_classes(q, dim)
-            entries = list(k.nonzero())
-            for phi in product(entries, repeat=dim):
-                for psi in product(entries, repeat=dim):
-                    a = GramForm.diagonal(k, phi).matrix
-                    b = GramForm.diagonal(k, psi).matrix
-                    assert cc.same_class(a, b) == classical_isometric(q, phi, psi), (
+            gram = {phi: GramForm.diagonal(k, phi).matrix for phi in product(k.nonzero(), repeat=dim)}
+            for phi, a in gram.items():
+                for psi, b in gram.items():
+                    assert cc.same_class(a, b) == diagonal_isometric_field(k, phi, psi), (
                         q,
                         dim,
                         phi,
                         psi,
                     )
+        # classical_isometric builds its own field: one pair per q keeps it covered
+        g = k.generator()
+        assert not cc.same_class(gram[1, 1], gram[1, g])
+        assert not classical_isometric(q, (1, 1), (1, g))
 
 
 def test_represents_value_sets():

@@ -4,8 +4,12 @@ from itertools import chain, combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from quadpres import posets
 from quadpres.errors import InputError, SizeGuardError, ValidationError
+from quadpres.finitefield import ff_make
+from quadpres.hyperfields import from_field
 from quadpres.posets import (
+    MAX_MINIMALS,
     FinitePointedPoset,
     check_presentable,
     explicit_poset,
@@ -14,6 +18,7 @@ from quadpres.posets import (
     squarefree_divisors,
     walking_supremum,
 )
+from quadpres.presentable import powerset_of_hyperfield
 
 
 def nonempty_subsets(xs):
@@ -193,3 +198,52 @@ def test_minimals_guard():
 def test_cover_pairs_of_walking_supremum():
     W = walking_supremum()
     assert set(W.cover_pairs()) == {(0, 2), (1, 2)}
+
+
+def _whole_carrier_compactness(P, _weakly):
+    """Reference: Y ranges over every nonempty subset of the carrier, smallest first."""
+    mins = P.minimals_mask
+    for Y in sorted(range(1, 1 << P.n), key=lambda m: (m.bit_count(), m)):
+        s = P.sup_of_mask(Y)
+        if s is None:
+            continue
+        below = 0
+        for y in range(P.n):
+            if Y >> y & 1:
+                below |= P.down[y]
+        missing = P.down[s] & mins & ~below
+        if missing:
+            a = (missing & -missing).bit_length() - 1
+            return False, (a, tuple(y for y in range(P.n) if Y >> y & 1))
+    return True, None
+
+
+def test_compactness_over_minimals_matches_the_whole_carrier(monkeypatch):
+    rng = random.Random(2026)
+    fleet = [random_pointed_poset(rng, max_n=12) for _ in range(4000)]
+    rng = random.Random(20260808)
+    fleet += [random_pointed_poset(rng, max_n=8) for _ in range(400)]
+    fleet += [walking_supremum(), squarefree_divisors(6), squarefree_divisors(30)]
+    fleet += [pierced_powerset(n) for n in range(1, 5)]
+    fleet += [powerset_of_hyperfield(from_field(ff_make(p, n))).poset for p, n in ((3, 1), (2, 2))]
+    fleet += [
+        FinitePointedPoset([[1, 0], [0, 1]], basepoint=0),
+        explicit_poset(
+            ["0", "a", "b", "1", "c"],
+            [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1"), ("c", "1")],
+            basepoint_name="0",
+        ),
+    ]
+    # only weakly presentable posets take the minimals path; the others
+    # already range over the whole carrier
+    weak = []
+    for P in fleet:
+        assert P.n <= MAX_MINIMALS
+        report = check_presentable(P)
+        if report.weakly_presentable:
+            weak.append((P, report))
+    monkeypatch.setattr(posets, "_compactness_direct", _whole_carrier_compactness)
+    for P, report in weak:
+        assert check_presentable(P) == report, P.up
+    assert len(weak) > 1900
+    assert sum(not r.all_minimals_compact for _, r in weak) > 900
