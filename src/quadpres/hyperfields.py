@@ -318,6 +318,7 @@ def _validate_subgroup(F, T):
     for s in T:
         if not 0 <= s < F.size:
             raise InputError(f"unknown id {s} in T")
+    for s in T:
         for t in T:
             if F.mul(s, t) not in T:
                 raise ValidationError(

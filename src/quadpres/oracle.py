@@ -130,7 +130,7 @@ def congruence_classes(q: int, dim: int) -> CongruenceClasses:
     generate GL_n.  In a finite group the closure of a generating set under
     products is the whole group, so no inverses are needed.
     """
-    ok = (q <= 3 and dim <= 3) or (q <= 5 and dim <= 2) or (q <= 9 and dim <= 2)
+    ok = (q <= 3 and dim <= 3) or (q <= 9 and dim <= 2)
     if not ok or dim < 1:
         raise SizeGuardError(f"congruence_classes guard exceeded for q={q}, dim={dim}")
     k = _field_for(q)
@@ -154,14 +154,12 @@ def congruence_classes(q: int, dim: int) -> CongruenceClasses:
     return CongruenceClasses(q=q, dim=dim, representatives=reps, orbit_index=orbit_index)
 
 
-def _squares(k):
-    return {k.mul(a, a) for a in k.nonzero()}
-
-
 def same_square_class(k: FiniteField, a: int, b: int) -> bool:
+    """Euler's criterion on x = a/b: a nonzero x is a square iff q is even
+    (every element is) or x^((q-1)/2) = 1."""
     if a == 0 or b == 0:
         return a == b
-    return k.mul(a, k.inv(b)) in _squares(k)
+    return k.q % 2 == 0 or k.power(k.mul(a, k.inv(b)), (k.q - 1) // 2) == 1
 
 
 def classical_isometric(q: int, phi, psi) -> bool:

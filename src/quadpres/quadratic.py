@@ -269,6 +269,32 @@ class IsometryContext:
             raise InputError("negation sends a nonzero form entry to zero")
         return not self._strip(self._norm(a + minus_b))
 
+    def _canonical(self, entries):
+        """The lexicographically least sorted form isometric to phi, given as
+        validated, sorted ``entries``.
+
+        The head is the least c for which entries + <-c> splits, that is, the
+        least value c of phi.  The split's tail phi' has
+        phi + <-c> ~ <c, -c> + phi', so phi ~ <c> + phi' by Witt cancellation,
+        and the head of phi' comes next.
+
+        Least: every entry b of a sorted form psi ~ phi is a value of psi (b
+        is in b + x by the axiom a in a + b), hence of phi, since isometric
+        forms have the same values.  So psi[0] >= c, and when psi[0] = c,
+        Witt cancellation gives psi[1:] ~ phi'; induct.  Sorted: the values
+        of phi' are values of <c> + phi' by the same axiom, so no head is
+        less than the one before.
+        """
+        out = []
+        while entries:
+            for c in self.nonzero:
+                tail = self._split(self._norm(entries + (self._neg[c],)))
+                if tail is not None:
+                    break
+            out.append(c)
+            entries = tail
+        return tuple(out)
+
 
 def isometric(F, phi, psi) -> bool:
     return IsometryContext(F).isometric(phi, psi)
@@ -387,6 +413,8 @@ class WittRing:
 def witt_ring(F: Hyperfield, dmax: int) -> WittRing:
     """Enumerate anisotropic classes up to dmax and build the class tables.
 
+    Each class is represented by its least isometric sorted form
+    (IsometryContext._canonical), so classes are looked up by that form.
     Addition concatenates then strips hyperbolic planes; multiplication
     tensors then strips.  A sum or product whose anisotropic part is not
     among the found classes stays None, and the ring reads as "finite"
@@ -401,23 +429,22 @@ def witt_ring(F: Hyperfield, dmax: int) -> WittRing:
             f"{len(nz)} classes at dmax {dmax} exceed the enumeration budget {CANDIDATE_BUDGET}"
         )
     reps = [()]  # anisotropic entries per class; () is the zero class
-
-    def find(part):
-        for i, rep in enumerate(reps):
-            if len(rep) == len(part) and (rep == part or ctx._cancels(part, rep)):
-                return i
-        return None
-
     growth = []
     for d in range(1, dmax + 1):
         before = len(reps)
         for cand in combinations_with_replacement(nz, d):
-            if not ctx.is_isotropic(cand) and find(cand) is None:
+            if not ctx.is_isotropic(cand) and ctx._canonical(cand) == cand:
                 reps.append(cand)
         growth.append(len(reps) - before)
+    index = {rep: i for i, rep in enumerate(reps)}
 
     def class_index(entries):
-        return find(ctx.anisotropic_entries(entries) if entries else ())
+        part = ctx.anisotropic_entries(entries) if entries else ()
+        if len(part) > dmax:
+            return None
+        if part not in index:
+            part = ctx._canonical(part)
+        return index.get(part)
 
     one_class = class_index((F.one,))
     n = len(reps)

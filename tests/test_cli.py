@@ -5,9 +5,11 @@ import sys
 
 import quadpres
 from quadpres.cli import build_parser, main
-from quadpres.documents import emit_hyperfield
+from quadpres.documents import emit_hyperfield, emit_witt_ring
 from quadpres.finitefield import ff_make
-from quadpres.hyperfields import Hyperfield, euclidean_hyperfield, from_field
+from quadpres.hyperfields import Hyperfield, euclidean_hyperfield, from_field, quadratic_hyperfield
+from quadpres.quadratic import witt_ring
+from test_quadratic import laurent_extension
 
 
 def run(capsys, *argv):
@@ -28,6 +30,21 @@ def test_witt_euclidean_truncated(capsys):
     code, out = run(capsys, "witt", "--builtin", "euclidean3", "--max-dim", "5")
     assert code == 0
     assert "truncated" in out
+
+
+def test_witt_input_past_two_classes(tmp_path, capsys):
+    # Q(GF(3))((t)): 4 nonzero square classes, 16 Witt classes, so dim 3 truncates
+    F = laurent_extension(quadratic_hyperfield(ff_make(3)))
+    doc = tmp_path / "q3t.hf"
+    doc.write_text(emit_hyperfield(F))
+    out_path = tmp_path / "report.json"
+    code, out = run(capsys, "witt", "--input", str(doc), "--max-dim", "3", "--out", str(out_path))
+    assert code == 0
+    assert "witt: pass" in out
+    report = json.loads(out_path.read_text())
+    witt = next(r for r in report["reports"] if r["check"] == "witt-ring")
+    assert (witt["status"], witt["classes"], witt["growth"]) == ("truncated", 15, [4, 6, 4])
+    assert report["documents"]["witt-ring"] == emit_witt_ring(witt_ring(F, 3), F.names)
 
 
 def test_check_hyperfield_builtin(capsys):

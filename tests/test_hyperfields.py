@@ -132,6 +132,10 @@ def test_quotient_rejects_bad_subsets():
         quotient_by_subgroup(F, {1, 2})  # 2*2=4 not in T
     with pytest.raises(ValidationError):
         quotient_by_subgroup(F, set())
+    with pytest.raises(InputError):
+        quotient_by_subgroup(F, {1, 99})  # no such id
+    with pytest.raises(InputError):
+        quotient_by_subgroup(F, {1, -1})  # not an id; a table read takes the last row
 
 
 def test_prime_hyperfield_on_gf3():

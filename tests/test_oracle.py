@@ -3,8 +3,9 @@ from itertools import product
 import pytest
 
 from quadpres.errors import InputError, SizeGuardError, ValidationError
-from quadpres.finitefield import ff_make
+from quadpres.finitefield import ff_make, square_classes
 from quadpres.oracle import (
+    ORACLE_SIZES,
     GramForm,
     _DiagonalWitt,
     _det,
@@ -109,6 +110,15 @@ def test_congruence_classes_match_brute_force(q, dim):
     reps, orbit_index = _brute_force_classes(q, dim)
     assert cc.representatives == reps
     assert cc.orbit_index == orbit_index
+
+
+@pytest.mark.parametrize("q", ORACLE_SIZES + (11, 13))
+def test_same_square_class_agrees_with_square_classes(q):
+    k = _field_for(q)
+    class_of = square_classes(k).class_of
+    for a in range(q):
+        for b in range(q):
+            assert same_square_class(k, a, b) == (class_of[a] == class_of[b]), (q, a, b)
 
 
 def test_congruence_guard():

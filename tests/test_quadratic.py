@@ -1,5 +1,6 @@
 from dataclasses import replace
 from itertools import combinations_with_replacement, permutations, product
+from math import comb
 
 import pytest
 
@@ -14,6 +15,7 @@ from quadpres.hyperfields import (
 )
 from quadpres.oracle import ORACLE_SIZES, classical_witt_ring
 from quadpres.quadratic import (
+    CANDIDATE_BUDGET,
     Form,
     IsometryContext,
     WittClass,
@@ -42,7 +44,8 @@ def inductive_isometry(F):
 
 
 def q_ctx(q):
-    p, n = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 9: (3, 2)}[q]
+    p, n = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2),
+            11: (11, 1), 13: (13, 1)}[q]
     F = quadratic_hyperfield(ff_make(p, n))
     return F, IsometryContext(F)
 
@@ -267,6 +270,111 @@ def test_fold_agrees_with_inductive_isometry_past_two_classes(F, dmax):
         for a in forms:
             for b in forms:
                 assert ctx.isometric(a, b) == iso(a, b), (F.names, a, b)
+
+
+def linear_scan_witt_ring(F: Hyperfield, dmax: int) -> WittRing:
+    """The slow reference for witt_ring: ``find`` compares each anisotropic
+    part by _cancels with every stored representative of its dimension, so
+    the cost grows with the square of the class count.
+
+    Enumerate anisotropic classes up to dmax and build the class tables.
+
+    Addition concatenates then strips hyperbolic planes; multiplication
+    tensors then strips.  A sum or product whose anisotropic part is not
+    among the found classes stays None, and the ring reads as "finite"
+    exactly when no entry is None.
+    """
+    if dmax < 2:
+        raise InputError("dmax must be at least 2 (the hyperbolic plane has dim 2)")
+    ctx = IsometryContext(F)
+    nz = ctx.nonzero
+    if comb(dmax + len(nz) - 1, len(nz) - 1) > CANDIDATE_BUDGET:
+        raise SizeGuardError(
+            f"{len(nz)} classes at dmax {dmax} exceed the enumeration budget {CANDIDATE_BUDGET}"
+        )
+    reps = [()]  # anisotropic entries per class; () is the zero class
+
+    def find(part):
+        for i, rep in enumerate(reps):
+            if len(rep) == len(part) and (rep == part or ctx._cancels(part, rep)):
+                return i
+        return None
+
+    growth = []
+    for d in range(1, dmax + 1):
+        before = len(reps)
+        for cand in combinations_with_replacement(nz, d):
+            if not ctx.is_isotropic(cand) and find(cand) is None:
+                reps.append(cand)
+        growth.append(len(reps) - before)
+
+    def class_index(entries):
+        return find(ctx.anisotropic_entries(entries) if entries else ())
+
+    one_class = class_index((F.one,))
+    n = len(reps)
+    add_table = [[None] * n for _ in range(n)]
+    mul_table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            ei, ej = reps[i], reps[j]
+            add_table[i][j] = add_table[j][i] = class_index(ei + ej)
+            prod = tuple(F.mul(a, b) for a in ei for b in ej)
+            mul_table[i][j] = mul_table[j][i] = class_index(prod)
+    return WittRing(
+        classes=[WittClass(Form(e) if e else None) for e in reps],
+        add_table=add_table,
+        mul_table=mul_table,
+        zero_class=0,
+        one_class=one_class,
+        growth=growth,
+    )
+
+
+def two_step_laurent():
+    return laurent_extension(laurent_extension(euclidean_hyperfield()))
+
+
+WITT_FIELDS = [euclidean_hyperfield()] + [q_ctx(q)[0] for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
+WITT_FIELD_IDS = ["E"] + [f"Q{q}" for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
+
+
+@pytest.mark.parametrize(
+    "F, dmaxes",
+    [(WITT_FIELDS[0], range(2, 9))]
+    + [(F, range(2, 6)) for F in WITT_FIELDS[1:]]
+    + [(F, range(2, 5)) for F in four_class_fleet()]
+    + [(two_step_laurent(), range(2, 4))],
+    ids=WITT_FIELD_IDS + ["E(t)", "Q3(t)", "Q5(t)", "E(t)(s)"],
+)
+def test_witt_ring_matches_the_linear_scan(F, dmaxes):
+    for dmax in dmaxes:
+        W = witt_ring(F, dmax)
+        ref = linear_scan_witt_ring(F, dmax)
+        # dataclass equality: classes in order, both tables, zero, one, growth
+        assert W == ref, dmax
+        assert W.status == ref.status, dmax
+
+
+@pytest.mark.parametrize(
+    "F, dmax",
+    [(euclidean_hyperfield(), 6)]
+    + [(q_ctx(q)[0], 5) for q in PRE_QUADRATIC_FLEET]
+    + [(F, 4) for F in four_class_fleet()]
+    + [(two_step_laurent(), 3)],
+    ids=["E"] + [f"Q{q}" for q in PRE_QUADRATIC_FLEET] + ["E(t)", "Q3(t)", "Q5(t)", "E(t)(s)"],
+)
+def test_canonical_is_the_least_isometric_sorted_form(F, dmax):
+    ctx = IsometryContext(F)
+    for d in range(1, dmax + 1):
+        forms = list(combinations_with_replacement(ctx.nonzero, d))
+        key = {phi: ctx._canonical(phi) for phi in forms}
+        for phi in forms:
+            assert key[phi] == tuple(sorted(key[phi])), phi
+            assert key[phi] <= phi and ctx.isometric(key[phi], phi), phi
+        for a in forms:
+            for b in forms:
+                assert (key[a] == key[b]) == ctx.isometric(a, b), (F.names, a, b)
 
 
 def test_witt_ring_q3_is_finite_with_4_classes():
