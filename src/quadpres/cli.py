@@ -26,7 +26,6 @@ from .hyperfields import (
     check_hyperfield,
     euclidean_hyperfield,
     from_field,
-    hyperfield_isomorphic,
     prime_hyperfield,
     quadratic_hyperfield,
 )
@@ -250,12 +249,11 @@ def cmd_pipeline(args, rep):
         rep.say(
             f"literal square-set reading: T is every nonzero element; quotient collapses to {out.size} classes"
         )
-    iso = None
-    if out.size == Q.size:
-        iso = hyperfield_isomorphic(out, Q)
-    rep.check("pipeline-vs-quadratic-hyperfield", iso is not None)
+    # prime addition commutes with the square-class quotient; both number classes by least member
+    same = out == Q
+    rep.check("pipeline-vs-quadratic-hyperfield", same)
     rep.say(f"pipeline output: {out.size} classes; Q(GF({p**n})): {Q.size} classes")
-    if iso is not None:
+    if same:
         rep.say("isomorphic to the quadratic hyperfield: yes")
         return EXIT_OK, "pipeline: pass"
     rep.say("isomorphic to the quadratic hyperfield: no")

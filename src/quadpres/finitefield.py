@@ -110,13 +110,14 @@ class FiniteField:
     """GF(p^n) as total operation tables on ids 0..p^n-1."""
 
     def __init__(self, p, n, modulus=None):
+        # before any primality test or power: p^n >= 2^n passes the cap once n reaches its bit length
+        if p >= 2 and (p > MAX_FIELD or n >= MAX_FIELD.bit_length() or p**n > MAX_FIELD):
+            raise SizeGuardError(f"field size {p}^{n} exceeds cap {MAX_FIELD}")
         if not _is_prime(p):
             raise InputError(f"characteristic {p} is not prime")
         if n < 1:
             raise InputError(f"extension degree must be >= 1, got {n}")
         q = p**n
-        if q > MAX_FIELD:
-            raise SizeGuardError(f"field size {q} exceeds cap {MAX_FIELD}")
         if modulus is not None:
             modulus = tuple(modulus)
             for c in modulus:
@@ -287,17 +288,16 @@ def parse_field_arg(text):
         raise InputError(f"cannot parse field descriptor {text!r}") from None
     if q < 2:
         raise InputError(f"field size must be >= 2, got {q}")
-    for p in range(2, q + 1):
-        if _is_prime(p) and q % p == 0:
-            n = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                n += 1
-            if m != 1:
-                raise InputError(f"{q} is not a prime power")
-            return p, n
-    raise InputError(f"{q} is not a prime power")
+    if q > MAX_FIELD:  # before factoring
+        raise SizeGuardError(f"field size {text} exceeds cap {MAX_FIELD}")
+    p = next(d for d in range(2, q + 1) if q % d == 0)  # the least factor is prime
+    n, m = 0, q
+    while m % p == 0:
+        m //= p
+        n += 1
+    if m != 1:
+        raise InputError(f"{q} is not a prime power")
+    return p, n
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import InputError, SizeGuardError, ValidationError
-from .finitefield import FiniteField
+from .finitefield import FiniteField, square_classes
 
 MAX_ISO_SEARCH = 12
 TRIPLE_BUDGET = 20_000_000  # cap on the triples an exhaustive law check visits
@@ -421,17 +421,16 @@ def quadratic_hyperfield(k: FiniteField) -> Hyperfield:
     homogeneity, bs + ct = b(s + (c/b)t) for nonzero b and squares s, t, so
     the class cell (i, j) is i * one_plus[j/i], where one_plus[c] holds the
     classes of 1 + y for y in class c; cells with 0 are singletons.  Classes
-    are numbered as :func:`quotient_by_subgroup` numbers them (0, the
-    squares, then, for odd q where the squares have index 2, the class of
-    the least non-square) and named by their least members, so the result
-    equals
+    are those of :func:`square_classes` (0, the squares, then, for odd q
+    where the squares have index 2, the class of the least non-square),
+    numbered as :func:`quotient_by_subgroup` numbers them and named by their
+    least members, so the result equals
     ``prime_hyperfield(quotient_by_subgroup(from_field(k), squares))``;
-    ``cli pipeline`` compares the two paths through
-    :func:`hyperfield_isomorphic`.
+    ``cli pipeline`` compares the two paths table for table.
     """
-    squares = {k.mul(a, a) for a in k.nonzero()}
-    reps = [0, 1] + [a for a in k.nonzero() if a not in squares][:1]
-    class_of = [0] + [1 if a in squares else 2 for a in k.nonzero()]
+    sq = square_classes(k)
+    reps = [min(c) for c in sq.classes]
+    class_of = sq.class_of
     m = len(reps)
     mul = [[class_of[k.mul(r, s)] for s in reps] for r in reps]
     one_plus = [set() for _ in range(m)]

@@ -22,7 +22,6 @@ from .finitefield import FiniteField, ff_make, parse_field_arg, square_classes
 from .quadratic import Form, WittClass, WittRing
 
 ORACLE_SIZES = (2, 3, 4, 5, 7, 9)
-PAD_DIMS = 6  # dimensions of hyperbolic padding witt_equivalent tries past the larger form
 
 
 def _field_for(q: int) -> FiniteField:
@@ -262,25 +261,26 @@ class _DiagonalWitt:
         s, t = self.canon(s), self.canon(t)
         if len(s) != len(t):
             return False
-        if len(s) == 1:
-            return s == t
         label = self._dim_partition(len(s))
         return label[s] == label[t]
 
     def witt_equivalent(self, s, t):
+        """Equal-parity dimensions, and isometric once the shorter form is
+        padded with hyperbolic planes to the longer one's dimension.
+
+        One comparison is exact.  For odd q, chain equivalence is isometry and
+        Witt cancellation (Lam, Introduction to Quadratic Forms over Fields,
+        Ch. I) turns s + mH ~ t + m'H, m' >= m, into s ~ t + (m' - m)H.  For
+        even q every element is a square, so forms of equal dimension have the
+        same canonical tuple.
+        """
         s, t = self.canon(s), self.canon(t)
-        cap = max(len(s), len(t)) + PAD_DIMS
-        for ds in range(len(s), cap + 1, 2):
-            dt = ds  # compare at equal padded dimension
-            if dt < len(t) or (dt - len(t)) % 2 != 0:
-                continue
-            ms = (ds - len(s)) // 2
-            mt = (dt - len(t)) // 2
-            padded_s = tuple(sorted(s + self.hyperbolic * ms))
-            padded_t = tuple(sorted(t + self.hyperbolic * mt))
-            if self.chain_isometric(padded_s, padded_t):
-                return True
-        return False
+        if (len(s) - len(t)) % 2:
+            return False
+        if len(s) < len(t):
+            s, t = t, s
+        padded = tuple(sorted(t + self.hyperbolic * ((len(s) - len(t)) // 2)))
+        return self.chain_isometric(s, padded)
 
 
 def classical_witt_ring(q: int, dmax: int) -> WittRing:

@@ -6,10 +6,18 @@ import sys
 import quadpres
 from quadpres.cli import build_parser, main
 from quadpres.documents import emit_hyperfield, emit_witt_ring
-from quadpres.finitefield import ff_make
-from quadpres.hyperfields import Hyperfield, euclidean_hyperfield, from_field, quadratic_hyperfield
+from quadpres.finitefield import DEFAULT_MODULI, _is_prime, ff_make
+from quadpres.hyperfields import (
+    Hyperfield,
+    euclidean_hyperfield,
+    from_field,
+    hyperfield_isomorphic,
+    prime_hyperfield,
+    quadratic_hyperfield,
+)
+from quadpres.presentable import squares_pipeline
 from quadpres.quadratic import witt_ring
-from test_quadratic import laurent_extension
+from test_quadratic import laurent_extension, two_step_laurent
 
 
 def run(capsys, *argv):
@@ -45,6 +53,23 @@ def test_witt_input_past_two_classes(tmp_path, capsys):
     witt = next(r for r in report["reports"] if r["check"] == "witt-ring")
     assert (witt["status"], witt["classes"], witt["growth"]) == ("truncated", 15, [4, 6, 4])
     assert report["documents"]["witt-ring"] == emit_witt_ring(witt_ring(F, 3), F.names)
+
+
+def test_witt_input_on_eight_classes(tmp_path, capsys):
+    # E((t))((s)): distinct names per Laurent step, so it is a document
+    F = two_step_laurent()
+    doc = tmp_path / "ets.hf"
+    doc.write_text(emit_hyperfield(F))
+    out_path = tmp_path / "report.json"
+    code, out = run(capsys, "witt", "--input", str(doc), "--max-dim", "2", "--out", str(out_path))
+    assert code == 0
+    report = json.loads(out_path.read_text())
+    witt = next(r for r in report["reports"] if r["check"] == "witt-ring")
+    assert witt["growth"] == [8, 32]
+    assert report["documents"]["witt-ring"] == emit_witt_ring(witt_ring(F, 2), F.names)
+    assert main(["witt", "--input", str(doc), "--max-dim", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "error: 8 classes at dmax 3 give 134217728 triples; budget 20000000" in err
 
 
 def test_check_hyperfield_builtin(capsys):
@@ -170,6 +195,19 @@ def test_pipeline_command(capsys):
     assert "isomorphic to the quadratic hyperfield: yes" in out
 
 
+def test_pipeline_table_equality_matches_the_isomorphism_search():
+    # cli pipeline decides by out == Q; the search it replaced is the reference
+    for p, n in [(p, 1) for p in range(2, 129) if _is_prime(p)] + list(DEFAULT_MODULI):
+        k = ff_make(p, n)
+        start = prime_hyperfield(from_field(k))
+        Q = quadratic_hyperfield(k)
+        for literal in (False, True):
+            out = squares_pipeline(start, literal_squares=literal)
+            iso = hyperfield_isomorphic(out, Q) if out.size == Q.size else None
+            assert (out == Q) == (iso is not None), (p, n, literal)
+            assert (out == Q) == (not literal or p == 2), (p, n, literal)
+
+
 def test_pipeline_literal_squares_reports_collapse(capsys):
     code, out = run(capsys, "pipeline", "--field", "7", "--literal-squares")
     assert code == 0
@@ -274,3 +312,25 @@ def test_parser_is_not_built_at_import():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert done.stdout.strip() == "0"
+
+
+OVERSIZED = (  # (descriptor, command)
+    ("1000003", ("qhf", "--field", "1000003")),
+    ("1000000007", ("qhf", "--field", "1000000007")),
+    ("1000000007", ("oracle", "isom", "--q", "1000000007", "--form", "1", "--form", "1")),
+    ("3^1000000", ("qhf", "--field", "3^1000000")),
+    ("3^10000000", ("qhf", "--field", "3^10000000")),
+    ("100000000000000000039^1", ("pipeline", "--field", "100000000000000000039^1")),
+)
+
+
+def test_oversized_field_descriptors_are_refused_at_once():
+    # in a subprocess with a timeout: a guard that factors q or builds p^n first hangs or raises
+    src = os.path.dirname(os.path.dirname(quadpres.__file__))
+    for descriptor, argv in OVERSIZED:
+        done = subprocess.run(
+            [sys.executable, "-m", "quadpres.cli", *argv], capture_output=True, text=True,
+            timeout=10, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 2, argv
+        assert done.stderr == f"error: field size {descriptor} exceeds cap 1024\n", argv

@@ -5,6 +5,7 @@ import pytest
 from quadpres.errors import InputError, SizeGuardError, ValidationError
 from quadpres.finitefield import (
     DEFAULT_MODULI,
+    MAX_FIELD,
     FiniteField,
     _is_prime,
     _poly_mod,
@@ -123,6 +124,32 @@ def test_field_size_guard_refuses_before_building_tables(monkeypatch):
         ff_make(2039)
     with pytest.raises(AssertionError):  # 1021 passes the guard
         ff_make(1021)
+
+
+def test_size_guard_builds_no_power_past_the_cap(monkeypatch):
+    def build_tables(self):
+        raise AssertionError("tables built")
+
+    monkeypatch.setattr(FiniteField, "_build_tables", build_tables)
+    for p, n in product([p for p in range(2, 1100) if _is_prime(p)], range(1, 13)):
+        try:
+            ff_make(p, n)
+            refused = False
+        except SizeGuardError:
+            refused = True
+        except (AssertionError, InputError):  # admitted: tables, or no built-in modulus
+            refused = False
+        assert refused == (p**n > MAX_FIELD), (p, n)
+    # each of these would factor q, test a large p for primality or build p^n
+    with pytest.raises(SizeGuardError, match="field size 1000000007 exceeds cap 1024"):
+        parse_field_arg("1000000007")
+    with pytest.raises(SizeGuardError, match=r"field size 3\^10000000 exceeds cap 1024"):
+        ff_make(*parse_field_arg("3^10000000"))
+    with pytest.raises(SizeGuardError):
+        ff_make(10**20 + 39)  # a prime: trial division would take hours
+    assert parse_field_arg("1024") == (2, 10)
+    with pytest.raises(InputError, match="characteristic 1 is not prime"):
+        ff_make(*parse_field_arg("1^1000000000"))
 
 
 def test_square_classes_gf3():

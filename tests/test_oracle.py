@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -221,3 +221,39 @@ def test_chain_isometry_matches_disc_on_gf3_dim3():
     for phi in product((1, 2), repeat=3):
         for psi in product((1, 2), repeat=3):
             assert calc.chain_isometric(phi, psi) == classical_isometric(3, phi, psi)
+
+
+PAD_DIMS = 6  # dimensions of hyperbolic padding witt_equivalent tries past the larger form
+
+
+def padded_witt_equivalent(self, s, t):
+    """The reference: every hyperbolic padding up to PAD_DIMS past the larger form."""
+    s, t = self.canon(s), self.canon(t)
+    cap = max(len(s), len(t)) + PAD_DIMS
+    for ds in range(len(s), cap + 1, 2):
+        dt = ds  # compare at equal padded dimension
+        if dt < len(t) or (dt - len(t)) % 2 != 0:
+            continue
+        ms = (ds - len(s)) // 2
+        mt = (dt - len(t)) // 2
+        padded_s = tuple(sorted(s + self.hyperbolic * ms))
+        padded_t = tuple(sorted(t + self.hyperbolic * mt))
+        if self.chain_isometric(padded_s, padded_t):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("q", ORACLE_SIZES)
+def test_one_padded_comparison_matches_every_padding(q):
+    calc = _DiagonalWitt(_field_for(q))
+    forms = [s for d in range(9) for s in combinations_with_replacement(calc.reps, d)]
+    for s, t in product(forms, repeat=2):
+        assert calc.witt_equivalent(s, t) == padded_witt_equivalent(calc, s, t), (q, s, t)
+
+
+@pytest.mark.parametrize("q", ORACLE_SIZES)
+def test_classical_witt_ring_matches_the_padded_reference(q, monkeypatch):
+    rings = {d: classical_witt_ring(q, d) for d in (2, 3, 4)}
+    monkeypatch.setattr(_DiagonalWitt, "witt_equivalent", padded_witt_equivalent)
+    for d, W in rings.items():
+        assert W == classical_witt_ring(q, d), (q, d)

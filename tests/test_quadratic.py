@@ -200,11 +200,11 @@ def test_witt_equivalent_dim_mismatch_false():
     assert not ctx.witt_equivalent(Form((1, 1)), Form((1,)))
 
 
-def laurent_extension(F):
+def laurent_extension(F, var="t"):
     """The table of F((t)) from that of F = Q(K), the hyperfield of K((t)).
 
-    Nonzero classes are (a, i) with a in F* and i in {0, 1} (a*t^i), and the
-    product adds parities mod 2.  The cell of (a, i) + (b, j) is
+    Nonzero classes are (a, i) with a in F* and i in {0, 1} (a*t^i), named
+    by appending var when i = 1, and the product adds parities mod 2.  The cell of (a, i) + (b, j) is
     {(a, i), (b, j)} when i != j; when i == j it is {(c, i) : c in a + b,
     c != 0}, or the whole carrier when 0 is in a + b.
     """
@@ -230,7 +230,7 @@ def laurent_extension(F):
         return {index[(c, i)] for c in cell}
 
     neg = [0] + [index[(F.neg(a), i)] for a, i in elems[1:]]
-    names = ["0"] + [F.names[a] + "t" * i for a, i in elems[1:]]
+    names = ["0"] + [F.names[a] + var * i for a, i in elems[1:]]
     return Hyperfield(
         zero=0,
         one=index[(F.one, 0)],
@@ -251,7 +251,7 @@ def test_laurent_fleet_passes_the_ladders():
         assert len(F.nonzero()) == 4
         assert check_hyperfield(F).passed, F.names
         assert check_quadratic(F, 3).passed, F.names
-    EE = laurent_extension(laurent_extension(euclidean_hyperfield()))
+    EE = laurent_extension(laurent_extension(euclidean_hyperfield()), "s")
     assert len(EE.nonzero()) == 8
     assert check_hyperfield(EE).passed
 
@@ -259,7 +259,7 @@ def test_laurent_fleet_passes_the_ladders():
 @pytest.mark.parametrize(
     "F, dmax",
     [(F, 4) for F in four_class_fleet()]
-    + [(laurent_extension(laurent_extension(euclidean_hyperfield())), 3)],
+    + [(laurent_extension(laurent_extension(euclidean_hyperfield()), "s"), 3)],
     ids=["E(t)", "Q3(t)", "Q5(t)", "E(t)(s)"],
 )
 def test_fold_agrees_with_inductive_isometry_past_two_classes(F, dmax):
@@ -332,7 +332,7 @@ def linear_scan_witt_ring(F: Hyperfield, dmax: int) -> WittRing:
 
 
 def two_step_laurent():
-    return laurent_extension(laurent_extension(euclidean_hyperfield()))
+    return laurent_extension(laurent_extension(euclidean_hyperfield()), "s")
 
 
 WITT_FIELDS = [euclidean_hyperfield()] + [q_ctx(q)[0] for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
