@@ -132,14 +132,10 @@ def test_size_guard_builds_no_power_past_the_cap(monkeypatch):
 
     monkeypatch.setattr(FiniteField, "_build_tables", build_tables)
     for p, n in product([p for p in range(2, 1100) if _is_prime(p)], range(1, 13)):
-        try:
+        # an admitted field reaches its tables, or lacks a built-in modulus
+        with pytest.raises((SizeGuardError, AssertionError, InputError)) as err:
             ff_make(p, n)
-            refused = False
-        except SizeGuardError:
-            refused = True
-        except (AssertionError, InputError):  # admitted: tables, or no built-in modulus
-            refused = False
-        assert refused == (p**n > MAX_FIELD), (p, n)
+        assert (err.type is SizeGuardError) == (p**n > MAX_FIELD), (p, n)
     # each of these would factor q, test a large p for primality or build p^n
     with pytest.raises(SizeGuardError, match="field size 1000000007 exceeds cap 1024"):
         parse_field_arg("1000000007")

@@ -204,9 +204,10 @@ def laurent_extension(F, var="t"):
     """The table of F((t)) from that of F = Q(K), the hyperfield of K((t)).
 
     Nonzero classes are (a, i) with a in F* and i in {0, 1} (a*t^i), named
-    by appending var when i = 1, and the product adds parities mod 2.  The cell of (a, i) + (b, j) is
-    {(a, i), (b, j)} when i != j; when i == j it is {(c, i) : c in a + b,
-    c != 0}, or the whole carrier when 0 is in a + b.
+    by appending var when i = 1, and the product adds parities mod 2.  The
+    cell of (a, i) + (b, j) is {(a, i), (b, j)} when i != j; when i == j it
+    is {(c, i) : c in a + b, c != 0}, or the whole carrier when 0 is in
+    a + b.
     """
     elems = [None] + [(a, i) for i in (0, 1) for a in F.nonzero()]
     index = {e: k for k, e in enumerate(elems)}
