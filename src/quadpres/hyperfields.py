@@ -11,7 +11,7 @@ hypermonoid/hypergroup/hyperring/hyperfield laws is decided by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, repeat
 
 from .errors import InputError, SizeGuardError, ValidationError
 from .finitefield import FiniteField, square_classes
@@ -154,6 +154,27 @@ class AxiomReport:
         return self.failures[0] if self.failures else None
 
 
+def _row_failures(left, right):
+    """(c, left[c], right[c]) for each c where two rows of cells differ; a
+    row that holds costs one tuple comparison."""
+    if left != right:
+        for c, (x, y) in enumerate(zip(left, right)):
+            if x != y:
+                yield c, x, y
+
+
+def _distributivity_failures(F, a, cells):
+    """(b, c, a(b + c), ab + ac) wherever the two differ, a row b at a time;
+    ``cells`` holds the distinct cells of F's addition table."""
+    ma, add = F._mul[a], F._add
+    image = {cell: frozenset(map(ma.__getitem__, cell)) for cell in cells}
+    for b, row in enumerate(add):
+        left = tuple(map(image.__getitem__, row))
+        right = tuple(map(add[ma[b]].__getitem__, ma))
+        for c, lhs, rhs in _row_failures(left, right):
+            yield b, c, lhs, rhs
+
+
 def _multiplicative_laws_hold(F: Hyperfield) -> bool:
     """A check in O(g n^2) that proves the hyperring and hyperfield levels.
 
@@ -195,72 +216,86 @@ def _multiplicative_laws_hold(F: Hyperfield) -> bool:
         tuple(map(mul[x].__getitem__, mul[g])) != mul[mul[x][g]] for g in gens for x in nz
     ):
         return False
-    for a in (z, *gens):
-        ma = mul[a]
+    cells = set().union(*add)
+    return not any(next(_distributivity_failures(F, a, cells), None) for a in (z, *gens))
+
+
+def _additive_levels(F: Hyperfield, scalars) -> AxiomReport:
+    """The hypermonoid and hypergroup levels of the ladder, with the scaled
+    coordinate of each triple law taken from the sorted ``scalars``.
+
+    Each triple law is checked a table row at a time, and only a row that
+    fails is scanned cell by cell, so witnesses come in (a, b, c) order.
+    Scalar 0 is skipped where hypermonoid.i makes the law hold.
+    """
+    z, add, neg = F.zero, F._add, F._neg
+    cells = set().union(*add)
+    failures = [
+        ("hypermonoid.i", (a, sorted(add[a][z]))) for a in range(F.size) if add[a][z] != {a}
+    ]
+    identity = not failures
+    for a in scalars:
+        if a == z and identity:
+            continue  # 0 + x = {x} makes both sides b + c
+        row_a = add[a]
+        image = {cell: frozenset().union(*map(row_a.__getitem__, cell)) for cell in cells}
         for b, row in enumerate(add):
-            for c, cell in enumerate(row[b:], start=b):
-                if frozenset(map(ma.__getitem__, cell)) != add[ma[b]][ma[c]]:
-                    return False
-    return True
+            ab = row_a[b]
+            if len(ab) == 1:
+                (y,) = ab
+                right = add[y]
+            else:
+                right = tuple(map(frozenset().union, *map(add.__getitem__, ab)))
+            left = tuple(map(image.__getitem__, row))
+            for c, lhs, rhs in _row_failures(left, right):
+                failures.append(("hypermonoid.iii", (a, b, c, sorted(lhs), sorted(rhs))))
+    if failures:
+        return AxiomReport("none", failures)
+
+    failures = [("hypergroup.i", (a,)) for a in range(F.size) if z not in add[a][neg[a]]]
+    reversals = []
+    for b in scalars:
+        if b == z and neg[z] == z:
+            continue  # a in 0 + c = {c} means a = c, and c is in c + 0
+        nb = neg[b]
+        reversals += [
+            (a, b, c) for c, cell in enumerate(add[b]) for a in cell if c not in add[a][nb]
+        ]
+    failures += [("hypergroup.ii", w) for w in sorted(reversals)]
+    if failures:
+        return AxiomReport("hypermonoid", failures)
+    return AxiomReport("hypergroup")
 
 
 def _ladder(F: Hyperfield, scalars) -> AxiomReport:
     """The axiom ladder with the scaled coordinate of each triple law taken
-    from ``scalars``; with the whole carrier it checks every triple."""
-    carrier = range(F.size)
-    z = F.zero
+    from the sorted ``scalars``; with the whole carrier it checks every
+    triple.  The multiplicative levels also go a row at a time."""
+    report = _additive_levels(F, scalars)
+    if report.failures:
+        return report
 
+    z, mul = F.zero, F._mul
     failures = []
-    for a in carrier:
-        if F.add(a, z) != frozenset([a]):
-            failures.append(("hypermonoid.i", (a, sorted(F.add(a, z)))))
     for a in scalars:
-        for b in carrier:
-            for c in carrier:
-                left = frozenset().union(*(F.add(a, x) for x in F.add(b, c)))
-                right = frozenset().union(*(F.add(y, c) for y in F.add(a, b)))
-                if left != right:
-                    failures.append(("hypermonoid.iii", (a, b, c, sorted(left), sorted(right))))
-    if failures:
-        return AxiomReport("none", failures)
-
-    for a in carrier:
-        if z not in F.add(a, F.neg(a)):
-            failures.append(("hypergroup.i", (a,)))
-    for a in carrier:
-        for b in scalars:
-            for c in carrier:
-                if a in F.add(b, c) and c not in F.add(a, F.neg(b)):
-                    failures.append(("hypergroup.ii", (a, b, c)))
-    if failures:
-        return AxiomReport("hypermonoid", failures)
-
+        ma = mul[a]
+        for b, row in enumerate(mul):
+            for c, _, _ in _row_failures(tuple(map(ma.__getitem__, row)), mul[ma[b]]):
+                failures.append(("mul.associative", (a, b, c)))
+    failures += [("hyperring.i", (a,)) for a in range(F.size) if mul[z][a] != z]
+    cells = set().union(*F._add)
     for a in scalars:
-        for b in carrier:
-            for c in carrier:
-                if F.mul(a, F.mul(b, c)) != F.mul(F.mul(a, b), c):
-                    failures.append(("mul.associative", (a, b, c)))
-    for a in carrier:
-        if F.mul(z, a) != z:
-            failures.append(("hyperring.i", (a,)))
-    for a in scalars:
-        for b in carrier:
-            for c in carrier:
-                left = frozenset(F.mul(a, x) for x in F.add(b, c))
-                right = F.add(F.mul(a, b), F.mul(a, c))
-                if left != right:
-                    failures.append(("hyperring.ii", (a, b, c, sorted(left), sorted(right))))
+        for b, c, lhs, rhs in _distributivity_failures(F, a, cells):
+            failures.append(("hyperring.ii", (a, b, c, sorted(lhs), sorted(rhs))))
     if failures:
         return AxiomReport("hypergroup", failures)
 
-    for a in carrier:
-        if a == z:
-            continue
-        if not any(F.mul(a, b) == F.one for b in carrier):
-            failures.append(("hyperfield.inverses", (a,)))
+    failures = [
+        ("hyperfield.inverses", (a,)) for a in range(F.size) if a != z and F.one not in mul[a]
+    ]
     if failures:
         return AxiomReport("hyperring", failures)
-    return AxiomReport("hyperfield", [])
+    return AxiomReport("hyperfield")
 
 
 def check_hyperfield(F: Hyperfield) -> AxiomReport:
@@ -275,24 +310,33 @@ def check_hyperfield(F: Hyperfield) -> AxiomReport:
     with identity one, and 0 != 1.
 
     When the multiplicative laws hold (:func:`_multiplicative_laws_hold`,
-    O(g n^2)), every triple law is checked at scalars 0 and 1 only, in
-    O(n^2) triples.  Scaling by a unit u is then a bijection of the carrier
-    with u(x + y) = ux + uy, so each law at a scaled triple holds iff it
-    holds at the scalar triple:
+    O(g n^2)), that check has already proved the hyperring and hyperfield
+    levels at every triple: multiplicative associativity (Light's test),
+    the absorbing zero, distributivity and inverses.  The ladder then stops
+    after the hypergroup level, and its two triple laws are checked at
+    scalars 0 and 1 only, in O(n^2) triples.  Scaling by a unit u is a
+    bijection of the carrier with u(x + y) = ux + uy, so each law at a
+    scaled triple holds iff it holds at the scalar triple:
 
     - + associativity at a != 0: a^-1((a + b) + c) = (1 + a^-1 b) + a^-1 c,
       and likewise for a + (b + c).
     - reversibility at b != 0: scaling by b^-1 maps a in b + c, c in a - b
       onto the case b = 1, because -b = b(-1).
-    - * associativity, distributivity and inverses: proved by the check.
+
+    Scalar 0 needs no check once hypermonoid.i (0 + x = {x}) holds: both
+    sides of + associativity at a = 0 are then b + c, and reversibility at
+    b = 0 reads c in c + 0 (-0 = 0 here).  So it is checked only when
+    hypermonoid.i fails, to report its witnesses there too.
 
     A failing level then reports its witnesses at the scalar triples only;
     the level passed is the one the full ladder finds.  When the check
     fails, every triple is checked, and a carrier whose n^3 triples
-    exceed TRIPLE_BUDGET is refused with SizeGuardError.
+    exceed TRIPLE_BUDGET is refused with SizeGuardError.  Either way each
+    triple law is compared a whole table row at a time.
     """
     if _multiplicative_laws_hold(F):
-        return _ladder(F, sorted((F.zero, F.one)))
+        report = _additive_levels(F, sorted((F.zero, F.one)))
+        return report if report.failures else AxiomReport("hyperfield")
     if F.size**3 > TRIPLE_BUDGET:
         raise SizeGuardError(
             f"{F.size} elements fail the multiplicative laws; the full ladder needs "
@@ -398,16 +442,16 @@ def prime_hyperfield(F: Hyperfield) -> Hyperfield:
             f"prime addition needs a hyperfield; first failure {report.first_failure()}"
         )
     full = frozenset(range(F.size))
+    singles = [frozenset((b,)) for b in range(F.size)]
+    z, neg = F.zero, F._neg
     add = []
-    for a in range(F.size):
-        row = []
-        for b in range(F.size):
-            if a == F.zero or b == F.zero:
-                row.append(F.add(a, b))
-            elif a == F.neg(b):
-                row.append(full)
-            else:
-                row.append(F.add(a, b) | {a, b})
+    for a, row in enumerate(F._add):
+        if a != z:
+            # cell (a, b) for b < a is cell (b, a) of a row already built
+            cells = [built[a] for built in add]
+            cells += map(frozenset.union, row[a:], singles[a:], repeat(singles[a]))
+            cells[z], cells[neg[a]] = row[z], full
+            row = cells
         add.append(row)
     return Hyperfield(
         zero=F.zero, one=F.one, neg=F.neg_table(), mul=F.mul_table(), add=add, names=F.names

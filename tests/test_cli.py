@@ -79,9 +79,11 @@ def test_check_hyperfield_builtin(capsys):
 
 
 def test_ladder_commands_on_larger_prime_fields(capsys):
-    code, out = run(capsys, "check-hyperfield", "--field", "127")
-    assert code == 0
-    assert "hyperfield: pass" in out
+    for p in ("127", "509"):
+        code, out = run(capsys, "check-hyperfield", "--field", p)
+        assert code == 0
+        assert "level passed: hyperfield" in out
+        assert "hyperfield: pass" in out
     code, out = run(capsys, "prime", "--field", "61")
     assert code == 0
     assert "prime: pass" in out

@@ -7,6 +7,7 @@ from quadpres import hyperfields
 from quadpres.errors import InputError, SizeGuardError, ValidationError
 from quadpres.finitefield import DEFAULT_MODULI, _is_prime, ff_make
 from quadpres.hyperfields import (
+    AxiomReport,
     Hyperfield,
     _ladder,
     _multiplicative_laws_hold,
@@ -158,6 +159,39 @@ def test_prime_hyperfield_requires_hyperfield():
     bad = mutate_add(E, 1, 2, {0})
     with pytest.raises(ValidationError):
         prime_hyperfield(bad)
+
+
+def three_case_prime(F):
+    """The prime addition cell by cell: the reference for the rows that
+    prime_hyperfield builds."""
+    full = frozenset(range(F.size))
+    add = []
+    for a in range(F.size):
+        row = []
+        for b in range(F.size):
+            if a == F.zero or b == F.zero:
+                row.append(F.add(a, b))
+            elif a == F.neg(b):
+                row.append(full)
+            else:
+                row.append(F.add(a, b) | {a, b})
+        add.append(row)
+    return Hyperfield(
+        zero=F.zero, one=F.one, neg=F.neg_table(), mul=F.mul_table(), add=add, names=F.names
+    )
+
+
+def test_prime_hyperfield_matches_the_three_case_definition():
+    rng = random.Random(15)
+    bases = ladder_bases()
+    for q in (11, 13, 31, 61):
+        bases += [from_field(ff_make(q)), quadratic_hyperfield(ff_make(q))]
+    # zero and one away from 0 and 1
+    bases += [relabel(F, rng.sample(range(F.size), F.size)) for F in bases[-4:] for _ in range(2)]
+    for F in bases:
+        P = prime_hyperfield(F)
+        assert P == three_case_prime(F)
+        assert P.names == F.names
 
 
 def test_quadratic_hyperfield_gf2():
@@ -383,33 +417,145 @@ def cell_mutants(F, rng, count):
         yield G
 
 
+# the cell-by-cell ladder: the reference that the row passes of _ladder
+# and check_hyperfield must match report for report
+def cell_by_cell_ladder(F: Hyperfield, scalars) -> AxiomReport:
+    """The axiom ladder with the scaled coordinate of each triple law taken
+    from ``scalars``; with the whole carrier it checks every triple."""
+    carrier = range(F.size)
+    z = F.zero
+
+    failures = []
+    for a in carrier:
+        if F.add(a, z) != frozenset([a]):
+            failures.append(("hypermonoid.i", (a, sorted(F.add(a, z)))))
+    for a in scalars:
+        for b in carrier:
+            for c in carrier:
+                left = frozenset().union(*(F.add(a, x) for x in F.add(b, c)))
+                right = frozenset().union(*(F.add(y, c) for y in F.add(a, b)))
+                if left != right:
+                    failures.append(("hypermonoid.iii", (a, b, c, sorted(left), sorted(right))))
+    if failures:
+        return AxiomReport("none", failures)
+
+    for a in carrier:
+        if z not in F.add(a, F.neg(a)):
+            failures.append(("hypergroup.i", (a,)))
+    for a in carrier:
+        for b in scalars:
+            for c in carrier:
+                if a in F.add(b, c) and c not in F.add(a, F.neg(b)):
+                    failures.append(("hypergroup.ii", (a, b, c)))
+    if failures:
+        return AxiomReport("hypermonoid", failures)
+
+    for a in scalars:
+        for b in carrier:
+            for c in carrier:
+                if F.mul(a, F.mul(b, c)) != F.mul(F.mul(a, b), c):
+                    failures.append(("mul.associative", (a, b, c)))
+    for a in carrier:
+        if F.mul(z, a) != z:
+            failures.append(("hyperring.i", (a,)))
+    for a in scalars:
+        for b in carrier:
+            for c in carrier:
+                left = frozenset(F.mul(a, x) for x in F.add(b, c))
+                right = F.add(F.mul(a, b), F.mul(a, c))
+                if left != right:
+                    failures.append(("hyperring.ii", (a, b, c, sorted(left), sorted(right))))
+    if failures:
+        return AxiomReport("hypergroup", failures)
+
+    for a in carrier:
+        if a == z:
+            continue
+        if not any(F.mul(a, b) == F.one for b in carrier):
+            failures.append(("hyperfield.inverses", (a,)))
+    if failures:
+        return AxiomReport("hyperring", failures)
+    return AxiomReport("hyperfield", [])
+
+
+def relabel(F, perm):
+    """F with each element x renamed perm[x]."""
+    n = F.size
+    back = sorted(range(n), key=perm.__getitem__)
+    add = [[[perm[v] for v in F.add(back[i], back[j])] for j in range(n)] for i in range(n)]
+    mul = [[perm[F.mul(back[i], back[j])] for j in range(n)] for i in range(n)]
+    neg = [perm[F.neg(back[i])] for i in range(n)]
+    return Hyperfield(perm[F.zero], perm[F.one], neg, mul, add)
+
+
+def ladder_bases():
+    bases = [euclidean_hyperfield()]
+    for p, n in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]:
+        k = ff_make(p, n)
+        bases += [from_field(k), prime_hyperfield(from_field(k)), quadratic_hyperfield(k)]
+    # ids reversed, so that one < zero
+    bases += [relabel(F, range(F.size)[::-1]) for F in bases[:5]]
+    return bases
+
+
 # the coordinate of each triple law that the reduced ladder scales to 0 or 1
 SCALED = {"hypermonoid.iii": 0, "hypergroup.ii": 1, "mul.associative": 0, "hyperring.ii": 0}
 
 
 def test_reduced_ladder_matches_full_ladder_on_mutants():
-    # the full-carrier ladder is the reference: the same level, and on the
-    # reduced path exactly its witnesses at the scalar triples (so a subset
-    # of them, non-empty exactly when they are)
+    # the cell-by-cell full-carrier ladder is the reference: the row passes
+    # give its report exactly on the full path; on the reduced path they give
+    # the same level and exactly its witnesses at the scalar triples (so a
+    # subset of them, non-empty exactly when they are), as the cell-by-cell
+    # ladder at those scalars does
     rng = random.Random(6)
-    bases = [euclidean_hyperfield()]
-    for p, n in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]:
-        k = ff_make(p, n)
-        bases += [from_field(k), prime_hyperfield(from_field(k)), quadratic_hyperfield(k)]
     paths = {True: 0, False: 0}
-    for F in bases:
+    for F in ladder_bases():
         for G in cell_mutants(F, rng, 40):
-            reduced, full = check_hyperfield(G), _ladder(G, range(G.size))
+            reduced, full = check_hyperfield(G), cell_by_cell_ladder(G, range(G.size))
+            assert _ladder(G, range(G.size)) == full
             reduced_path = _multiplicative_laws_hold(G)
             paths[reduced_path] += 1
             expected = full.failures
             if reduced_path:
-                scalars = (G.zero, G.one)
+                scalars = sorted((G.zero, G.one))
+                assert reduced == cell_by_cell_ladder(G, scalars)
                 expected = [f for f in expected if f[0] not in SCALED or f[1][SCALED[f[0]]] in scalars]
             assert reduced.level_passed == full.level_passed
             assert reduced.failures == expected
             assert bool(reduced.failures) == bool(full.failures)
     assert min(paths.values()) >= 100, paths
+
+
+def zero_column_mutants(F):
+    """Copies of F with x + 0 = xS for every x, for each S other than {1}
+    of at most two elements: hypermonoid.i fails, while the multiplicative
+    laws, which see these cells only through a(x + 0) = ax + 0, still hold."""
+    for r in (1, 2):
+        for S in combinations(range(F.size), r):
+            if S == (F.one,):
+                continue
+            add = F.add_full_table()
+            for x in range(F.size):
+                add[x][F.zero] = add[F.zero][x] = sorted({F.mul(x, s) for s in S})
+            yield Hyperfield(F.zero, F.one, F.neg_table(), F.mul_table(), add)
+
+
+def test_scalar_zero_is_checked_when_hypermonoid_i_fails():
+    mutants, scaled_by_zero = 0, 0
+    for F in ladder_bases():
+        for G in zero_column_mutants(F):
+            assert _multiplicative_laws_hold(G)
+            report = check_hyperfield(G)
+            assert report == cell_by_cell_ladder(G, sorted((G.zero, G.one)))
+            assert report.level_passed == "none"
+            assert report.failures[0][0] == "hypermonoid.i"
+            mutants += 1
+            scaled_by_zero += any(
+                axiom == "hypermonoid.iii" and wit[0] == G.zero for axiom, wit in report.failures
+            )
+    assert mutants > 0
+    assert scaled_by_zero > 0
 
 
 def test_ladder_guard_refuses_large_tables_before_any_triple(monkeypatch):
