@@ -7,7 +7,7 @@ the prime addition and quadratic hyperfields (quadpres.hyperfields);
 explicit presentable rings, powerset constructions and quotient theorems
 (quadpres.presentable); forms, isometry, Witt rings and special groups
 (quadpres.quadratic); and an independent classical oracle over Gram
-matrices and value sets (quadpres.oracle).
+matrices and discriminants of diagonal forms (quadpres.oracle).
 """
 
 from .errors import InputError, SizeGuardError, ValidationError

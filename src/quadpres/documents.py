@@ -4,8 +4,10 @@ Emission is canonical: elements in id order, cover pairs sorted, addition
 cells as semicolon-joined names sorted ascending by id.  parse(emit(x))
 returns a structurally identical object, byte-for-byte stable across runs.
 
-Element names may not contain whitespace or semicolons (braces and commas are
-fine, so powerset names like {0,1} round-trip unchanged).
+Element names may not contain whitespace, semicolons or '#', which starts a
+comment (braces and commas are fine, so powerset names like {0,1} round-trip
+unchanged).  A document ends with its last section: any further line is an
+error.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from .presentable import PresentableRing
 def _check_names(names):
     seen = set()
     for s in names:
-        if not s or any(ch.isspace() for ch in s) or ";" in s:
-            raise InputError(f"element name {s!r} not serializable (whitespace/semicolon)")
+        if not s or any(ch.isspace() for ch in s) or ";" in s or "#" in s:
+            raise InputError(f"element name {s!r} not serializable (whitespace/semicolon/#)")
         if s in seen:
             raise InputError(f"duplicate element name {s!r}")
         seen.add(s)
@@ -53,6 +55,11 @@ class _Reader:
         if not line.startswith(key + ":"):
             raise InputError(f"line {lineno}: expected '{key}:', got {line!r}")
         return lineno, line[len(key) + 1 :].strip()
+
+    def end(self):
+        if self.pos < len(self.items):
+            lineno, line = self.items[self.pos]
+            raise InputError(f"line {lineno}: unexpected line after the document's end: {line!r}")
 
 
 def _start(text, kind):
@@ -117,7 +124,9 @@ def parse_poset(text: str) -> FinitePointedPoset:
     if not names:
         raise InputError("poset needs at least one element")
     _, bp = r.expect_key("basepoint")
-    return explicit_poset(names, _covers(r), basepoint_name=bp)
+    covers = _covers(r)
+    r.end()
+    return explicit_poset(names, covers, basepoint_name=bp)
 
 
 # -- hyperfields ---------------------------------------------------------------
@@ -170,6 +179,7 @@ def parse_hyperfield(text: str) -> Hyperfield:
         return frozenset(resolve(lineno, part) for part in token.split(";"))
 
     add = _parse_table_rows(r, n, resolve_cell, "add")
+    r.end()
     return Hyperfield(zero=zero, one=one, neg=neg, mul=mul, add=add, names=names)
 
 
@@ -209,6 +219,7 @@ def parse_presentable(text: str) -> PresentableRing:
     neg = _neg_row(r, n, resolve)
     add = _parse_table_rows(r, n, resolve, "add")
     mul = _parse_table_rows(r, n, resolve, "mul")
+    r.end()
     return PresentableRing(poset, add, neg, mul, one=one, is_field=is_field == "true")
 
 

@@ -1,10 +1,12 @@
 """Classical symmetric-bilinear-form computations over small finite fields.
 
 This is the validation oracle for the hyperfield pipeline: everything here
-is computed at field level (Gram matrices, value sets, chain steps on
-diagonal forms) and shares no code with the hyperfield machinery beyond the
-finite-field tables and the WittRing/WittClass dataclasses.  The oracle builds
-its class tables alone; WittRing only reads its status off them.
+is computed at field level (Gram matrices, discriminants of diagonal forms,
+value sets) and shares no code with the hyperfield machinery beyond the
+finite-field tables and the WittRing/WittClass dataclasses.  Diagonal forms
+have one isometry rule, `diagonal_isometric_field`: equal dimension and equal
+discriminant class.  The oracle builds its class tables alone; WittRing only
+reads its status off them.
 
 Characteristic-2 convention: the oracle works with diagonal non-alternating
 forms and stabilizes by <1,1> = <1,-1>, the comparable classical object for
@@ -181,19 +183,12 @@ def _product(k, entries):
 
 
 def diagonal_isometric_field(k: FiniteField, phi, psi) -> bool:
-    """Diagonal forms with nonzero entries over an odd field k: same dimension
-    and same discriminant class."""
+    """Diagonal forms with nonzero entries over k: same dimension and same
+    discriminant class.  Over a finite field that is isometry (Lam, Ch. II);
+    for even q every element is a square, so equal dimension decides."""
     if len(phi) != len(psi):
         return False
     return same_square_class(k, _product(k, phi), _product(k, psi))
-
-
-def binary_isometric_field(k: FiniteField, a, b, c, d) -> bool:
-    """Value-set criterion: <a,b> ~ <c,d> iff ab = cd mod squares and
-    c = a s^2 + b t^2 has a nontrivial solution."""
-    if not same_square_class(k, k.mul(a, b), k.mul(c, d)):
-        return False
-    return represents(k, a, b, c)
 
 
 def represents(k: FiniteField, a, b, c) -> bool:
@@ -209,8 +204,8 @@ def represents(k: FiniteField, a, b, c) -> bool:
 
 
 class _DiagonalWitt:
-    """Chain-step isometry and hyperbolic stabilization on diagonal forms,
-    entirely at field level."""
+    """Canonical diagonal forms and hyperbolic stabilization, entirely at
+    field level."""
 
     def __init__(self, k):
         self.k = k
@@ -219,68 +214,28 @@ class _DiagonalWitt:
         self.reps = tuple(sorted(r for i, r in enumerate(least) if i != sq.zero_class))
         self.rep_of = {x: least[sq.class_of[x]] for x in k.nonzero()}
         self.hyperbolic = tuple(sorted((1, self.rep_of[k.neg(1)])))
-        self._partitions = {}
 
     def canon(self, entries):
         return tuple(sorted(self.rep_of[e] for e in entries))
-
-    def _dim_partition(self, d):
-        """Chain-equivalence classes of canonical diagonal forms of dim d."""
-        if d in self._partitions:
-            return self._partitions[d]
-        states = list(combinations_with_replacement(self.reps, d))
-        label = {}
-        binary = {}
-        k, rep_of = self.k, self.rep_of
-        for a, b, c, e in product(self.reps, repeat=4):
-            # binary_isometric_field, reading the square classes off rep_of
-            binary[(a, b, c, e)] = rep_of[k.mul(a, b)] == rep_of[k.mul(c, e)] and represents(k, a, b, c)
-        for s in states:
-            if s in label:
-                continue
-            idx = max(label.values(), default=-1) + 1
-            frontier = [s]
-            label[s] = idx
-            while frontier:
-                cur = frontier.pop()
-                for i in range(d):
-                    for j in range(i + 1, d):
-                        for c, e in product(self.reps, repeat=2):
-                            if not binary[(cur[i], cur[j], c, e)]:
-                                continue
-                            nxt = list(cur)
-                            nxt[i], nxt[j] = c, e
-                            nxt = tuple(sorted(nxt))
-                            if nxt not in label:
-                                label[nxt] = idx
-                                frontier.append(nxt)
-        self._partitions[d] = label
-        return label
-
-    def chain_isometric(self, s, t):
-        s, t = self.canon(s), self.canon(t)
-        if len(s) != len(t):
-            return False
-        label = self._dim_partition(len(s))
-        return label[s] == label[t]
 
     def witt_equivalent(self, s, t):
         """Equal-parity dimensions, and isometric once the shorter form is
         padded with hyperbolic planes to the longer one's dimension.
 
-        One comparison is exact.  For odd q, chain equivalence is isometry and
-        Witt cancellation (Lam, Introduction to Quadratic Forms over Fields,
-        Ch. I) turns s + mH ~ t + m'H, m' >= m, into s ~ t + (m' - m)H.  For
-        even q every element is a square, so forms of equal dimension have the
-        same canonical tuple.
+        One comparison by `diagonal_isometric_field` is exact.  For odd q,
+        diagonal forms are classified by dimension and discriminant (Lam,
+        Introduction to Quadratic Forms over Fields, Ch. II), and Witt
+        cancellation (Ch. I) turns s + mH ~ t + m'H, m' >= m, into
+        s ~ t + (m' - m)H.  For even q every element is a square, so
+        `same_square_class` always holds and equal dimension decides.
         """
         s, t = self.canon(s), self.canon(t)
         if (len(s) - len(t)) % 2:
             return False
         if len(s) < len(t):
             s, t = t, s
-        padded = tuple(sorted(t + self.hyperbolic * ((len(s) - len(t)) // 2)))
-        return self.chain_isometric(s, padded)
+        padded = t + self.hyperbolic * ((len(s) - len(t)) // 2)
+        return diagonal_isometric_field(self.k, s, padded)
 
 
 def classical_witt_ring(q: int, dmax: int) -> WittRing:

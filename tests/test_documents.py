@@ -1,5 +1,6 @@
 import pytest
 
+from quadpres.cli import main
 from quadpres.documents import (
     emit_hyperfield,
     emit_poset,
@@ -11,7 +12,7 @@ from quadpres.documents import (
 )
 from quadpres.errors import InputError
 from quadpres.finitefield import ff_make
-from quadpres.hyperfields import euclidean_hyperfield, from_field, quadratic_hyperfield
+from quadpres.hyperfields import Hyperfield, euclidean_hyperfield, from_field, quadratic_hyperfield
 from quadpres.posets import squarefree_divisors, walking_supremum
 from quadpres.presentable import example_sq_structure, powerset_of_hyperfield
 
@@ -95,3 +96,30 @@ def test_comments_and_blank_lines_ignored():
     noisy = "# header comment\n" + doc.replace("basepoint: p", "basepoint: p  # the base\n")
     P = parse_poset(noisy)
     assert P.names == ("p", "q", "x")
+
+
+def test_lines_after_the_last_section_are_refused(tmp_path):
+    with pytest.raises(InputError) as err:
+        parse_document("poset\nelements: a b\nbasepoint: a\ncovr: a b\n")
+    assert str(err.value) == "line 4: unexpected line after the document's end: 'covr: a b'"
+    hyperfield = emit_hyperfield(euclidean_hyperfield())
+    presentable = emit_presentable(example_sq_structure())
+    for doc in (hyperfield, presentable):
+        lines = doc.count("\n")
+        with pytest.raises(InputError) as err:
+            parse_document(doc + "\n# a comment\n0 1 -1\n")
+        assert str(err.value).startswith(f"line {lines + 3}: unexpected line"), doc
+        assert parse_document(doc + "\n# a comment\n") is not None  # comments and blanks stay fine
+    path = tmp_path / "trailing.txt"
+    path.write_text(hyperfield + "add:\n")
+    assert main(["check-hyperfield", "--input", str(path)]) == 2
+
+
+def test_hash_in_element_names_is_refused():
+    E = euclidean_hyperfield()
+    named = Hyperfield(zero=E.zero, one=E.one, neg=[E.neg(a) for a in range(3)],
+                       mul=[[E.mul(a, b) for b in range(3)] for a in range(3)],
+                       add=[[E.add(a, b) for b in range(3)] for a in range(3)], names=("0", "1#x", "-1"))
+    with pytest.raises(InputError) as err:
+        emit_hyperfield(named)
+    assert str(err.value) == "element name '1#x' not serializable (whitespace/semicolon/#)"

@@ -2,6 +2,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
+from quadpres import oracle
 from quadpres.errors import InputError, SizeGuardError, ValidationError
 from quadpres.finitefield import ff_make, square_classes
 from quadpres.oracle import (
@@ -11,7 +12,6 @@ from quadpres.oracle import (
     _det,
     _field_for,
     _symmetric_nondegenerate,
-    binary_isometric_field,
     classical_isometric,
     classical_witt_ring,
     congruence_classes,
@@ -148,10 +148,14 @@ def test_classical_isometric_refuses_ids_outside_the_field():
     assert not classical_isometric(9, (2,), (8,))
 
 
+# every (q, dim) the congruence guard admits
+CONGRUENCE_DIMS = {2: (1, 2, 3), 3: (1, 2, 3), 4: (1, 2), 5: (1, 2), 7: (1, 2), 9: (1, 2)}
+
+
 def test_classical_isometric_agrees_with_congruence_orbits():
-    for q in (3, 5, 7, 9):
-        k = ff_make(*{3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2)}[q])
-        for dim in (1, 2):
+    for q, dims in CONGRUENCE_DIMS.items():
+        k = _field_for(q)
+        for dim in dims:
             cc = congruence_classes(q, dim)
             gram = {phi: GramForm.diagonal(k, phi).matrix for phi in product(k.nonzero(), repeat=dim)}
             for phi, a in gram.items():
@@ -162,10 +166,13 @@ def test_classical_isometric_agrees_with_congruence_orbits():
                         phi,
                         psi,
                     )
-        # classical_isometric builds its own field: one pair per q keeps it covered
-        g = k.generator()
-        assert not cc.same_class(gram[1, 1], gram[1, g])
-        assert not classical_isometric(q, (1, 1), (1, g))
+                    # even q: every element is a square, so equal dimension is congruence
+                    assert q % 2 or cc.same_class(a, b), (q, dim, phi, psi)
+            if q % 2 and dim == 2:
+                # classical_isometric builds its own field: one pair per odd q keeps it covered
+                g = k.generator()
+                assert not cc.same_class(gram[1, 1], gram[1, g])
+                assert not classical_isometric(q, (1, 1), (1, g))
 
 
 def test_represents_value_sets():
@@ -215,9 +222,75 @@ def test_witt_ring_guards():
         classical_witt_ring(3, 5)
 
 
-def test_chain_isometry_matches_disc_on_gf3_dim3():
-    k = ff_make(3)
-    calc = _DiagonalWitt(k)
+def binary_isometric_field(k, a, b, c, d) -> bool:
+    """Value-set criterion: <a,b> ~ <c,d> iff ab = cd mod squares and
+    c = a s^2 + b t^2 has a nontrivial solution."""
+    if not same_square_class(k, k.mul(a, b), k.mul(c, d)):
+        return False
+    return represents(k, a, b, c)
+
+
+class ChainWitt(_DiagonalWitt):
+    """The reference isometry: breadth-first closure of canonical diagonal
+    forms under binary chain steps, each step the value-set criterion."""
+
+    def __init__(self, k):
+        super().__init__(k)
+        self._partitions = {}
+
+    def _dim_partition(self, d):
+        """Chain-equivalence classes of canonical diagonal forms of dim d."""
+        if d in self._partitions:
+            return self._partitions[d]
+        states = list(combinations_with_replacement(self.reps, d))
+        label = {}
+        binary = {}
+        k, rep_of = self.k, self.rep_of
+        for a, b, c, e in product(self.reps, repeat=4):
+            # binary_isometric_field, reading the square classes off rep_of
+            binary[(a, b, c, e)] = rep_of[k.mul(a, b)] == rep_of[k.mul(c, e)] and represents(k, a, b, c)
+        for s in states:
+            if s in label:
+                continue
+            idx = max(label.values(), default=-1) + 1
+            frontier = [s]
+            label[s] = idx
+            while frontier:
+                cur = frontier.pop()
+                for i in range(d):
+                    for j in range(i + 1, d):
+                        for c, e in product(self.reps, repeat=2):
+                            if not binary[(cur[i], cur[j], c, e)]:
+                                continue
+                            nxt = list(cur)
+                            nxt[i], nxt[j] = c, e
+                            nxt = tuple(sorted(nxt))
+                            if nxt not in label:
+                                label[nxt] = idx
+                                frontier.append(nxt)
+        self._partitions[d] = label
+        return label
+
+    def chain_isometric(self, s, t):
+        s, t = self.canon(s), self.canon(t)
+        if len(s) != len(t):
+            return False
+        label = self._dim_partition(len(s))
+        return label[s] == label[t]
+
+
+MAX_ORACLE_DIM = 16  # a product of two dim-4 classes in classical_witt_ring(q, 4)
+
+
+def test_chain_reference_matches_the_discriminant_rule():
+    for q in ORACLE_SIZES:
+        calc = ChainWitt(_field_for(q))
+        for d in range(1, MAX_ORACLE_DIM + 1):
+            forms = list(combinations_with_replacement(calc.reps, d))
+            for phi, psi in product(forms, repeat=2):
+                assert calc.chain_isometric(phi, psi) == diagonal_isometric_field(calc.k, phi, psi), (q, phi, psi)
+    # unsorted entries over GF(3), through classical_isometric
+    calc = ChainWitt(ff_make(3))
     for phi in product((1, 2), repeat=3):
         for psi in product((1, 2), repeat=3):
             assert calc.chain_isometric(phi, psi) == classical_isometric(3, phi, psi)
@@ -227,7 +300,8 @@ PAD_DIMS = 6  # dimensions of hyperbolic padding witt_equivalent tries past the 
 
 
 def padded_witt_equivalent(self, s, t):
-    """The reference: every hyperbolic padding up to PAD_DIMS past the larger form."""
+    """The reference: every hyperbolic padding up to PAD_DIMS past the larger
+    form, each compared by the chain steps of ChainWitt."""
     s, t = self.canon(s), self.canon(t)
     cap = max(len(s), len(t)) + PAD_DIMS
     for ds in range(len(s), cap + 1, 2):
@@ -245,7 +319,7 @@ def padded_witt_equivalent(self, s, t):
 
 @pytest.mark.parametrize("q", ORACLE_SIZES)
 def test_one_padded_comparison_matches_every_padding(q):
-    calc = _DiagonalWitt(_field_for(q))
+    calc = ChainWitt(_field_for(q))
     forms = [s for d in range(9) for s in combinations_with_replacement(calc.reps, d)]
     for s, t in product(forms, repeat=2):
         assert calc.witt_equivalent(s, t) == padded_witt_equivalent(calc, s, t), (q, s, t)
@@ -254,6 +328,7 @@ def test_one_padded_comparison_matches_every_padding(q):
 @pytest.mark.parametrize("q", ORACLE_SIZES)
 def test_classical_witt_ring_matches_the_padded_reference(q, monkeypatch):
     rings = {d: classical_witt_ring(q, d) for d in (2, 3, 4)}
-    monkeypatch.setattr(_DiagonalWitt, "witt_equivalent", padded_witt_equivalent)
+    monkeypatch.setattr(ChainWitt, "witt_equivalent", padded_witt_equivalent)
+    monkeypatch.setattr(oracle, "_DiagonalWitt", ChainWitt)
     for d, W in rings.items():
         assert W == classical_witt_ring(q, d), (q, d)
