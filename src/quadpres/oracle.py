@@ -5,8 +5,11 @@ is computed at field level (Gram matrices, discriminants of diagonal forms,
 value sets) and shares no code with the hyperfield machinery beyond the
 finite-field tables and the WittRing/WittClass dataclasses.  Diagonal forms
 have one isometry rule, `diagonal_isometric_field`: equal dimension and equal
-discriminant class.  The oracle builds its class tables alone; WittRing only
-reads its status off them.
+discriminant class.  By Witt cancellation that rule keys each Witt class by
+the parity of its dimension and the square class of its signed discriminant
+(`_witt_key`), so `classical_witt_ring` finds every class by a dict lookup.
+The oracle builds its class tables alone; WittRing only reads its status off
+them.
 
 Characteristic-2 convention: the oracle works with diagonal non-alternating
 forms and stabilizes by <1,1> = <1,-1>, the comparable classical object for
@@ -203,65 +206,49 @@ def represents(k: FiniteField, a, b, c) -> bool:
     return False
 
 
-class _DiagonalWitt:
-    """Canonical diagonal forms and hyperbolic stabilization, entirely at
-    field level."""
+def _witt_key(k: FiniteField, entries) -> tuple:
+    """The Witt class of <a1, ..., an> over k: n mod 2, and whether the
+    signed discriminant (-1)^(n(n-1)/2) a1...an is a square.
 
-    def __init__(self, k):
-        self.k = k
-        sq = square_classes(k)
-        least = [min(c) for c in sq.classes]
-        self.reps = tuple(sorted(r for i, r in enumerate(least) if i != sq.zero_class))
-        self.rep_of = {x: least[sq.class_of[x]] for x in k.nonzero()}
-        self.hyperbolic = tuple(sorted((1, self.rep_of[k.neg(1)])))
-
-    def canon(self, entries):
-        return tuple(sorted(self.rep_of[e] for e in entries))
-
-    def witt_equivalent(self, s, t):
-        """Equal-parity dimensions, and isometric once the shorter form is
-        padded with hyperbolic planes to the longer one's dimension.
-
-        One comparison by `diagonal_isometric_field` is exact.  For odd q,
-        diagonal forms are classified by dimension and discriminant (Lam,
-        Introduction to Quadratic Forms over Fields, Ch. II), and Witt
-        cancellation (Ch. I) turns s + mH ~ t + m'H, m' >= m, into
-        s ~ t + (m' - m)H.  For even q every element is a square, so
-        `same_square_class` always holds and equal dimension decides.
-        """
-        s, t = self.canon(s), self.canon(t)
-        if (len(s) - len(t)) % 2:
-            return False
-        if len(s) < len(t):
-            s, t = t, s
-        padded = t + self.hyperbolic * ((len(s) - len(t)) // 2)
-        return diagonal_isometric_field(self.k, s, padded)
+    Exact: for odd q, forms are classified by dimension and discriminant
+    (Lam, Introduction to Quadratic Forms over Fields, Ch. II), and by Witt
+    cancellation (Ch. I) two forms are Witt equivalent iff they are
+    isometric once the shorter is padded with planes <1, -1> to the longer
+    one's dimension.  Padding with m planes multiplies the discriminant by
+    (-1)^m and the sign by (-1)^(m(2n + 2m - 1)) = (-1)^m, so it keeps the
+    key; forms with equal keys pad to one dimension and one discriminant.
+    For even q every element is a square, and equal dimension decides.
+    """
+    n = len(entries)
+    sign = k.neg(1) if n * (n - 1) // 2 % 2 else 1
+    return n % 2, same_square_class(k, _product(k, entries), sign)
 
 
 def classical_witt_ring(q: int, dmax: int) -> WittRing:
     """Witt classes of diagonal nondegenerate forms modulo stabilization by
-    <1, -1>, built from field arithmetic only."""
+    <1, -1>, built from field arithmetic only.
+
+    Candidates are sorted tuples of least members of the square classes,
+    dimension first.  A class is represented by the first candidate with its
+    `_witt_key`, and every sum and product finds its class by that key.
+    Every key occurs by dim 2, so the tables are full and the ring finite.
+    """
     if q not in ORACLE_SIZES:
         raise SizeGuardError(f"oracle fields are {ORACLE_SIZES}; got {q}")
     if not 2 <= dmax <= 4:
         raise SizeGuardError(f"oracle dmax must be 2..4, got {dmax}")
     k = _field_for(q)
-    calc = _DiagonalWitt(k)
-    reps = [()]  # diagonal entries per class; () is the zero class
-
-    def index_of(entries):
-        for i, e in enumerate(reps):
-            if calc.witt_equivalent(entries, e):
-                return i
-        return None
-
+    sq = square_classes(k)
+    least = sorted(min(c) for i, c in enumerate(sq.classes) if i != sq.zero_class)
+    first = {_witt_key(k, ()): ()}  # key -> diagonal entries of its class; () is the zero class
     growth = []
     for d in range(1, dmax + 1):
-        before = len(reps)
-        for cand in combinations_with_replacement(calc.reps, d):
-            if index_of(cand) is None:
-                reps.append(cand)
-        growth.append(len(reps) - before)
+        before = len(first)
+        for cand in combinations_with_replacement(least, d):
+            first.setdefault(_witt_key(k, cand), cand)
+        growth.append(len(first) - before)
+    reps = list(first.values())
+    index = {key: i for i, key in enumerate(first)}
 
     n = len(reps)
     add_table = [[None] * n for _ in range(n)]
@@ -269,14 +256,14 @@ def classical_witt_ring(q: int, dmax: int) -> WittRing:
     for i in range(n):
         for j in range(i, n):
             ei, ej = reps[i], reps[j]
-            add_table[i][j] = add_table[j][i] = index_of(ei + ej)
+            add_table[i][j] = add_table[j][i] = index[_witt_key(k, ei + ej)]
             prod = tuple(k.mul(a, b) for a in ei for b in ej)
-            mul_table[i][j] = mul_table[j][i] = index_of(prod)
+            mul_table[i][j] = mul_table[j][i] = index[_witt_key(k, prod)]
     return WittRing(
         classes=[WittClass(Form(e) if e else None) for e in reps],
         add_table=add_table,
         mul_table=mul_table,
         zero_class=0,
-        one_class=index_of((1,)),
+        one_class=index[_witt_key(k, (1,))],
         growth=growth,
     )

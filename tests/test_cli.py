@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import quadpres
-from quadpres.cli import build_parser, main
+from quadpres import quadratic
+from quadpres.cli import _oracle_match, build_parser, main
 from quadpres.documents import emit_hyperfield, emit_witt_ring
-from quadpres.finitefield import DEFAULT_MODULI, _is_prime, ff_make
+from quadpres.finitefield import DEFAULT_MODULI, _is_prime, ff_make, parse_field_arg
 from quadpres.hyperfields import (
     Hyperfield,
     euclidean_hyperfield,
@@ -15,8 +17,9 @@ from quadpres.hyperfields import (
     prime_hyperfield,
     quadratic_hyperfield,
 )
+from quadpres.oracle import ORACLE_SIZES, classical_witt_ring
 from quadpres.presentable import squares_pipeline
-from quadpres.quadratic import witt_ring
+from quadpres.quadratic import ring_isomorphic, witt_ring
 from test_quadratic import laurent_extension, two_step_laurent
 
 
@@ -32,6 +35,56 @@ def test_witt_field_3(capsys):
         assert code == 0, max_dim
         assert "W: finite, 4 classes" in out, max_dim
         assert "oracle match: yes" in out, max_dim
+
+
+def one_add_cell_changed(W):
+    """W with add_table[1][1] moved to the next class: 1 + 1 is wrong."""
+    add = [list(row) for row in W.add_table]
+    add[1][1] = (add[1][1] + 1) % W.size
+    return replace(W, add_table=add)
+
+
+def two_classes_swapped(W, i, j):
+    """An isomorphic copy of W with classes i and j renumbered as each other."""
+    perm = list(range(W.size))
+    perm[i], perm[j] = j, i
+    return replace(
+        W,
+        classes=[W.classes[perm[x]] for x in range(W.size)],
+        add_table=[[perm[W.add_table[perm[x]][perm[y]]] for y in range(W.size)] for x in range(W.size)],
+        mul_table=[[perm[W.mul_table[perm[x]][perm[y]]] for y in range(W.size)] for x in range(W.size)],
+        zero_class=perm[W.zero_class],
+        one_class=perm[W.one_class],
+    )
+
+
+def test_oracle_match_by_equal_tables_agrees_with_the_isomorphism_search():
+    # cli witt decides the oracle match by equal names and tables, not by the
+    # search.  That is stricter by design: it also pins the class numbering,
+    # so an isomorphic relabelling fails it while the search still finds a map.
+    for q in ORACLE_SIZES:
+        k = ff_make(*parse_field_arg(str(q)))
+        F = quadratic_hyperfield(k)
+        for dmax in range(2, 7):
+            W = witt_ring(F, dmax)
+            WO = classical_witt_ring(q, min(dmax, 4))
+            assert W.status == "finite", (q, dmax)
+            assert _oracle_match(W, F, WO, k) == (ring_isomorphic(W, WO) is not None), (q, dmax)
+            assert _oracle_match(W, F, WO, k), (q, dmax)
+            assert not _oracle_match(one_add_cell_changed(W), F, WO, k), (q, dmax)
+            if W.size > 2:  # odd q: classes 1 and 2 are <1> and <least non-square>
+                swapped = two_classes_swapped(W, 1, 2)
+                assert not _oracle_match(swapped, F, WO, k), (q, dmax)
+                assert ring_isomorphic(swapped, WO) is not None, (q, dmax)
+
+
+def test_witt_oracle_mismatch_fails(monkeypatch, capsys):
+    real = quadratic.witt_ring
+    monkeypatch.setattr(quadratic, "witt_ring", lambda F, dmax: one_add_cell_changed(real(F, dmax)))
+    code, out = run(capsys, "witt", "--field", "3")
+    assert code == 1
+    assert "oracle match: no" in out
+    assert "witt: FAIL (oracle mismatch)" in out
 
 
 def test_witt_euclidean_truncated(capsys):

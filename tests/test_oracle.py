@@ -2,16 +2,15 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from quadpres import oracle
 from quadpres.errors import InputError, SizeGuardError, ValidationError
 from quadpres.finitefield import ff_make, square_classes
 from quadpres.oracle import (
     ORACLE_SIZES,
     GramForm,
-    _DiagonalWitt,
     _det,
     _field_for,
     _symmetric_nondegenerate,
+    _witt_key,
     classical_isometric,
     classical_witt_ring,
     congruence_classes,
@@ -19,6 +18,7 @@ from quadpres.oracle import (
     represents,
     same_square_class,
 )
+from quadpres.quadratic import Form, WittClass, WittRing
 
 
 def test_gram_form_validation():
@@ -230,6 +230,41 @@ def binary_isometric_field(k, a, b, c, d) -> bool:
     return represents(k, a, b, c)
 
 
+class _DiagonalWitt:
+    """Canonical diagonal forms and hyperbolic stabilization, entirely at
+    field level."""
+
+    def __init__(self, k):
+        self.k = k
+        sq = square_classes(k)
+        least = [min(c) for c in sq.classes]
+        self.reps = tuple(sorted(r for i, r in enumerate(least) if i != sq.zero_class))
+        self.rep_of = {x: least[sq.class_of[x]] for x in k.nonzero()}
+        self.hyperbolic = tuple(sorted((1, self.rep_of[k.neg(1)])))
+
+    def canon(self, entries):
+        return tuple(sorted(self.rep_of[e] for e in entries))
+
+    def witt_equivalent(self, s, t):
+        """Equal-parity dimensions, and isometric once the shorter form is
+        padded with hyperbolic planes to the longer one's dimension.
+
+        One comparison by `diagonal_isometric_field` is exact.  For odd q,
+        diagonal forms are classified by dimension and discriminant (Lam,
+        Introduction to Quadratic Forms over Fields, Ch. II), and Witt
+        cancellation (Ch. I) turns s + mH ~ t + m'H, m' >= m, into
+        s ~ t + (m' - m)H.  For even q every element is a square, so
+        `same_square_class` always holds and equal dimension decides.
+        """
+        s, t = self.canon(s), self.canon(t)
+        if (len(s) - len(t)) % 2:
+            return False
+        if len(s) < len(t):
+            s, t = t, s
+        padded = t + self.hyperbolic * ((len(s) - len(t)) // 2)
+        return diagonal_isometric_field(self.k, s, padded)
+
+
 class ChainWitt(_DiagonalWitt):
     """The reference isometry: breadth-first closure of canonical diagonal
     forms under binary chain steps, each step the value-set criterion."""
@@ -326,9 +361,58 @@ def test_one_padded_comparison_matches_every_padding(q):
 
 
 @pytest.mark.parametrize("q", ORACLE_SIZES)
-def test_classical_witt_ring_matches_the_padded_reference(q, monkeypatch):
-    rings = {d: classical_witt_ring(q, d) for d in (2, 3, 4)}
-    monkeypatch.setattr(ChainWitt, "witt_equivalent", padded_witt_equivalent)
-    monkeypatch.setattr(oracle, "_DiagonalWitt", ChainWitt)
-    for d, W in rings.items():
-        assert W == classical_witt_ring(q, d), (q, d)
+def test_witt_key_matches_the_padded_comparison(q):
+    # the oracle's key against the one padded comparison it replaced, which
+    # the test above checks against every padding on the chain rule
+    calc = _DiagonalWitt(_field_for(q))
+    forms = [s for d in range(9) for s in combinations_with_replacement(calc.reps, d)]
+    for s, t in product(forms, repeat=2):
+        assert (_witt_key(calc.k, s) == _witt_key(calc.k, t)) == calc.witt_equivalent(s, t), (q, s, t)
+
+
+def padded_reference_witt_ring(q, dmax):
+    """classical_witt_ring as a linear scan of padded chain-step comparisons:
+    the oracle's construction before its classes were keyed."""
+    k = _field_for(q)
+    calc = ChainWitt(k)
+    reps = [()]  # diagonal entries per class; () is the zero class
+
+    def index_of(entries):
+        for i, e in enumerate(reps):
+            if padded_witt_equivalent(calc, entries, e):
+                return i
+        return None
+
+    growth = []
+    for d in range(1, dmax + 1):
+        before = len(reps)
+        for cand in combinations_with_replacement(calc.reps, d):
+            if index_of(cand) is None:
+                reps.append(cand)
+        growth.append(len(reps) - before)
+
+    n = len(reps)
+    add_table = [[None] * n for _ in range(n)]
+    mul_table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            ei, ej = reps[i], reps[j]
+            add_table[i][j] = add_table[j][i] = index_of(ei + ej)
+            prod = tuple(k.mul(a, b) for a in ei for b in ej)
+            mul_table[i][j] = mul_table[j][i] = index_of(prod)
+    return WittRing(
+        classes=[WittClass(Form(e) if e else None) for e in reps],
+        add_table=add_table,
+        mul_table=mul_table,
+        zero_class=0,
+        one_class=index_of((1,)),
+        growth=growth,
+    )
+
+
+@pytest.mark.parametrize("q", ORACLE_SIZES)
+def test_classical_witt_ring_matches_the_padded_reference(q):
+    for d in (2, 3, 4):
+        W = classical_witt_ring(q, d)
+        assert W == padded_reference_witt_ring(q, d), (q, d)
+        assert W.status == "finite", (q, d)
