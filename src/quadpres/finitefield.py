@@ -78,34 +78,6 @@ def _poly_mul(a, b, p):
     return out
 
 
-def _monic_polys(p, d):
-    coeffs = [0] * d + [1]
-    while True:
-        yield list(coeffs)
-        i = 0
-        while i < d:
-            coeffs[i] += 1
-            if coeffs[i] < p:
-                break
-            coeffs[i] = 0
-            i += 1
-        else:
-            return
-
-
-def poly_is_irreducible(modulus, p):
-    """Exhaustive trial division by all monic polys of degree <= deg/2."""
-    m = _trim([c % p for c in modulus])
-    n = len(m) - 1
-    if n < 1:
-        return False
-    for d in range(1, n // 2 + 1):
-        for f in _monic_polys(p, d):
-            if not _poly_mod(list(m), f, p):
-                return False
-    return True
-
-
 class FiniteField:
     """GF(p^n) as total operation tables on ids 0..p^n-1."""
 
@@ -134,14 +106,18 @@ class FiniteField:
                 ) from None
         if len(_trim(modulus)) != n + 1 or _trim(modulus)[-1] != 1:
             raise InputError(f"modulus must be monic of degree {n}")
-        if n > 1 and not poly_is_irreducible(modulus, p):
-            raise ValidationError(f"modulus {list(modulus)} is reducible over GF({p})")
         self.p = p
         self.n = n
         self.q = q
         self.modulus = tuple(_trim(modulus)) if n > 1 else tuple(modulus[: n + 1])
 
         self._build_tables()
+        # Z_p[x]/(m) is a field iff m is irreducible iff every nonzero
+        # element has an inverse
+        try:
+            self._inv = [None] + [row.index(1) for row in self._mul[1:]]
+        except ValueError:
+            raise ValidationError(f"modulus {list(modulus)} is reducible over GF({p})") from None
 
     def _build_tables(self):
         p, n, q = self.p, self.n, self.q
@@ -181,12 +157,6 @@ class FiniteField:
         self._add = add
         self._mul = mul
         self._neg = [row.index(0) for row in add]
-        try:
-            self._inv = [None] + [row.index(1) for row in mul[1:]]
-        except ValueError:
-            raise ValidationError(
-                "some nonzero element has no inverse; modulus not irreducible?"
-            ) from None
 
     def _decode(self, a):
         out = []

@@ -184,6 +184,8 @@ def _multiplicative_laws_hold(F: Hyperfield) -> bool:
     (Light's test: the g passing it are closed under products, so it gives
     associativity); and a(b + c) = ab + ac for a in {0} and the generators
     (the a passing it are closed under products once * is associative).
+    At a = 0 the law is one cell: 0 is absorbing and no cell is empty, so
+    0(b + c) = {0} and 0b + 0c = 0 + 0, and it holds iff 0 + 0 = {0}.
     The generators come from greedy closure of {1} under right
     multiplication.  In a group a new generator at least doubles the
     subgroup reached (Lagrange), so when one does not, F* is no group and
@@ -216,8 +218,10 @@ def _multiplicative_laws_hold(F: Hyperfield) -> bool:
         tuple(map(mul[x].__getitem__, mul[g])) != mul[mul[x][g]] for g in gens for x in nz
     ):
         return False
+    if add[z][z] != {z}:
+        return False
     cells = set().union(*add)
-    return not any(next(_distributivity_failures(F, a, cells), None) for a in (z, *gens))
+    return not any(next(_distributivity_failures(F, a, cells), None) for a in gens)
 
 
 def _additive_levels(F: Hyperfield, scalars) -> AxiomReport:
@@ -383,16 +387,18 @@ def _quotient_tables(F, class_of):
     reps = [None] * m
     for x in reversed(range(F.size)):
         reps[class_of[x]] = x
-    cells = [[set() for _ in range(m)] for _ in range(m)]
-    image = {}
+    # gather the members of the cells (a, b), a <= b, per class pair; the
+    # classes of a union are the union of the classes, so each unordered
+    # pair of classes is mapped to classes once
+    members = [[set() for _ in range(m)] for _ in range(m)]
     for a, row in enumerate(F._add):
-        out = cells[class_of[a]]
+        out = members[class_of[a]]
         for b, cell in enumerate(row[a:], start=a):
-            classes = image.get(cell)
-            if classes is None:
-                classes = image[cell] = {class_of[x] for x in cell}
-            out[class_of[b]] |= classes
-    add = [[cells[i][j] | cells[j][i] for j in range(m)] for i in range(m)]
+            out[class_of[b]] |= cell
+    add = [[None] * m for _ in range(m)]
+    for i, row in enumerate(members):
+        for j in range(i, m):
+            add[i][j] = add[j][i] = frozenset(map(class_of.__getitem__, row[j] | members[j][i]))
     neg = [class_of[F.neg(r)] for r in reps]
     mul = [[class_of[F.mul(ra, rb)] for rb in reps] for ra in reps]
     names = [F.names[r] for r in reps]
@@ -456,6 +462,13 @@ def prime_hyperfield(F: Hyperfield) -> Hyperfield:
     return Hyperfield(
         zero=F.zero, one=F.one, neg=F.neg_table(), mul=F.mul_table(), add=add, names=F.names
     )
+
+
+def _own_sum_failures(F: Hyperfield):
+    """(a, b), in (a, b) order, wherever a nonzero a is not in a + b: the law
+    that the prime addition makes hold, read a table row at a time."""
+    for a in F.nonzero():
+        yield from ((a, b) for b, cell in enumerate(F._add[a]) if a not in cell)
 
 
 def quadratic_hyperfield(k: FiniteField) -> Hyperfield:

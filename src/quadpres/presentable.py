@@ -11,7 +11,14 @@ ladder and reports per-axiom witnesses.
 from __future__ import annotations
 
 from .errors import InputError, SizeGuardError, ValidationError
-from .hyperfields import AxiomReport, Hyperfield, _quotient_tables, check_hyperfield, quotient_by_subgroup
+from .hyperfields import (
+    AxiomReport,
+    Hyperfield,
+    _own_sum_failures,
+    _quotient_tables,
+    check_hyperfield,
+    quotient_by_subgroup,
+)
 from .posets import FinitePointedPoset, _bits, _inclusion_up_masks, check_presentable as check_poset
 
 MAX_HYPERFIELD_BASE = 10   # powerset carrier is 2^|F| - 1
@@ -397,14 +404,11 @@ def squares_pipeline(F: Hyperfield, literal_squares=False) -> Hyperfield:
     all nonzero elements and collapses the quotient; the collapse is the
     caller's to inspect, not hidden.
     """
-    for a in F.nonzero():
-        for b in range(F.size):
-            if a not in F.add(a, b):
-                raise ValidationError(
-                    f"precondition a in a + b fails at ({a},{b}); apply the prime "
-                    "addition first",
-                    witness=(a, b),
-                )
+    for a, b in _own_sum_failures(F):
+        raise ValidationError(
+            f"precondition a in a + b fails at ({a},{b}); apply the prime addition first",
+            witness=(a, b),
+        )
     if literal_squares:
         T = set(F.nonzero())
     else:

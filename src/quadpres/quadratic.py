@@ -30,7 +30,13 @@ from math import comb
 from typing import Optional
 
 from .errors import InputError, SizeGuardError, ValidationError
-from .hyperfields import TRIPLE_BUDGET, AxiomReport, Hyperfield, _isomorphism_search
+from .hyperfields import (
+    TRIPLE_BUDGET,
+    AxiomReport,
+    Hyperfield,
+    _isomorphism_search,
+    _own_sum_failures,
+)
 
 CANDIDATE_BUDGET = 200_000     # cap on witt_ring's class enumeration (multisets up to dmax)
 RING_ISO_MAX = 16
@@ -71,22 +77,15 @@ def form_product(F: Hyperfield, entries) -> int:
 
 def check_prequadratic(F: Hyperfield) -> AxiomReport:
     """The three axioms: a in a+b for nonzero a; the 1-b product rule;
-    squares of nonzero elements are 1."""
-    failures = []
-    nz = F.nonzero()
-    for a in nz:
-        for b in range(F.size):
-            if a not in F.add(a, b):
-                failures.append(("prequadratic.i", (a, b)))
-    for b in range(F.size):
-        for c in range(F.size):
-            one_minus_b = F.sub(F.one, b)
-            one_minus_c = F.sub(F.one, c)
-            one_minus_bc = F.sub(F.one, F.mul(b, c))
-            for a in range(F.size):
-                if a in one_minus_b and a in one_minus_c and a not in one_minus_bc:
-                    failures.append(("prequadratic.ii", (a, b, c)))
-    for a in nz:
+    squares of nonzero elements are 1.  The product rule is one set
+    inclusion (1 - b) & (1 - c) <= 1 - bc per pair (b, c)."""
+    failures = [("prequadratic.i", w) for w in _own_sum_failures(F)]
+    one_minus = [F.sub(F.one, b) for b in range(F.size)]
+    for b, row in enumerate(F._mul):
+        for c, bc in enumerate(row):
+            missing = (one_minus[b] & one_minus[c]) - one_minus[bc]
+            failures += [("prequadratic.ii", (a, b, c)) for a in sorted(missing)]
+    for a in F.nonzero():
         if F.mul(a, a) != F.one:
             failures.append(("prequadratic.iii", (a,)))
     return AxiomReport("prequadratic" if not failures else "none", failures)
@@ -472,7 +471,7 @@ def _additive_order(W, i):
         if x == W.zero_class:
             return k
         x = W.add_table[x][i]
-    return None  # zero not reached within size; tables inconsistent
+    return 0  # zero not reached within size (tables inconsistent); real orders are >= 1
 
 
 def ring_isomorphic(W1: WittRing, W2: WittRing):

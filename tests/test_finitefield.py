@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -13,11 +14,40 @@ from quadpres.finitefield import (
     _trim,
     ff_make,
     parse_field_arg,
-    poly_is_irreducible,
     square_classes,
 )
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)]
+
+
+# trial division: the reference for the inverse scan by which FiniteField
+# refuses a reducible modulus
+def _monic_polys(p, d):
+    coeffs = [0] * d + [1]
+    while True:
+        yield list(coeffs)
+        i = 0
+        while i < d:
+            coeffs[i] += 1
+            if coeffs[i] < p:
+                break
+            coeffs[i] = 0
+            i += 1
+        else:
+            return
+
+
+def poly_is_irreducible(modulus, p):
+    """Exhaustive trial division by all monic polys of degree <= deg/2."""
+    m = _trim([c % p for c in modulus])
+    n = len(m) - 1
+    if n < 1:
+        return False
+    for d in range(1, n // 2 + 1):
+        for f in _monic_polys(p, d):
+            if not _poly_mod(list(m), f, p):
+                return False
+    return True
 
 
 def test_gf3_arithmetic():
@@ -89,6 +119,25 @@ def test_reducible_modulus_rejected():
         ff_make(2, 2, modulus=(0, 0, 1))  # x^2
     with pytest.raises(ValidationError):
         ff_make(3, 2, modulus=(2, 0, 1))  # x^2 + 2 = (x+1)(x+2) over GF(3)
+
+
+def test_modulus_accepted_iff_trial_division_finds_it_irreducible():
+    checked = 0
+    for p, n in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
+                 (7, 2), (11, 2)]:
+        for modulus in _monic_polys(p, n):
+            if poly_is_irreducible(modulus, p):
+                assert ff_make(p, n, modulus).modulus == tuple(modulus), (p, modulus)
+            else:
+                message = f"modulus {modulus} is reducible over GF({p})"
+                with pytest.raises(ValidationError, match=re.escape(message)):
+                    ff_make(p, n, modulus)
+            checked += 1
+    assert checked == 561
+    # the message shows the modulus as typed, trailing zeros included
+    with pytest.raises(ValidationError) as err:
+        ff_make(3, 2, modulus=[2, 0, 1, 0])
+    assert str(err.value) == "modulus [2, 0, 1, 0] is reducible over GF(3)"
 
 
 def test_modulus_coefficients_outside_the_prime_field_refused():

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from quadpres import hyperfields
+from quadpres import hyperfields, presentable
 from quadpres.errors import InputError, SizeGuardError, ValidationError
 from quadpres.finitefield import DEFAULT_MODULI, _is_prime, ff_make
 from quadpres.hyperfields import (
@@ -19,7 +19,11 @@ from quadpres.hyperfields import (
     quadratic_hyperfield,
     quotient_by_subgroup,
 )
-from quadpres.presentable import quotient_mod_multiplicative_set
+from quadpres.presentable import (
+    quotient_by_congruence,
+    quotient_mod_multiplicative_set,
+    squares_pipeline,
+)
 
 
 def mutate_add(F, a, b, new_cell):
@@ -384,6 +388,86 @@ def test_constructor_rejects_malformed_tables():
         V, "multiplication not commutative at (3,4)", (3, 4))
 
 
+# the quotient builder with a class-image memo per distinct cell: the
+# reference for _quotient_tables, which maps each class pair's members once
+def memo_quotient_tables(F, class_of):
+    """The quotient of F whose classes are numbered by ``class_of``.
+
+    abar is in bbar + cbar iff a' is in b' + c' for some members of the three
+    classes; every class is represented and named by its least member.
+    """
+    m = max(class_of) + 1
+    reps = [None] * m
+    for x in reversed(range(F.size)):
+        reps[class_of[x]] = x
+    cells = [[set() for _ in range(m)] for _ in range(m)]
+    image = {}
+    for a, row in enumerate(F._add):
+        out = cells[class_of[a]]
+        for b, cell in enumerate(row[a:], start=a):
+            classes = image.get(cell)
+            if classes is None:
+                classes = image[cell] = {class_of[x] for x in cell}
+            out[class_of[b]] |= classes
+    add = [[cells[i][j] | cells[j][i] for j in range(m)] for i in range(m)]
+    neg = [class_of[F.neg(r)] for r in reps]
+    mul = [[class_of[F.mul(ra, rb)] for rb in reps] for ra in reps]
+    names = [F.names[r] for r in reps]
+    return Hyperfield(
+        zero=class_of[F.zero], one=class_of[F.one], neg=neg, mul=mul, add=add, names=names
+    )
+
+
+def test_quotient_tables_match_the_memo_reference(monkeypatch):
+    # every quotient path goes through _quotient_tables; each call is
+    # checked against the reference on the same classes
+    built = hyperfields._quotient_tables
+    calls = []
+
+    def checked(F, class_of):
+        Q, ref = built(F, class_of), memo_quotient_tables(F, class_of)
+        assert Q == ref and Q.names == ref.names, (F, class_of)
+        calls.append(Q.size)
+        return Q
+
+    monkeypatch.setattr(hyperfields, "_quotient_tables", checked)
+    monkeypatch.setattr(presentable, "_quotient_tables", checked)
+    fields = [(p, 1) for p in range(2, 129) if _is_prime(p)] + list(DEFAULT_MODULI)
+    for p, n in fields:
+        k = ff_make(p, n)
+        g, order = k.generator(), k.q - 1
+        P = prime_hyperfield(from_field(k))
+        for F in (from_field(k), P):
+            # F* is cyclic: one subgroup of each index d dividing q - 1
+            for d in range(1, 7):
+                if order % d == 0:
+                    quotient_by_subgroup(F, {k.power(g, d * i) for i in range(order // d)})
+        squares_pipeline(P)
+    E = euclidean_hyperfield()
+    quotient_mod_multiplicative_set(E, {1})
+    quotient_mod_multiplicative_set(E, {1, 2})
+    squares_pipeline(E)
+    quotient_by_congruence(E, [[0], [1], [2]])
+    quotient_by_congruence(from_field(ff_make(5)), [[0], [1, 4], [2, 3]])
+    for p in (5, 7):
+        k = ff_make(p)
+        squares = {k.mul(a, a) for a in k.nonzero()}
+        cosets = {frozenset(k.mul(x, s) for s in squares) for x in k.nonzero()}
+        quotient_by_congruence(from_field(k), [[0]] + sorted(sorted(c) for c in cosets))
+    # classes not numbered by their least members, and tables that are not
+    # distributive, where cell (a, b) of a class pair is not the image of a
+    # cell (at, bt) for a unit t: the lower triangle of class pairs counts
+    classes = [[0], [4, 9], [3, 10], [2, 11], [5, 8], [1, 12], [6, 7]]  # x ~ -x in GF(13)
+    quotient_by_congruence(prime_hyperfield(from_field(ff_make(13))), classes)
+    rng = random.Random(3)
+    for F in (from_field(ff_make(7)), prime_hyperfield(from_field(ff_make(11)))):
+        for _ in range(40):
+            a, b = rng.randrange(F.size), rng.randrange(F.size)
+            G = mutate_add(F, a, b, rng.sample(range(F.size), rng.randint(1, 3)))
+            quotient_by_subgroup(G, {1, F.size - 1})
+    assert len(calls) > 380
+
+
 def test_quotient_class_names_use_min_member():
     k = ff_make(7)
     Q = quotient_by_subgroup(from_field(k), {1, 2, 4})
@@ -556,6 +640,26 @@ def test_scalar_zero_is_checked_when_hypermonoid_i_fails():
             )
     assert mutants > 0
     assert scaled_by_zero > 0
+
+
+def test_distributivity_at_zero_is_the_cell_zero_plus_zero():
+    # _multiplicative_laws_hold reads the law at a = 0 off 0 + 0 alone;
+    # every redrawn 0 + 0 other than {0} must fail it, and the ladder must
+    # still give the cell-by-cell report
+    mutants = 0
+    for F in ladder_bases():
+        z = F.zero
+        for r in (1, 2):
+            for S in combinations(range(F.size), r):
+                add = F.add_full_table()
+                add[z][z] = list(S)
+                G = Hyperfield(F.zero, F.one, F.neg_table(), F.mul_table(), add)
+                reduced_path = _multiplicative_laws_hold(G)
+                assert reduced_path == (S == (z,) and _multiplicative_laws_hold(F))
+                scalars = sorted((z, G.one)) if reduced_path else range(G.size)
+                assert check_hyperfield(G) == cell_by_cell_ladder(G, scalars)
+                mutants += 1
+    assert mutants > 300
 
 
 def test_ladder_guard_refuses_large_tables_before_any_triple(monkeypatch):

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from itertools import combinations_with_replacement, permutations, product
 from math import comb
@@ -5,12 +6,14 @@ from math import comb
 import pytest
 
 from quadpres.errors import InputError, SizeGuardError, ValidationError
-from quadpres.finitefield import ff_make, square_classes
+from quadpres.finitefield import DEFAULT_MODULI, _is_prime, ff_make, square_classes
 from quadpres.hyperfields import (
+    AxiomReport,
     Hyperfield,
     check_hyperfield,
     euclidean_hyperfield,
     from_field,
+    prime_hyperfield,
     quadratic_hyperfield,
 )
 from quadpres.oracle import ORACLE_SIZES, classical_witt_ring
@@ -33,6 +36,7 @@ from quadpres.quadratic import (
     tensor_product,
     witt_ring,
 )
+from test_hyperfields import cell_mutants, ladder_bases
 
 
 def euclid_ctx():
@@ -67,6 +71,47 @@ def test_prequadratic_quadratic_hyperfields_pass():
     for q in PRE_QUADRATIC_FLEET:
         F, _ = q_ctx(q)
         assert check_prequadratic(F).passed, q
+
+
+# the triple loop: the reference for check_prequadratic, which checks the
+# product rule as one set inclusion per pair (b, c)
+def loop_check_prequadratic(F: Hyperfield) -> AxiomReport:
+    """The three axioms: a in a+b for nonzero a; the 1-b product rule;
+    squares of nonzero elements are 1."""
+    failures = []
+    nz = F.nonzero()
+    for a in nz:
+        for b in range(F.size):
+            if a not in F.add(a, b):
+                failures.append(("prequadratic.i", (a, b)))
+    for b in range(F.size):
+        for c in range(F.size):
+            one_minus_b = F.sub(F.one, b)
+            one_minus_c = F.sub(F.one, c)
+            one_minus_bc = F.sub(F.one, F.mul(b, c))
+            for a in range(F.size):
+                if a in one_minus_b and a in one_minus_c and a not in one_minus_bc:
+                    failures.append(("prequadratic.ii", (a, b, c)))
+    for a in nz:
+        if F.mul(a, a) != F.one:
+            failures.append(("prequadratic.iii", (a,)))
+    return AxiomReport("prequadratic" if not failures else "none", failures)
+
+
+def test_prequadratic_matches_the_triple_loop():
+    tables = [euclidean_hyperfield()]
+    fields = [(p, 1) for p in range(2, 128) if _is_prime(p)]
+    for p, n in fields + [f for f in DEFAULT_MODULI if f[0] ** f[1] <= 127]:
+        k = ff_make(p, n)
+        tables += [from_field(k), prime_hyperfield(from_field(k)), quadratic_hyperfield(k)]
+    rng = random.Random(18)
+    tables += [G for F in ladder_bases() for G in cell_mutants(F, rng, 40)]
+    kinds = set()
+    for F in tables:
+        report = check_prequadratic(F)
+        assert report == loop_check_prequadratic(F), F
+        kinds.update(axiom for axiom, _ in report.failures)
+    assert kinds == {"prequadratic.i", "prequadratic.ii", "prequadratic.iii"}
 
 
 def test_unary_isometry_is_equality():
@@ -541,6 +586,22 @@ def test_ring_isomorphic_rejects_incomplete_mul_table():
     mul[1][1] = None
     with pytest.raises(InputError):
         ring_isomorphic(replace(W, mul_table=mul), W)
+
+
+def test_ring_isomorphic_on_a_class_with_no_additive_order():
+    # add_table[1][1] moved to the next class: in some of these rings 1 + 1 + ...
+    # never reaches zero, which the additive-order profile must survive
+    for q in (2, 3, 5):
+        F, _ = q_ctx(q)
+        W = witt_ring(F, 4)
+        add = [list(row) for row in W.add_table]
+        add[1][1] = (add[1][1] + 1) % W.size
+        M = replace(W, add_table=add)
+        assert M.status == "finite"
+        for pair in ((M, W), (W, M)):
+            found = ring_isomorphic(*pair)
+            assert found is None or isinstance(found, dict), q
+        assert ring_isomorphic(W, W) is not None
 
 
 def test_ring_isomorphic_distinguishes_z4_from_klein():
