@@ -191,14 +191,16 @@ class FinitePointedPoset:
 class PresentabilityReport:
     """Outcome of the presentability ladder on a pointed poset.
 
-    ``tests_agree`` records whether the direct compactness test and the
-    unique-representation test reached the same verdict; it is None when the
+    ``all_minimals_compact`` is None when compactness was not evaluated: on a
+    poset that is not weakly presentable and has more than ``MAX_MINIMALS``
+    elements.  ``tests_agree`` records whether the compactness verdict agrees
+    with the counting form of unique representation; it is None when the
     poset is not weakly presentable (the equivalence is only claimed there).
     """
 
     weakly_presentable: bool
     basepoint_minimal: bool
-    all_minimals_compact: bool
+    all_minimals_compact: Optional[bool]
     witnesses: list = field(default_factory=list)
     tests_agree: Optional[bool] = None
 
@@ -210,32 +212,51 @@ class PresentabilityReport:
 def check_presentable(P: FinitePointedPoset) -> PresentabilityReport:
     """Verify weak presentability, basepoint minimality and compactness.
 
-    Compactness of every minimal element is evaluated directly from its
-    definition, with the bound-variable subset ranging over subsets of
-    minimals on weakly presentable inputs and over the whole carrier
-    otherwise (see ``_compactness_direct``).  The unique-representation
-    criterion is evaluated independently and the agreement of the two tests is
-    recorded.
+    One smallest-first walk takes the supremum of each nonempty set S of
+    minimals once.  It decides weak presentability (i) and, on a weakly
+    presentable poset, compactness with Y ranging over sets of minimals,
+    which is exact: let S be the minimals below members of Y.  Each y in Y is
+    the supremum of its minimals, so sup(S) = sup(Y), and a minimal is below
+    a member of Y iff it is in S.  So Y fails for a iff S does, iff a is a
+    minimal outside S below sup(S).  Any other poset already fails; it
+    ranges Y over the whole carrier up to ``MAX_MINIMALS`` elements and past
+    that leaves compactness unevaluated (None).
+
+    Unique representation says sup(S) = x only for S = S_x, the minimals
+    below x.  Under weak presentability S -> sup(S) maps the 2^k - 1 sets of
+    the k minimals onto the carrier, so it holds iff n = 2^k - 1;
+    ``tests_agree`` compares that count with the walk's compactness verdict.
     """
     mins = P.minimals_mask
-    k = bin(mins).count("1")
+    k = mins.bit_count()
     if k > MAX_MINIMALS:
         raise SizeGuardError(f"{k} minimal elements exceed the subset guard {MAX_MINIMALS}")
     witnesses = []
 
-    # weak presentability (i): every nonempty subset of minimals has a supremum
+    # weak presentability (i): every nonempty set of minimals has a supremum;
+    # sup(S) is the supremum of S's least member and sup(S minus it), and S
+    # fails compactness when a minimal outside S lies below sup(S)
     wp_i = True
+    sups = {}
+    compact_wit = None
     for sub in _submasks_smallest_first(mins):
-        if P.sup_of_mask(sub) is None:
+        low = sub & -sub
+        rest = sub ^ low
+        v = P.sup_of_mask(low | 1 << sups[rest]) if rest else low.bit_length() - 1
+        if v is None:
             wp_i = False
             witnesses.append(("weak_presentability.i", tuple(_bits(sub))))
             break
+        sups[sub] = v
+        outside = P.down[v] & mins & ~sub
+        if outside and compact_wit is None:
+            compact_wit = (next(_bits(outside)), tuple(_bits(sub)))
 
     # weak presentability (ii): x is the supremum of its minimals
     wp_ii = True
     for x in range(P.n):
         sx = P.minimals_below_mask(x)
-        if sx == 0 or P.sup_of_mask(sx) != x:
+        if sx == 0 or (sups[sx] if wp_i else P.sup_of_mask(sx)) != x:
             wp_ii = False
             witnesses.append(("weak_presentability.ii", (x, tuple(_bits(sx)))))
             break
@@ -245,17 +266,16 @@ def check_presentable(P: FinitePointedPoset) -> PresentabilityReport:
     if not bp_min:
         witnesses.append(("basepoint_minimal", (P.basepoint,)))
 
-    compact_ok, compact_wit = _compactness_direct(P, weakly)
-    if not compact_ok:
-        witnesses.append(("compactness", compact_wit))
-
     tests_agree = None
     if weakly:
-        unique_ok, unique_wit = _unique_representation(P)
-        tests_agree = compact_ok == unique_ok
-        if not unique_ok and compact_ok:
-            # disagreement evidence belongs in the report, not hidden
-            witnesses.append(("unique_representation", unique_wit))
+        compact_ok = compact_wit is None
+        tests_agree = compact_ok == (P.n == (1 << k) - 1)
+    elif P.n <= MAX_MINIMALS:
+        compact_ok, compact_wit = _compactness_over_masks(P)
+    else:
+        compact_ok = None
+    if compact_ok is False:
+        witnesses.append(("compactness", compact_wit))
 
     return PresentabilityReport(
         weakly_presentable=weakly,
@@ -266,31 +286,12 @@ def check_presentable(P: FinitePointedPoset) -> PresentabilityReport:
     )
 
 
-def _compactness_direct(P, weakly):
-    """Evaluate the compactness definition for every minimal element.
-
-    Returns (ok, witness) where witness = (a, Y) exhibits a minimal a with
-    a <= sup(Y) but a below no member of Y.
-
-    On a weakly presentable poset Y ranges over subsets of minimals only, and
-    that is exact.  For Y in the carrier let S be the minimals below members
-    of Y; S is nonempty.  Each y in Y is the supremum of its minimals, so Y
-    and S have the same upper bounds and sup(S) = sup(Y).  A minimal a is
-    below a member of Y iff a is in S, and a minimal below a member of S is
-    that member, so Y fails for a iff S does.  Any other poset ranges Y over
-    the whole carrier, which the subset guard bounds by ``MAX_MINIMALS``.
-    """
-    if weakly:
-        return _compactness_over_masks(P, full=P.minimals_mask)
-    if P.n > MAX_MINIMALS:
-        raise SizeGuardError(
-            f"direct compactness over all subsets needs carrier <= {MAX_MINIMALS}; got {P.n}"
-        )
-    return _compactness_over_masks(P, full=(1 << P.n) - 1)
-
-
-def _compactness_over_masks(P, full):
+def _compactness_over_masks(P):
+    """Compactness with Y ranging over every nonempty subset of the carrier,
+    smallest first; returns (ok, witness) where witness = (a, Y) exhibits a
+    minimal a with a <= sup(Y) but a below no member of Y."""
     mins = P.minimals_mask
+    full = (1 << P.n) - 1
     # memoized DP over submasks of `full`
     sup_memo = {0: None}
     cover_memo = {0: 0}
@@ -321,16 +322,6 @@ def _compactness_over_masks(P, full):
             if missing:
                 a = next(_bits(missing))
                 return False, (a, tuple(_bits(sub)))
-    return True, None
-
-
-def _unique_representation(P):
-    """If x = sup(S) for S a subset of minimals, then S is exactly S_x."""
-    mins = P.minimals_mask
-    for sub in _submasks_smallest_first(mins):
-        x = P.sup_of_mask(sub)
-        if x is not None and P.minimals_below_mask(x) != sub:
-            return False, (x, tuple(_bits(sub)))
     return True, None
 
 

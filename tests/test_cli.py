@@ -182,6 +182,27 @@ def test_check_poset_builtin(capsys):
     assert code == 0
 
 
+def test_chains_fail_weak_presentability_at_any_size(tmp_path, capsys):
+    # weak presentability (ii) fails at the second element of a chain; past
+    # the carrier guard compactness is left unevaluated, not refused
+    for n, compact in ((16, True), (17, None)):
+        names = [f"c{i}" for i in range(n)]
+        doc = tmp_path / f"chain{n}.poset"
+        doc.write_text(
+            "poset\nelements: " + " ".join(names) + "\nbasepoint: c0\n"
+            + "".join(f"cover: {a} {b}\n" for a, b in zip(names, names[1:]))
+        )
+        out_path = tmp_path / f"chain{n}.json"
+        code, out = run(capsys, "check-poset", "--input", str(doc), "--out", str(out_path))
+        assert code == 1, n
+        assert "presentability: FAIL" in out, n
+        (check,) = json.loads(out_path.read_text())["reports"]
+        assert check["failures"] == [["weak_presentability.ii", [1, [0]]]], n
+        assert check["weakly_presentable"] is False, n
+        assert check["all_minimals_compact"] is compact, n
+        assert check["tests_agree"] is None, n
+
+
 def test_mathematical_failure_exits_one(tmp_path, capsys):
     E = euclidean_hyperfield()
     add = [[set(E.add(a, b)) for b in range(3)] for a in range(3)]

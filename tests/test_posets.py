@@ -1,16 +1,21 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from quadpres import posets
+import quadpres
 from quadpres.errors import InputError, SizeGuardError, ValidationError
 from quadpres.finitefield import ff_make
 from quadpres.hyperfields import from_field
 from quadpres.posets import (
     MAX_MINIMALS,
     FinitePointedPoset,
+    _bits,
+    _submasks_smallest_first,
     check_presentable,
     explicit_poset,
     pierced_powerset,
@@ -200,7 +205,7 @@ def test_cover_pairs_of_walking_supremum():
     assert set(W.cover_pairs()) == {(0, 2), (1, 2)}
 
 
-def _whole_carrier_compactness(P, _weakly):
+def _whole_carrier_compactness(P):
     """Reference: Y ranges over every nonempty subset of the carrier, smallest first."""
     mins = P.minimals_mask
     for Y in sorted(range(1, 1 << P.n), key=lambda m: (m.bit_count(), m)):
@@ -218,7 +223,19 @@ def _whole_carrier_compactness(P, _weakly):
     return True, None
 
 
-def test_compactness_over_minimals_matches_the_whole_carrier(monkeypatch):
+def _unique_representation(P):
+    """If x = sup(S) for S a subset of minimals, then S is exactly S_x."""
+    mins = P.minimals_mask
+    for sub in _submasks_smallest_first(mins):
+        x = P.sup_of_mask(sub)
+        if x is not None and P.minimals_below_mask(x) != sub:
+            return False, (x, tuple(_bits(sub)))
+    return True, None
+
+
+@pytest.fixture(scope="module")
+def weak_fleet():
+    """The weakly presentable posets of a seeded fleet, with their reports."""
     rng = random.Random(2026)
     fleet = [random_pointed_poset(rng, max_n=12) for _ in range(4000)]
     rng = random.Random(20260808)
@@ -234,16 +251,64 @@ def test_compactness_over_minimals_matches_the_whole_carrier(monkeypatch):
             basepoint_name="0",
         ),
     ]
-    # only weakly presentable posets take the minimals path; the others
-    # already range over the whole carrier
     weak = []
     for P in fleet:
         assert P.n <= MAX_MINIMALS
         report = check_presentable(P)
         if report.weakly_presentable:
             weak.append((P, report))
-    monkeypatch.setattr(posets, "_compactness_direct", _whole_carrier_compactness)
-    for P, report in weak:
-        assert check_presentable(P) == report, P.up
-    assert len(weak) > 1900
-    assert sum(not r.all_minimals_compact for _, r in weak) > 900
+    return weak
+
+
+def test_compactness_over_minimals_matches_the_whole_carrier(weak_fleet):
+    # only weakly presentable posets take the walk over sets of minimals;
+    # the others already range over the whole carrier
+    for P, report in weak_fleet:
+        ok, wit = _whole_carrier_compactness(P)
+        assert report.all_minimals_compact == ok, P.up
+        assert dict(report.witnesses).get("compactness") == wit, P.up
+    assert len(weak_fleet) > 1900
+    assert sum(not r.all_minimals_compact for _, r in weak_fleet) > 900
+
+
+def test_unique_representation_walk_matches_the_count(weak_fleet):
+    # under weak presentability S -> sup(S) is onto the carrier, so it is
+    # one-to-one iff the carrier has 2^k - 1 elements for k minimals
+    unique = 0
+    for P, report in weak_fleet:
+        walk_ok, _ = _unique_representation(P)
+        counted = P.n == 2 ** P.minimals_mask.bit_count() - 1
+        assert walk_ok == counted == report.all_minimals_compact, P.up
+        assert report.tests_agree is True, P.up
+        unique += walk_ok
+    assert 900 < unique < len(weak_fleet) - 900
+
+
+def test_compactness_can_fail_first_at_three_minimals():
+    # the nonempty subsets of four points but {0, 1, 2}, by inclusion: every
+    # pair of points is compact, and sup{0, 1, 2} is the whole set, above 3
+    family = [m for m in range(1, 16) if m != 0b0111]
+    up = [sum(1 << j for j, b in enumerate(family) if a & ~b == 0) for a in family]
+    P = FinitePointedPoset.from_up_masks(up, basepoint=0)
+    report = check_presentable(P)
+    assert report.weakly_presentable and report.tests_agree is True
+    assert report.witnesses == [("compactness", (6, (0, 1, 3)))]
+    # the whole carrier fails first at Y = {{0, 1}, {2}}, the same verdict
+    assert _whole_carrier_compactness(P) == (False, (6, (2, 3)))
+    assert _unique_representation(P)[0] is False
+
+def test_subset_guard_edge_in_a_subprocess():
+    # 16 minimals under one top: 65,535 sets of minimals, the most the guard admits
+    code = (
+        "from quadpres.posets import FinitePointedPoset, check_presentable\n"
+        "up = [1 << i | 1 << 16 for i in range(16)] + [1 << 16]\n"
+        "r = check_presentable(FinitePointedPoset.from_up_masks(up, basepoint=0))\n"
+        "print(r.weakly_presentable, r.all_minimals_compact, r.witnesses, r.tests_agree)\n"
+    )
+    src = os.path.dirname(os.path.dirname(quadpres.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True False [('compactness', (2, (0, 1)))] True\n"

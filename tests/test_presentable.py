@@ -6,6 +6,7 @@ import pytest
 from quadpres.errors import InputError, SizeGuardError, ValidationError
 from quadpres.finitefield import ff_make
 from quadpres.hyperfields import (
+    AxiomReport,
     Hyperfield,
     check_hyperfield,
     euclidean_hyperfield,
@@ -15,7 +16,7 @@ from quadpres.hyperfields import (
     prime_hyperfield,
     quadratic_hyperfield,
 )
-from quadpres.posets import _bits
+from quadpres.posets import FinitePointedPoset, _bits, check_presentable as check_poset
 from quadpres.presentable import (
     EXAMPLE_SQ_ADD,
     EXAMPLE_SQ_MUL,
@@ -440,6 +441,151 @@ def test_supercompact_laws_decide_the_level_of_mutants():
             if level >= LEVELS.index(stage):
                 assert not whole_carrier_law_fails(R, stage, rng), (R, stage)
     assert reached == {"poset", "monoid", "group", "field"}
+
+
+def cached_sup(poset, cache, xs):
+    key = 0
+    for x in xs:
+        key |= 1 << x
+    v = cache.get(key)
+    if v is None and key not in cache:
+        v = poset.sup_of_mask(key)
+        cache[key] = v
+    return v
+
+
+def cached_sup_ladder(R):
+    """The ladder with each supremum taken by ``poset.sup_of_mask`` and
+    cached by its mask of members: the reference for the lookups of
+    ``check_presentable``."""
+    poset = R.poset
+    report = check_poset(poset)
+    if not report.passed:
+        failures = [(f"poset.{axiom}", wit) for axiom, wit in report.witnesses]
+        return AxiomReport("none", failures)
+
+    n = R.n
+    zero = R.zero
+    mins = poset.minimals_mask
+    sc = R.supercompacts()
+    sup_cache = {}
+    smask = [poset.minimals_below_mask(x) for x in range(n)]
+
+    failures = []
+    for a in range(n):
+        if R.add[a][zero] != a or R.add[zero][a] != a:
+            failures.append(("monoid.ii", (a, R.add[a][zero])))
+    for a in range(n):
+        for b in range(a + 1, n):
+            if R.add[a][b] != R.add[b][a]:
+                failures.append(("monoid.iii", (a, b)))
+    for a in sc:
+        for b in sc:
+            for c in sc:
+                if R.add[a][R.add[b][c]] != R.add[R.add[a][b]][c]:
+                    failures.append(("monoid.i", (a, b, c)))
+    # suprema preservation of +: pairwise supercompact decomposition
+    for x in range(n):
+        for y in range(x, n):
+            parts = {R.add[s][t] for s in _bits(smask[x]) for t in _bits(smask[y])}
+            got = cached_sup(poset, sup_cache, parts)
+            if got != R.add[x][y]:
+                failures.append(("monoid.suprema", ("+", (x, y), R.add[x][y], got)))
+    if failures:
+        return AxiomReport("poset", failures)
+
+    for a in range(n):
+        if R.neg[R.neg[a]] != a:
+            failures.append(("group.involution", (a,)))
+    for x in range(n):
+        got = cached_sup(poset, sup_cache, {R.neg[s] for s in _bits(smask[x])})
+        if got != R.neg[x]:
+            failures.append(("group.suprema", ("-", (x,), R.neg[x], got)))
+    for s in sc:
+        for t in sc:
+            for u in sc:
+                if poset.leq(s, R.add[t][u]) and not poset.leq(t, R.add[s][R.neg[u]]):
+                    failures.append(("group.exchange", (s, t, u)))
+    if failures:
+        return AxiomReport("monoid", failures)
+
+    one = R.one
+    for a in range(n):
+        if R.mul[a][one] != a:
+            failures.append(("ring.identity", (a,)))
+        for b in range(a + 1, n):
+            if R.mul[a][b] != R.mul[b][a]:
+                failures.append(("ring.commutative", (a, b)))
+    for a in sc:
+        for b in sc:
+            for c in sc:
+                if R.mul[a][R.mul[b][c]] != R.mul[R.mul[a][b]][c]:
+                    failures.append(("ring.mul_associative", (a, b, c)))
+    # with a supercompact multiplier the two sides agree exactly
+    for a in sc:
+        for b in range(n):
+            for c in range(n):
+                if R.mul[a][R.add[b][c]] != R.add[R.mul[a][b]][R.mul[a][c]]:
+                    failures.append(("ring.distributive_supercompact", (a, b, c)))
+    for a in range(n):
+        for b in range(n):
+            if R.mul[R.neg[a]][b] != R.neg[R.mul[a][b]]:
+                failures.append(("ring.compat_neg", (a, b)))
+            expected = {R.mul[s][t] for s in _bits(smask[a]) for t in _bits(smask[b])}
+            if set(_bits(smask[R.mul[a][b]])) != expected:
+                failures.append(
+                    ("ring.supercompact_products", (a, b, sorted(_bits(smask[R.mul[a][b]])), sorted(expected)))
+                )
+    if failures:
+        return AxiomReport("group", failures)
+
+    if not R.is_field:
+        return AxiomReport("ring", failures)
+    nz = [s for s in sc if s != zero]
+    for s in nz:
+        for t in nz:
+            p = R.mul[s][t]
+            if p == zero or not mins >> p & 1:
+                failures.append(("field.group", ("closure", s, t, p)))
+        if not any(R.mul[s][t] == one for t in nz):
+            failures.append(("field.group", ("inverse", s)))
+    if failures:
+        return AxiomReport("ring", failures)
+    return AxiomReport("field", [])
+
+
+def test_check_presentable_matches_the_cached_sup_ladder():
+    rng = random.Random(2027)
+    S = example_sq_structure()
+    bases = [(None, S)]
+    for F in (
+        euclidean_hyperfield(),
+        from_field(ff_make(2)),
+        from_field(ff_make(3)),
+        from_field(ff_make(2, 2)),
+        from_field(ff_make(5)),
+        quadratic_hyperfield(ff_make(3)),
+        prime_hyperfield(from_field(ff_make(3))),
+    ):
+        bases.append((F, powerset_of_hyperfield(F)))
+    # GF(2) over two incomparable points: {0, 1} has no supremum
+    discrete = FinitePointedPoset([[1, 0], [0, 1]], basepoint=0)
+    fleet = [PresentableRing(discrete, [[0, 1], [1, 0]], [0, 1], [[0, 0], [0, 1]], 1, True)]
+    mutated = 0
+    for F, R in bases:
+        ring = PresentableRing(R.poset, R.add, R.neg, R.mul, R.one, is_field=False)
+        batch = [*mutants(R, rng, 150), *mutants(ring, rng, 50)]
+        if F is not None:
+            batch += lifted_mutants(F, rng, 60)
+        fleet += [R, ring, *batch]
+        mutated += len(batch)
+    assert mutated >= 2000
+    levels = set()
+    for R in fleet:
+        report = check_presentable(R)
+        assert report == cached_sup_ladder(R), R
+        levels.add(report.level_passed)
+    assert levels == set(LEVELS)
 
 
 def test_squares_pipeline_outputs_are_prequadratic():
