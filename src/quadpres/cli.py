@@ -294,6 +294,8 @@ def cmd_isom(args, rep):
 
 
 def cmd_witt(args, rep):
+    if args.max_dim < 2:
+        raise InputError("--max-dim must be at least 2 (the hyperbolic plane has dim 2)")
     F = _load_structure(args, want=Hyperfield, field_builder=quadratic_hyperfield)
     if args.field:
         p, n = parse_field_arg(args.field)

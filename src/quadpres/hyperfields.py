@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product, repeat
+from operator import itemgetter
 
 from .errors import InputError, SizeGuardError, ValidationError
 from .finitefield import FiniteField, square_classes
@@ -54,7 +55,7 @@ class Hyperfield:
             if mul[a][one] != a:
                 raise ValidationError(f"one is not a multiplicative identity at {a}", witness=(a,))
             if mul[a] != columns[a]:
-                b = next(b for b in range(a, size) if mul[a][b] != mul[b][a])
+                b = next(_commutativity_failures(mul, a))[0]
                 raise ValidationError(
                     f"multiplication not commutative at ({a},{b})", witness=(a, b)
                 )
@@ -163,13 +164,22 @@ def _row_failures(left, right):
                 yield c, x, y
 
 
-def _distributivity_failures(F, a, cells):
+def _commutativity_failures(op, a):
+    """(b, ab, ba) wherever they differ: row a of the table ``op`` against its column."""
+    return _row_failures(op[a], tuple(map(itemgetter(a), op)))
+
+
+def _associativity_failures(op, a, b):
+    """(c, a(bc), (ab)c) wherever they differ in the table ``op``, a row of c's per (a, b)."""
+    return _row_failures(tuple(map(op[a].__getitem__, op[b])), op[op[a][b]])
+
+
+def _distributivity_failures(add, ma, image):
     """(b, c, a(b + c), ab + ac) wherever the two differ, a row b at a time;
-    ``cells`` holds the distinct cells of F's addition table."""
-    ma, add = F._mul[a], F._add
-    image = {cell: frozenset(map(ma.__getitem__, cell)) for cell in cells}
+    ``ma`` is a's row of the products and ``image`` maps a cell of ``add`` to
+    its product with a (a frozenset for set-valued sums)."""
     for b, row in enumerate(add):
-        left = tuple(map(image.__getitem__, row))
+        left = tuple(map(image, row))
         right = tuple(map(add[ma[b]].__getitem__, ma))
         for c, lhs, rhs in _row_failures(left, right):
             yield b, c, lhs, rhs
@@ -180,9 +190,11 @@ def _multiplicative_laws_hold(F: Hyperfield) -> bool:
 
     It holds when, for a generating set of g elements of F*: 0 is
     absorbing; F* is closed and every element has an inverse;
-    -b = b(-1) for every b; (xg)y = x(gy) for every generator g and all x, y
+    -b = b(-1) for every b; g(xy) = (gx)y for every generator g and all x, y
     (Light's test: the g passing it are closed under products, so it gives
-    associativity); and a(b + c) = ab + ac for a in {0} and the generators
+    associativity, as the middle form (xg)y = x(gy) does; the constructor
+    makes * commutative, so this form is also (yx)g = y(xg)); and
+    a(b + c) = ab + ac for a in {0} and the generators
     (the a passing it are closed under products once * is associative).
     At a = 0 the law is one cell: 0 is absorbing and no cell is empty, so
     0(b + c) = {0} and 0b + 0c = 0 + 0, and it holds iff 0 + 0 = {0}.
@@ -214,14 +226,16 @@ def _multiplicative_laws_hold(F: Hyperfield) -> bool:
                     reached.append(y)
         if len(reached) < 2 * before:
             return False
-    if any(
-        tuple(map(mul[x].__getitem__, mul[g])) != mul[mul[x][g]] for g in gens for x in nz
-    ):
+    if any(next(_associativity_failures(mul, g, x), None) for g in gens for x in nz):
         return False
     if add[z][z] != {z}:
         return False
     cells = set().union(*add)
-    return not any(next(_distributivity_failures(F, a, cells), None) for a in gens)
+    for a in gens:
+        image = {cell: frozenset(map(mul[a].__getitem__, cell)) for cell in cells}
+        if next(_distributivity_failures(add, mul[a], image.__getitem__), None):
+            return False
+    return True
 
 
 def _additive_levels(F: Hyperfield, scalars) -> AxiomReport:
@@ -279,17 +293,17 @@ def _ladder(F: Hyperfield, scalars) -> AxiomReport:
     if report.failures:
         return report
 
-    z, mul = F.zero, F._mul
+    z, mul, add = F.zero, F._mul, F._add
     failures = []
     for a in scalars:
-        ma = mul[a]
-        for b, row in enumerate(mul):
-            for c, _, _ in _row_failures(tuple(map(ma.__getitem__, row)), mul[ma[b]]):
+        for b in range(F.size):
+            for c, _, _ in _associativity_failures(mul, a, b):
                 failures.append(("mul.associative", (a, b, c)))
     failures += [("hyperring.i", (a,)) for a in range(F.size) if mul[z][a] != z]
-    cells = set().union(*F._add)
+    cells = set().union(*add)
     for a in scalars:
-        for b, c, lhs, rhs in _distributivity_failures(F, a, cells):
+        image = {cell: frozenset(map(mul[a].__getitem__, cell)) for cell in cells}
+        for b, c, lhs, rhs in _distributivity_failures(add, mul[a], image.__getitem__):
             failures.append(("hyperring.ii", (a, b, c, sorted(lhs), sorted(rhs))))
     if failures:
         return AxiomReport("hypergroup", failures)

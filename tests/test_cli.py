@@ -125,6 +125,24 @@ def test_witt_input_on_eight_classes(tmp_path, capsys):
     assert "error: 8 classes at dmax 3 give 134217728 triples; budget 20000000" in err
 
 
+def test_witt_refuses_max_dim_below_two_before_any_ladder(tmp_path, capsys):
+    # 1 + (-1) = {0}: the table fails the hyperfield ladder
+    E = euclidean_hyperfield()
+    add = E.add_full_table()
+    add[1][2] = add[2][1] = [0]
+    doc = tmp_path / "bad.hf"
+    doc.write_text(emit_hyperfield(Hyperfield(E.zero, E.one, E.neg_table(), E.mul_table(), add)))
+    code, out = run(capsys, "witt", "--input", str(doc), "--max-dim", "2")
+    assert code == 1
+    assert "witt: FAIL (hyperfield axioms)" in out
+    for source in (("--input", str(doc)), ("--builtin", "euclidean3")):
+        for max_dim in ("1", "0", "-3"):
+            assert main(["witt", *source, "--max-dim", max_dim]) == 2, (source, max_dim)
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == "error: --max-dim must be at least 2 (the hyperbolic plane has dim 2)\n"
+
+
 def test_check_hyperfield_builtin(capsys):
     code, out = run(capsys, "check-hyperfield", "--builtin", "euclidean3")
     assert code == 0

@@ -271,6 +271,24 @@ def test_compactness_over_minimals_matches_the_whole_carrier(weak_fleet):
     assert sum(not r.all_minimals_compact for _, r in weak_fleet) > 900
 
 
+def test_compactness_over_masks_matches_the_whole_carrier():
+    # the posets that are not weakly presentable take _compactness_over_masks
+    rng = random.Random(2026)
+    checked = not_compact = 0
+    for _ in range(4000):
+        P = random_pointed_poset(rng, max_n=12)
+        report = check_presentable(P)
+        if report.weakly_presentable:
+            continue
+        ok, wit = _whole_carrier_compactness(P)
+        assert report.all_minimals_compact == ok, P.up
+        assert dict(report.witnesses).get("compactness") == wit, P.up
+        checked += 1
+        not_compact += not ok
+    assert checked > 2000
+    assert not_compact > 500
+
+
 def test_unique_representation_walk_matches_the_count(weak_fleet):
     # under weak presentability S -> sup(S) is onto the carrier, so it is
     # one-to-one iff the carrier has 2^k - 1 elements for k minimals

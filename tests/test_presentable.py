@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 
+import quadpres
 from quadpres.errors import InputError, SizeGuardError, ValidationError
 from quadpres.finitefield import ff_make
 from quadpres.hyperfields import (
@@ -300,6 +304,27 @@ def test_powerset_guard():
     with pytest.raises(SizeGuardError):
         k = ff_make(11)
         powerset_of_hyperfield(from_field(k))
+
+
+def test_powerset_guard_edge_in_a_subprocess():
+    # a 10-element base, the most MAX_HYPERFIELD_BASE admits: 1,023 elements.
+    # Bound 60 s; on a shared 2-core x86 container the powerset took 1.5-2.1 s
+    # and check_presentable 2.8-3.9 s (6.4-9.7 s before its laws read table rows)
+    code = (
+        "from quadpres.finitefield import ff_make\n"
+        "from quadpres.hyperfields import from_field, quotient_by_subgroup\n"
+        "from quadpres.presentable import check_presentable, powerset_of_hyperfield\n"
+        "F = quotient_by_subgroup(from_field(ff_make(19)), {1, 18})\n"
+        "R = powerset_of_hyperfield(F)\n"
+        "print(F.size, R.n, check_presentable(R).level_passed)\n"
+    )
+    src = os.path.dirname(os.path.dirname(quadpres.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "10 1023 field\n"
 
 
 def test_presentable_ring_structural_validation():

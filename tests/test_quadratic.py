@@ -804,6 +804,54 @@ def test_corrupted_special_group_fails_axiom_iii():
     assert any(a.startswith("dm.i") or a == "dm.iii" for a in axioms)
 
 
+def cell_by_cell_group_stage(S):
+    """The identity, exponent-2, commutativity and associativity stage of
+    check_special_group, one cell at a time: its failures in report order."""
+    failures = []
+    g, e = range(S.size), S.identity
+    for a in g:
+        if S.mul[a][e] != a:
+            failures.append(("group.identity", (a,)))
+        if S.mul[a][a] != e:
+            failures.append(("group.exponent2", (a,)))
+        for b in g:
+            if S.mul[a][b] != S.mul[b][a]:
+                failures.append(("group.commutative", (a, b)))
+            for c in g:
+                if S.mul[a][S.mul[b][c]] != S.mul[S.mul[a][b]][c]:
+                    failures.append(("group.associative", (a, b, c)))
+    return failures
+
+
+def test_group_stage_matches_the_cell_by_cell_reference():
+    # every copy with one mul cell redrawn, and with a cell and its mirror
+    # redrawn, so that some copies stay commutative and fail associativity only
+    E = euclidean_hyperfield()
+    fields = [(E, 3), (q_ctx(3)[0], 3), (q_ctx(5)[0], 3)]
+    fields += [(F, 3) for F in four_class_fleet()] + [(two_step_laurent(), 2)]
+    mutants, laws = 0, set()
+    for F, nmax in fields:
+        S = special_group_of(F)
+        assert cell_by_cell_group_stage(S) == []
+        assert check_special_group(S, nmax).level_passed == "special"
+        m = S.size
+        for a, b, v in product(range(m), range(m), range(m)):
+            if v == S.mul[a][b]:
+                continue
+            for mirrored in (False, True):
+                mul = [list(row) for row in S.mul]
+                mul[a][b] = v
+                if mirrored:
+                    mul[b][a] = v
+                M = replace(S, mul=tuple(map(tuple, mul)))
+                expected = cell_by_cell_group_stage(M)
+                assert check_special_group(M, nmax) == AxiomReport("none", expected), (F.names, a, b, v)
+                laws |= {law for law, _ in expected}
+                mutants += 1
+    assert mutants > 1000
+    assert laws == {"group.identity", "group.exponent2", "group.commutative", "group.associative"}
+
+
 def test_witt_class_normalization():
     c = WittClass(Form((2, 1)))
     assert c.normalized == (1, 2)
