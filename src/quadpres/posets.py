@@ -191,11 +191,12 @@ class FinitePointedPoset:
 class PresentabilityReport:
     """Outcome of the presentability ladder on a pointed poset.
 
-    ``all_minimals_compact`` is None when compactness was not evaluated: on a
-    poset that is not weakly presentable and has more than ``MAX_MINIMALS``
-    elements.  ``tests_agree`` records whether the compactness verdict agrees
-    with the counting form of unique representation; it is None when the
-    poset is not weakly presentable (the equivalence is only claimed there).
+    ``all_minimals_compact`` is None exactly when the poset is not weakly
+    presentable: such a poset already fails, and compactness is left
+    unevaluated.  ``tests_agree`` records whether the compactness verdict
+    agrees with the counting form of unique representation; it is None on
+    the same posets (the equivalence is only claimed under weak
+    presentability).
     """
 
     weakly_presentable: bool
@@ -218,9 +219,8 @@ def check_presentable(P: FinitePointedPoset) -> PresentabilityReport:
     which is exact: let S be the minimals below members of Y.  Each y in Y is
     the supremum of its minimals, so sup(S) = sup(Y), and a minimal is below
     a member of Y iff it is in S.  So Y fails for a iff S does, iff a is a
-    minimal outside S below sup(S).  Any other poset already fails; it
-    ranges Y over the whole carrier up to ``MAX_MINIMALS`` elements and past
-    that leaves compactness unevaluated (None).
+    minimal outside S below sup(S).  Any other poset already fails, and its
+    compactness is None, with no ``compactness`` witness.
 
     Unique representation says sup(S) = x only for S = S_x, the minimals
     below x.  Under weak presentability S -> sup(S) maps the 2^k - 1 sets of
@@ -266,16 +266,12 @@ def check_presentable(P: FinitePointedPoset) -> PresentabilityReport:
     if not bp_min:
         witnesses.append(("basepoint_minimal", (P.basepoint,)))
 
-    tests_agree = None
+    compact_ok = tests_agree = None
     if weakly:
         compact_ok = compact_wit is None
         tests_agree = compact_ok == (P.n == (1 << k) - 1)
-    elif P.n <= MAX_MINIMALS:
-        compact_ok, compact_wit = _compactness_over_masks(P)
-    else:
-        compact_ok = None
-    if compact_ok is False:
-        witnesses.append(("compactness", compact_wit))
+        if not compact_ok:
+            witnesses.append(("compactness", compact_wit))
 
     return PresentabilityReport(
         weakly_presentable=weakly,
@@ -284,45 +280,6 @@ def check_presentable(P: FinitePointedPoset) -> PresentabilityReport:
         witnesses=witnesses,
         tests_agree=tests_agree,
     )
-
-
-def _compactness_over_masks(P):
-    """Compactness with Y ranging over every nonempty subset of the carrier,
-    smallest first; returns (ok, witness) where witness = (a, Y) exhibits a
-    minimal a with a <= sup(Y) but a below no member of Y."""
-    mins = P.minimals_mask
-    full = (1 << P.n) - 1
-    # memoized DP over submasks of `full`
-    sup_memo = {0: None}
-    cover_memo = {0: 0}
-    def sup_of(m):
-        if m in sup_memo:
-            return sup_memo[m]
-        low = m & -m
-        rest = m ^ low
-        x = low.bit_length() - 1
-        if not rest:
-            v = x
-        else:
-            r = sup_of(rest)
-            v = None if r is None else P.sup_of_mask((1 << x) | (1 << r))
-        sup_memo[m] = v
-        return v
-    def cover_of(m):
-        if m in cover_memo:
-            return cover_memo[m]
-        low = m & -m
-        v = cover_of(m ^ low) | P.down[low.bit_length() - 1]
-        cover_memo[m] = v
-        return v
-    for sub in _submasks_smallest_first(full):
-        v = sup_of(sub)
-        if v is not None:
-            missing = P.down[v] & mins & ~cover_of(sub)
-            if missing:
-                a = next(_bits(missing))
-                return False, (a, tuple(_bits(sub)))
-    return True, None
 
 
 # -- builders ----------------------------------------------------------
@@ -431,17 +388,11 @@ def explicit_poset(names, leq_pairs, basepoint_name) -> FinitePointedPoset:
         if a not in index or b not in index:
             raise InputError(f"pair ({a!r}, {b!r}) mentions an unknown element")
         up[index[a]] |= 1 << index[b]
-    changed = True
-    while changed:
-        changed = False
+    for k in range(n):  # Warshall: every row that reaches k takes in k's row
+        bit, through = 1 << k, up[k]
         for x in range(n):
-            row = up[x]
-            for y in _bits(row):
-                if up[y] & ~row:
-                    row |= up[y]
-            if row != up[x]:
-                up[x] = row
-                changed = True
+            if up[x] & bit:
+                up[x] |= through
     if basepoint_name not in index:
         raise InputError(f"unknown basepoint {basepoint_name!r}")
     return FinitePointedPoset.from_up_masks(up, basepoint=index[basepoint_name], names=names)

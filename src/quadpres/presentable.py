@@ -47,7 +47,7 @@ class PresentableRing:
         for name, table in (("add", add), ("mul", mul)):
             if len(table) != n or any(len(row) != n for row in table):
                 raise InputError(f"{name} table shape mismatch")
-            if any(not 0 <= x < n for row in table for x in row):
+            if any(min(row) < 0 or max(row) >= n for row in table):
                 raise InputError(f"{name} table not closed over the carrier")
         if len(neg) != n or any(not 0 <= x < n for x in neg):
             raise InputError("neg table malformed")
@@ -104,37 +104,26 @@ def powerset_of_hyperfield(F: Hyperfield) -> PresentableRing:
         _inclusion_up_masks(m), basepoint=(1 << F.zero) - 1, names=names
     )
 
-    add_mask = [[0] * m for _ in range(m)]
-    mul_bit = [[0] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            cell = 0
-            for x in F.add(a, b):
-                cell |= 1 << x
-            add_mask[a][b] = cell
-            mul_bit[a][b] = 1 << F.mul(a, b)
-    neg_bit = [1 << F.neg(a) for a in range(m)]
+    def table(cell):
+        """Row A, column B holds the id of the union of cell(a, b) over a in
+        A and b in B, as one OR of two earlier cells: A's least member and the
+        rest of A, or for a singleton A, B's least member and the rest of B."""
+        rows = [None] * (size + 1)
+        for A in range(1, size + 1):
+            low = A & -A
+            if A != low:
+                rows[A] = [x | y for x, y in zip(rows[low], rows[A ^ low])]
+                continue
+            a = low.bit_length() - 1
+            row = rows[A] = [0] * (size + 1)
+            for B in range(1, size + 1):
+                b = B & -B
+                row[B] = row[B ^ b] | cell(a, b.bit_length() - 1)
+        return [[x - 1 for x in row[1:]] for row in rows[1:]]
 
-    add = [[0] * size for _ in range(size)]
-    mul = [[0] * size for _ in range(size)]
-    neg = [0] * size
-    members = [tuple(_bits(mask)) for mask in range(1, size + 1)]
-    for i in range(size):
-        mi = members[i]
-        nm = 0
-        for a in mi:
-            nm |= neg_bit[a]
-        neg[i] = nm - 1
-        for j in range(i, size):
-            sm = 0
-            pm = 0
-            for a in mi:
-                ra, rp = add_mask[a], mul_bit[a]
-                for b in members[j]:
-                    sm |= ra[b]
-                    pm |= rp[b]
-            add[i][j] = add[j][i] = sm - 1
-            mul[i][j] = mul[j][i] = pm - 1
+    add = table(lambda a, b: sum(1 << x for x in F.add(a, b)))
+    mul = table(lambda a, b: 1 << F.mul(a, b))
+    neg = [sum(1 << F.neg(a) for a in _bits(mask)) - 1 for mask in range(1, size + 1)]
     return PresentableRing(
         poset, add, neg, mul, one=(1 << F.one) - 1, is_field=check_hyperfield(F).passed
     )

@@ -110,15 +110,23 @@ def test_diamond_with_extra_minimal_fails_compactness():
         [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1"), ("c", "1")],
         basepoint_name="0",
     )
-    report = check_presentable(P)
-    assert not report.passed
-    assert not report.all_minimals_compact
-    wit = dict(report.witnesses)["compactness"]
-    a, subset = wit
+    ok, (a, subset) = _whole_carrier_compactness(P)
+    assert not ok
     assert P.names[a] == "c"
     assert {P.names[y] for y in subset} == {"a", "b"}
-    # this poset is not even weakly presentable (a is not the sup of its minimals)
+    # the diamond is not even weakly presentable (a is not the sup of its
+    # minimals), so it already fails and compactness is left unevaluated
+    report = check_presentable(P)
+    assert not report.passed
     assert not report.weakly_presentable
+    assert report.all_minimals_compact is None
+    assert report.witnesses == [("weak_presentability.ii", (P.id_of("a"), (P.id_of("0"),)))]
+    # three minimals under one top are weakly presentable and not compact
+    Q = FinitePointedPoset.from_up_masks([0b1001, 0b1010, 0b1100, 0b1000], basepoint=0)
+    report = check_presentable(Q)
+    assert report.weakly_presentable and report.all_minimals_compact is False
+    assert report.witnesses == [("compactness", (2, (0, 1)))]
+    assert _whole_carrier_compactness(Q) == (False, (2, (0, 1)))
 
 
 def test_explicit_poset_rejects_cycles_with_witness():
@@ -126,6 +134,56 @@ def test_explicit_poset_rejects_cycles_with_witness():
         explicit_poset(["a", "b"], [("a", "b"), ("b", "a")], basepoint_name="a")
     assert "antisymmetry" in str(err.value)
     assert err.value.witness is not None
+
+
+def fixpoint_explicit_poset(names, leq_pairs, basepoint_name):
+    """Reference for explicit_poset: the closure as repeated sweeps, each
+    row taking in the rows above it, until a sweep changes nothing."""
+    index = {s: i for i, s in enumerate(names)}
+    n = len(names)
+    up = [1 << i for i in range(n)]
+    for a, b in leq_pairs:
+        up[index[a]] |= 1 << index[b]
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            row = up[x]
+            for y in _bits(row):
+                if up[y] & ~row:
+                    row |= up[y]
+            if row != up[x]:
+                up[x] = row
+                changed = True
+    return FinitePointedPoset.from_up_masks(up, basepoint=index[basepoint_name], names=names)
+
+
+def _built_or_refused(build, *args):
+    try:
+        P = build(*args)
+    except ValidationError as err:
+        return str(err), err.witness
+    return P.up, P.down, P.names
+
+
+def test_explicit_poset_closure_matches_the_fixpoint_sweeps():
+    rng = random.Random(21)
+    refused = 0
+    for _ in range(600):
+        n = rng.randint(1, 12)
+        names = [f"e{i}" for i in rng.sample(range(40), n)]
+        pairs = [
+            (rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 2 * n))
+        ]
+        bp = rng.choice(names)
+        got = _built_or_refused(explicit_poset, names, pairs, bp)
+        assert got == _built_or_refused(fixpoint_explicit_poset, names, pairs, bp), pairs
+        refused += isinstance(got[0], str)
+    assert 100 < refused < 500
+    # a long chain of covers, which the reference closes in many sweeps
+    names = [f"c{i}" for i in range(300)]
+    pairs = list(zip(names, names[1:]))
+    assert explicit_poset(names, pairs, "c0").up == fixpoint_explicit_poset(names, pairs, "c0").up
 
 
 def test_constructor_rejects_broken_tables():
@@ -233,6 +291,22 @@ def _unique_representation(P):
     return True, None
 
 
+def _weak_presentability_witnesses(P):
+    """Reference: the least set of minimals with no supremum, then the least
+    element that is not the supremum of the minimals below it."""
+    out = []
+    for sub in _submasks_smallest_first(P.minimals_mask):
+        if P.sup_of_mask(sub) is None:
+            out.append(("weak_presentability.i", tuple(_bits(sub))))
+            break
+    for x in range(P.n):
+        sx = P.minimals_below_mask(x)
+        if P.sup_of_mask(sx) != x:
+            out.append(("weak_presentability.ii", (x, tuple(_bits(sx)))))
+            break
+    return out
+
+
 @pytest.fixture(scope="module")
 def weak_fleet():
     """The weakly presentable posets of a seeded fleet, with their reports."""
@@ -271,22 +345,25 @@ def test_compactness_over_minimals_matches_the_whole_carrier(weak_fleet):
     assert sum(not r.all_minimals_compact for _, r in weak_fleet) > 900
 
 
-def test_compactness_over_masks_matches_the_whole_carrier():
-    # the posets that are not weakly presentable take _compactness_over_masks
+def test_posets_not_weakly_presentable_leave_compactness_unevaluated():
+    # such a poset already fails; it reports only its weak presentability
+    # and basepoint witnesses, and no compactness verdict
     rng = random.Random(2026)
-    checked = not_compact = 0
+    checked = 0
     for _ in range(4000):
         P = random_pointed_poset(rng, max_n=12)
         report = check_presentable(P)
         if report.weakly_presentable:
             continue
-        ok, wit = _whole_carrier_compactness(P)
-        assert report.all_minimals_compact == ok, P.up
-        assert dict(report.witnesses).get("compactness") == wit, P.up
+        assert report.all_minimals_compact is None, P.up
+        assert report.tests_agree is None and not report.passed, P.up
+        expected = _weak_presentability_witnesses(P)
+        if not report.basepoint_minimal:
+            expected.append(("basepoint_minimal", (P.basepoint,)))
+        assert expected[0][0].startswith("weak_presentability."), P.up
+        assert report.witnesses == expected, P.up
         checked += 1
-        not_compact += not ok
     assert checked > 2000
-    assert not_compact > 500
 
 
 def test_unique_representation_walk_matches_the_count(weak_fleet):

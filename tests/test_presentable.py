@@ -308,8 +308,8 @@ def test_powerset_guard():
 
 def test_powerset_guard_edge_in_a_subprocess():
     # a 10-element base, the most MAX_HYPERFIELD_BASE admits: 1,023 elements.
-    # Bound 60 s; on a shared 2-core x86 container the powerset took 1.5-2.1 s
-    # and check_presentable 2.8-3.9 s (6.4-9.7 s before its laws read table rows)
+    # Bound 60 s; on a shared 2-core x86 container the powerset took 0.5 s
+    # (1.6-1.9 s with a pair loop per cell) and check_presentable 1.9-2.1 s
     code = (
         "from quadpres.finitefield import ff_make\n"
         "from quadpres.hyperfields import from_field, quotient_by_subgroup\n"
@@ -325,6 +325,67 @@ def test_powerset_guard_edge_in_a_subprocess():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "10 1023 field\n"
+
+
+def pair_loop_powerset_tables(F):
+    """Reference for powerset_of_hyperfield's tables: each cell of A + B and
+    A * B ORs the member cells of every pair a in A, b in B."""
+    m = F.size
+    size = (1 << m) - 1
+    members = [tuple(_bits(mask)) for mask in range(1, size + 1)]
+    add = [[0] * size for _ in range(size)]
+    mul = [[0] * size for _ in range(size)]
+    neg = [0] * size
+    for i in range(size):
+        nm = 0
+        for a in members[i]:
+            nm |= 1 << F.neg(a)
+        neg[i] = nm - 1
+        for j in range(i, size):
+            sm = pm = 0
+            for a in members[i]:
+                for b in members[j]:
+                    for x in F.add(a, b):
+                        sm |= 1 << x
+                    pm |= 1 << F.mul(a, b)
+            add[i][j] = add[j][i] = sm - 1
+            mul[i][j] = mul[j][i] = pm - 1
+    return add, mul, neg
+
+
+def test_powerset_tables_match_the_pair_loop():
+    rng = random.Random(31)
+    k7, k11, k16 = from_field(ff_make(7)), from_field(ff_make(11)), from_field(ff_make(2, 4))
+    bases = [
+        euclidean_hyperfield(),
+        *(from_field(ff_make(p, e)) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1))),
+        *(quadratic_hyperfield(ff_make(q)) for q in (3, 5, 7)),
+        *(prime_hyperfield(from_field(ff_make(p, e))) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1))),
+        quotient_by_subgroup(k7, {1, 6}),
+        quotient_by_subgroup(k11, {1, 10}),
+        quotient_by_subgroup(k16, {x for x in k16.nonzero() if k16.mul(k16.mul(x, x), x) == 1}),
+    ]
+    assert {F.size for F in bases} == {2, 3, 4, 5, 6}
+    fleet = list(bases)
+    for F in bases:
+        made = 0
+        while made < 8:
+            add = F.add_full_table()
+            a, b = rng.randrange(F.size), rng.randrange(F.size)
+            add[a][b] = add[b][a] = rng.sample(range(F.size), rng.randint(1, F.size))
+            try:
+                G = Hyperfield(F.zero, F.one, F.neg_table(), F.mul_table(), add)
+            except ValidationError:
+                continue
+            if not check_hyperfield(G).passed:
+                fleet.append(G)
+                made += 1
+    for F in fleet:
+        R = powerset_of_hyperfield(F)
+        add, mul, neg = pair_loop_powerset_tables(F)
+        assert R.add == tuple(map(tuple, add)) and R.mul == tuple(map(tuple, mul)), F
+        assert R.neg == tuple(neg), F
+        assert R.is_field == check_hyperfield(F).passed
 
 
 def test_presentable_ring_structural_validation():
