@@ -185,32 +185,49 @@ def _distributivity_failures(add, ma, image):
             yield b, c, lhs, rhs
 
 
+def _multiplicative_failures(F: Hyperfield, scalars):
+    """The hyperring laws as (axiom, witness) pairs, lazily, with the scaled
+    coordinate of each triple law taken from the sorted ``scalars``: a(bc) =
+    (ab)c, 0a = 0 at every a, and a(b + c) = ab + ac.  Each triple law is
+    compared a table row at a time, so witnesses come in (a, b, c) order."""
+    z, mul, add = F.zero, F._mul, F._add
+    for a in scalars:
+        for b in range(F.size):
+            for c, _, _ in _associativity_failures(mul, a, b):
+                yield "mul.associative", (a, b, c)
+    yield from (("hyperring.i", (a,)) for a in range(F.size) if mul[z][a] != z)
+    cells = set().union(*add)
+    for a in scalars:
+        image = {cell: frozenset(map(mul[a].__getitem__, cell)) for cell in cells}
+        for b, c, lhs, rhs in _distributivity_failures(add, mul[a], image.__getitem__):
+            yield "hyperring.ii", (a, b, c, sorted(lhs), sorted(rhs))
+
+
 def _multiplicative_laws_hold(F: Hyperfield) -> bool:
     """A check in O(g n^2) that proves the hyperring and hyperfield levels.
 
-    It holds when, for a generating set of g elements of F*: 0 is
-    absorbing; F* is closed and every element has an inverse;
-    -b = b(-1) for every b; g(xy) = (gx)y for every generator g and all x, y
-    (Light's test: the g passing it are closed under products, so it gives
-    associativity, as the middle form (xg)y = x(gy) does; the constructor
-    makes * commutative, so this form is also (yx)g = y(xg)); and
-    a(b + c) = ab + ac for a in {0} and the generators
-    (the a passing it are closed under products once * is associative).
-    At a = 0 the law is one cell: 0 is absorbing and no cell is empty, so
-    0(b + c) = {0} and 0b + 0c = 0 + 0, and it holds iff 0 + 0 = {0}.
+    It holds when F* is closed and every element has an inverse, -b = b(-1)
+    for every b, 0 + 0 = {0}, and :func:`_multiplicative_failures` finds
+    nothing with a generating set of g elements of F* as the scalars.
+    Light's test: the g with g(xy) = (gx)y for all x, y are closed under
+    products, so the generators give associativity, as the middle form
+    (xg)y = x(gy) does (the constructor makes * commutative, so this form
+    is also (yx)g = y(xg)).  The a with a(b + c) = ab + ac are closed under
+    products once * is associative.  At a = 0 that law is one cell: 0 is
+    absorbing and no cell is empty, so 0(b + c) = {0} and 0b + 0c = 0 + 0,
+    and it holds iff 0 + 0 = {0}.
     The generators come from greedy closure of {1} under right
     multiplication.  In a group a new generator at least doubles the
     subgroup reached (Lagrange), so when one does not, F* is no group and
     the laws fail; this keeps g at most log2(n) + 1.
     """
-    z, one, nz = F.zero, F.one, F.nonzero()
-    mul, add = F._mul, F._add
-    if any(v != z for v in mul[z]):
-        return False
+    z, one, nz, mul = F.zero, F.one, F.nonzero(), F._mul
     if any(mul[x].count(z) != 1 or one not in mul[x] for x in nz):
         return False
     minus = F.neg(one)
     if any(F.neg(b) != mul[b][minus] for b in range(F.size)):
+        return False
+    if F._add[z][z] != {z}:
         return False
     gens, reached, seen = [], [one], {one}
     for x in nz:
@@ -226,16 +243,7 @@ def _multiplicative_laws_hold(F: Hyperfield) -> bool:
                     reached.append(y)
         if len(reached) < 2 * before:
             return False
-    if any(next(_associativity_failures(mul, g, x), None) for g in gens for x in nz):
-        return False
-    if add[z][z] != {z}:
-        return False
-    cells = set().union(*add)
-    for a in gens:
-        image = {cell: frozenset(map(mul[a].__getitem__, cell)) for cell in cells}
-        if next(_distributivity_failures(add, mul[a], image.__getitem__), None):
-            return False
-    return True
+    return next(_multiplicative_failures(F, gens), None) is None
 
 
 def _additive_levels(F: Hyperfield, scalars) -> AxiomReport:
@@ -285,37 +293,6 @@ def _additive_levels(F: Hyperfield, scalars) -> AxiomReport:
     return AxiomReport("hypergroup")
 
 
-def _ladder(F: Hyperfield, scalars) -> AxiomReport:
-    """The axiom ladder with the scaled coordinate of each triple law taken
-    from the sorted ``scalars``; with the whole carrier it checks every
-    triple.  The multiplicative levels also go a row at a time."""
-    report = _additive_levels(F, scalars)
-    if report.failures:
-        return report
-
-    z, mul, add = F.zero, F._mul, F._add
-    failures = []
-    for a in scalars:
-        for b in range(F.size):
-            for c, _, _ in _associativity_failures(mul, a, b):
-                failures.append(("mul.associative", (a, b, c)))
-    failures += [("hyperring.i", (a,)) for a in range(F.size) if mul[z][a] != z]
-    cells = set().union(*add)
-    for a in scalars:
-        image = {cell: frozenset(map(mul[a].__getitem__, cell)) for cell in cells}
-        for b, c, lhs, rhs in _distributivity_failures(add, mul[a], image.__getitem__):
-            failures.append(("hyperring.ii", (a, b, c, sorted(lhs), sorted(rhs))))
-    if failures:
-        return AxiomReport("hypergroup", failures)
-
-    failures = [
-        ("hyperfield.inverses", (a,)) for a in range(F.size) if a != z and F.one not in mul[a]
-    ]
-    if failures:
-        return AxiomReport("hyperring", failures)
-    return AxiomReport("hyperfield")
-
-
 def check_hyperfield(F: Hyperfield) -> AxiomReport:
     """Run the full axiom ladder, stopping at the first failed level.
 
@@ -352,15 +329,23 @@ def check_hyperfield(F: Hyperfield) -> AxiomReport:
     exceed TRIPLE_BUDGET is refused with SizeGuardError.  Either way each
     triple law is compared a whole table row at a time.
     """
-    if _multiplicative_laws_hold(F):
-        report = _additive_levels(F, sorted((F.zero, F.one)))
-        return report if report.failures else AxiomReport("hyperfield")
-    if F.size**3 > TRIPLE_BUDGET:
+    proved = _multiplicative_laws_hold(F)
+    if not proved and F.size**3 > TRIPLE_BUDGET:
         raise SizeGuardError(
             f"{F.size} elements fail the multiplicative laws; the full ladder needs "
             f"{F.size**3} triples, budget {TRIPLE_BUDGET}"
         )
-    return _ladder(F, range(F.size))
+    report = _additive_levels(F, sorted((F.zero, F.one)) if proved else range(F.size))
+    if report.failures:
+        return report
+    if not proved:
+        failures = list(_multiplicative_failures(F, range(F.size)))
+        if failures:
+            return AxiomReport("hypergroup", failures)
+        failures = [("hyperfield.inverses", (a,)) for a in F.nonzero() if F.one not in F._mul[a]]
+        if failures:
+            return AxiomReport("hyperring", failures)
+    return AxiomReport("hyperfield")
 
 
 def from_field(k: FiniteField) -> Hyperfield:

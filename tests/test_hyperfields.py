@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -9,7 +12,8 @@ from quadpres.finitefield import DEFAULT_MODULI, _is_prime, ff_make
 from quadpres.hyperfields import (
     AxiomReport,
     Hyperfield,
-    _ladder,
+    _additive_levels,
+    _multiplicative_failures,
     _multiplicative_laws_hold,
     check_hyperfield,
     euclidean_hyperfield,
@@ -501,8 +505,8 @@ def cell_mutants(F, rng, count):
         yield G
 
 
-# the cell-by-cell ladder: the reference that the row passes of _ladder
-# and check_hyperfield must match report for report
+# the cell-by-cell ladder: the reference that the row passes of
+# check_hyperfield and its stages must match report for report
 def cell_by_cell_ladder(F: Hyperfield, scalars) -> AxiomReport:
     """The axiom ladder with the scaled coordinate of each triple law taken
     from ``scalars``; with the whole carrier it checks every triple."""
@@ -534,6 +538,26 @@ def cell_by_cell_ladder(F: Hyperfield, scalars) -> AxiomReport:
     if failures:
         return AxiomReport("hypermonoid", failures)
 
+    failures = cell_by_cell_multiplicative(F, scalars)
+    if failures:
+        return AxiomReport("hypergroup", failures)
+
+    for a in carrier:
+        if a == z:
+            continue
+        if not any(F.mul(a, b) == F.one for b in carrier):
+            failures.append(("hyperfield.inverses", (a,)))
+    if failures:
+        return AxiomReport("hyperring", failures)
+    return AxiomReport("hyperfield", [])
+
+
+def cell_by_cell_multiplicative(F: Hyperfield, scalars):
+    """The hyperring-level failures, cell by cell, with the scaled
+    coordinate of each triple law taken from ``scalars``."""
+    carrier = range(F.size)
+    z = F.zero
+    failures = []
     for a in scalars:
         for b in carrier:
             for c in carrier:
@@ -549,17 +573,7 @@ def cell_by_cell_ladder(F: Hyperfield, scalars) -> AxiomReport:
                 right = F.add(F.mul(a, b), F.mul(a, c))
                 if left != right:
                     failures.append(("hyperring.ii", (a, b, c, sorted(left), sorted(right))))
-    if failures:
-        return AxiomReport("hypergroup", failures)
-
-    for a in carrier:
-        if a == z:
-            continue
-        if not any(F.mul(a, b) == F.one for b in carrier):
-            failures.append(("hyperfield.inverses", (a,)))
-    if failures:
-        return AxiomReport("hyperring", failures)
-    return AxiomReport("hyperfield", [])
+    return failures
 
 
 def relabel(F, perm):
@@ -596,8 +610,16 @@ def test_reduced_ladder_matches_full_ladder_on_mutants():
     paths = {True: 0, False: 0}
     for F in ladder_bases():
         for G in cell_mutants(F, rng, 40):
-            reduced, full = check_hyperfield(G), cell_by_cell_ladder(G, range(G.size))
-            assert _ladder(G, range(G.size)) == full
+            carrier = range(G.size)
+            reduced, full = check_hyperfield(G), cell_by_cell_ladder(G, carrier)
+            # the full-carrier stages, on every mutant whichever path it takes
+            additive = _additive_levels(G, carrier)
+            if full.level_passed in ("none", "hypermonoid"):
+                assert additive == full
+            else:
+                assert additive == AxiomReport("hypergroup")
+            multiplicative = list(_multiplicative_failures(G, carrier))
+            assert multiplicative == cell_by_cell_multiplicative(G, carrier)
             reduced_path = _multiplicative_laws_hold(G)
             paths[reduced_path] += 1
             expected = full.failures
@@ -671,9 +693,60 @@ def test_ladder_guard_refuses_large_tables_before_any_triple(monkeypatch):
     def triple_loop(*args):
         raise AssertionError("the triple loop ran")
 
-    monkeypatch.setattr(hyperfields, "_ladder", triple_loop)
+    monkeypatch.setattr(hyperfields, "_additive_levels", triple_loop)
     with pytest.raises(SizeGuardError):
         check_hyperfield(G)
+
+
+def test_ladder_guard_edge_in_a_subprocess():
+    # 271 elements, the most TRIPLE_BUDGET admits (271^3 = 19,902,511), with
+    # one product redrawn, so the whole carrier is checked.  Bound 60 s; on a
+    # shared 2-core x86 container it took 7-13 s
+    code = (
+        "from quadpres.finitefield import ff_make\n"
+        "from quadpres.hyperfields import Hyperfield, check_hyperfield, from_field\n"
+        "F = from_field(ff_make(271))\n"
+        "mul = F.mul_table()\n"
+        "mul[2][3] = mul[3][2] = 5\n"
+        "G = Hyperfield(F.zero, F.one, F.neg_table(), mul, F.add_full_table())\n"
+        "r = check_hyperfield(G)\n"
+        "print(r.level_passed, len(r.failures), r.first_failure())\n"
+    )
+    src = os.path.dirname(os.path.dirname(hyperfields.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "hypergroup 3756 ('mul.associative', (2, 2, 3))\n"
+
+
+def multiplicative_preconditions(F):
+    """What _multiplicative_laws_hold checks besides the hyperring laws, cell
+    by cell: F* closed with inverses, -b = b(-1), and 0 + 0 = {0}."""
+    z, nz = F.zero, F.nonzero()
+    closed = all(F.mul(x, y) != z for x in nz for y in nz)
+    inverses = all(any(F.mul(x, y) == F.one for y in nz) for x in nz)
+    minus = all(F.neg(b) == F.mul(b, F.neg(F.one)) for b in range(F.size))
+    return closed and inverses and minus and F.add(z, z) == {z}
+
+
+def test_reduced_check_is_exact_on_mutants():
+    # Light's generator argument: the laws at the generators of F* hold iff
+    # they hold at every scalar, given the preconditions
+    rng = random.Random(22)
+    tables = [G for F in ladder_bases() for G in [*cell_mutants(F, rng, 40), *zero_column_mutants(F)]]
+    # {0, 1, e} with ee = e and x + y = {max(x, y)}: the laws hold, and only
+    # the precondition on inverses refuses it
+    add = [[{0}, {1}, {2}], [{1}, {1}, {2}], [{2}, {2}, {2}]]
+    tables.append(Hyperfield(0, 1, (0, 1, 2), [[0, 0, 0], [0, 1, 2], [0, 2, 2]], add))
+    verdicts = {True: 0, False: 0}
+    for G in tables:
+        failures = _multiplicative_failures(G, range(G.size))
+        exact = multiplicative_preconditions(G) and next(failures, None) is None
+        assert _multiplicative_laws_hold(G) == exact
+        verdicts[exact] += 1
+    assert min(verdicts.values()) >= 100, verdicts
 
 
 def test_ladder_passes_gf127():
