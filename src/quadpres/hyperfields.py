@@ -356,26 +356,6 @@ def from_field(k: FiniteField) -> Hyperfield:
     return Hyperfield(zero=0, one=1, neg=k._neg, mul=k._mul, add=add, names=names)
 
 
-def _validate_subgroup(F, T):
-    T = frozenset(T)
-    if not T:
-        raise ValidationError("T is empty")
-    if F.zero in T:
-        raise ValidationError("T contains zero", witness=(F.zero,))
-    for s in T:
-        if not 0 <= s < F.size:
-            raise InputError(f"unknown id {s} in T")
-    for s in T:
-        for t in T:
-            if F.mul(s, t) not in T:
-                raise ValidationError(
-                    f"T not multiplicatively closed at ({s},{t})", witness=(s, t)
-                )
-        if not any(F.mul(s, t) == F.one for t in T):
-            raise ValidationError(f"{s} has no inverse inside T", witness=(s,))
-    return T
-
-
 def _quotient_tables(F, class_of):
     """The quotient of F whose classes are numbered by ``class_of``.
 
@@ -409,10 +389,30 @@ def _quotient_tables(F, class_of):
 def quotient_by_subgroup(F: Hyperfield, T) -> Hyperfield:
     """Quotient hyperfield of F modulo a subgroup T of its nonzero elements.
 
-    Classes are x ~ y iff xs = yt for some s, t in T; membership in the
-    induced addition is inherited elementwise from the class members.
+    Classes are chains of meeting orbits: x ~ y iff there are x = x_0, x_1,
+    ..., x_n = y with each orbit x_i T meeting the next.  In a hyperfield the
+    orbits partition the carrier, so this is x ~ y iff xs = yt for some s, t
+    in T.  Membership in the induced addition is inherited elementwise from
+    the class members.
     """
-    T = _validate_subgroup(F, T)
+    T = frozenset(T)
+    if not T:
+        raise ValidationError("T is empty")
+    if F.zero in T:
+        raise ValidationError("T contains zero", witness=(F.zero,))
+    for s in T:
+        if not 0 <= s < F.size:
+            raise InputError(f"unknown id {s} in T")
+    # each orbit aT is one row read (T's first id read twice keeps the read a
+    # tuple when |T| = 1); only a failing s is rescanned for its witness
+    read = itemgetter(*T, next(iter(T)))
+    orbits = [frozenset(read(row)) for row in F._mul]
+    for s in T:
+        if not orbits[s] <= T:
+            t = next(t for t in T if F.mul(s, t) not in T)
+            raise ValidationError(f"T not multiplicatively closed at ({s},{t})", witness=(s, t))
+        if F.one not in orbits[s]:
+            raise ValidationError(f"{s} has no inverse inside T", witness=(s,))
     parent = list(range(F.size))
 
     def find(x):
@@ -421,17 +421,19 @@ def quotient_by_subgroup(F: Hyperfield, T) -> Hyperfield:
             x = parent[x]
         return x
 
-    # the orbits aT and bT meet iff a ~ b: join each a to the first element
-    # whose orbit reached each member of aT
-    owner = {}
-    for a in range(F.size):
-        for s in T:
-            first = owner.setdefault(F.mul(a, s), a)
-            ra, rf = find(a), find(first)
-            if ra != rf:
+    # elements with equal orbits are one node, led by their least element;
+    # join each node to the first node whose orbit reached each of its members
+    leader, owner = {}, {}
+    for a, orbit in enumerate(orbits):
+        leader.setdefault(orbit, a)
+    for orbit, a in leader.items():
+        for x in orbit:
+            first = owner.setdefault(x, a)
+            if first != a:
+                ra, rf = find(a), find(first)
                 parent[max(ra, rf)] = min(ra, rf)
     ids = {}
-    class_of = [ids.setdefault(find(x), len(ids)) for x in range(F.size)]
+    class_of = [ids.setdefault(find(leader[orbit]), len(ids)) for orbit in orbits]
     return _quotient_tables(F, class_of)
 
 

@@ -288,23 +288,29 @@ def test_pre_prime_vs_prime_coincidence():
     assert witnesses
 
 
+def subgroups(F):
+    """Every subset of F* that is closed and holds an inverse of each member."""
+    nz = F.nonzero()
+    for r in range(1, len(nz) + 1):
+        for cand in combinations(nz, r):
+            s = set(cand)
+            if F.one not in s:
+                continue
+            if any(F.mul(a, b) not in s for a in s for b in s):
+                continue
+            if any(all(F.mul(a, b) != F.one for b in s) for a in s):
+                continue
+            yield s
+
+
 def test_all_subgroup_quotients_pass(subtests=None):
     # exhaustive over subgroups of every tested hyperfield of size <= 9
     for name, F in fleet():
         if F.size > 9 or not check_hyperfield(F).passed:
             continue
-        nz = F.nonzero()
-        for r in range(1, len(nz) + 1):
-            for cand in combinations(nz, r):
-                s = set(cand)
-                if F.one not in s:
-                    continue
-                if any(F.mul(a, b) not in s for a in s for b in s):
-                    continue
-                if any(all(F.mul(a, b) != F.one for b in s) for a in s):
-                    continue
-                Q = quotient_by_subgroup(F, s)
-                assert check_hyperfield(Q).passed, (name, s)
+        for s in subgroups(F):
+            Q = quotient_by_subgroup(F, s)
+            assert check_hyperfield(Q).passed, (name, s)
 
 
 def test_neg_involution_and_zero_addition():
@@ -470,6 +476,120 @@ def test_quotient_tables_match_the_memo_reference(monkeypatch):
             G = mutate_add(F, a, b, rng.sample(range(F.size), rng.randint(1, 3)))
             quotient_by_subgroup(G, {1, F.size - 1})
     assert len(calls) > 380
+
+
+# the subgroup test pair by pair, in T's iteration order: the reference for
+# the exception type, message and witness with which quotient_by_subgroup
+# refuses T
+def pairwise_subgroup_check(F, T):
+    T = frozenset(T)
+    if not T:
+        raise ValidationError("T is empty")
+    if F.zero in T:
+        raise ValidationError("T contains zero", witness=(F.zero,))
+    for s in T:
+        if not 0 <= s < F.size:
+            raise InputError(f"unknown id {s} in T")
+    for s in T:
+        for t in T:
+            if F.mul(s, t) not in T:
+                raise ValidationError(
+                    f"T not multiplicatively closed at ({s},{t})", witness=(s, t)
+                )
+        if not any(F.mul(s, t) == F.one for t in T):
+            raise ValidationError(f"{s} has no inverse inside T", witness=(s,))
+
+
+# the classes by a union-find over every pair (a, s) in F x T: each a is
+# joined to the first element whose orbit reached each member of aT, so the
+# classes are the chains of orbits that meet; the reference for the classes
+# of quotient_by_subgroup, which joins distinct orbits only
+def pairwise_orbit_classes(F, T):
+    parent = list(range(F.size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    owner = {}
+    for a in range(F.size):
+        for s in T:
+            first = owner.setdefault(F.mul(a, s), a)
+            ra, rf = find(a), find(first)
+            if ra != rf:
+                parent[max(ra, rf)] = min(ra, rf)
+    ids = {}
+    return [ids.setdefault(find(x), len(ids)) for x in range(F.size)]
+
+
+def reference_quotient(F, T):
+    pairwise_subgroup_check(F, T)
+    return hyperfields._quotient_tables(F, pairwise_orbit_classes(F, T))
+
+
+def outcome(quotient, F, T):
+    """quotient(F, T) as its tables and names, or as the type, message and
+    witness of the error it raises."""
+    try:
+        Q = quotient(F, T)
+    except (InputError, ValidationError) as err:
+        return type(err), str(err), getattr(err, "witness", None)
+    return Q, Q.names
+
+
+def mul_cell_mutants(F):
+    """Every copy of F with one product a * b = b * a redrawn that the
+    constructor accepts (a redrawn product with one is refused)."""
+    for a in range(F.size):
+        for b in range(a, F.size):
+            for v in range(F.size):
+                if v == F.mul(a, b):
+                    continue
+                mul = F.mul_table()
+                mul[a][b] = mul[b][a] = v
+                try:
+                    yield Hyperfield(F.zero, F.one, F.neg_table(), mul, F.add_full_table())
+                except ValidationError:
+                    continue
+
+
+def test_quotient_classes_match_the_pairwise_union():
+    for _, F in fleet():
+        if F.size <= 9:
+            for T in subgroups(F):
+                assert outcome(quotient_by_subgroup, F, T) == outcome(reference_quotient, F, T)
+    # tables whose products are not associative can have orbits that meet
+    # without being equal; the classes then join the chain of such orbits
+    chains = 0
+    for q in (5, 7, 8, 9, 11, 13):
+        F = from_field(ff_make(*{8: (2, 3), 9: (3, 2)}.get(q, (q,))))
+        T = {F.one, F.neg(F.one)}
+        for G in mul_cell_mutants(F):
+            expected = outcome(reference_quotient, G, T)
+            assert outcome(quotient_by_subgroup, G, T) == expected, (q, G.mul_table())
+            orbits = {frozenset(G.mul(x, t) for t in T) for x in range(G.size)}
+            meet = sum(map(len, orbits)) > len(frozenset().union(*orbits))
+            chains += meet and isinstance(expected[0], Hyperfield)
+    assert chains > 0
+
+
+def test_quotient_refusals_match_the_pairwise_check():
+    rng = random.Random(23)
+    refused = 0
+    for p, n in [(7, 1), (2, 3), (3, 2)]:
+        F = from_field(ff_make(p, n))
+        nz = F.nonzero()
+        subsets = [set(c) for r in (1, 2, 3) for c in combinations(nz, r)]
+        subsets += [set(rng.sample(nz, rng.randint(1, len(nz)))) for _ in range(40)]
+        subsets += [set(), {F.zero, F.one}, {F.one, 99}, {F.one, -1}]
+        for G in [F, *rng.sample(list(mul_cell_mutants(F)), 6)]:
+            for T in subsets:
+                expected = outcome(reference_quotient, G, T)
+                assert outcome(quotient_by_subgroup, G, T) == expected, (G.mul_table(), T)
+                refused += not isinstance(expected[0], Hyperfield)
+    assert refused > 1000, refused
 
 
 def test_quotient_class_names_use_min_member():

@@ -1,6 +1,6 @@
 import random
 from dataclasses import replace
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
 
 import pytest
@@ -10,6 +10,8 @@ from quadpres.finitefield import DEFAULT_MODULI, _is_prime, ff_make, square_clas
 from quadpres.hyperfields import (
     AxiomReport,
     Hyperfield,
+    _multiplicative_failures,
+    _multiplicative_laws_hold,
     check_hyperfield,
     euclidean_hyperfield,
     from_field,
@@ -36,7 +38,7 @@ from quadpres.quadratic import (
     tensor_product,
     witt_ring,
 )
-from test_hyperfields import cell_mutants, ladder_bases
+from test_hyperfields import cell_mutants, ladder_bases, mutate_add
 
 
 def euclid_ctx():
@@ -300,6 +302,31 @@ def test_laurent_fleet_passes_the_ladders():
     EE = laurent_extension(laurent_extension(euclidean_hyperfield()), "s")
     assert len(EE.nonzero()) == 8
     assert check_hyperfield(EE).passed
+
+
+def test_reduced_check_reads_every_generator():
+    # E((t))* = {1, -1, t, -t} is not cyclic, so greedy closure takes two
+    # generators, -1 and then t.  A redrawn sum can keep the hyperring laws
+    # at -1 and break them at t: a check that read only the first generator
+    # would pass these tables.  A redrawn 0 + 0 fails its own precondition
+    F = laurent_extension(euclidean_hyperfield())
+    gens = [F.id_of("-1"), F.id_of("1t")]
+    later = []
+    for a, b in combinations_with_replacement(range(F.size), 2):
+        if a == b == F.zero:
+            continue
+        for r in range(1, F.size + 1):
+            for cell in combinations(range(F.size), r):
+                G = mutate_add(F, a, b, cell)
+                if next(_multiplicative_failures(G, gens[:1]), None) is not None:
+                    continue
+                first = next(_multiplicative_failures(G, gens), None)
+                if first is not None:
+                    assert not _multiplicative_laws_hold(G), (a, b, cell)
+                    axiom, witness = first
+                    later.append(((a, b, cell), axiom, witness[:3]))
+    assert len(later) == 12
+    assert ((1, 2, (0,)), "hyperring.ii", (3, 1, 2)) in later
 
 
 @pytest.mark.parametrize(
