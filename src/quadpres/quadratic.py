@@ -14,18 +14,19 @@ cancellation).  These criteria assume a quadratically presentable field;
 `cli witt` checks the field first, and `cli isom` refuses tables that are not
 pre-quadratic hyperfields.
 
-The paper's inductive isometry is _inductive_isometry: unary forms by
-equality, binary forms by _binary_isometry (equal products plus membership of
-the head in the hypersum), higher dimensions by the three-clause existential
-recursion, on raw (unsorted) entry tuples.  It is the engine of
-check_quadratic and check_special_group, which must not assume the laws they
-check, and the reference the tests compare the fold against.
+The paper's inductive isometry (unary forms by equality, binary forms by
+equal products plus membership of the head in the hypersum, higher
+dimensions by the three-clause existential recursion on raw entry tuples) is
+decided a dimension at a time, as rows of bits over all tuples, by
+_binary_rows and _isometry_rows.  They are the engine of check_quadratic and
+check_special_group, which must not assume the laws they check.  The tests
+keep the recursion pair by pair as the reference for the rows and the fold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, islice, product
 from math import comb
 from typing import Optional
 
@@ -39,6 +40,7 @@ from .hyperfields import (
     _isomorphism_search,
     _own_sum_failures,
 )
+from .posets import _bits
 
 CANDIDATE_BUDGET = 200_000     # cap on witt_ring's class enumeration (multisets up to dmax)
 RING_ISO_MAX = 16
@@ -93,57 +95,51 @@ def check_prequadratic(F: Hyperfield) -> AxiomReport:
     return AxiomReport("prequadratic" if not failures else "none", failures)
 
 
-def _binary_isometry(mul, add):
-    """<a1, a2> ~ <b1, b2> iff a1*a2 = b1*b2 and b1 is in a1 + a2, read off a
-    multiplication table and a table of sets."""
-    return lambda a1, a2, b1, b2: mul[a1][a2] == mul[b1][b2] and b1 in add[a1][a2]
+def _binary_rows(nz, mul, add):
+    """Binary isometry as rows: bit j*m + k of row i*m + l says <nz[i], nz[l]>
+    ~ <nz[j], nz[k]>, that is, equal products and nz[j] in nz[i] + nz[l]."""
+    m = len(nz)
+    return [sum(1 << j * m + k for j, b0 in enumerate(nz) if b0 in add[a0][a1]
+                for k, b1 in enumerate(nz) if mul[b0][b1] == mul[a0][a1])
+            for a0 in nz for a1 in nz]
 
 
-def _inductive_isometry(elements, binary):
-    """The memoized extension of ``binary`` to raw entry tuples of equal
-    length: <a1..an> ~ <b1..bn> iff <a2..an> ~ <x, cs>, <a1, x> ~ <b1, y> and
-    <b2..bn> ~ <y, cs> for some x, y, cs over ``elements``.  Candidates are
-    all tuples, not multisets, so the recursion does not rely on permutation
-    invariance, which is one of the laws the checkers check."""
-    memo = {}
-
-    def iso(a, b):
-        if len(a) == 1:
-            return a[0] == b[0]
-        if len(a) == 2:
-            return binary(a[0], a[1], b[0], b[1])
-        key = (a, b)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        tail_a = a[1:]
-        tail_b = b[1:]
-        found = False
-        for cs in product(elements, repeat=len(a) - 2):
-            for x in elements:
-                if not iso(tail_a, (x,) + cs):
-                    continue
-                for y in elements:
-                    if not binary(a[0], x, b[0], y):
-                        continue
-                    if iso(tail_b, (y,) + cs):
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                break
-        memo[key] = found
-        return found
-
-    return iso
+def _isometry_rows(binary, m, dmax):
+    """Yield the n-ary isometry relation on m elements as rows, d = 2..dmax:
+    bit j of rows[d][i] says d-tuple i ~ d-tuple j in ``product`` order, and
+    rows[2] is ``binary``.  The paper's recursion, a ~ b iff <a2..an> ~ <x, cs>,
+    <a1, x> ~ <b1, y> and <b2..bn> ~ <y, cs> for some tuples x, y, cs (no
+    permutation invariance assumed), reads: a ~ b iff block x of a's tail row,
+    the cs with tail ~ <x, cs>, meets block y of b's for some <a1, x> ~ <b1, y>."""
+    rows = binary
+    yield rows
+    # pairs[a1][b1]: the (x, y) with <a1, x> ~ <b1, y>
+    pairs = [[[(x, y) for x in range(m) for y in range(m) if binary[a1 * m + x] >> b1 * m + y & 1]
+              for b1 in range(m)] for a1 in range(m)]
+    for d in range(3, dmax + 1):
+        width, tails = m ** (d - 2), m ** (d - 1)
+        members = {}  # each distinct row of rows[d-1]: the mask of the tails that have it
+        for t, r in enumerate(rows):
+            members[r] = members.get(r, 0) | 1 << t
+        new = {}
+        for a1, r in product(range(m), members):
+            blocks = [r >> x * width & (1 << width) - 1 for x in range(m)]
+            out = 0
+            for b1 in range(m):
+                reach = 0  # the <y, cs> with tail ~ <x, cs> and <a1, x> ~ <b1, y>
+                for x, y in pairs[a1][b1]:
+                    reach |= blocks[x] << y * width
+                out |= sum(mask for r2, mask in members.items() if r2 & reach) << b1 * tails
+            new[a1, r] = out
+        rows = [new[a1, r] for a1 in range(m) for r in rows]
+        yield rows
 
 
 class IsometryContext:
     """Memoized value-set fold over a fixed hyperfield.
 
     The context assumes a quadratically presentable field: on other tables
-    its verdicts need not agree with _inductive_isometry.  Each public
+    its verdicts need not agree with the paper's recursion.  Each public
     method validates its input once, then works on entry-sorted tuples.
 
     A context is single-owner while a computation runs; share the hyperfield,
@@ -301,24 +297,33 @@ def isometric(F, phi, psi) -> bool:
     return IsometryContext(F).isometric(phi, psi)
 
 
-def _equivalence_failures(items, related, name):
-    """Reflexivity, symmetry and transitivity witnesses of a relation.
-
-    The relation is tabulated once over ``items``; failures are named
-    ``name.format(law)`` and carry (s,), (s, t) or (s, t, u).
-    """
-    table = {(s, t): related(s, t) for s in items for t in items}
-    failures = [(name.format("reflexive"), (s,)) for s in items if not table[(s, s)]]
-    for s in items:
-        for t in items:
-            if table[(s, t)] and not table[(t, s)]:
-                failures.append((name.format("symmetric"), (s, t)))
-    nbrs = {s: [t for t in items if table[(s, t)]] for s in items}
-    for s in items:
-        for t in nbrs[s]:
-            for u in nbrs[t]:
-                if not table[(s, u)]:
-                    failures.append((name.format("transitive"), (s, t, u)))
+def _equivalence_failures(rows, items, name):
+    """Reflexivity, symmetry and transitivity witnesses (s,), (s, t) and
+    (s, t, u) of a relation given as rows, bit t of rows[s] for items[s] ~
+    items[t], named name.format(law) and listed law by law, s, t, u ascending.
+    The rows are an equivalence iff each distinct row is the mask of the
+    indices that have it; only when that one pass fails is ``items`` read.
+    More than TRIPLE_BUDGET transitivity witnesses are refused."""
+    members = {}
+    for s, r in enumerate(rows):
+        members[r] = members.get(r, 0) | 1 << s
+    if all(mask == r for r, mask in members.items()):
+        return []
+    items = list(items)
+    reflexive, symmetric, transitive = map(name.format, ("reflexive", "symmetric", "transitive"))
+    # the t ~ s are taken a row value r2 at a time: s is not ~ t when r2
+    # misses s, and (s, t, u) fails for each u in r2 - r
+    triples = sum(mask.bit_count() * (r & mask2).bit_count() * (r2 & ~r).bit_count()
+                  for r, mask in members.items() for r2, mask2 in members.items())
+    if triples > TRIPLE_BUDGET:
+        raise SizeGuardError(f"{transitive}: {triples} witnesses; budget {TRIPLE_BUDGET}")
+    failures = [(reflexive, (items[s],)) for s, r in enumerate(rows) if not r >> s & 1]
+    for s, r in enumerate(rows):
+        lone = sum(r & mask for r2, mask in members.items() if not r2 >> s & 1)
+        failures += [(symmetric, (items[s], items[t])) for t in _bits(lone)]
+    for s, r in enumerate(rows):
+        for t in _bits(sum(r & mask for r2, mask in members.items() if r2 & ~r)):
+            failures += [(transitive, (items[s], items[t], items[u])) for u in _bits(rows[t] & ~r)]
     return failures
 
 
@@ -327,25 +332,23 @@ def check_quadratic(F: Hyperfield, dmax: int) -> AxiomReport:
 
     Runs the pre-quadratic axioms first (the report names the first broken
     layer), then reflexivity/symmetry/transitivity exhaustively per dimension
-    on raw (unsorted) decisions.  notes["low_dims"] records dims 1-2
-    separately: those are guaranteed for any pre-quadratic field.
+    on raw (unsorted) decisions, the rows of _isometry_rows; dim 1 is
+    equality.  notes["low_dims"] records dims 1-2 separately: those are
+    guaranteed for any pre-quadratic field.
     """
     pre = check_prequadratic(F)
     if not pre.passed:
         return AxiomReport("none", pre.failures, notes={"layer": "prequadratic"})
     nz = F.nonzero()
     m = len(nz)
-    if (m**dmax) ** 3 > TRIPLE_BUDGET:
+    if (m**dmax) ** 2 > TRIPLE_BUDGET:
         raise SizeGuardError(
-            f"{m} classes at dmax {dmax} give {(m**dmax)**3} triples; "
-            f"budget {TRIPLE_BUDGET}"
+            f"{m} classes at dmax {dmax} give {(m**dmax)**2} pairs; budget {TRIPLE_BUDGET}"
         )
-    iso = _inductive_isometry(nz, _binary_isometry(F._mul, F._add))
-    failures = []
-    notes = {"dims_checked": dmax, "low_dims": None}
-    for d in range(1, dmax + 1):
-        forms = list(product(nz, repeat=d))
-        failures += _equivalence_failures(forms, iso, f"equivalence.{{}}.dim{d}")
+    failures, notes = [], {"dims_checked": dmax, "low_dims": None}
+    levels = _isometry_rows(_binary_rows(nz, F._mul, F._add), m, dmax) if dmax > 1 else ()
+    for d, rows in enumerate(levels, 2):
+        failures += _equivalence_failures(rows, product(nz, repeat=d), f"equivalence.{{}}.dim{d}")
         if d == 2:
             notes["low_dims"] = not failures
     level = "quadratic" if not failures else "prequadratic"
@@ -515,9 +518,6 @@ class SpecialGroupTable:
     def size(self):
         return len(self.mul)
 
-    def related(self, pair1, pair2):
-        return (pair1, pair2) in self.binary_isometry
-
 
 def special_group_of(F: Hyperfield) -> SpecialGroupTable:
     """Extract (nonzero elements, binary isometry, -1) from a quadratically
@@ -527,13 +527,12 @@ def special_group_of(F: Hyperfield) -> SpecialGroupTable:
         raise ValidationError(
             f"extraction needs a pre-quadratic field; first failure {pre.first_failure()}"
         )
-    nz = sorted(F.nonzero())
+    nz = F.nonzero()
     index = {x: i for i, x in enumerate(nz)}
     mul = tuple(tuple(index[F.mul(a, b)] for b in nz) for a in nz)
-    binary = _binary_isometry(F._mul, F._add)
     rel = frozenset(
-        ((index[a], index[b]), (index[c], index[d]))
-        for a, b, c, d in product(nz, repeat=4) if binary(a, b, c, d)
+        (divmod(s, len(nz)), divmod(t, len(nz)))
+        for s, row in enumerate(_binary_rows(nz, F._mul, F._add)) for t in _bits(row)
     )
     return SpecialGroupTable(
         mul=mul,
@@ -556,9 +555,10 @@ def check_special_group(S: SpecialGroupTable, nmax: int = 4) -> AxiomReport:
     for pairs in S.binary_isometry:
         if any(x not in g for pair in pairs for x in pair):
             raise InputError(f"special group: binary_isometry entry {pairs} has an id outside {g}")
-    if (S.size**nmax) ** 3 > TRIPLE_BUDGET:
+    top = max(nmax, 2)  # dm.i is the relation on pairs
+    if S.size ** (2 * top) > TRIPLE_BUDGET:
         raise SizeGuardError(
-            f"{S.size}^{nmax} tuples give {(S.size**nmax)**3} triples; budget {TRIPLE_BUDGET}"
+            f"{S.size}^{top} tuples give {S.size ** (2 * top)} pairs; budget {TRIPLE_BUDGET}"
         )
     failures = []
     e = S.identity
@@ -576,12 +576,14 @@ def check_special_group(S: SpecialGroupTable, nmax: int = 4) -> AxiomReport:
     if failures:
         return AxiomReport("none", failures)
 
-    rel = S.binary_isometry
-    pairs = [(a, b) for a in g for b in g]
+    rel, n = S.binary_isometry, S.size
+    rows = [0] * (n * n)  # bit c*n + d of row a*n + b: ((a, b), (c, d)) in rel
+    for (a, b), (c, d) in rel:
+        rows[a * n + b] |= 1 << (c * n + d)
     # dm.i reports a reflexivity failure by the bare pair
     failures += [
         (law, wit[0] if law == "dm.i.reflexive" else wit)
-        for law, wit in _equivalence_failures(pairs, S.related, "dm.i.{}")
+        for law, wit in _equivalence_failures(rows, product(g, repeat=2), "dm.i.{}")
     ]
     for a in g:
         for b in g:
@@ -602,11 +604,7 @@ def check_special_group(S: SpecialGroupTable, nmax: int = 4) -> AxiomReport:
     if failures:
         return AxiomReport("group", failures)
 
-    # dm.iv holds, so _binary_isometry on these heads is membership in rel
-    heads = [[set() for _ in g] for _ in g]
-    for (a, b), (c, _) in rel:
-        heads[a][b].add(c)
-    iso = _inductive_isometry(g, _binary_isometry(S.mul, heads))
-    for n in range(3, nmax + 1):
-        failures += _equivalence_failures(list(product(g, repeat=n)), iso, f"iso_{n}.{{}}")
+    # S is a group and dm.iv holds, so rel is the binary isometry to extend
+    for k, rows in enumerate(islice(_isometry_rows(rows, n, nmax), 1, None), 3):
+        failures += _equivalence_failures(rows, product(g, repeat=k), f"iso_{k}.{{}}")
     return AxiomReport("special" if not failures else "prespecial", failures)

@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
 
 import pytest
 
+from quadpres import quadratic
 from quadpres.errors import InputError, SizeGuardError, ValidationError
 from quadpres.finitefield import DEFAULT_MODULI, _is_prime, ff_make, square_classes
 from quadpres.hyperfields import (
@@ -25,8 +29,9 @@ from quadpres.quadratic import (
     IsometryContext,
     WittClass,
     WittRing,
-    _binary_isometry,
-    _inductive_isometry,
+    _binary_rows,
+    _equivalence_failures,
+    _isometry_rows,
     check_prequadratic,
     check_quadratic,
     check_special_group,
@@ -43,6 +48,54 @@ from test_hyperfields import cell_mutants, ladder_bases, mutate_add
 
 def euclid_ctx():
     return IsometryContext(euclidean_hyperfield())
+
+
+# the paper's recursion, pair by pair: the reference for the rows of
+# quadratic._isometry_rows, which check_quadratic and check_special_group read
+def _binary_isometry(mul, add):
+    """<a1, a2> ~ <b1, b2> iff a1*a2 = b1*b2 and b1 is in a1 + a2, read off a
+    multiplication table and a table of sets."""
+    return lambda a1, a2, b1, b2: mul[a1][a2] == mul[b1][b2] and b1 in add[a1][a2]
+
+
+def _inductive_isometry(elements, binary):
+    """The memoized extension of ``binary`` to raw entry tuples of equal
+    length: <a1..an> ~ <b1..bn> iff <a2..an> ~ <x, cs>, <a1, x> ~ <b1, y> and
+    <b2..bn> ~ <y, cs> for some x, y, cs over ``elements``.  Candidates are
+    all tuples, not multisets, so the recursion does not rely on permutation
+    invariance, which is one of the laws the checkers check."""
+    memo = {}
+
+    def iso(a, b):
+        if len(a) == 1:
+            return a[0] == b[0]
+        if len(a) == 2:
+            return binary(a[0], a[1], b[0], b[1])
+        key = (a, b)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        tail_a = a[1:]
+        tail_b = b[1:]
+        found = False
+        for cs in product(elements, repeat=len(a) - 2):
+            for x in elements:
+                if not iso(tail_a, (x,) + cs):
+                    continue
+                for y in elements:
+                    if not binary(a[0], x, b[0], y):
+                        continue
+                    if iso(tail_b, (y,) + cs):
+                        found = True
+                        break
+                if found:
+                    break
+            if found:
+                break
+        memo[key] = found
+        return found
+
+    return iso
 
 
 def inductive_isometry(F):
@@ -343,6 +396,142 @@ def test_fold_agrees_with_inductive_isometry_past_two_classes(F, dmax):
         for a in forms:
             for b in forms:
                 assert ctx.isometric(a, b) == iso(a, b), (F.names, a, b)
+
+
+def recursion_rows(F, d, iso):
+    """The d-dimensional relation decided pair by pair by ``iso``, as rows
+    over ``product`` order."""
+    forms = list(product(F.nonzero(), repeat=d))
+    return [sum(1 << j for j, b in enumerate(forms) if iso(a, b)) for a in forms]
+
+
+@pytest.mark.parametrize(
+    "F",
+    [euclidean_hyperfield()] + [q_ctx(q)[0] for q in (3, 5, 7, 9)] + four_class_fleet(),
+    ids=["E", "Q3", "Q5", "Q7", "Q9", "E(t)", "Q3(t)", "Q5(t)"],
+)
+def test_isometry_rows_match_the_recursion(F):
+    nz = F.nonzero()
+    iso = inductive_isometry(F)
+    levels = list(_isometry_rows(_binary_rows(nz, F._mul, F._add), len(nz), 4))
+    assert len(levels) == 3
+    for d, rows in enumerate(levels, 2):
+        assert rows == recursion_rows(F, d, iso), (F.names, d)
+
+
+def recursion_check_quadratic(F: Hyperfield, dmax: int) -> AxiomReport:
+    """The reference for check_quadratic: the relation decided pair by pair
+    by the recursion and tabulated, and the three laws checked pair by pair
+    and triple by triple, in report order."""
+    pre = check_prequadratic(F)
+    if not pre.passed:
+        return AxiomReport("none", pre.failures, notes={"layer": "prequadratic"})
+    iso = inductive_isometry(F)
+    failures = []
+    notes = {"dims_checked": dmax, "low_dims": None}
+    for d in range(1, dmax + 1):
+        forms = list(product(F.nonzero(), repeat=d))
+        table = {(s, t): iso(s, t) for s in forms for t in forms}
+        law = f"equivalence.{{}}.dim{d}".format
+        failures += [(law("reflexive"), (s,)) for s in forms if not table[s, s]]
+        failures += [
+            (law("symmetric"), (s, t)) for s in forms for t in forms if table[s, t] and not table[t, s]
+        ]
+        failures += [
+            (law("transitive"), (s, t, u))
+            for s in forms for t in forms if table[s, t]
+            for u in forms if table[t, u] and not table[s, u]
+        ]
+        if d == 2:
+            notes["low_dims"] = not failures
+    return AxiomReport("quadratic" if not failures else "prequadratic", failures, notes=notes)
+
+
+def add_cell_mutants(F):
+    """Every copy of F with one add cell and its mirror redrawn to another
+    subset of the carrier, less the copies the constructor refuses."""
+    for a, b in combinations_with_replacement(range(F.size), 2):
+        for r in range(F.size + 1):
+            for cell in combinations(range(F.size), r):
+                if set(cell) != set(F.add(a, b)):
+                    try:
+                        yield mutate_add(F, a, b, cell)
+                    except ValidationError:
+                        pass
+
+
+def test_check_quadratic_matches_the_recursion_on_add_cell_mutants():
+    # 525 tables; 207 pass the pre-quadratic axioms, and 74 of those fail an
+    # equivalence law (no reflexivity failure: a in a + b makes it hold)
+    reached, failed, laws = 0, 0, set()
+    for F in (euclidean_hyperfield(), q_ctx(3)[0], laurent_extension(euclidean_hyperfield())):
+        for G in [F, *add_cell_mutants(F)]:
+            report = check_quadratic(G, 3)
+            assert report == recursion_check_quadratic(G, 3), G.names
+            if "layer" not in report.notes:
+                reached += 1
+                failed += not report.passed
+                laws |= {law for law, _ in report.failures}
+    assert (reached, failed) == (207, 74)
+    assert laws == {f"equivalence.{law}.dim{d}" for law in ("symmetric", "transitive") for d in (2, 3)}
+
+
+def triple_loop_equivalence_failures(rows, items, name):
+    """The reference for _equivalence_failures: each law pair by pair and
+    triple by triple, in report order."""
+    n, law = len(rows), name.format
+    rel = [[bool(rows[s] >> t & 1) for t in range(n)] for s in range(n)]
+    return (
+        [(law("reflexive"), (items[s],)) for s in range(n) if not rel[s][s]]
+        + [(law("symmetric"), (items[s], items[t]))
+           for s in range(n) for t in range(n) if rel[s][t] and not rel[t][s]]
+        + [(law("transitive"), (items[s], items[t], items[u]))
+           for s in range(n) for t in range(n) if rel[s][t]
+           for u in range(n) if rel[t][u] and not rel[s][u]]
+    )
+
+
+def test_equivalence_failures_match_the_triple_loop(monkeypatch):
+    # random relations, and partitions with one bit flipped
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randint(1, 10)
+        if rng.random() < 0.5:
+            rows = [rng.getrandbits(n) for _ in range(n)]
+        else:
+            block = [rng.randrange(3) for _ in range(n)]
+            rows = [sum(1 << t for t in range(n) if block[t] == block[s]) for s in range(n)]
+            rows[rng.randrange(n)] ^= 1 << rng.randrange(n)
+        items = [f"x{s}" for s in range(n)]
+        expected = triple_loop_equivalence_failures(rows, items, "eq.{}")
+        assert _equivalence_failures(rows, items, "eq.{}") == expected, rows
+    # s ~ t iff s + t is odd: (s, t, u) fails for every t of the other
+    # parity and every u of the same, 32 * 16 * 16 witnesses on 2 rows
+    n = 32
+    parity = [sum(1 << t for t in range(p, n, 2)) for p in (0, 1)]
+    rows = [parity[1 - s % 2] for s in range(n)]
+    monkeypatch.setattr(quadratic, "TRIPLE_BUDGET", 8192)
+    expected = triple_loop_equivalence_failures(rows, range(n), "eq.{}")
+    assert _equivalence_failures(rows, range(n), "eq.{}") == expected
+    monkeypatch.setattr(quadratic, "TRIPLE_BUDGET", 8191)
+    with pytest.raises(SizeGuardError, match="eq.transitive: 8192 witnesses; budget 8191"):
+        _equivalence_failures(rows, range(n), "eq.{}")
+
+
+def test_checkers_read_every_dimension_of_the_rows(monkeypatch):
+    # rows whose dim-3 relation loses <1, 1, 1> ~ <1, 1, 1>, and only that
+    def spy(binary, m, dmax):
+        for d, rows in enumerate(_isometry_rows(binary, m, dmax), 2):
+            yield [rows[0] & ~1, *rows[1:]] if d == 3 else rows
+
+    monkeypatch.setattr(quadratic, "_isometry_rows", spy)
+    E = euclidean_hyperfield()
+    lost = ((E.one,) * 3,)
+    report = check_quadratic(E, 4)
+    assert report.failures == [("equivalence.reflexive.dim3", lost)]
+    assert report.notes == {"dims_checked": 4, "low_dims": True}
+    lost = ((0,) * 3,)
+    assert check_special_group(special_group_of(E), 4) == AxiomReport("prespecial", [("iso_3.reflexive", lost)])
 
 
 def linear_scan_witt_ring(F: Hyperfield, dmax: int) -> WittRing:
@@ -754,10 +943,66 @@ def test_special_group_euclidean():
     assert report.level_passed == "special"
 
 
-def test_special_group_size_guard():
+def refuse_to_build_rows(monkeypatch):
+    def built(*args):
+        raise AssertionError("isometry rows were built")
+
+    monkeypatch.setattr(quadratic, "_binary_rows", built)
+    monkeypatch.setattr(quadratic, "_isometry_rows", built)
+
+
+def test_special_group_size_guard(monkeypatch):
+    # the guard prices the (2^n)^2 pairs of the top dimension: nmax 12 is
+    # admitted on 2 elements, 13 is the first nmax refused
     S = special_group_of(euclidean_hyperfield())
-    with pytest.raises(SizeGuardError):
-        check_special_group(S, nmax=9)
+    assert check_special_group(S, nmax=12).level_passed == "special"
+    refuse_to_build_rows(monkeypatch)
+    with pytest.raises(SizeGuardError, match="2\\^13 tuples give 67108864 pairs; budget 20000000"):
+        check_special_group(S, nmax=13)
+
+
+def run_in_subprocess(code):
+    """Run ``code`` in a fresh interpreter that imports quadpres and these
+    tests, with a 60 s bound; its stdout."""
+    src = os.path.dirname(os.path.dirname(quadratic.__file__))
+    path = os.pathsep.join((src, os.path.dirname(__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_check_quadratic_guard_edge_in_a_subprocess(monkeypatch):
+    # E at dmax 12: 4,096 forms and 2^24 = 16,777,216 pairs, the most
+    # TRIPLE_BUDGET admits at 2 classes.  Bound 60 s; it takes well under 1 s
+    out = run_in_subprocess(
+        "from quadpres.hyperfields import euclidean_hyperfield\n"
+        "from quadpres.quadratic import check_quadratic\n"
+        "r = check_quadratic(euclidean_hyperfield(), 12)\n"
+        "print(r.level_passed, len(r.failures), r.notes)\n"
+    )
+    assert out == "quadratic 0 {'dims_checked': 12, 'low_dims': True}\n"
+    refuse_to_build_rows(monkeypatch)
+    with pytest.raises(SizeGuardError, match="2 classes at dmax 13 give 67108864 pairs; budget 20000000"):
+        check_quadratic(euclidean_hyperfield(), 13)
+
+
+def test_special_group_guard_edge_in_a_subprocess(monkeypatch):
+    # the 8-element special group of E((t))((s)) at nmax 4: 8^8 = 16,777,216
+    # pairs, the most TRIPLE_BUDGET admits at 8 elements.  Bound 60 s
+    out = run_in_subprocess(
+        "from quadpres.quadratic import check_special_group, special_group_of\n"
+        "from test_quadratic import two_step_laurent\n"
+        "r = check_special_group(special_group_of(two_step_laurent()), 4)\n"
+        "print(r.level_passed, len(r.failures))\n"
+    )
+    assert out == "special 0\n"
+    S = special_group_of(two_step_laurent())
+    refuse_to_build_rows(monkeypatch)
+    with pytest.raises(SizeGuardError, match="8\\^5 tuples give 1073741824 pairs; budget 20000000"):
+        check_special_group(S, 5)
 
 
 def test_special_group_of_quadratic_hyperfields():
@@ -772,27 +1017,39 @@ def test_special_group_of_quadratic_hyperfields():
 def test_special_groups_past_two_classes(F, monkeypatch):
     S = special_group_of(F)
     assert S.size == 4
-    built = []  # the n-ary relation check_special_group builds on S
+    built = []  # the rows check_special_group builds on S, dims 2 and 3
 
-    def spy(elements, binary):
-        built.append(_inductive_isometry(elements, binary))
-        return built[-1]
+    def spy(binary, m, dmax):
+        for rows in _isometry_rows(binary, m, dmax):
+            built.append(rows)
+            yield rows
 
-    monkeypatch.setattr("quadpres.quadratic._inductive_isometry", spy)
+    monkeypatch.setattr(quadratic, "_isometry_rows", spy)
     report = check_special_group(S, nmax=3)
     assert report.passed and report.level_passed == "special", report.failures[:3]
+    assert len(built) == 2
     for pair in S.binary_isometry:
         dropped = replace(S, binary_isometry=S.binary_isometry - {pair})
         assert not check_special_group(dropped, nmax=3).passed, pair
-    # that relation is F's inductive isometry through the index map
-    index = {x: i for i, x in enumerate(sorted(F.nonzero()))}
-    iso_S = built[0]
+    # those rows are F's inductive isometry through the index map
+    index = {x: i for i, x in enumerate(F.nonzero())}
     iso_F = inductive_isometry(F)
-    forms = list(product(F.nonzero(), repeat=3))
-    for a in forms:
-        for b in forms:
-            in_S = iso_S(tuple(map(index.get, a)), tuple(map(index.get, b)))
-            assert in_S == iso_F(a, b), (a, b)
+    for d, rows in zip((2, 3), built):
+        position = {t: i for i, t in enumerate(product(range(S.size), repeat=d))}
+        forms = list(product(F.nonzero(), repeat=d))
+        for a in forms:
+            row = rows[position[tuple(map(index.get, a))]]
+            for b in forms:
+                assert (row >> position[tuple(map(index.get, b))] & 1) == iso_F(a, b), (a, b)
+
+
+def test_eight_element_special_group_at_nmax_3():
+    S = special_group_of(two_step_laurent())
+    assert S.size == 8
+    assert check_special_group(S, nmax=3).level_passed == "special"
+    for pair in random.Random(8).sample(sorted(S.binary_isometry), 16):
+        dropped = replace(S, binary_isometry=S.binary_isometry - {pair})
+        assert not check_special_group(dropped, nmax=3).passed, pair
 
 
 def test_special_group_check_names_bad_ids():
