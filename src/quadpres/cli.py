@@ -320,7 +320,7 @@ def cmd_witt(args, rep):
     rep.document("witt-ring", doc)
     rep.say(doc.rstrip("\n"))
     rep.say(W.summary())
-    if q is not None and q in oracle.ORACLE_SIZES and W.status == "finite":
+    if q is not None and W.status == "finite":
         WO = oracle.classical_witt_ring(q, min(args.max_dim, 4))
         match = _oracle_match(W, F, WO, ff_make(p, n))
         rep.check("oracle-match", match, oracle_classes=len(WO.classes))

@@ -8,9 +8,10 @@ The tables are built a row at a time, not cell by cell.  Row a of the
 prime field's addition is range(p) rotated by a; addition is digitwise mod
 p, so the table for n digits is p shifted, rotated blocks of the table for
 n - 1 digits.  Multiplication is linear: row a of a prime field is a*b mod
-p, and in an extension the n images a*x^j come from polynomial arithmetic,
-after which row a is filled by additions along the digits of b.  Negatives
-and inverses are read off the rows as the positions of 0 and 1.
+p.  An extension needs one row more, multiplication by x, which shifts the
+digits up and reduces the top one by the modulus; row a = d + x*a' is then
+row d added cell by cell to row a' read through the x row.  Negatives and
+inverses are read off the rows as the positions of 0 and 1.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from .errors import InputError, SizeGuardError, ValidationError
 
 MAX_FIELD = 1024
 
-# Fixed moduli for the supported tiny extensions keep element encodings
-# reproducible across runs (coefficients constant-term first, monic).
+# Fixed moduli for every extension under the cap keep element encodings
+# reproducible across runs (coefficients constant-term first, monic).  Each
+# is the least irreducible in id order with a nonzero constant term.
 DEFAULT_MODULI = {
     (2, 2): (1, 1, 1),          # x^2 + x + 1
     (2, 3): (1, 1, 0, 1),       # x^3 + x + 1
@@ -30,10 +32,26 @@ DEFAULT_MODULI = {
     (2, 4): (1, 1, 0, 0, 1),    # x^4 + x + 1
     (5, 2): (2, 0, 1),          # x^2 + 2
     (3, 3): (1, 2, 0, 1),       # x^3 + 2x + 1
+    (2, 5): (1, 0, 1, 0, 0, 1),  # x^5 + x^2 + 1
     (7, 2): (1, 0, 1),          # x^2 + 1
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),  # x^6 + x + 1
     (3, 4): (2, 1, 0, 0, 1),    # x^4 + x + 2
     (11, 2): (1, 0, 1),         # x^2 + 1
+    (5, 3): (1, 1, 0, 1),       # x^3 + x + 1
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),  # x^7 + x + 1
     (13, 2): (2, 0, 1),         # x^2 + 2
+    (3, 5): (1, 2, 0, 0, 0, 1),  # x^5 + 2x + 1
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),  # x^8 + x^4 + x^3 + x + 1
+    (17, 2): (3, 0, 1),         # x^2 + 3
+    (7, 3): (2, 0, 0, 1),       # x^3 + 2
+    (19, 2): (1, 0, 1),         # x^2 + 1
+    (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),  # x^9 + x + 1
+    (23, 2): (1, 0, 1),         # x^2 + 1
+    (5, 4): (2, 0, 0, 0, 1),    # x^4 + 2
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),  # x^6 + x + 2
+    (29, 2): (2, 0, 1),         # x^2 + 2
+    (31, 2): (1, 0, 1),         # x^2 + 1
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),  # x^10 + x^3 + 1
 }
 
 
@@ -53,29 +71,6 @@ def _trim(c):
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _poly_mod(a, m, p):
-    a = _trim([x % p for x in a])
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        k = len(a) - 1 - dm
-        f = a[-1]  # m is monic
-        for i, c in enumerate(m):
-            a[i + k] = (a[i + k] - f * c) % p
-        a = _trim(a)
-    return a
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
 
 
 class FiniteField:
@@ -98,18 +93,13 @@ class FiniteField:
         elif n == 1:
             modulus = (0, 1)
         else:
-            try:
-                modulus = DEFAULT_MODULI[(p, n)]
-            except KeyError:
-                raise InputError(
-                    f"no built-in modulus for GF({p}^{n}); supply one explicitly"
-                ) from None
+            modulus = DEFAULT_MODULI[(p, n)]
         if len(_trim(modulus)) != n + 1 or _trim(modulus)[-1] != 1:
             raise InputError(f"modulus must be monic of degree {n}")
         self.p = p
         self.n = n
         self.q = q
-        self.modulus = tuple(_trim(modulus)) if n > 1 else tuple(modulus[: n + 1])
+        self.modulus = tuple(_trim(modulus))
 
         self._build_tables()
         # Z_p[x]/(m) is a field iff m is irreducible iff every nonzero
@@ -135,25 +125,18 @@ class FiniteField:
         if n == 1:
             mul = [[0] * p] + [[b % p for b in range(0, a * p, a)] for a in range(1, p)]
         else:
-            # b = b' + x^j with j the lowest nonzero digit of b and b' < b, so
-            # a*b = a*b' + a*x^j once the n images a*x^j are known
-            steps = []
-            for b in range(1, q):
-                j, pj = 0, 1
-                while b // pj % p == 0:
-                    j, pj = j + 1, pj * p
-                steps.append((b - pj, j))
-            mul = []
-            for a in range(q):
-                pa = _trim(self._decode(a))
-                images = [
-                    self._encode(_poly_mod(_poly_mul(pa, [0] * j + [1], p), self.modulus, p))
-                    for j in range(n)
-                ]
-                row = [0] * q
-                for b, (prev, j) in enumerate(steps, start=1):
-                    row[b] = add[row[prev]][images[j]]
-                mul.append(row)
+            # a scalar c < p multiplies digit by digit: c*b = (c-1)*b + b
+            mul = [[0] * q]
+            for _ in range(1, p):
+                mul.append([add[y][b] for b, y in enumerate(mul[-1])])
+            # multiplying by x shifts the digits up, and the top digit c
+            # wraps round as c*x^n = c*(-m_0 - ... - m_(n-1)*x^(n-1))
+            top = q // p
+            xn = sum(-c % p * p**i for i, c in enumerate(self.modulus[:n]))
+            by_x = [add[e % top * p][mul[e // top][xn]] for e in range(q)]
+            # a = d + x*a' with d = a mod p and a' < a: a*b = d*b + x*(a'*b)
+            for a in range(p, q):
+                mul.append([add[s][by_x[t]] for s, t in zip(mul[a % p], mul[a // p])])
         self._add = add
         self._mul = mul
         self._neg = [row.index(0) for row in add]
@@ -164,12 +147,6 @@ class FiniteField:
             out.append(a % self.p)
             a //= self.p
         return out
-
-    def _encode(self, digits):
-        a = 0
-        for c in reversed(list(digits)):
-            a = a * self.p + c
-        return a
 
     # -- arithmetic ------------------------------------------------------
 
@@ -284,17 +261,11 @@ class SquareClasses:
 
 
 def square_classes(k: FiniteField) -> SquareClasses:
-    squares = {k.mul(a, a) for a in k.nonzero()}
-    classes = [frozenset([0])]
-    class_of = [0] * k.q
-    assigned = {0}
-    for a in range(1, k.q):
-        if a in assigned:
-            continue
-        coset = frozenset(k.mul(a, s) for s in squares)
-        idx = len(classes)
-        classes.append(coset)
-        for x in coset:
-            class_of[x] = idx
-            assigned.add(x)
-    return SquareClasses(classes=tuple(classes), class_of=tuple(class_of), zero_class=0)
+    """{0}, the nonzero squares S and, when S is not all of k* (odd q),
+    k* minus S: S has index 1 or 2 in the cyclic group k*, so these are
+    its cosets."""
+    squares = frozenset(k.mul(a, a) for a in k.nonzero())
+    rest = frozenset(k.nonzero()) - squares
+    classes = (frozenset([0]), squares) + ((rest,) if rest else ())
+    class_of = tuple(0 if a == 0 else 1 if a in squares else 2 for a in range(k.q))
+    return SquareClasses(classes=classes, class_of=class_of, zero_class=0)

@@ -11,6 +11,11 @@ the parity of its dimension and the square class of its signed discriminant
 The oracle builds its class tables alone; WittRing only reads its status off
 them.
 
+Sizes: `classical_witt_ring` and `classical_isometric` take every q that
+`parse_field_arg` admits, which is every prime power up to `MAX_FIELD`.
+`congruence_classes` enumerates all q^(n(n+1)/2) Gram matrices, so its own
+guard stops at dim 3 for q <= 5 and at dim 2 for q <= 9.
+
 Characteristic-2 convention: the oracle works with diagonal non-alternating
 forms and stabilizes by <1,1> = <1,-1>, the comparable classical object for
 a theory whose forms are tuples of square classes; alternating forms are out
@@ -25,8 +30,6 @@ from itertools import combinations_with_replacement, permutations, product
 from .errors import InputError, SizeGuardError, ValidationError
 from .finitefield import FiniteField, ff_make, parse_field_arg, square_classes
 from .quadratic import Form, WittClass, WittRing
-
-ORACLE_SIZES = (2, 3, 4, 5, 7, 9)
 
 
 def _field_for(q: int) -> FiniteField:
@@ -134,7 +137,7 @@ def congruence_classes(q: int, dim: int) -> CongruenceClasses:
     generate GL_n.  In a finite group the closure of a generating set under
     products is the whole group, so no inverses are needed.
     """
-    ok = (q <= 3 and dim <= 3) or (q <= 9 and dim <= 2)
+    ok = (q <= 5 and dim <= 3) or (q <= 9 and dim <= 2)
     if not ok or dim < 1:
         raise SizeGuardError(f"congruence_classes guard exceeded for q={q}, dim={dim}")
     k = _field_for(q)
@@ -232,12 +235,11 @@ def classical_witt_ring(q: int, dmax: int) -> WittRing:
     dimension first.  A class is represented by the first candidate with its
     `_witt_key`, and every sum and product finds its class by that key.
     Every key occurs by dim 2, so the tables are full and the ring finite.
+    Any q that `parse_field_arg` admits is built; it refuses the others.
     """
-    if q not in ORACLE_SIZES:
-        raise SizeGuardError(f"oracle fields are {ORACLE_SIZES}; got {q}")
+    k = _field_for(q)
     if not 2 <= dmax <= 4:
         raise SizeGuardError(f"oracle dmax must be 2..4, got {dmax}")
-    k = _field_for(q)
     sq = square_classes(k)
     least = sorted(min(c) for i, c in enumerate(sq.classes) if i != sq.zero_class)
     first = {_witt_key(k, ()): ()}  # key -> diagonal entries of its class; () is the zero class

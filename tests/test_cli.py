@@ -8,7 +8,7 @@ import quadpres
 from quadpres import quadratic
 from quadpres.cli import _oracle_match, build_parser, main
 from quadpres.documents import emit_hyperfield, emit_witt_ring
-from quadpres.finitefield import DEFAULT_MODULI, _is_prime, ff_make, parse_field_arg
+from quadpres.finitefield import ff_make, parse_field_arg
 from quadpres.hyperfields import (
     Hyperfield,
     euclidean_hyperfield,
@@ -17,10 +17,14 @@ from quadpres.hyperfields import (
     prime_hyperfield,
     quadratic_hyperfield,
 )
-from quadpres.oracle import ORACLE_SIZES, classical_witt_ring
+from quadpres.oracle import classical_witt_ring
 from quadpres.presentable import squares_pipeline
 from quadpres.quadratic import ring_isomorphic, witt_ring
+from test_hyperfields import TABLE_FIELDS
 from test_quadratic import laurent_extension, two_step_laurent
+
+# the fields on which the references below finish in a second or so
+ORACLE_SIZES = (2, 3, 4, 5, 7, 9)
 
 
 def run(capsys, *argv):
@@ -35,6 +39,23 @@ def test_witt_field_3(capsys):
         assert code == 0, max_dim
         assert "W: finite, 4 classes" in out, max_dim
         assert "oracle match: yes" in out, max_dim
+
+
+def test_witt_field_matches_the_oracle_past_the_small_fields(capsys):
+    for q in ("11", "25", "27", "49", "1021"):
+        code, out = run(capsys, "witt", "--field", q, "--max-dim", "4")
+        assert code == 0, q
+        assert "oracle match: yes" in out, q
+    # GF(1024), the largest field the guard admits, in a subprocess with a timeout
+    src = os.path.dirname(os.path.dirname(quadpres.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "quadpres.cli", "witt", "--field", "1024", "--max-dim", "4"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0
+    assert "oracle match: yes" in done.stdout
+    code, out = run(capsys, "oracle", "witt", "--q", "1021", "--max-dim", "4")
+    assert code == 0 and "oracle witt: 4 classes" in out
 
 
 def one_add_cell_changed(W):
@@ -291,7 +312,7 @@ def test_pipeline_command(capsys):
 
 def test_pipeline_table_equality_matches_the_isomorphism_search():
     # cli pipeline decides by out == Q; the search it replaced is the reference
-    for p, n in [(p, 1) for p in range(2, 129) if _is_prime(p)] + list(DEFAULT_MODULI):
+    for p, n in TABLE_FIELDS:
         k = ff_make(p, n)
         start = prime_hyperfield(from_field(k))
         Q = quadratic_hyperfield(k)

@@ -9,8 +9,6 @@ from quadpres.finitefield import (
     MAX_FIELD,
     FiniteField,
     _is_prime,
-    _poly_mod,
-    _poly_mul,
     _trim,
     ff_make,
     parse_field_arg,
@@ -18,6 +16,38 @@ from quadpres.finitefield import (
 )
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)]
+
+
+# polynomial arithmetic over GF(p), coefficients constant term first: the
+# per-cell reference for the tables FiniteField builds a row at a time
+def _poly_mod(a, m, p):
+    a = _trim([x % p for x in a])
+    dm = len(m) - 1
+    while len(a) - 1 >= dm and a:
+        k = len(a) - 1 - dm
+        f = a[-1]  # m is monic
+        for i, c in enumerate(m):
+            a[i + k] = (a[i + k] - f * c) % p
+        a = _trim(a)
+    return a
+
+
+def _poly_mul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _encode(digits, p):
+    a = 0
+    for c in reversed(list(digits)):
+        a = a * p + c
+    return a
 
 
 # trial division: the reference for the inverse scan by which FiniteField
@@ -92,26 +122,32 @@ def test_field_axioms_exhaustive_small():
 def test_tables_match_per_cell_arithmetic():
     # the reference is arithmetic cell by cell: addition digit by digit,
     # multiplication of polynomials reduced by the modulus
-    fields = [(p, 1) for p in range(2, 129) if _is_prime(p)] + list(DEFAULT_MODULI)
+    fields = [(p, 1) for p in range(2, 129) if _is_prime(p)]
+    fields += [(p, n) for p, n in DEFAULT_MODULI if p**n <= 169]
     for p, n in fields:
         k = ff_make(p, n)
         elems = range(k.q)
         digits = [k._decode(a) for a in elems]
         polys = [_trim(d) for d in digits]
-        add = [[k._encode([(x + y) % p for x, y in zip(digits[a], digits[b])]) for b in elems]
+        add = [[_encode([(x + y) % p for x, y in zip(digits[a], digits[b])], p) for b in elems]
                for a in elems]
-        mul = [[k._encode(_poly_mod(_poly_mul(polys[a], polys[b], p), k.modulus, p)) for b in elems]
+        mul = [[_encode(_poly_mod(_poly_mul(polys[a], polys[b], p), k.modulus, p), p) for b in elems]
                for a in elems]
         assert [[k.add(a, b) for b in elems] for a in elems] == add, (p, n)
         assert [[k.mul(a, b) for b in elems] for a in elems] == mul, (p, n)
-        assert [k.neg(a) for a in elems] == [k._encode([-x % p for x in d]) for d in digits], (p, n)
+        assert [k.neg(a) for a in elems] == [_encode([-x % p for x in d], p) for d in digits], (p, n)
         assert [k.inv(a) for a in k.nonzero()] == [mul[a].index(1) for a in k.nonzero()], (p, n)
 
 
 def test_default_moduli_are_irreducible():
+    # each is also the least irreducible in id order with a nonzero constant term
     for (p, n), m in DEFAULT_MODULI.items():
         assert poly_is_irreducible(m, p)
         assert len(m) == n + 1 and m[-1] == 1
+        for candidate in _monic_polys(p, n):
+            if candidate == list(m):
+                break
+            assert not candidate[0] or not poly_is_irreducible(candidate, p), (p, n, candidate)
 
 
 def test_reducible_modulus_rejected():
@@ -146,13 +182,16 @@ def test_modulus_coefficients_outside_the_prime_field_refused():
             ff_make(p, n, modulus=modulus)
 
 
-def test_unsupported_size_without_modulus():
-    with pytest.raises(InputError):
-        ff_make(2, 5)
-    # but works with an explicit irreducible modulus (x^5 + x^2 + 1)
-    k = ff_make(2, 5, modulus=(1, 0, 1, 0, 0, 1))
-    assert k.q == 32
-    assert k.mul(2, k.inv(2)) == 1
+def test_every_extension_under_the_cap_has_a_default_modulus():
+    extensions = {(p, n) for p in range(2, MAX_FIELD) if _is_prime(p)
+                  for n in range(2, MAX_FIELD.bit_length()) if p**n <= MAX_FIELD}
+    assert set(DEFAULT_MODULI) == extensions
+    assert len(extensions) == 26
+    # each builds from its size, as the CLI builds it; the inverse scan
+    # would refuse a reducible modulus
+    for p, n in extensions:
+        k = ff_make(*parse_field_arg(str(p**n)))
+        assert (k.p, k.n, k.modulus) == (p, n, DEFAULT_MODULI[p, n])
 
 
 def test_guards():
@@ -181,8 +220,8 @@ def test_size_guard_builds_no_power_past_the_cap(monkeypatch):
 
     monkeypatch.setattr(FiniteField, "_build_tables", build_tables)
     for p, n in product([p for p in range(2, 1100) if _is_prime(p)], range(1, 13)):
-        # an admitted field reaches its tables, or lacks a built-in modulus
-        with pytest.raises((SizeGuardError, AssertionError, InputError)) as err:
+        # an admitted field reaches its tables
+        with pytest.raises((SizeGuardError, AssertionError)) as err:
             ff_make(p, n)
         assert (err.type is SizeGuardError) == (p**n > MAX_FIELD), (p, n)
     # each of these would factor q, test a large p for primality or build p^n

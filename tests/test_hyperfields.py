@@ -38,6 +38,10 @@ def mutate_add(F, a, b, new_cell):
 
 
 FLEET_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (13, 1)]
+# the prime fields to 127 and the extensions to GF(169), on which the table
+# builders are compared with their references
+TABLE_FIELDS = [(p, 1) for p in range(2, 129) if _is_prime(p)]
+TABLE_FIELDS += [(p, n) for p, n in DEFAULT_MODULI if p**n <= 169]
 
 
 def fleet():
@@ -244,7 +248,7 @@ def test_quadratic_hyperfield_fleet_passes():
 
 def test_quadratic_hyperfield_matches_the_quotient_path():
     # the reference: the square-class quotient of the q x q singleton table
-    for p, n in [(p, 1) for p in range(2, 129) if _is_prime(p)] + list(DEFAULT_MODULI):
+    for p, n in TABLE_FIELDS:
         k = ff_make(p, n)
         squares = {k.mul(a, a) for a in k.nonzero()}
         Q = quadratic_hyperfield(k)
@@ -442,8 +446,7 @@ def test_quotient_tables_match_the_memo_reference(monkeypatch):
 
     monkeypatch.setattr(hyperfields, "_quotient_tables", checked)
     monkeypatch.setattr(presentable, "_quotient_tables", checked)
-    fields = [(p, 1) for p in range(2, 129) if _is_prime(p)] + list(DEFAULT_MODULI)
-    for p, n in fields:
+    for p, n in TABLE_FIELDS:
         k = ff_make(p, n)
         g, order = k.generator(), k.q - 1
         P = prime_hyperfield(from_field(k))

@@ -1,11 +1,15 @@
+import os
+import subprocess
+import sys
 from itertools import combinations_with_replacement, product
 
 import pytest
 
+import quadpres
+from quadpres import oracle
 from quadpres.errors import InputError, SizeGuardError, ValidationError
 from quadpres.finitefield import ff_make, square_classes
 from quadpres.oracle import (
-    ORACLE_SIZES,
     GramForm,
     _det,
     _field_for,
@@ -19,6 +23,9 @@ from quadpres.oracle import (
     same_square_class,
 )
 from quadpres.quadratic import Form, WittClass, WittRing
+
+# the fields on which the slow references below finish in a second or so
+ORACLE_SIZES = (2, 3, 4, 5, 7, 9)
 
 
 def test_gram_form_validation():
@@ -121,11 +128,25 @@ def test_same_square_class_agrees_with_square_classes(q):
             assert same_square_class(k, a, b) == (class_of[a] == class_of[b]), (q, a, b)
 
 
-def test_congruence_guard():
-    with pytest.raises(SizeGuardError):
-        congruence_classes(5, 3)
-    with pytest.raises(SizeGuardError):
-        congruence_classes(11, 2)
+def test_congruence_guard(monkeypatch):
+    def enumerate_matrices(k, n):
+        raise AssertionError("matrices enumerated")
+
+    monkeypatch.setattr(oracle, "_symmetric_nondegenerate", enumerate_matrices)
+    for q, dim in ((7, 3), (9, 3), (2, 4), (11, 2), (3, 0)):
+        with pytest.raises(SizeGuardError):
+            congruence_classes(q, dim)
+
+
+def test_congruence_classes_at_the_guard_edge():
+    # (5, 3), the largest size the guard admits, in a subprocess with a timeout
+    src = os.path.dirname(os.path.dirname(quadpres.__file__))
+    probe = "from quadpres.oracle import congruence_classes; print(congruence_classes(5, 3).count)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.strip() == "2"
 
 
 def test_classical_isometric_examples():
@@ -149,7 +170,7 @@ def test_classical_isometric_refuses_ids_outside_the_field():
 
 
 # every (q, dim) the congruence guard admits
-CONGRUENCE_DIMS = {2: (1, 2, 3), 3: (1, 2, 3), 4: (1, 2), 5: (1, 2), 7: (1, 2), 9: (1, 2)}
+CONGRUENCE_DIMS = {2: (1, 2, 3), 3: (1, 2, 3), 4: (1, 2, 3), 5: (1, 2, 3), 7: (1, 2), 9: (1, 2)}
 
 
 def test_classical_isometric_agrees_with_congruence_orbits():
@@ -216,8 +237,11 @@ def test_witt_ring_saturation():
 
 
 def test_witt_ring_guards():
-    with pytest.raises(SizeGuardError):
-        classical_witt_ring(11, 4)
+    # the field's size is refused by parse_field_arg, and only there
+    with pytest.raises(InputError, match="6 is not a prime power"):
+        classical_witt_ring(6, 4)
+    with pytest.raises(SizeGuardError, match="field size 2048 exceeds cap 1024"):
+        classical_witt_ring(2048, 4)
     with pytest.raises(SizeGuardError):
         classical_witt_ring(3, 5)
 
