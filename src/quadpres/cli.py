@@ -90,8 +90,7 @@ class Report:
         print(text)
         if out_path:
             with open(out_path, "w") as fh:
-                json.dump(self.data, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(json.dumps(self.data, indent=2, sort_keys=True) + "\n")  # one write, not one per chunk
 
 
 def _int_list(option, text):
@@ -296,14 +295,13 @@ def cmd_isom(args, rep):
 def cmd_witt(args, rep):
     if args.max_dim < 2:
         raise InputError("--max-dim must be at least 2 (the hyperbolic plane has dim 2)")
-    F = _load_structure(args, want=Hyperfield, field_builder=quadratic_hyperfield)
-    if args.field:
-        p, n = parse_field_arg(args.field)
-        label = f"Q(GF({p**n}))"
-        q = p**n
+    fields = []  # the GF(q) of Q(k), kept to name the oracle's elements
+    F = _load_structure(args, want=Hyperfield, field_builder=lambda k: fields.append(k) or quadratic_hyperfield(k))
+    if fields:
+        (k,) = fields
+        label = f"Q(GF({k.q}))"
     else:
         label = args.builtin or args.input
-        q = None
     _hyperfield_summary(rep, F)
     hrep = _axioms(rep, F)
     rep.say(f"{label}: hyperfield axioms {'pass' if hrep.passed else 'FAIL'}")
@@ -320,9 +318,9 @@ def cmd_witt(args, rep):
     rep.document("witt-ring", doc)
     rep.say(doc.rstrip("\n"))
     rep.say(W.summary())
-    if q is not None and W.status == "finite":
-        WO = oracle.classical_witt_ring(q, min(args.max_dim, 4))
-        match = _oracle_match(W, F, WO, ff_make(p, n))
+    if fields and W.status == "finite":
+        WO = oracle.classical_witt_ring(k.q, min(args.max_dim, 4))
+        match = _oracle_match(W, F, WO, k)
         rep.check("oracle-match", match, oracle_classes=len(WO.classes))
         rep.say(f"classical oracle: {len(WO.classes)} classes (diagonal forms, char-2 via <1,1> stabilization)")
         rep.say(f"oracle match: {'yes' if match else 'no'}")

@@ -53,15 +53,6 @@ def _det(k: FiniteField, A) -> int:
     return total
 
 
-def _elementary_congruence(k: FiniteField, A, i, j, c):
-    """P^T A P for P = I + c*E_ij: column j += c * column i, then row j += c * row i."""
-    B = [list(row) for row in A]
-    for row in B:
-        row[j] = k.add(row[j], k.mul(c, row[i]))
-    B[j] = [k.add(x, k.mul(c, y)) for x, y in zip(B[j], B[i])]
-    return tuple(map(tuple, B))
-
-
 @dataclass(frozen=True)
 class GramForm:
     """A symmetric Gram matrix over a small finite field."""
@@ -94,17 +85,9 @@ class GramForm:
         return cls(k, tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)))
 
 
-def _symmetric_nondegenerate(k, n):
-    idx = [(i, j) for i in range(n) for j in range(i, n)]
-    out = []
-    for vals in product(range(k.q), repeat=len(idx)):
-        A = [[0] * n for _ in range(n)]
-        for (i, j), v in zip(idx, vals):
-            A[i][j] = A[j][i] = v
-        A = tuple(tuple(row) for row in A)
-        if _det(k, A) != 0:
-            out.append(A)
-    return out
+def _rows(A, n):
+    """The flat row-major tuple A as a tuple of its n rows."""
+    return tuple(zip(*[iter(A)] * n))
 
 
 @dataclass
@@ -136,28 +119,47 @@ def congruence_classes(q: int, dim: int) -> CongruenceClasses:
     commutators give every I + c E_ij, and those with diag(F_q*, 1, ..., 1)
     generate GL_n.  In a finite group the closure of a generating set under
     products is the whole group, so no inverses are needed.
+
+    The search runs on flat row-major tuples.  Each generator I + c E_ij is a
+    fixed list of (target, source) index steps, column j then row j, applied
+    in place, each a lookup in its one table T[x][y] = x + c y.  Only a matrix
+    no orbit has reached has its determinant taken: congruence keeps
+    nondegeneracy, so the seeds are the nondegenerate matrices that start an
+    orbit in `product` order, and flattening keeps lexicographic order.
     """
     ok = (q <= 5 and dim <= 3) or (q <= 9 and dim <= 2)
     if not ok or dim < 1:
         raise SizeGuardError(f"congruence_classes guard exceeded for q={q}, dim={dim}")
     k = _field_for(q)
-    moves = [(i, j, 1) for i in range(dim) for j in range(dim) if i != j]
-    moves.append((0, 0, k.sub(k.generator(), 1)))
+    n = dim
+    gens = [(i, j, 1) for i in range(n) for j in range(n) if i != j] + [(0, 0, k.sub(k.generator(), 1))]
+    moves = [  # (steps, T) per generator: column j += c * column i, then row j += c * row i
+        ([(r * n + j, r * n + i) for r in range(n)] + [(j * n + x, i * n + x) for x in range(n)],
+         [[row[m] for m in k._mul[c]] for row in k._add])
+        for i, j, c in gens
+    ]
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    sym = [upper.index((min(i, j), max(i, j))) for i in range(n) for j in range(n)]
     orbit_index = {}
     reps = []
-    for A in _symmetric_nondegenerate(k, dim):
-        if A in orbit_index:
+    for vals in product(range(q), repeat=len(upper)):
+        A = tuple([vals[m] for m in sym])
+        if A in orbit_index or _det(k, _rows(A, n)) == 0:
             continue
         idx = len(reps)
         orbit_index[A] = idx
         orbit = [A]
         for B in orbit:  # the list grows while it is read: a breadth-first search
-            for move in moves:
-                C = _elementary_congruence(k, B, *move)
+            for steps, T in moves:
+                C = list(B)
+                for t, s in steps:
+                    C[t] = T[C[t]][C[s]]
+                C = tuple(C)
                 if C not in orbit_index:
                     orbit_index[C] = idx
                     orbit.append(C)
-        reps.append(min(orbit))
+        reps.append(_rows(min(orbit), n))
+    orbit_index = {_rows(A, n): idx for A, idx in orbit_index.items()}
     return CongruenceClasses(q=q, dim=dim, representatives=reps, orbit_index=orbit_index)
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import quadpres
 from quadpres import quadratic
 from quadpres.cli import _oracle_match, build_parser, main
 from quadpres.documents import emit_hyperfield, emit_witt_ring
-from quadpres.finitefield import ff_make, parse_field_arg
+from quadpres.finitefield import FiniteField, ff_make, parse_field_arg
 from quadpres.hyperfields import (
     Hyperfield,
     euclidean_hyperfield,
@@ -362,6 +363,32 @@ def test_machine_report_determinism_and_roundtrip(tmp_path, capsys):
         if argv[0] == "witt":
             checks = {r["check"] for r in data["reports"]}
             assert {"hyperfield-axioms", "quadratic-presentability", "witt-ring", "oracle-match"} <= checks
+
+
+def test_a_written_report_is_the_json_dump_of_its_data(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    for argv in REPORT_COMMANDS:
+        assert main([*argv, "--out", str(out)]) == 0, argv
+        text = out.read_text()
+        dumped = io.StringIO()
+        json.dump(json.loads(text), dumped, indent=2, sort_keys=True)
+        assert text == dumped.getvalue() + "\n", argv
+    capsys.readouterr()
+
+
+def test_witt_field_builds_its_field_twice(monkeypatch, capsys):
+    # once for Q(k), whose k also names the oracle's elements, and once in the oracle
+    built = []
+    real = FiniteField.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteField, "__init__", spy)
+    code, out = run(capsys, "witt", "--field", "9", "--max-dim", "4")
+    assert code == 0 and "oracle match: yes" in out
+    assert built == [(3, 2, None)] * 2
 
 
 def test_oracle_subcommands(tmp_path, capsys):

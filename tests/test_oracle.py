@@ -13,7 +13,6 @@ from quadpres.oracle import (
     GramForm,
     _det,
     _field_for,
-    _symmetric_nondegenerate,
     _witt_key,
     classical_isometric,
     classical_witt_ring,
@@ -92,6 +91,52 @@ def _general_linear(k, n):
     return out
 
 
+def _symmetric_nondegenerate(k, n):
+    idx = [(i, j) for i in range(n) for j in range(i, n)]
+    out = []
+    for vals in product(range(k.q), repeat=len(idx)):
+        A = [[0] * n for _ in range(n)]
+        for (i, j), v in zip(idx, vals):
+            A[i][j] = A[j][i] = v
+        A = tuple(tuple(row) for row in A)
+        if _det(k, A) != 0:
+            out.append(A)
+    return out
+
+
+def _elementary_congruence(k, A, i, j, c):
+    """P^T A P for P = I + c*E_ij: column j += c * column i, then row j += c * row i."""
+    B = [list(row) for row in A]
+    for row in B:
+        row[j] = k.add(row[j], k.mul(c, row[i]))
+    B[j] = [k.add(x, k.mul(c, y)) for x, y in zip(B[j], B[i])]
+    return tuple(map(tuple, B))
+
+
+def _nested_orbit_classes(q, dim):
+    """Reference: the orbit search on nested tuples and field calls, each
+    nondegenerate matrix closed breadth-first under the same generators."""
+    k = _field_for(q)
+    moves = [(i, j, 1) for i in range(dim) for j in range(dim) if i != j]
+    moves.append((0, 0, k.sub(k.generator(), 1)))
+    orbit_index = {}
+    reps = []
+    for A in _symmetric_nondegenerate(k, dim):
+        if A in orbit_index:
+            continue
+        idx = len(reps)
+        orbit_index[A] = idx
+        orbit = [A]
+        for B in orbit:
+            for move in moves:
+                C = _elementary_congruence(k, B, *move)
+                if C not in orbit_index:
+                    orbit_index[C] = idx
+                    orbit.append(C)
+        reps.append(min(orbit))
+    return reps, orbit_index
+
+
 def _brute_force_classes(q, dim):
     """Reference: apply every P in GL_n(F_q) to the first matrix of each orbit."""
     k = _field_for(q)
@@ -129,13 +174,16 @@ def test_same_square_class_agrees_with_square_classes(q):
 
 
 def test_congruence_guard(monkeypatch):
-    def enumerate_matrices(k, n):
+    def enumerate_matrices(*args, **kwargs):
         raise AssertionError("matrices enumerated")
 
-    monkeypatch.setattr(oracle, "_symmetric_nondegenerate", enumerate_matrices)
+    monkeypatch.setattr(oracle, "product", enumerate_matrices)
     for q, dim in ((7, 3), (9, 3), (2, 4), (11, 2), (3, 0)):
         with pytest.raises(SizeGuardError):
             congruence_classes(q, dim)
+    # an admitted size enumerates through the patched name, so the refusals above enumerated nothing
+    with pytest.raises(AssertionError, match="matrices enumerated"):
+        congruence_classes(3, 1)
 
 
 def test_congruence_classes_at_the_guard_edge():
@@ -170,7 +218,17 @@ def test_classical_isometric_refuses_ids_outside_the_field():
 
 
 # every (q, dim) the congruence guard admits
-CONGRUENCE_DIMS = {2: (1, 2, 3), 3: (1, 2, 3), 4: (1, 2, 3), 5: (1, 2, 3), 7: (1, 2), 9: (1, 2)}
+CONGRUENCE_DIMS = {2: (1, 2, 3), 3: (1, 2, 3), 4: (1, 2, 3), 5: (1, 2, 3), 7: (1, 2), 8: (1, 2), 9: (1, 2)}
+
+
+def test_congruence_classes_match_the_nested_search():
+    # (4, 3) and (5, 3) too, where the GL_n brute force above is too slow
+    for q, dims in CONGRUENCE_DIMS.items():
+        for dim in dims:
+            cc = congruence_classes(q, dim)
+            reps, orbit_index = _nested_orbit_classes(q, dim)
+            assert cc.representatives == reps, (q, dim)
+            assert cc.orbit_index == orbit_index, (q, dim)
 
 
 def test_classical_isometric_agrees_with_congruence_orbits():
