@@ -4,19 +4,21 @@ Elements are ids 0..p^n-1 encoding coefficient vectors in base p (the id's
 i-th base-p digit is the coefficient of x^i).  Construction materializes
 total add/mul tables; everything downstream is table lookups.
 
-The tables are built a row at a time, not cell by cell.  Row a of the
-prime field's addition is range(p) rotated by a; addition is digitwise mod
-p, so the table for n digits is p shifted, rotated blocks of the table for
-n - 1 digits.  Multiplication is linear: row a of a prime field is a*b mod
-p.  An extension needs one row more, multiplication by x, which shifts the
-digits up and reduces the top one by the modulus; row a = d + x*a' is then
-row d added cell by cell to row a' read through the x row.  Negatives and
-inverses are read off the rows as the positions of 0 and 1.
+The tables are built a row at a time, not cell by cell.  Row a of the prime
+field's addition is range(p) rotated by a; addition is digitwise mod p, so the
+table for n digits is p shifted, rotated blocks of the table for n - 1 digits.
+Row g^i of the prime field's multiplication, g the least generator of k*, is
+the powers of g read from offset i at the logarithms of the columns.  An
+extension's multiplication is linear and needs one row more, multiplication by
+x, which shifts the digits up and reduces the top one by the modulus; row
+a = d + x*a' is then row d added cell by cell to row a' read through the x
+row.  Negatives and inverses are read off the rows as the positions of 0 and 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import InputError, SizeGuardError, ValidationError
 
@@ -64,6 +66,12 @@ def _is_prime(p):
             return False
         d += 1
     return True
+
+
+def _least_generator(q, power):
+    """The least a in 1..q-1 of order q - 1: a^((q-1)/d) != 1 at each divisor d > 1."""
+    divisors = [d for d in range(2, q) if (q - 1) % d == 0]
+    return next(a for a in range(1, q) if all(power(a, (q - 1) // d) != 1 for d in divisors))
 
 
 def _trim(c):
@@ -123,7 +131,13 @@ class FiniteField:
             add = [cat[hi * m :] + cat[: hi * m] for hi in range(p) for cat in cats]
             m *= p
         if n == 1:
-            mul = [[0] * p] + [[b % p for b in range(0, a * p, a)] for a in range(1, p)]
+            # k* is cyclic: with g its least generator, row g^i holds g^(i + log b),
+            # read off the powers from offset i; b = 0 reads the trailing 0 at log -1
+            g = _least_generator(p, lambda a, e: pow(a, e, p))
+            powers = [pow(g, i, p) for i in range(p - 1)]
+            log = [-1] + sorted(range(p - 1), key=powers.__getitem__)  # powers inverted
+            read, cycle = itemgetter(*log), powers * 2 + [0]
+            mul = [[0] * p] + [list(read(cycle[i:])) for i in log[1:]]
         else:
             # a scalar c < p multiplies digit by digit: c*b = (c-1)*b + b
             mul = [[0] * q]
@@ -177,21 +191,9 @@ class FiniteField:
             k >>= 1
         return out
 
-    def multiplicative_order(self, a):
-        if a == 0:
-            raise InputError("0 has no multiplicative order")
-        x, k = a, 1
-        while x != 1:
-            x = self._mul[x][a]
-            k += 1
-        return k
-
     def generator(self):
         """Smallest id generating the multiplicative group."""
-        for a in range(1, self.q):
-            if self.multiplicative_order(a) == self.q - 1:
-                return a
-        raise ValidationError("no generator found; field tables are inconsistent")
+        return _least_generator(self.q, self.power)
 
     def nonzero(self):
         return range(1, self.q)

@@ -21,11 +21,6 @@ MAX_ISO_SEARCH = 12
 TRIPLE_BUDGET = 20_000_000  # cap on the triples an exhaustive law check visits
 
 
-def _ids_in_range(cells, size):
-    ids = frozenset().union(*cells)
-    return 0 <= min(ids) and max(ids) < size
-
-
 class Hyperfield:
     __slots__ = ("size", "zero", "one", "names", "_neg", "_mul", "_add")
 
@@ -44,9 +39,8 @@ class Hyperfield:
             if neg[neg[a]] != a:
                 raise ValidationError(f"negation is not an involution at {a}", witness=(a,))
         mul = tuple(tuple(row) for row in mul)
-        if any(len(row) != size for row in mul) or any(
-            min(row) < 0 or max(row) >= size for row in mul
-        ):
+        ids = set().union(*mul)  # the range checks read the distinct ids and cells once
+        if any(len(row) != size for row in mul) or min(ids) < 0 or max(ids) >= size:
             raise InputError("multiplication table malformed")
         # each check reads a whole row at once; only a row that fails is
         # scanned cell by cell for the first witness in (a, b) order
@@ -56,26 +50,26 @@ class Hyperfield:
                 raise ValidationError(f"one is not a multiplicative identity at {a}", witness=(a,))
             if mul[a] != columns[a]:
                 b = next(_commutativity_failures(mul, a))[0]
-                raise ValidationError(
-                    f"multiplication not commutative at ({a},{b})", witness=(a, b)
-                )
+                raise ValidationError(f"multiplication not commutative at ({a},{b})", witness=(a, b))
         if len(add) != size or any(len(row) != size for row in add):
             raise InputError("addition table malformed")
         add = tuple(tuple(map(frozenset, row)) for row in add)
         columns = tuple(zip(*add))
+        cells = set().union(*add)  # the failing cells are listed only when the distinct cells fail
+        ids = frozenset().union(*cells)
+        ok = all(cells) and 0 <= min(ids) and max(ids) < size
+        bad = set() if ok else {cell for cell in cells if not cell or any(not 0 <= x < size for x in cell)}
         for a in range(size):
             row = add[a][a:]
-            if all(row) and _ids_in_range(row, size) and row == columns[a][a:]:
+            if row == columns[a][a:] and (not bad or bad.isdisjoint(row)):
                 continue
             for b, cell in enumerate(row, start=a):
                 if not cell:
                     raise ValidationError(f"addition cell ({a},{b}) is empty", witness=(a, b))
-                if any(not 0 <= x < size for x in cell):
+                if cell in bad:
                     raise InputError(f"addition cell ({a},{b}) mentions unknown ids")
                 if columns[a][b] != cell:
-                    raise ValidationError(
-                        f"addition not symmetric at ({a},{b})", witness=(a, b)
-                    )
+                    raise ValidationError(f"addition not symmetric at ({a},{b})", witness=(a, b))
         self.size = size
         self.zero = zero
         self.one = one
@@ -351,7 +345,7 @@ def check_hyperfield(F: Hyperfield) -> AxiomReport:
 def from_field(k: FiniteField) -> Hyperfield:
     """The hyperfield with singleton addition a + b = {a+b}."""
     singletons = [frozenset([x]) for x in range(k.q)]
-    add = [list(map(singletons.__getitem__, row)) for row in k._add]
+    add = [itemgetter(*row)(singletons) for row in k._add]
     names = [k.element_name(a) for a in range(k.q)]
     return Hyperfield(zero=0, one=1, neg=k._neg, mul=k._mul, add=add, names=names)
 

@@ -96,8 +96,26 @@ def test_gf4_cubes_are_one():
 def test_gf9_multiplicative_group_cyclic_of_order_8():
     k = ff_make(3, 2)
     g = k.generator()
-    assert k.multiplicative_order(g) == 8
     assert sorted(k.power(g, i) for i in range(8)) == list(range(1, 9))
+
+
+def multiplicative_order(k, a):
+    """The order of a in k*, by walking its powers: the reference for the
+    exponent test by which the least generator is found."""
+    x, n = a, 1
+    while x != 1:
+        x, n = k.mul(x, a), n + 1
+    return n
+
+
+def test_generator_is_the_least_element_of_full_order():
+    sizes = [(p, n) for p in range(2, 257) if _is_prime(p) for n in range(1, 9) if p**n <= 256]
+    assert len(sizes) == 70
+    for p, n in sizes:
+        k = ff_make(p, n)
+        g = k.generator()
+        assert multiplicative_order(k, g) == k.q - 1, k
+        assert all(multiplicative_order(k, a) < k.q - 1 for a in range(1, g)), k
 
 
 def test_field_axioms_exhaustive_small():
@@ -137,6 +155,18 @@ def test_tables_match_per_cell_arithmetic():
         assert [[k.mul(a, b) for b in elems] for a in elems] == mul, (p, n)
         assert [k.neg(a) for a in elems] == [_encode([-x % p for x in d], p) for d in digits], (p, n)
         assert [k.inv(a) for a in k.nonzero()] == [mul[a].index(1) for a in k.nonzero()], (p, n)
+
+
+def test_prime_tables_match_modular_arithmetic_up_to_the_cap():
+    # every prime field the cap admits, a row at a time: the multiplication
+    # rows are read off the powers of a generator, the reference is a*b mod p
+    primes = [p for p in range(2, MAX_FIELD + 1) if _is_prime(p)]
+    assert len(primes) == 172
+    for p in primes:
+        k = ff_make(p)
+        assert k._mul == [[a * b % p for b in range(p)] for a in range(p)], p
+        assert k._neg == [-a % p for a in range(p)], p
+        assert k._inv == [None] + [pow(a, p - 2, p) for a in range(1, p)], p
 
 
 def test_default_moduli_are_irreducible():

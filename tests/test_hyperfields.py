@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -400,6 +401,103 @@ def test_constructor_rejects_malformed_tables():
         V, "multiplication not commutative at (0,2)", (0, 2))
     assert rejection(F, mul_edits=[((3, 4), 1), ((4, 1), 2), ((1, 4), 2)]) == (
         V, "multiplication not commutative at (3,4)", (3, 4))
+
+
+def row_by_row_table_check(one, mul, add):
+    """The constructor's table checks a row at a time, each row's ids in
+    range by the union of its cells: the reference for the constructor,
+    which reads the distinct ids and cells once and scans rows only when
+    that fails."""
+    size = len(mul)
+    mul = tuple(tuple(row) for row in mul)
+    if any(len(row) != size for row in mul) or any(
+        min(row) < 0 or max(row) >= size for row in mul
+    ):
+        raise InputError("multiplication table malformed")
+    columns = tuple(zip(*mul))
+    for a in range(size):
+        if mul[a][one] != a:
+            raise ValidationError(f"one is not a multiplicative identity at {a}", witness=(a,))
+        if mul[a] != columns[a]:
+            b = next(b for b in range(size) if mul[a][b] != mul[b][a])
+            raise ValidationError(f"multiplication not commutative at ({a},{b})", witness=(a, b))
+    if len(add) != size or any(len(row) != size for row in add):
+        raise InputError("addition table malformed")
+    add = tuple(tuple(map(frozenset, row)) for row in add)
+    columns = tuple(zip(*add))
+    for a in range(size):
+        row = add[a][a:]
+        ids = frozenset().union(*row)
+        if all(row) and 0 <= min(ids) and max(ids) < size and row == columns[a][a:]:
+            continue
+        for b, cell in enumerate(row, start=a):
+            if not cell:
+                raise ValidationError(f"addition cell ({a},{b}) is empty", witness=(a, b))
+            if any(not 0 <= x < size for x in cell):
+                raise InputError(f"addition cell ({a},{b}) mentions unknown ids")
+            if columns[a][b] != cell:
+                raise ValidationError(f"addition not symmetric at ({a},{b})", witness=(a, b))
+
+
+def refusal(check, *args):
+    """None when ``check`` accepts, else the type, message and witness of its refusal."""
+    try:
+        check(*args)
+    except (InputError, ValidationError) as err:
+        return type(err), str(err), getattr(err, "witness", None)
+    return None
+
+
+# seeded faults in GF(31)'s tables: each edits a cell (a, b), and all but
+# the one-sided kinds edit (b, a) the same way
+TABLE_FAULTS = {
+    "empty cell": ("add", True, lambda rng, F, a, b: []),
+    "unknown id": ("add", True, lambda rng, F, a, b: [F.size if rng.random() < 0.5 else -1]),
+    "asymmetric cell": ("add", False, lambda rng, F, a, b: sorted(F.add(a, b) ^ {F.one})),
+    "product -1": ("mul", True, lambda rng, F, a, b: -1),
+    "product size": ("mul", True, lambda rng, F, a, b: F.size),
+    "non-commutative product": ("mul", False, lambda rng, F, a, b: (F.mul(a, b) + 1) % F.size),
+}
+
+
+def test_constructor_refusals_match_the_row_by_row_check():
+    F = from_field(ff_make(31))
+    rng = random.Random(31)
+    early, late = range(0, 4), range(F.size - 4, F.size)
+    seen = set()
+    for _ in range(400):
+        add, mul = F.add_full_table(), F.mul_table()
+        faults = rng.sample(sorted(TABLE_FAULTS), rng.choice((1, 2)))
+        for kind in faults:
+            table, both, value = TABLE_FAULTS[kind]
+            a, b = rng.choice(early if rng.random() < 0.5 else late), rng.randrange(F.size)
+            if not both and a == b:
+                b = (a + 1) % F.size
+            table = add if table == "add" else mul
+            table[a][b] = value(rng, F, a, b)
+            if both:
+                table[b][a] = table[a][b]
+        expected = refusal(row_by_row_table_check, F.one, mul, add)
+        assert expected is not None, faults
+        assert refusal(Hyperfield, F.zero, F.one, F.neg_table(), mul, add) == expected, faults
+        seen.add(re.sub(r"\d+", "", expected[1]))
+    assert len(seen) >= 5, seen
+    # an id that is no integer but lies in range passes both checks
+    mul = F.mul_table()
+    mul[2][3] = mul[3][2] = 2.5
+    assert refusal(row_by_row_table_check, F.one, mul, F.add_full_table()) is None
+    assert refusal(Hyperfield, F.zero, F.one, F.neg_table(), mul, F.add_full_table()) is None
+
+
+def test_from_field_matches_the_per_cell_build():
+    for p, n in ((2, 1), (2, 2), (127, 1), (1021, 1), (2, 10)):
+        k = ff_make(p, n)
+        elems = range(k.q)
+        add = [[frozenset([k.add(a, b)]) for b in elems] for a in elems]
+        names = [k.element_name(a) for a in elems]
+        F = from_field(k)
+        assert F == Hyperfield(0, 1, k._neg, k._mul, add, names=names), k.q
+        assert F.names == tuple(names), k.q
 
 
 # the quotient builder with a class-image memo per distinct cell: the
