@@ -53,9 +53,15 @@ class Hyperfield:
                 raise ValidationError(f"multiplication not commutative at ({a},{b})", witness=(a, b))
         if len(add) != size or any(len(row) != size for row in add):
             raise InputError("addition table malformed")
-        add = tuple(tuple(map(frozenset, row)) for row in add)
+        add = tuple(map(tuple, add))
+        try:  # the failing cells are listed only when the distinct cells fail
+            cells = set().union(*add)
+        except TypeError:  # unhashable cells, such as sets or lists
+            cells = None
+        if cells is None or any(type(cell) is not frozenset for cell in cells):
+            add = tuple(tuple(map(frozenset, row)) for row in add)
+            cells = set().union(*add)
         columns = tuple(zip(*add))
-        cells = set().union(*add)  # the failing cells are listed only when the distinct cells fail
         ids = frozenset().union(*cells)
         ok = all(cells) and 0 <= min(ids) and max(ids) < size
         bad = set() if ok else {cell for cell in cells if not cell or any(not 0 <= x < size for x in cell)}
@@ -95,7 +101,9 @@ class Hyperfield:
         return self.add(a, self._neg[b])
 
     def nonzero(self):
-        return tuple(x for x in range(self.size) if x != self.zero)
+        out = list(range(self.size))
+        del out[self.zero]
+        return tuple(out)
 
     def add_full_table(self):
         return [[sorted(cell) for cell in row] for row in self._add]

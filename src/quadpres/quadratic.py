@@ -12,7 +12,12 @@ anisotropic part.  phi and psi are Witt equivalent iff phi + (-psi) strips to
 the zero class, and isometric iff they also have equal dimensions (Witt
 cancellation).  These criteria assume a quadratically presentable field;
 `cli witt` checks the field first, and `cli isom` refuses tables that are not
-pre-quadratic hyperfields.
+pre-quadratic hyperfields.  On a sorted form, a row that repeats inside a
+run of equal entries is every earlier row of the run: O(runs) rows.
+witt_ring walks the classes as the sums rep + <a> that do not split, a unary
+step table that the sum table folds; the product table, bilinear, folds the
+sum table over the scaled forms a.rep, and only a sum or product whose
+partial result leaves the found classes is stripped whole.
 
 The paper's inductive isometry (unary forms by equality, binary forms by
 equal products plus membership of the head in the hypersum, higher
@@ -25,9 +30,9 @@ keep the recursion pair by pair as the reference for the rows and the fold.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, islice, product
-from math import comb
+from itertools import chain, islice, product
 from typing import Optional
 
 from .errors import InputError, SizeGuardError, ValidationError
@@ -42,8 +47,10 @@ from .hyperfields import (
 )
 from .posets import _bits
 
-CANDIDATE_BUDGET = 200_000     # cap on witt_ring's class enumeration (multisets up to dmax)
+WITT_BUDGET = 100_000_000      # cap on witt_ring's classes^2 * dmax^2 (the entries of every product)
 RING_ISO_MAX = 16
+_LEFT = object()  # a fold's partial result left the found classes
+_UNSEEN = object()  # a form not in a memo
 
 
 @dataclass(frozen=True)
@@ -196,25 +203,42 @@ class IsometryContext:
         entries[k:] to one x in the hypersum of entries[k+1:] (that of no
         entries is {0}) with b in entries[k] + x.  The form is isotropic iff
         0 is in the hypersum of all its entries, and the tail is read off
-        the provenance.
+        the provenance.  Equal entries are a run, and prov[k] is a function
+        of entries[k] and prov[k+1]; once a row of a run equals the row
+        after it, keys, order and values, it is every earlier row of the
+        run, so a form over m classes folds in O(runs) rows.
         """
-        if entries in self._splits:
-            return self._splits[entries]
-        F, zero = self.F, self.F.zero
+        tail = self._splits.get(entries, _UNSEEN)
+        if tail is not _UNSEEN:
+            return tail
+        add, mul, zero = self.F._add, self.F._mul, self.F.zero
         n = len(entries)
         prov = [None] * n + [{zero: None}]
-        for k in range(n - 1, -1, -1):
+        k = n - 1
+        while k >= 0:
+            e, after = entries[k], prov[k + 1]
+            cells = add[e]
             row = {}
-            for x in prov[k + 1]:
-                for b in F.add(entries[k], x):
+            for x in after:
+                for b in cells[x]:
                     row.setdefault(b, x)
             prov[k] = row
-        tail = None
+            # prov[n] has the value None, which no row has
+            if row == after and entries[k + 1] == e and list(row) == list(after):
+                start = bisect_left(entries, e, 0, k)
+                prov[start:k] = [row] * (k - start)
+                k = start
+            k -= 1
         if zero in prov[0]:
-            # keep heads while the rest is isotropic; entries[n-1:] never is
+            # keep heads while the rest is isotropic; entries[n-1:] is not
+            # when its hypersum is entries[n-1] + 0 = {entries[n-1]}, and a
+            # table where that cell holds 0 is refused
             k = 0
-            while zero in prov[k + 1]:
+            while k < n - 1 and zero in prov[k + 1]:
                 k += 1
+            if k == n - 1:
+                cell = sorted(add[entries[k]][zero])
+                raise ValidationError(f"hypermonoid.i fails: {entries[k]} + 0 = {cell}", witness=(entries[k], cell))
             tail = list(entries[:k])
             # entries[k+1:] is anisotropic and represents b = -entries[k]:
             # walk b's provenance, using <a, x> ~ <b, a*x*b> when b in a + x
@@ -224,9 +248,11 @@ class IsometryContext:
                 if x == zero:
                     tail += entries[j + 1:]
                     break
-                tail.append(F.mul(F.mul(entries[j], x), b))
+                tail.append(mul[mul[entries[j]][x]][b])
                 b = x
             tail = self._norm(tail)
+        else:
+            tail = None
         self._splits[entries] = tail
         return tail
 
@@ -417,57 +443,113 @@ class WittRing:
 def witt_ring(F: Hyperfield, dmax: int) -> WittRing:
     """Enumerate anisotropic classes up to dmax and build the class tables.
 
-    Each class is represented by its least isometric sorted form
-    (IsometryContext._canonical), so classes are looked up by that form.
-    Addition concatenates then strips hyperbolic planes; multiplication
-    tensors then strips.  A sum or product whose anisotropic part is not
-    among the found classes stays None, and the ring reads as "finite"
-    exactly when no entry is None.
+    Assumes a quadratically presentable field.  Each class is represented
+    by its least isometric sorted form (IsometryContext._canonical), and
+    every sorted form met is keyed to its class.  Subforms of anisotropic
+    forms are anisotropic, so the classes of dim d + 1 are the sums
+    rep + <a>, dim rep = d, that do not split, appended in sorted order;
+    the walk fills step[x][a] = the class of rep_x + <a> (None past dmax).
+    add_table[i][j], i <= j, folds step from j over the entries of rep_i.
+    <a1..an>.psi = a1.psi + ... + an.psi and a.psi is anisotropic with psi,
+    so mul_table[i][j] folds add_table over the classes of the a.rep_j.
+    Where a partial result leaves the found classes, or a scaled form is
+    not among them, the whole sum or product is stripped instead.  An entry
+    whose anisotropic part is not among the found classes stays None, and
+    the ring reads as "finite" exactly when no entry is None.  More than
+    WITT_BUDGET product entries, classes^2 * dmax^2, are refused as classes
+    are found.
     """
     if dmax < 2:
         raise InputError("dmax must be at least 2 (the hyperbolic plane has dim 2)")
     ctx = IsometryContext(F)
     nz = ctx.nonzero
-    if comb(dmax + len(nz) - 1, len(nz) - 1) > CANDIDATE_BUDGET:
-        raise SizeGuardError(
-            f"{len(nz)} classes at dmax {dmax} exceed the enumeration budget {CANDIDATE_BUDGET}"
-        )
     reps = [()]  # anisotropic entries per class; () is the zero class
-    growth = []
-    for d in range(1, dmax + 1):
-        before = len(reps)
-        for cand in combinations_with_replacement(nz, d):
-            if not ctx.is_isotropic(cand) and ctx._canonical(cand) == cand:
-                reps.append(cand)
-        growth.append(len(reps) - before)
-    index = {rep: i for i, rep in enumerate(reps)}
+    index = {(): 0}  # each sorted form met -> its class, None if not found
 
-    def class_index(entries):
-        part = ctx.anisotropic_entries(entries) if entries else ()
-        if len(part) > dmax:
-            return None
-        if part not in index:
-            part = ctx._canonical(part)
-        return index.get(part)
+    def guard(n):
+        if n * n * dmax * dmax > WITT_BUDGET:
+            raise SizeGuardError(
+                f"{n} classes at dmax {dmax} give {n * n * dmax * dmax} product entries; budget {WITT_BUDGET}"
+            )
 
-    one_class = class_index((F.one,))
+    def canonical(form):
+        """ctx._canonical(form): the least value c of the anisotropic form,
+        then the canonical form of the tail of form + <-c>, read off the
+        index when the tail was met before."""
+        for c in nz:
+            tail = ctx._split(ctx._norm(form + (ctx._neg[c],)))
+            if tail is not None:
+                break
+        i = index.get(tail)
+        return (c,) + (reps[i] if i is not None else canonical(tail))
+
+    def class_of(entries):
+        """The class of sorted ``entries``: a key lookup, or else its stripped
+        part's canonical form."""
+        if entries not in index:
+            part = ctx._strip(entries)
+            if part not in index:
+                index[part] = index.get(canonical(part)) if len(part) <= dmax else None
+            index[entries] = index[part]
+        return index[entries]
+
+    step, growth, level = [], [], range(1)
+    for d in range(1, dmax + 2):
+        sums = [[ctx._norm(reps[x] + (a,)) for a in nz] for x in level]
+        if d <= dmax:
+            named, new = {}, set()  # each distinct sum that does not split -> its canonical form
+            for form in dict.fromkeys(chain.from_iterable(sums)):
+                if ctx._split(form) is None:
+                    named[form] = c = canonical(form)
+                    if c not in new:
+                        new.add(c)
+                        guard(len(reps) + len(new))
+            new = sorted(new)
+            level = range(len(reps), len(reps) + len(new))
+            index.update((form, len(reps) + i) for i, form in enumerate(new))
+            index.update((form, index[c]) for form, c in named.items())
+            reps += new
+            growth.append(len(new))
+        step += [dict(zip(nz, map(class_of, row))) for row in sums]
+
     n = len(reps)
     add_table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            x = _fold(step, j, reps[i])
+            if x is _LEFT:
+                x = class_of(ctx._norm(reps[i] + reps[j]))
+            add_table[i][j] = add_table[j][i] = x
+    scaled = {a: [ctx._norm(map(F._mul[a].__getitem__, rep)) for rep in reps] for a in nz}
+    for form in chain.from_iterable(scaled.values()):
+        if form not in index:
+            index[form] = index.get(canonical(form))
+    scale = {a: [index[form] for form in forms] for a, forms in scaled.items()}
     mul_table = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            ei, ej = reps[i], reps[j]
-            add_table[i][j] = add_table[j][i] = class_index(ei + ej)
-            prod = tuple(F.mul(a, b) for a in ei for b in ej)
-            mul_table[i][j] = mul_table[j][i] = class_index(prod)
+            x = _fold(add_table, 0, [scale[a][j] for a in reps[i]])
+            if x is _LEFT:
+                x = class_of(ctx._norm(chain.from_iterable(scaled[a][j] for a in reps[i])))
+            mul_table[i][j] = mul_table[j][i] = x
     return WittRing(
         classes=[WittClass(Form(e) if e else None) for e in reps],
         add_table=add_table,
         mul_table=mul_table,
         zero_class=0,
-        one_class=one_class,
+        one_class=class_of((F.one,)),
         growth=growth,
     )
+
+
+def _fold(table, x, keys):
+    """x after x = table[x][k] for each k of keys in turn; _LEFT when a
+    partial result or a key is None, so that the caller strips instead."""
+    for k in keys:
+        if x is None or k is None:
+            return _LEFT
+        x = table[x][k]
+    return x
 
 
 def _additive_order(W, i):

@@ -489,6 +489,23 @@ def test_constructor_refusals_match_the_row_by_row_check():
     assert refusal(Hyperfield, F.zero, F.one, F.neg_table(), mul, F.add_full_table()) is None
 
 
+def test_constructor_keeps_frozen_cells_and_wraps_others():
+    # frozenset cells are kept as given; tuple, list and set cells, hashable
+    # or not, are wrapped, so every table reads frozenset cells
+    E = euclidean_hyperfield()
+    cells = [list(map(frozenset, row)) for row in E.add_full_table()]
+    kept = Hyperfield(E.zero, E.one, E.neg_table(), E.mul_table(), cells)
+    assert all(kept.add(a, b) is cells[a][b] for a in range(E.size) for b in range(E.size))
+    for kind in (tuple, list, set):
+        for mixed in (False, True):
+            add = [[kind(cell) for cell in row] for row in cells]
+            if mixed:
+                add[0] = cells[0]
+            G = Hyperfield(E.zero, E.one, E.neg_table(), E.mul_table(), add)
+            assert G == E, (kind, mixed)
+            assert {type(cell) for row in G._add for cell in row} == {frozenset}, (kind, mixed)
+
+
 def test_from_field_matches_the_per_cell_build():
     for p, n in ((2, 1), (2, 2), (127, 1), (1021, 1), (2, 10)):
         k = ff_make(p, n)

@@ -24,7 +24,6 @@ from quadpres.hyperfields import (
 )
 from quadpres.oracle import classical_witt_ring
 from quadpres.quadratic import (
-    CANDIDATE_BUDGET,
     Form,
     IsometryContext,
     WittClass,
@@ -537,6 +536,9 @@ def test_checkers_read_every_dimension_of_the_rows(monkeypatch):
     assert check_special_group(special_group_of(E), 4) == AxiomReport("prespecial", [("iso_3.reflexive", lost)])
 
 
+CANDIDATE_BUDGET = 200_000  # the references' cap on candidate multisets up to dmax
+
+
 def linear_scan_witt_ring(F: Hyperfield, dmax: int) -> WittRing:
     """The slow reference for witt_ring: ``find`` compares each anisotropic
     part by _cancels with every stored representative of its dimension, so
@@ -600,6 +602,58 @@ def two_step_laurent():
     return laurent_extension(laurent_extension(euclidean_hyperfield()), "s")
 
 
+def stripped_witt_ring(F: Hyperfield, dmax: int) -> WittRing:
+    """The reference for witt_ring's walk and tables: every anisotropic
+    candidate multiset up to dmax is a class when it is its own canonical
+    form, and every sum and tensor product is stripped cell by cell and
+    looked up by its canonical form.
+    """
+    if dmax < 2:
+        raise InputError("dmax must be at least 2 (the hyperbolic plane has dim 2)")
+    ctx = IsometryContext(F)
+    nz = ctx.nonzero
+    if comb(dmax + len(nz) - 1, len(nz) - 1) > CANDIDATE_BUDGET:
+        raise SizeGuardError(
+            f"{len(nz)} classes at dmax {dmax} exceed the enumeration budget {CANDIDATE_BUDGET}"
+        )
+    reps = [()]  # anisotropic entries per class; () is the zero class
+    growth = []
+    for d in range(1, dmax + 1):
+        before = len(reps)
+        for cand in combinations_with_replacement(nz, d):
+            if not ctx.is_isotropic(cand) and ctx._canonical(cand) == cand:
+                reps.append(cand)
+        growth.append(len(reps) - before)
+    index = {rep: i for i, rep in enumerate(reps)}
+
+    def class_index(entries):
+        part = ctx.anisotropic_entries(entries) if entries else ()
+        if len(part) > dmax:
+            return None
+        if part not in index:
+            part = ctx._canonical(part)
+        return index.get(part)
+
+    one_class = class_index((F.one,))
+    n = len(reps)
+    add_table = [[None] * n for _ in range(n)]
+    mul_table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            ei, ej = reps[i], reps[j]
+            add_table[i][j] = add_table[j][i] = class_index(ei + ej)
+            prod = tuple(F.mul(a, b) for a in ei for b in ej)
+            mul_table[i][j] = mul_table[j][i] = class_index(prod)
+    return WittRing(
+        classes=[WittClass(Form(e) if e else None) for e in reps],
+        add_table=add_table,
+        mul_table=mul_table,
+        zero_class=0,
+        one_class=one_class,
+        growth=growth,
+    )
+
+
 WITT_FIELDS = [euclidean_hyperfield()] + [q_ctx(q)[0] for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
 WITT_FIELD_IDS = ["E"] + [f"Q{q}" for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
 
@@ -619,6 +673,162 @@ def test_witt_ring_matches_the_linear_scan(F, dmaxes):
         # dataclass equality: classes in order, both tables, zero, one, growth
         assert W == ref, dmax
         assert W.status == ref.status, dmax
+
+
+# witt_ring against the strip-every-cell reference: E to dmax 12, Q(GF(q))
+# to 6, the four-class fleet to 5 and E((t))((s)) to 4
+STRIPPED_FLEET = (
+    [(WITT_FIELDS[0], range(2, 13))]
+    + [(F, range(2, 7)) for F in WITT_FIELDS[1:]]
+    + [(F, range(2, 6)) for F in four_class_fleet()]
+    + [(two_step_laurent(), range(2, 5))]
+)
+STRIPPED_FLEET_IDS = WITT_FIELD_IDS + ["E(t)", "Q3(t)", "Q5(t)", "E(t)(s)"]
+
+
+@pytest.mark.parametrize("F, dmaxes", STRIPPED_FLEET, ids=STRIPPED_FLEET_IDS)
+def test_witt_ring_matches_the_stripped_tables(F, dmaxes):
+    for dmax in dmaxes:
+        # dataclass equality: classes in order, both tables, zero, one, growth
+        assert witt_ring(F, dmax) == stripped_witt_ring(F, dmax), dmax
+
+
+def test_tables_strip_only_past_the_found_classes(monkeypatch):
+    # a fold whose partial result leaves the found classes falls back to
+    # stripping: never on a finite ring, and here on every truncated one
+    fold, left = quadratic._fold, []
+
+    def spy(table, x, keys):
+        out = fold(table, x, keys)
+        left.append(out is quadratic._LEFT)
+        return out
+
+    monkeypatch.setattr(quadratic, "_fold", spy)
+    statuses = set()
+    for F, dmaxes in STRIPPED_FLEET:
+        for dmax in dmaxes:
+            del left[:]
+            status = witt_ring(F, dmax).status
+            statuses.add((status, any(left)))
+            assert left and not (status == "finite" and any(left)), (F.names, dmax)
+    assert statuses == {("finite", False), ("truncated", True)}
+
+
+class RowByRowContext(IsometryContext):
+    """The fold of _split built a row at a time, every row of a run again:
+    the reference for the fold's fixed point."""
+
+    def _split(self, entries):
+        if entries in self._splits:
+            return self._splits[entries]
+        F, zero = self.F, self.F.zero
+        n = len(entries)
+        prov = [None] * n + [{zero: None}]
+        for k in range(n - 1, -1, -1):
+            row = {}
+            for x in prov[k + 1]:
+                for b in F.add(entries[k], x):
+                    row.setdefault(b, x)
+            prov[k] = row
+        tail = None
+        if zero in prov[0]:
+            k = 0
+            while k < n - 1 and zero in prov[k + 1]:
+                k += 1
+            if k == n - 1:
+                cell = sorted(F.add(entries[k], zero))
+                raise ValidationError(f"hypermonoid.i fails: {entries[k]} + 0 = {cell}", witness=(entries[k], cell))
+            tail = list(entries[:k])
+            b = prov[k][zero]
+            for j in range(k + 1, n):
+                x = prov[j][b]
+                if x == zero:
+                    tail += entries[j + 1:]
+                    break
+                tail.append(F.mul(F.mul(entries[j], x), b))
+                b = x
+            tail = self._norm(tail)
+        self._splits[entries] = tail
+        return tail
+
+
+def fold_outcomes(ctx, entries):
+    """_split and _strip of sorted ``entries``, an exception as "raised" with
+    its type, message and witness."""
+    out = []
+    for method in (ctx._split, ctx._strip):
+        try:
+            out.append(method(entries))
+        except Exception as err:
+            out.append(("raised", type(err), str(err), getattr(err, "witness", None)))
+    return out
+
+
+def test_fold_fixed_point_matches_the_row_by_row_fold():
+    # 44 tables: E, Q(GF(3)), (5), (8), (9) and E's add-cell mutants to dim
+    # 12, the four-class fleet to dim 5
+    E = euclidean_hyperfield()
+    mutants = list(add_cell_mutants(E))
+    tables = [(F, 12) for F in [E] + [q_ctx(q)[0] for q in (3, 5, 8, 9)] + mutants]
+    tables += [(F, 5) for F in four_class_fleet()]
+    forms, raised = 0, 0
+    for F, dmax in tables:
+        ctx, ref = IsometryContext(F), RowByRowContext(F)
+        for d in range(1, dmax + 1):
+            for entries in combinations_with_replacement(ctx.nonzero, d):
+                got = fold_outcomes(ctx, entries)
+                assert got == fold_outcomes(ref, entries), (F.names, entries)
+                forms += 1
+                raised += any(x[:1] == ("raised",) for x in got if x is not None)
+    assert (len(mutants), len(tables), forms) == (36, 44, 3987)
+    assert raised > 0
+
+
+def test_fold_fixed_point_reads_key_order():
+    # on this redrawn E((t)) a row of the run of 2s in <1, 2, 2, 2, 2, 4>
+    # has the keys and values of the row after it, in another order, and
+    # the next row differs: the fixed point needs the order too
+    F = laurent_extension(euclidean_hyperfield())
+    for a, b, cell in ((0, 2, {3}), (0, 4, range(5)), (1, 2, {3}), (1, 3, {0, 1, 3, 4}),
+                       (2, 2, {3}), (2, 3, {1, 4}), (2, 4, {2, 3})):
+        F = mutate_add(F, a, b, cell)
+    ctx, ref = IsometryContext(F), RowByRowContext(F)
+    for d in range(1, 7):
+        for entries in combinations_with_replacement(ctx.nonzero, d):
+            assert fold_outcomes(ctx, entries) == fold_outcomes(ref, entries), entries
+
+
+def test_split_refuses_zero_in_a_plus_zero():
+    # the fold read past its last row on such a table; the ladder's
+    # hypermonoid.i names the same cell
+    E = euclidean_hyperfield()
+    F = mutate_add(E, E.one, E.zero, {E.zero, E.one})
+    assert check_hyperfield(F).failures[0] == ("hypermonoid.i", (E.one, [E.zero, E.one]))
+    for run in (lambda: IsometryContext(F).split_hyperbolic((F.one,)), lambda: witt_ring(F, 3)):
+        with pytest.raises(ValidationError, match=r"hypermonoid.i fails: 1 \+ 0 = \[0, 1\]") as err:
+            run()
+        assert err.value.witness == (E.one, [E.zero, E.one])
+
+
+def run_witt_cli(dmax):
+    src = os.path.dirname(os.path.dirname(quadratic.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "quadpres.cli", "witt", "--builtin", "euclidean3", "--max-dim", str(dmax)],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def test_witt_ring_guard_edge_in_a_subprocess():
+    # E at dmax 70: 141 classes and 141^2 * 70^2 = 97,416,900 product
+    # entries, the most WITT_BUDGET admits on E.  Bound 60 s; it takes
+    # about a second.  At dmax 71 the walk stops at the 141st class
+    done = run_witt_cli(70)
+    assert done.returncode == 0, done.stderr
+    assert "witt: pass" in done.stdout
+    assert "W: truncated at dim 70, growth 2 per dim" in done.stdout
+    done = run_witt_cli(71)
+    assert done.returncode == 2
+    assert "error: 141 classes at dmax 71 give 100220121 product entries; budget 100000000" in done.stderr
 
 
 @pytest.mark.parametrize(
