@@ -10,10 +10,9 @@ explicit presentable rings, powerset constructions and quotient theorems
 matrices and discriminants of diagonal forms (quadpres.oracle).
 """
 
-from .errors import InputError, SizeGuardError, ValidationError
+from .errors import AxiomReport, InputError, SizeGuardError, ValidationError
 from .finitefield import FiniteField, ff_make, parse_field_arg, square_classes
 from .hyperfields import (
-    AxiomReport,
     Hyperfield,
     check_hyperfield,
     euclidean_hyperfield,
@@ -25,7 +24,6 @@ from .hyperfields import (
 )
 from .posets import (
     FinitePointedPoset,
-    PresentabilityReport,
     check_presentable as check_presentable_poset,
     explicit_poset,
     pierced_powerset,

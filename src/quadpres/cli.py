@@ -6,7 +6,11 @@ mathematical failure (witnesses in the report), 2 = usage or document error.
 Human-readable output goes to stdout; `--out FILE` writes the machine report
 (JSON, sorted keys).  The report is byte-identical across runs with the same
 inputs except for its "timestamp" field, which carries wall-clock time and
-elapsed seconds.
+elapsed seconds.  Each ladder's AxiomReport becomes one entry of "reports":
+its failures and notes are stored as they are and written by json.dumps.
+
+`_field` is the one reader of --field and --modulus, so every command builds
+its GF(q) once; `witt --field` hands that field on to the oracle.
 """
 
 from __future__ import annotations
@@ -41,18 +45,6 @@ EXIT_MATH = 1
 EXIT_USAGE = 2
 
 
-def _jsonable(value):
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(_jsonable(v) for v in value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return repr(value)
-
-
 class Report:
     def __init__(self, argv):
         self.data = {
@@ -69,11 +61,11 @@ class Report:
         self.lines.append(line)
 
     def structure(self, kind, summary):
-        self.data["structures"].append({"kind": kind, **_jsonable(summary)})
+        self.data["structures"].append({"kind": kind, **summary})
 
     def check(self, name, passed, failures=(), **fields):
         self.data["reports"].append(
-            {"check": name, "passed": passed, "failures": _jsonable(failures), **_jsonable(fields)}
+            {"check": name, "passed": passed, "failures": failures, **fields}
         )
 
     def document(self, name, text):
@@ -100,11 +92,20 @@ def _int_list(option, text):
         raise InputError(f"{option} needs comma-separated integers, got {text!r}") from None
 
 
-def _load_structure(args, want=None, field_builder=from_field):
-    """Resolve --input / --builtin / --field to a structure."""
+def _field(args):
+    """The GF(q) that --field names, built with --modulus when one is given."""
+    p, n = parse_field_arg(args.field)
+    modulus = _int_list("--modulus", args.modulus) if getattr(args, "modulus", None) else None
+    return ff_make(p, n, modulus)
+
+
+def _load_structure(args, want=None, build=from_field):
+    """Resolve --input / --builtin / --field to a structure, returned with the
+    field that --field built (None for --input and --builtin)."""
     sources = [s for s in ("input", "builtin", "field") if getattr(args, s, None)]
     if len(sources) != 1:
         raise InputError("exactly one of --input, --builtin, --field is required")
+    k = None
     if args.input:
         try:
             with open(args.input, encoding="utf-8") as fh:
@@ -119,14 +120,11 @@ def _load_structure(args, want=None, field_builder=from_field):
             raise InputError(f"unknown builtin {args.builtin!r}; have {sorted(BUILTINS)}")
         obj = BUILTINS[args.builtin]()
     else:
-        p, n = parse_field_arg(args.field)
-        modulus = None
-        if getattr(args, "modulus", None):
-            modulus = _int_list("--modulus", args.modulus)
-        obj = field_builder(ff_make(p, n, modulus))
+        k = _field(args)
+        obj = build(k)
     if want is not None and not isinstance(obj, want):
         raise InputError(f"expected a {want.__name__} input, got {type(obj).__name__}")
-    return obj
+    return obj, k
 
 
 def _parse_form(F, text):
@@ -176,32 +174,25 @@ def _oracle_match(W, F, WO, k):
 
 
 def cmd_check_poset(args, rep):
-    P = _load_structure(args, want=posets.FinitePointedPoset)
+    P, _ = _load_structure(args, want=posets.FinitePointedPoset)
     rep.structure("poset", {"size": P.n, "names": list(P.names), "basepoint": P.names[P.basepoint]})
     report = posets.check_presentable(P)
-    rep.check(
-        "presentable-poset",
-        report.passed,
-        report.witnesses,
-        weakly_presentable=report.weakly_presentable,
-        basepoint_minimal=report.basepoint_minimal,
-        all_minimals_compact=report.all_minimals_compact,
-        tests_agree=report.tests_agree,
-    )
+    notes = report.notes
+    rep.check("presentable-poset", report.passed, report.failures, **notes)
     rep.say(f"poset: {P.n} elements, basepoint {P.names[P.basepoint]}")
     rep.say(
-        "weakly presentable: %s | basepoint minimal: %s | minimals compact: %s"
-        % (report.weakly_presentable, report.basepoint_minimal, report.all_minimals_compact)
+        "weakly presentable: %(weakly_presentable)s | basepoint minimal: %(basepoint_minimal)s"
+        " | minimals compact: %(all_minimals_compact)s" % notes
     )
-    if report.tests_agree is not None:
-        rep.say(f"compactness vs unique-representation agreement: {report.tests_agree}")
-    for axiom, wit in report.witnesses:
+    if notes["tests_agree"] is not None:
+        rep.say(f"compactness vs unique-representation agreement: {notes['tests_agree']}")
+    for axiom, wit in report.failures:
         rep.say(f"failure {axiom}: witness {wit}")
     return EXIT_OK if report.passed else EXIT_MATH, "presentability: pass" if report.passed else "presentability: FAIL"
 
 
 def cmd_check_hyperfield(args, rep):
-    F = _load_structure(args, want=Hyperfield)
+    F, _ = _load_structure(args, want=Hyperfield)
     _hyperfield_summary(rep, F)
     report = _axioms(rep, F)
     rep.say(f"hyperfield candidate: {F.size} elements")
@@ -212,7 +203,7 @@ def cmd_check_hyperfield(args, rep):
 
 
 def cmd_check_presentable(args, rep):
-    R = _load_structure(args, want=presentable.PresentableRing)
+    R, _ = _load_structure(args, want=presentable.PresentableRing)
     rep.structure(
         "presentable",
         {"size": R.n, "claimed": "field" if R.is_field else "ring", "supercompacts": len(R.supercompacts())},
@@ -227,28 +218,25 @@ def cmd_check_presentable(args, rep):
 
 
 def cmd_qhf(args, rep):
-    p, n = parse_field_arg(args.field)
-    modulus = _int_list("--modulus", args.modulus) if args.modulus else None
-    k = ff_make(p, n, modulus)
+    k = _field(args)
     Q = quadratic_hyperfield(k)
-    return _emit_checked(rep, Q, "qhf", "quadratic-hyperfield", f"Q(GF({p**n})): {Q.size} square classes (with zero)")
+    return _emit_checked(rep, Q, "qhf", "quadratic-hyperfield", f"Q(GF({k.q})): {Q.size} square classes (with zero)")
 
 
 def cmd_prime(args, rep):
-    F = _load_structure(args, want=Hyperfield)
+    F, _ = _load_structure(args, want=Hyperfield)
     return _emit_checked(rep, prime_hyperfield(F), "prime", "prime-hyperfield")
 
 
 def cmd_quotient(args, rep):
-    F = _load_structure(args, want=Hyperfield)
+    F, _ = _load_structure(args, want=Hyperfield)
     T = {F.id_of(s.strip()) for s in args.subset.split(",")}
     Q = presentable.quotient_mod_multiplicative_set(F, T)
     return _emit_checked(rep, Q, "quotient", "quotient-hyperfield", f"quotient by T of size {len(T)}: {Q.size} classes")
 
 
 def cmd_pipeline(args, rep):
-    p, n = parse_field_arg(args.field)
-    k = ff_make(p, n)
+    k = _field(args)
     start = prime_hyperfield(from_field(k))
     out = presentable.squares_pipeline(start, literal_squares=args.literal_squares)
     Q = quadratic_hyperfield(k)
@@ -261,7 +249,7 @@ def cmd_pipeline(args, rep):
     # prime addition commutes with the square-class quotient; both number classes by least member
     same = out == Q
     rep.check("pipeline-vs-quadratic-hyperfield", same)
-    rep.say(f"pipeline output: {out.size} classes; Q(GF({p**n})): {Q.size} classes")
+    rep.say(f"pipeline output: {out.size} classes; Q(GF({k.q})): {Q.size} classes")
     if same:
         rep.say("isomorphic to the quadratic hyperfield: yes")
         return EXIT_OK, "pipeline: pass"
@@ -270,7 +258,7 @@ def cmd_pipeline(args, rep):
 
 
 def cmd_isom(args, rep):
-    F = _load_structure(args, want=Hyperfield, field_builder=quadratic_hyperfield)
+    F, _ = _load_structure(args, want=Hyperfield, build=quadratic_hyperfield)
     if len(args.form) != 2:
         raise InputError("isom needs exactly two --form options")
     phi = _parse_form(F, args.form[0])
@@ -295,13 +283,8 @@ def cmd_isom(args, rep):
 def cmd_witt(args, rep):
     if args.max_dim < 2:
         raise InputError("--max-dim must be at least 2 (the hyperbolic plane has dim 2)")
-    fields = []  # the GF(q) of Q(k), kept to name the oracle's elements
-    F = _load_structure(args, want=Hyperfield, field_builder=lambda k: fields.append(k) or quadratic_hyperfield(k))
-    if fields:
-        (k,) = fields
-        label = f"Q(GF({k.q}))"
-    else:
-        label = args.builtin or args.input
+    F, k = _load_structure(args, want=Hyperfield, build=quadratic_hyperfield)
+    label = f"Q(GF({k.q}))" if k else args.builtin or args.input
     _hyperfield_summary(rep, F)
     hrep = _axioms(rep, F)
     rep.say(f"{label}: hyperfield axioms {'pass' if hrep.passed else 'FAIL'}")
@@ -318,8 +301,8 @@ def cmd_witt(args, rep):
     rep.document("witt-ring", doc)
     rep.say(doc.rstrip("\n"))
     rep.say(W.summary())
-    if fields and W.status == "finite":
-        WO = oracle.classical_witt_ring(k.q, min(args.max_dim, 4))
+    if k and W.status == "finite":  # k also names the oracle's elements
+        WO = oracle.classical_witt_ring(k, min(args.max_dim, 4))
         match = _oracle_match(W, F, WO, k)
         rep.check("oracle-match", match, oracle_classes=len(WO.classes))
         rep.say(f"classical oracle: {len(WO.classes)} classes (diagonal forms, char-2 via <1,1> stabilization)")

@@ -10,11 +10,10 @@ hypermonoid/hypergroup/hyperring/hyperfield laws is decided by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product, repeat
 from operator import itemgetter
 
-from .errors import InputError, SizeGuardError, ValidationError
+from .errors import AxiomReport, InputError, SizeGuardError, ValidationError
 from .finitefield import FiniteField, square_classes
 
 MAX_ISO_SEARCH = 12
@@ -139,22 +138,6 @@ class Hyperfield:
 
     def __repr__(self):
         return f"Hyperfield(size={self.size}, names={list(self.names)})"
-
-
-@dataclass
-class AxiomReport:
-    """Outcome of a layered axiom check; failures carry witness tuples."""
-
-    level_passed: str
-    failures: list = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
-
-    @property
-    def passed(self):
-        return not self.failures
-
-    def first_failure(self):
-        return self.failures[0] if self.failures else None
 
 
 def _row_failures(left, right):
@@ -403,8 +386,8 @@ def quotient_by_subgroup(F: Hyperfield, T) -> Hyperfield:
     if F.zero in T:
         raise ValidationError("T contains zero", witness=(F.zero,))
     for s in T:
-        if not 0 <= s < F.size:
-            raise InputError(f"unknown id {s} in T")
+        if not isinstance(s, int) or not 0 <= s < F.size:
+            raise InputError(f"unknown id {s!r} in T")
     # each orbit aT is one row read (T's first id read twice keeps the read a
     # tuple when |T| = 1); only a failing s is rescanned for its witness
     read = itemgetter(*T, next(iter(T)))

@@ -12,7 +12,8 @@ The oracle builds its class tables alone; WittRing only reads its status off
 them.
 
 Sizes: `classical_witt_ring` and `classical_isometric` take every q that
-`parse_field_arg` admits, which is every prime power up to `MAX_FIELD`.
+`parse_field_arg` admits, which is every prime power up to `MAX_FIELD`;
+`classical_witt_ring` also takes a FiniteField that is already built.
 `congruence_classes` enumerates all q^(n(n+1)/2) Gram matrices, so its own
 guard stops at dim 3 for q <= 5 and at dim 2 for q <= 9.
 
@@ -229,7 +230,7 @@ def _witt_key(k: FiniteField, entries) -> tuple:
     return n % 2, same_square_class(k, _product(k, entries), sign)
 
 
-def classical_witt_ring(q: int, dmax: int) -> WittRing:
+def classical_witt_ring(q: int | FiniteField, dmax: int) -> WittRing:
     """Witt classes of diagonal nondegenerate forms modulo stabilization by
     <1, -1>, built from field arithmetic only.
 
@@ -237,9 +238,10 @@ def classical_witt_ring(q: int, dmax: int) -> WittRing:
     dimension first.  A class is represented by the first candidate with its
     `_witt_key`, and every sum and product finds its class by that key.
     Every key occurs by dim 2, so the tables are full and the ring finite.
-    Any q that `parse_field_arg` admits is built; it refuses the others.
+    A FiniteField is read as it is given; an int q builds GF(q) for any q
+    that `parse_field_arg` admits and refuses the others.
     """
-    k = _field_for(q)
+    k = q if isinstance(q, FiniteField) else _field_for(q)
     if not 2 <= dmax <= 4:
         raise SizeGuardError(f"oracle dmax must be 2..4, got {dmax}")
     sq = square_classes(k)

@@ -3,14 +3,17 @@
 Elements are dense ids 0..n-1.  The order relation is kept as packed bitmask
 rows: ``up[x]`` is the int whose bit y is set iff x <= y, and ``down[x]`` the
 transpose.  All subset quantifiers below run over int submasks.
+
+The presentability ladder returns the AxiomReport of every other ladder,
+with its verdicts in ``notes``; this module imports nothing above
+``errors``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import InputError, SizeGuardError, ValidationError
+from .errors import AxiomReport, InputError, SizeGuardError, ValidationError
 
 # Dense relation tables get quadratic in memory and worse in validation time;
 # refuse carriers beyond this rather than degrade silently.
@@ -187,30 +190,7 @@ class FinitePointedPoset:
         return f"FinitePointedPoset(n={self.n}, basepoint={self.names[self.basepoint]})"
 
 
-@dataclass
-class PresentabilityReport:
-    """Outcome of the presentability ladder on a pointed poset.
-
-    ``all_minimals_compact`` is None exactly when the poset is not weakly
-    presentable: such a poset already fails, and compactness is left
-    unevaluated.  ``tests_agree`` records whether the compactness verdict
-    agrees with the counting form of unique representation; it is None on
-    the same posets (the equivalence is only claimed under weak
-    presentability).
-    """
-
-    weakly_presentable: bool
-    basepoint_minimal: bool
-    all_minimals_compact: Optional[bool]
-    witnesses: list = field(default_factory=list)
-    tests_agree: Optional[bool] = None
-
-    @property
-    def passed(self):
-        return self.weakly_presentable and self.basepoint_minimal and self.all_minimals_compact
-
-
-def check_presentable(P: FinitePointedPoset) -> PresentabilityReport:
+def check_presentable(P: FinitePointedPoset) -> AxiomReport:
     """Verify weak presentability, basepoint minimality and compactness.
 
     One smallest-first walk takes the supremum of each nonempty set S of
@@ -226,12 +206,17 @@ def check_presentable(P: FinitePointedPoset) -> PresentabilityReport:
     below x.  Under weak presentability S -> sup(S) maps the 2^k - 1 sets of
     the k minimals onto the carrier, so it holds iff n = 2^k - 1;
     ``tests_agree`` compares that count with the walk's compactness verdict.
+
+    The report's level is "poset" when it lists no failure and "none"
+    otherwise.  Its notes hold the four verdicts: ``weakly_presentable``,
+    ``basepoint_minimal``, ``all_minimals_compact`` and ``tests_agree``; the
+    last two are None exactly when the poset is not weakly presentable.
     """
     mins = P.minimals_mask
     k = mins.bit_count()
     if k > MAX_MINIMALS:
         raise SizeGuardError(f"{k} minimal elements exceed the subset guard {MAX_MINIMALS}")
-    witnesses = []
+    failures = []
 
     # weak presentability (i): every nonempty set of minimals has a supremum;
     # sup(S) is the supremum of S's least member and sup(S minus it), and S
@@ -245,7 +230,7 @@ def check_presentable(P: FinitePointedPoset) -> PresentabilityReport:
         v = P.sup_of_mask(low | 1 << sups[rest]) if rest else low.bit_length() - 1
         if v is None:
             wp_i = False
-            witnesses.append(("weak_presentability.i", tuple(_bits(sub))))
+            failures.append(("weak_presentability.i", tuple(_bits(sub))))
             break
         sups[sub] = v
         outside = P.down[v] & mins & ~sub
@@ -258,28 +243,28 @@ def check_presentable(P: FinitePointedPoset) -> PresentabilityReport:
         sx = P.minimals_below_mask(x)
         if sx == 0 or (sups[sx] if wp_i else P.sup_of_mask(sx)) != x:
             wp_ii = False
-            witnesses.append(("weak_presentability.ii", (x, tuple(_bits(sx)))))
+            failures.append(("weak_presentability.ii", (x, tuple(_bits(sx)))))
             break
     weakly = wp_i and wp_ii
 
     bp_min = bool(mins >> P.basepoint & 1)
     if not bp_min:
-        witnesses.append(("basepoint_minimal", (P.basepoint,)))
+        failures.append(("basepoint_minimal", (P.basepoint,)))
 
     compact_ok = tests_agree = None
     if weakly:
         compact_ok = compact_wit is None
         tests_agree = compact_ok == (P.n == (1 << k) - 1)
         if not compact_ok:
-            witnesses.append(("compactness", compact_wit))
+            failures.append(("compactness", compact_wit))
 
-    return PresentabilityReport(
-        weakly_presentable=weakly,
-        basepoint_minimal=bp_min,
-        all_minimals_compact=compact_ok,
-        witnesses=witnesses,
-        tests_agree=tests_agree,
-    )
+    notes = {
+        "weakly_presentable": weakly,
+        "basepoint_minimal": bp_min,
+        "all_minimals_compact": compact_ok,
+        "tests_agree": tests_agree,
+    }
+    return AxiomReport("none" if failures else "poset", failures, notes)
 
 
 # -- builders ----------------------------------------------------------

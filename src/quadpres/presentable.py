@@ -206,7 +206,7 @@ def check_presentable(R: PresentableRing) -> AxiomReport:
     poset = R.poset
     report = check_poset(poset)
     if not report.passed:
-        failures = [(f"poset.{axiom}", wit) for axiom, wit in report.witnesses]
+        failures = [(f"poset.{axiom}", wit) for axiom, wit in report.failures]
         return AxiomReport("none", failures)
 
     n = R.n

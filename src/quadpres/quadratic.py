@@ -172,8 +172,8 @@ class IsometryContext:
             raise InputError("empty form")
         if not self._nonzero_set.issuperset(entries):  # name the first bad entry
             for e in entries:
-                if not 0 <= e < self.F.size:
-                    raise InputError(f"unknown element id {e}")
+                if not isinstance(e, int) or not 0 <= e < self.F.size:
+                    raise InputError(f"unknown element id {e!r}")
                 if e == self.F.zero:
                     raise InputError("form entries must be nonzero")
         return entries

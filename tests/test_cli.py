@@ -8,10 +8,11 @@ from dataclasses import replace
 import quadpres
 from quadpres import quadratic
 from quadpres.cli import _oracle_match, build_parser, main
-from quadpres.documents import emit_hyperfield, emit_witt_ring
+from quadpres.documents import emit_hyperfield, emit_presentable, emit_witt_ring, parse_document
 from quadpres.finitefield import FiniteField, ff_make, parse_field_arg
 from quadpres.hyperfields import (
     Hyperfield,
+    check_hyperfield,
     euclidean_hyperfield,
     from_field,
     hyperfield_isomorphic,
@@ -19,7 +20,8 @@ from quadpres.hyperfields import (
     quadratic_hyperfield,
 )
 from quadpres.oracle import classical_witt_ring
-from quadpres.presentable import squares_pipeline
+from quadpres.posets import check_presentable as check_poset
+from quadpres.presentable import check_presentable, example_sq_structure, squares_pipeline
 from quadpres.quadratic import ring_isomorphic, witt_ring
 from test_hyperfields import TABLE_FIELDS
 from test_quadratic import laurent_extension, two_step_laurent
@@ -376,8 +378,21 @@ def test_a_written_report_is_the_json_dump_of_its_data(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_witt_field_builds_its_field_twice(monkeypatch, capsys):
-    # once for Q(k), whose k also names the oracle's elements, and once in the oracle
+FIELD_COMMANDS = (
+    ("qhf", "--field", "9"),
+    ("pipeline", "--field", "9"),
+    ("check-hyperfield", "--field", "9"),
+    ("prime", "--field", "9"),
+    ("quotient", "--field", "9", "--subset", "1"),
+    ("isom", "--field", "9", "--form", "1,1", "--form", "x+1,x+1"),
+    ("witt", "--field", "9", "--max-dim", "4"),
+    ("witt", "--field", "1021", "--max-dim", "4"),
+)
+
+
+def test_each_field_command_builds_its_field_once(monkeypatch, capsys):
+    # one reader of --field per command; witt hands its field to the oracle,
+    # whose elements that field also names
     built = []
     real = FiniteField.__init__
 
@@ -386,9 +401,49 @@ def test_witt_field_builds_its_field_twice(monkeypatch, capsys):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(FiniteField, "__init__", spy)
-    code, out = run(capsys, "witt", "--field", "9", "--max-dim", "4")
-    assert code == 0 and "oracle match: yes" in out
-    assert built == [(3, 2, None)] * 2
+    for argv in FIELD_COMMANDS:
+        built.clear()
+        assert main(list(argv)) == 0, argv
+        assert built == [(*parse_field_arg(argv[2]), None)], argv
+    assert capsys.readouterr().out.count("oracle match: yes") == 2
+
+
+def test_failing_ladders_write_their_witnesses_to_the_report(tmp_path, capsys):
+    # a failing ladder's entry holds the library's failures as json.dumps
+    # writes them, beside its level or, for the poset ladder, its notes
+    E = euclidean_hyperfield()
+    add = [[set(E.add(a, b)) for b in range(3)] for a in range(3)]
+    add[1][2] = add[2][1] = {0}
+    hyperfield_doc = emit_hyperfield(Hyperfield(0, 1, E.neg_table(), E.mul_table(), add, names=E.names))
+    sq7 = emit_presentable(example_sq_structure())
+    presentable_doc = sq7.replace("alpha3 beta beta beta beta beta beta\n", "alpha3 beta beta beta beta alpha3 beta\n")
+    assert presentable_doc != sq7  # alpha3 + alpha3 is alpha3, not beta
+    chain_doc = "poset\nelements: a b c\nbasepoint: a\ncover: a b\ncover: b c\n"
+    gf5_doc = emit_hyperfield(from_field(ff_make(5)))
+    cases = (
+        ("check-hyperfield", hyperfield_doc, (), "hyperfield-axioms", check_hyperfield, "hyperfield: FAIL"),
+        ("check-presentable", presentable_doc, (), "presentable-ladder", check_presentable, "presentable: FAIL"),
+        ("check-poset", chain_doc, (), "presentable-poset", check_poset, "presentability: FAIL"),
+        ("isom", gf5_doc, ("--form", "1,1", "--form", "2,2"), "prequadratic-axioms",
+         quadratic.check_prequadratic, "isom: FAIL (pre-quadratic axioms)"),
+    )
+    out = tmp_path / "report.json"
+    for command, doc, rest, name, ladder, result in cases:
+        path = tmp_path / f"{command}.txt"
+        path.write_text(doc)
+        assert main([command, "--input", str(path), *rest, "--out", str(out)]) == 1, command
+        data = json.loads(out.read_text())
+        assert data["result"] == result, command
+        (entry,) = [r for r in data["reports"] if r["check"] == name]
+        report = ladder(parse_document(doc))
+        assert report.failures and entry["passed"] is False, command
+        assert entry["failures"] == json.loads(json.dumps(report.failures)), command
+        if ladder is check_poset:
+            assert {key: entry[key] for key in report.notes} == report.notes
+            assert report.notes["weakly_presentable"] is False
+        else:
+            assert entry["level"] == report.level_passed, command
+    capsys.readouterr()
 
 
 def test_oracle_subcommands(tmp_path, capsys):

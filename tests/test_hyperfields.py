@@ -152,6 +152,17 @@ def test_quotient_rejects_bad_subsets():
         quotient_by_subgroup(F, {1, -1})  # not an id; a table read takes the last row
 
 
+def test_quotient_refuses_entries_that_are_not_ids():
+    # every entry that is not one of the carrier's ids takes the path of an
+    # int outside the carrier, whose message is unchanged
+    F = from_field(ff_make(5))
+    cases = (({7}, "unknown id 7 in T"), ({1.5}, "unknown id 1.5 in T"), ({"1"}, "unknown id '1' in T"))
+    for T, message in cases:
+        with pytest.raises(InputError) as err:
+            quotient_by_subgroup(F, T)
+        assert str(err.value) == message, T
+
+
 def test_prime_hyperfield_on_gf3():
     F = from_field(ff_make(3))
     P = prime_hyperfield(F)

@@ -118,14 +118,14 @@ def test_diamond_with_extra_minimal_fails_compactness():
     # minimals), so it already fails and compactness is left unevaluated
     report = check_presentable(P)
     assert not report.passed
-    assert not report.weakly_presentable
-    assert report.all_minimals_compact is None
-    assert report.witnesses == [("weak_presentability.ii", (P.id_of("a"), (P.id_of("0"),)))]
+    assert not report.notes["weakly_presentable"]
+    assert report.notes["all_minimals_compact"] is None
+    assert report.failures == [("weak_presentability.ii", (P.id_of("a"), (P.id_of("0"),)))]
     # three minimals under one top are weakly presentable and not compact
     Q = FinitePointedPoset.from_up_masks([0b1001, 0b1010, 0b1100, 0b1000], basepoint=0)
     report = check_presentable(Q)
-    assert report.weakly_presentable and report.all_minimals_compact is False
-    assert report.witnesses == [("compactness", (2, (0, 1)))]
+    assert report.notes["weakly_presentable"] and report.notes["all_minimals_compact"] is False
+    assert report.failures == [("compactness", (2, (0, 1)))]
     assert _whole_carrier_compactness(Q) == (False, (2, (0, 1)))
 
 
@@ -233,9 +233,9 @@ def test_cross_check_agreement_on_random_fleet():
         attempts += 1
         P = random_pointed_poset(rng, max_n=8)
         report = check_presentable(P)
-        if report.weakly_presentable:
+        if report.notes["weakly_presentable"]:
             seen += 1
-            assert report.tests_agree is True
+            assert report.notes["tests_agree"] is True
     assert seen == 60
 
 
@@ -329,7 +329,7 @@ def weak_fleet():
     for P in fleet:
         assert P.n <= MAX_MINIMALS
         report = check_presentable(P)
-        if report.weakly_presentable:
+        if report.notes["weakly_presentable"]:
             weak.append((P, report))
     return weak
 
@@ -339,10 +339,10 @@ def test_compactness_over_minimals_matches_the_whole_carrier(weak_fleet):
     # the others already range over the whole carrier
     for P, report in weak_fleet:
         ok, wit = _whole_carrier_compactness(P)
-        assert report.all_minimals_compact == ok, P.up
-        assert dict(report.witnesses).get("compactness") == wit, P.up
+        assert report.notes["all_minimals_compact"] == ok, P.up
+        assert dict(report.failures).get("compactness") == wit, P.up
     assert len(weak_fleet) > 1900
-    assert sum(not r.all_minimals_compact for _, r in weak_fleet) > 900
+    assert sum(not r.notes["all_minimals_compact"] for _, r in weak_fleet) > 900
 
 
 def test_posets_not_weakly_presentable_leave_compactness_unevaluated():
@@ -353,15 +353,15 @@ def test_posets_not_weakly_presentable_leave_compactness_unevaluated():
     for _ in range(4000):
         P = random_pointed_poset(rng, max_n=12)
         report = check_presentable(P)
-        if report.weakly_presentable:
+        if report.notes["weakly_presentable"]:
             continue
-        assert report.all_minimals_compact is None, P.up
-        assert report.tests_agree is None and not report.passed, P.up
+        assert report.notes["all_minimals_compact"] is None, P.up
+        assert report.notes["tests_agree"] is None and not report.passed, P.up
         expected = _weak_presentability_witnesses(P)
-        if not report.basepoint_minimal:
+        if not report.notes["basepoint_minimal"]:
             expected.append(("basepoint_minimal", (P.basepoint,)))
         assert expected[0][0].startswith("weak_presentability."), P.up
-        assert report.witnesses == expected, P.up
+        assert report.failures == expected, P.up
         checked += 1
     assert checked > 2000
 
@@ -373,10 +373,32 @@ def test_unique_representation_walk_matches_the_count(weak_fleet):
     for P, report in weak_fleet:
         walk_ok, _ = _unique_representation(P)
         counted = P.n == 2 ** P.minimals_mask.bit_count() - 1
-        assert walk_ok == counted == report.all_minimals_compact, P.up
-        assert report.tests_agree is True, P.up
+        assert walk_ok == counted == report.notes["all_minimals_compact"], P.up
+        assert report.notes["tests_agree"] is True, P.up
         unique += walk_ok
     assert 900 < unique < len(weak_fleet) - 900
+
+
+def test_poset_ladder_reports_like_every_ladder():
+    # the AxiomReport of every ladder: it passes iff it lists no failure,
+    # which is the conjunction of its three verdicts, and its level is
+    # "poset" exactly then; notes hold the four verdicts and nothing else
+    rng = random.Random(2026)
+    fleet = [random_pointed_poset(rng, max_n=12) for _ in range(4000)]
+    fleet += [walking_supremum(), *map(squarefree_divisors, (6, 30, 210)), *map(pierced_powerset, range(1, 5))]
+    verdicts = {"weakly_presentable", "basepoint_minimal", "all_minimals_compact", "tests_agree"}
+    passed = 0
+    for P in fleet:
+        report = check_presentable(P)
+        notes = report.notes
+        assert set(notes) == verdicts, P.up
+        assert report.passed == (not report.failures), P.up
+        conjunction = notes["weakly_presentable"] and notes["basepoint_minimal"] and notes["all_minimals_compact"]
+        assert report.passed == bool(conjunction), P.up
+        assert report.level_passed == ("poset" if report.passed else "none"), P.up
+        passed += report.passed
+    assert len(fleet) == 4008
+    assert 0 < passed < len(fleet) - 2000, passed
 
 
 def test_compactness_can_fail_first_at_three_minimals():
@@ -386,8 +408,8 @@ def test_compactness_can_fail_first_at_three_minimals():
     up = [sum(1 << j for j, b in enumerate(family) if a & ~b == 0) for a in family]
     P = FinitePointedPoset.from_up_masks(up, basepoint=0)
     report = check_presentable(P)
-    assert report.weakly_presentable and report.tests_agree is True
-    assert report.witnesses == [("compactness", (6, (0, 1, 3)))]
+    assert report.notes["weakly_presentable"] and report.notes["tests_agree"] is True
+    assert report.failures == [("compactness", (6, (0, 1, 3)))]
     # the whole carrier fails first at Y = {{0, 1}, {2}}, the same verdict
     assert _whole_carrier_compactness(P) == (False, (6, (2, 3)))
     assert _unique_representation(P)[0] is False
@@ -398,7 +420,8 @@ def test_subset_guard_edge_in_a_subprocess():
         "from quadpres.posets import FinitePointedPoset, check_presentable\n"
         "up = [1 << i | 1 << 16 for i in range(16)] + [1 << 16]\n"
         "r = check_presentable(FinitePointedPoset.from_up_masks(up, basepoint=0))\n"
-        "print(r.weakly_presentable, r.all_minimals_compact, r.witnesses, r.tests_agree)\n"
+        "n = r.notes\n"
+        "print(n['weakly_presentable'], n['all_minimals_compact'], r.failures, n['tests_agree'])\n"
     )
     src = os.path.dirname(os.path.dirname(quadpres.__file__))
     done = subprocess.run(

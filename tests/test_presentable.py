@@ -547,7 +547,7 @@ def cached_sup_ladder(R):
     poset = R.poset
     report = check_poset(poset)
     if not report.passed:
-        failures = [(f"poset.{axiom}", wit) for axiom, wit in report.witnesses]
+        failures = [(f"poset.{axiom}", wit) for axiom, wit in report.failures]
         return AxiomReport("none", failures)
 
     n = R.n

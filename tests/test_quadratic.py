@@ -277,6 +277,22 @@ def test_euclidean_one_one_is_anisotropic():
     assert part is not None and part.entries == (1, 1)
 
 
+def test_entries_that_are_not_ids_are_refused_as_unknown_ids():
+    # every entry that is not one of the carrier's ids takes the path of an
+    # int outside the carrier, whose message is unchanged
+    ctx = euclid_ctx()
+    cases = (
+        ((5,), "unknown element id 5"),
+        ((1.5,), "unknown element id 1.5"),
+        ((1, "2"), "unknown element id '2'"),
+        ((None,), "unknown element id None"),
+    )
+    for entries, message in cases:
+        with pytest.raises(InputError) as err:
+            ctx.is_isotropic(entries)
+        assert str(err.value) == message, entries
+
+
 def test_q3_four_ones_reduce_to_zero_class():
     # over GF(3) the Witt ring is cyclic of order 4, so 4x<1> is the zero class
     F, ctx = q_ctx(3)
