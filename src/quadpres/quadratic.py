@@ -8,9 +8,11 @@ Every public form question is decided by one engine, a fold over value sets:
 <a1, ..., an> is isotropic iff 0 is in the iterated hypersum a1 + ... + an,
 and the hyperbolic split is read off the fold's provenance (n * m^2 cell
 lookups for m elements).  Stripping planes until none splits gives the
-anisotropic part.  phi and psi are Witt equivalent iff phi + (-psi) strips to
-the zero class, and isometric iff they also have equal dimensions (Witt
-cancellation).  These criteria assume a quadratically presentable field;
+anisotropic part: a form the fold has not split first loses every visible
+plane <a, -a> at once, found by bisection over its runs, so only what is left is
+folded, a plane at a time.  phi and psi are Witt equivalent iff phi + (-psi)
+strips to the zero class, and isometric iff they also have equal dimensions
+(Witt cancellation).  These criteria assume a quadratically presentable field;
 `cli witt` checks the field first, and `cli isom` refuses tables that are not
 pre-quadratic hyperfields.  On a sorted form, a row that repeats inside a
 run of equal entries is every earlier row of the run: O(runs) rows.
@@ -30,7 +32,7 @@ keep the recursion pair by pair as the reference for the rows and the fold.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, islice, product
 from typing import Optional
@@ -159,7 +161,7 @@ class IsometryContext:
         self._nonzero_set = frozenset(self.nonzero)
         self._neg = F.neg_table()
         self._splits = {}
-        self._stripped = {}
+        self._stripped = {(): ()}  # () is the zero class
 
     # -- plumbing --------------------------------------------------------
 
@@ -170,12 +172,24 @@ class IsometryContext:
         entries = phi.entries if isinstance(phi, Form) else tuple(phi)
         if not entries:
             raise InputError("empty form")
-        if not self._nonzero_set.issuperset(entries):  # name the first bad entry
-            for e in entries:
-                if not isinstance(e, int) or not 0 <= e < self.F.size:
-                    raise InputError(f"unknown element id {e!r}")
-                if e == self.F.zero:
-                    raise InputError("form entries must be nonzero")
+        if not self._nonzero_set.issuperset(entries):
+            raise self._refusal(entries)
+        return entries
+
+    def _refusal(self, entries):
+        """The InputError that names the first entry that is not a nonzero id."""
+        for e in entries:
+            if not isinstance(e, int) or not 0 <= e < self.F.size:
+                return InputError(f"unknown element id {e!r}")
+            if e == self.F.zero:
+                return InputError("form entries must be nonzero")
+
+    def _ints(self, entries):
+        """Validated ``entries`` once none is a float or the like equal to an
+        id, which the set test of _entries_of lets through.  Only a query
+        that misses the memo reads this, so a warm one pays nothing."""
+        if type(sum(entries)) is not int:  # a float among ints sums to a float
+            raise self._refusal(entries)
         return entries
 
     def hyperbolic(self):
@@ -194,7 +208,9 @@ class IsometryContext:
 
     def split_hyperbolic(self, entries) -> Optional[tuple]:
         """The tail psi with entries ~ H + psi, or None if anisotropic."""
-        return self._split(self._norm(self._entries_of(entries)))
+        entries = self._norm(self._entries_of(entries))
+        tail = self._splits.get(entries, _UNSEEN)
+        return tail if tail is not _UNSEEN else self._split(self._ints(entries))
 
     def _split(self, entries):
         """split_hyperbolic on validated, sorted entries.
@@ -260,25 +276,80 @@ class IsometryContext:
         return self.split_hyperbolic(phi) is not None
 
     def anisotropic_entries(self, entries) -> tuple:
-        """Strip hyperbolic planes until nothing splits; () is the zero class."""
-        return self._strip(self._norm(self._entries_of(entries)))
+        """Strip hyperbolic planes until nothing splits; () is the zero class.
+        The representative is _strip's: a form the fold has not split loses
+        its pairs <a, -a> first, and what is left splits on the fold."""
+        entries = self._norm(self._entries_of(entries))
+        part = self._stripped.get(entries)
+        return part if part is not None else self._strip(self._ints(entries))
 
     def _strip(self, entries):
-        """anisotropic_entries on validated, sorted entries."""
-        hit = self._stripped.get(entries)
-        if hit is not None:
-            return hit
-        tail = self._split(entries)
-        if tail is None:
-            result = entries
-        elif not tail:
-            result = ()
-        else:
-            result = self._strip(tail)
-        self._stripped[entries] = result
-        return result
+        """anisotropic_entries on validated, sorted entries, as a loop.
+
+        Which representative: the last form of a chain that starts at
+        entries and ends at a form that does not split.  A form the fold has
+        split before (in _splits) goes on to its memoized tail.  Any other
+        form first loses every pair <a, -a>, and <a, a> where a = -a, each a
+        hyperbolic plane (_unpaired); what is left goes on to the fold's
+        tail.  The result is isometric, by Witt cancellation, to the part a
+        fold-only strip gives, but not always the same sorted form, and it
+        can depend on what the context split before.  Every form of the
+        chain is memoized to the result.
+        """
+        met = []
+        part = self._stripped.get(entries)
+        while part is None:
+            met.append(entries)
+            tail = self._splits.get(entries, _UNSEEN)
+            if tail is _UNSEEN:
+                rest = self._unpaired(entries)
+                if rest is not entries:  # pair-free: fold it with no second pass
+                    part = self._stripped.get(rest)
+                    if part is not None:
+                        break
+                    met.append(rest)
+                    entries = rest
+                tail = self._split(entries)
+            if tail is None:
+                part = entries
+            else:
+                entries = tail
+                part = self._stripped.get(entries)
+        for form in met:
+            self._stripped[form] = part
+        return part
+
+    def _unpaired(self, entries):
+        """Sorted ``entries`` less every pair <a, -a>, and <a, a> where a = -a;
+        ``entries`` itself when it has none.  The runs of equal entries are
+        found by bisection, O(m log n) for m distinct entries of n, and each
+        run cancels against the run of its negative."""
+        neg, runs, i, n = self._neg, {}, 0, len(entries)
+        paired = False
+        while i < n:
+            a = entries[i]
+            j = bisect_right(entries, a, i)
+            k, i = j - i, j
+            b = neg[a]
+            if b == a and k > 1:
+                k, paired = k % 2, True
+            elif runs.get(b):  # -a came first
+                c = min(k, runs[b])
+                runs[b] -= c
+                k -= c
+                paired = True
+            runs[a] = k
+        if not paired:
+            return entries
+        rest = ()
+        for a, k in runs.items():
+            rest += (a,) * k
+        return rest
 
     def anisotropic_part(self, phi) -> Optional[Form]:
+        """The anisotropic form anisotropic_entries gives, None for the zero
+        class.  Isometric forms can get different representatives; compare
+        them with isometric, or use witt_ring's least sorted forms."""
         part = self.anisotropic_entries(phi)
         return Form(part) if part else None
 
@@ -287,10 +358,15 @@ class IsometryContext:
 
     def _cancels(self, a, b):
         """Whether a + (-b) strips to the zero class; a and b are validated."""
-        minus_b = tuple(map(self._neg.__getitem__, b))
+        try:
+            minus_b = tuple(map(self._neg.__getitem__, b))
+        except TypeError:  # an entry equal to an id that is not an int
+            raise self._refusal(b) from None
         if self.F.zero in minus_b:
             raise InputError("negation sends a nonzero form entry to zero")
-        return not self._strip(self._norm(a + minus_b))
+        form = self._norm(a + minus_b)
+        part = self._stripped.get(form)
+        return not (part if part is not None else self._strip(self._ints(form)))
 
     def _canonical(self, entries):
         """The lexicographically least sorted form isometric to phi, given as
@@ -486,12 +562,14 @@ def witt_ring(F: Hyperfield, dmax: int) -> WittRing:
     def class_of(entries):
         """The class of sorted ``entries``: a key lookup, or else its stripped
         part's canonical form."""
-        if entries not in index:
+        i = index.get(entries, _UNSEEN)
+        if i is _UNSEEN:
             part = ctx._strip(entries)
-            if part not in index:
-                index[part] = index.get(canonical(part)) if len(part) <= dmax else None
-            index[entries] = index[part]
-        return index[entries]
+            i = index.get(part, _UNSEEN)
+            if i is _UNSEEN:
+                i = index[part] = index.get(canonical(part)) if len(part) <= dmax else None
+            index[entries] = i
+        return i
 
     step, growth, level = [], [], range(1)
     for d in range(1, dmax + 2):

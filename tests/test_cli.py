@@ -198,6 +198,15 @@ def test_isom_decided_query_exits_zero(capsys):
     assert "not isometric" in out
 
 
+def test_isom_on_forms_of_2404_entries_exits_zero(capsys):
+    # phi + (-phi) of dim 4,808 once ended in a RecursionError traceback and
+    # exit 1, one recursive strip per hyperbolic plane
+    ones = ",".join(["1"] * 2404)
+    code, out = run(capsys, "isom", "--field", "3", "--form", ones, "--form", ones)
+    assert code == 0
+    assert out.splitlines()[-1] == "isometric"
+
+
 def test_isom_refuses_a_field_that_is_not_prequadratic(tmp_path, capsys):
     # GF(5) with singleton addition fails a in a + b, so no value-set verdict
     # on it means anything

@@ -286,11 +286,31 @@ def test_entries_that_are_not_ids_are_refused_as_unknown_ids():
         ((1.5,), "unknown element id 1.5"),
         ((1, "2"), "unknown element id '2'"),
         ((None,), "unknown element id None"),
+        ((1.0,), "unknown element id 1.0"),
+        ((1.0, 2), "unknown element id 1.0"),
     )
     for entries, message in cases:
         with pytest.raises(InputError) as err:
             ctx.is_isotropic(entries)
         assert str(err.value) == message, entries
+
+
+def test_a_float_equal_to_an_id_is_refused_on_a_memo_miss():
+    # 1.0 == 1 with an equal hash passes the set test, so each public method
+    # checks for ints where it misses the memo; the float can hide inside a
+    # run of equal entries, where no table is indexed by it
+    calls = (
+        lambda ctx: ctx.is_isotropic((1.0,)),
+        lambda ctx: ctx.split_hyperbolic((1, 1.0, 1, 1, 1)),
+        lambda ctx: ctx.anisotropic_part((1, 1.0, 1, 1, 1)),
+        lambda ctx: ctx.anisotropic_part((1.0, 2)),
+        lambda ctx: ctx.isometric((1, 2), (1.0, 2)),
+        lambda ctx: ctx.isometric((1.0, 2), (1, 2)),
+        lambda ctx: ctx.witt_equivalent((1, 1, 1), (1.0,)),
+    )
+    for call in calls:
+        with pytest.raises(InputError, match=r"^unknown element id 1\.0$"):
+            call(euclid_ctx())
 
 
 def test_q3_four_ones_reduce_to_zero_class():
@@ -618,15 +638,15 @@ def two_step_laurent():
     return laurent_extension(laurent_extension(euclidean_hyperfield()), "s")
 
 
-def stripped_witt_ring(F: Hyperfield, dmax: int) -> WittRing:
+def stripped_witt_ring(F: Hyperfield, dmax: int, context=IsometryContext) -> WittRing:
     """The reference for witt_ring's walk and tables: every anisotropic
     candidate multiset up to dmax is a class when it is its own canonical
-    form, and every sum and tensor product is stripped cell by cell and
-    looked up by its canonical form.
+    form, and every sum and tensor product is stripped cell by cell, on a
+    ``context``, and looked up by its canonical form.
     """
     if dmax < 2:
         raise InputError("dmax must be at least 2 (the hyperbolic plane has dim 2)")
-    ctx = IsometryContext(F)
+    ctx = context(F)
     nz = ctx.nonzero
     if comb(dmax + len(nz) - 1, len(nz) - 1) > CANDIDATE_BUDGET:
         raise SizeGuardError(
@@ -707,6 +727,106 @@ def test_witt_ring_matches_the_stripped_tables(F, dmaxes):
     for dmax in dmaxes:
         # dataclass equality: classes in order, both tables, zero, one, growth
         assert witt_ring(F, dmax) == stripped_witt_ring(F, dmax), dmax
+
+
+class FoldOnlyContext(IsometryContext):
+    """_strip a plane per fold, with no pair pass: the reference for the
+    pair pass, the way RowByRowContext is for the fold's fixed point."""
+
+    def _strip(self, entries):
+        hit = self._stripped.get(entries)
+        if hit is not None:
+            return hit
+        tail = self._split(entries)
+        result = entries if tail is None else self._strip(tail)
+        self._stripped[entries] = result
+        return result
+
+
+@pytest.mark.parametrize("F, dmaxes", STRIPPED_FLEET, ids=STRIPPED_FLEET_IDS)
+def test_witt_ring_matches_the_fold_only_stripped_tables(F, dmaxes):
+    for dmax in dmaxes:
+        assert witt_ring(F, dmax) == stripped_witt_ring(F, dmax, FoldOnlyContext), dmax
+
+
+# E, Q(GF(q)) for q = 3, 4, 5, 7, 9 and the four-class fleet to dim 6,
+# E((t))((s)) to dim 4
+STRIP_FLEET = (
+    [(euclidean_hyperfield(), 6)] + [(q_ctx(q)[0], 6) for q in (3, 4, 5, 7, 9)]
+    + [(F, 6) for F in four_class_fleet()] + [(two_step_laurent(), 4)]
+)
+STRIP_FLEET_IDS = ["E"] + [f"Q{q}" for q in (3, 4, 5, 7, 9)] + ["E(t)", "Q3(t)", "Q5(t)", "E(t)(s)"]
+
+
+@pytest.mark.parametrize("F, dmax", STRIP_FLEET, ids=STRIP_FLEET_IDS)
+def test_strip_is_isometric_to_the_fold_only_strip(F, dmax):
+    # on a cold context every form loses its pairs first; on a warm one a
+    # form the fold has split goes on to its memoized tail.  Either part
+    # has the reference's dimension, does not split, and cancels against
+    # the reference's part on the fold alone
+    ref, cold, warm = FoldOnlyContext(F), IsometryContext(F), IsometryContext(F)
+    for d in range(1, dmax + 1):
+        for entries in combinations_with_replacement(ref.nonzero, d):
+            want = ref.anisotropic_entries(entries)
+            warm.split_hyperbolic(entries)
+            for ctx in (cold, warm):
+                part = ctx.anisotropic_entries(entries)
+                assert len(part) == len(want), (F.names, entries)
+                assert not part or ref.split_hyperbolic(part) is None, (F.names, entries)
+                assert ref._cancels(part, want), (F.names, entries)
+
+
+def spy_on_split(monkeypatch):
+    """The list of the forms every IsometryContext._split call gets."""
+    split, forms = IsometryContext._split, []
+
+    def spy(self, entries):
+        forms.append(entries)
+        return split(self, entries)
+
+    monkeypatch.setattr(IsometryContext, "_split", spy)
+    return forms
+
+
+def test_a_pair_rich_form_strips_in_one_fold(monkeypatch):
+    # <1^32, -1^16> loses its 16 planes at once and folds <1^16> once, where
+    # a fold a plane took 17 folds; <1^2000, -1^1999> is <1>
+    forms = spy_on_split(monkeypatch)
+    ctx = euclid_ctx()
+    assert ctx.anisotropic_part((1,) * 32 + (2,) * 16) == Form((1,) * 16)
+    assert len(forms) <= 1
+    assert ctx.anisotropic_part((1,) * 2000 + (2,) * 1999) == Form((1,))
+
+
+def test_the_pair_pass_skips_a_form_the_fold_has_split(monkeypatch):
+    # such a form goes on to its memoized tail, so witt_ring's walked sums
+    # pay no pair pass; over Q(GF(3)) that tail is <1, 1> where the pair
+    # pass of a cold context leaves <-1, -1>, an isometric representative
+    unpaired, seen = IsometryContext._unpaired, []
+    monkeypatch.setattr(IsometryContext, "_unpaired", lambda self, e: seen.append(e) or unpaired(self, e))
+    F, ctx = q_ctx(3)
+    one, minus = F.one, F.neg(F.one)
+    form = (one, minus, minus, minus)
+    assert IsometryContext(F).anisotropic_entries(form) == (minus, minus)
+    assert seen == [form]
+    ctx.split_hyperbolic(form)
+    assert ctx.anisotropic_entries(form) == (one, one)
+    assert seen == [form, (one, one)]  # the tail, which the fold had not split
+
+
+def test_a_long_chain_of_planes_strips_in_a_loop(monkeypatch):
+    # <1^n> over Q(GF(3)) has no pair <a, -a>: each fold splits off a plane
+    # and leaves a tail that loses one more, so <1^4401> takes 1,101 folds,
+    # more than the recursion limit allows frames.  Every form on the chain
+    # is memoized to the result.  <1^2401> and E's <1^1100, -1^1099> raised
+    # RecursionError when _strip called itself once a plane
+    forms = spy_on_split(monkeypatch)
+    F, ctx = q_ctx(3)
+    assert ctx.anisotropic_part((F.one,) * 4401) == Form((F.one,))
+    assert len(forms) > sys.getrecursionlimit()
+    assert all(ctx._stripped[form] == (F.one,) for form in forms)
+    assert q_ctx(3)[1].anisotropic_part((F.one,) * 2401) == Form((F.one,))
+    assert euclid_ctx().anisotropic_part((1,) * 1100 + (2,) * 1099) == Form((1,))
 
 
 def test_tables_strip_only_past_the_found_classes(monkeypatch):
