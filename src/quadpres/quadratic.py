@@ -7,19 +7,24 @@ nothing).
 Every public form question is decided by one engine, a fold over value sets:
 <a1, ..., an> is isotropic iff 0 is in the iterated hypersum a1 + ... + an,
 and the hyperbolic split is read off the fold's provenance (n * m^2 cell
-lookups for m elements).  Stripping planes until none splits gives the
-anisotropic part: a form the fold has not split first loses every visible
-plane <a, -a> at once, found by bisection over its runs, so only what is left is
-folded, a plane at a time.  phi and psi are Witt equivalent iff phi + (-psi)
-strips to the zero class, and isometric iff they also have equal dimensions
-(Witt cancellation).  These criteria assume a quadratically presentable field;
-`cli witt` checks the field first, and `cli isom` refuses tables that are not
-pre-quadratic hyperfields.  On a sorted form, a row that repeats inside a
-run of equal entries is every earlier row of the run: O(runs) rows.
+lookups for m elements).  is_isotropic folds the value sets alone and leaves
+no tail in the memo, only a mark that the form splits.  Stripping planes
+until none splits gives the anisotropic part: a form the fold has not split
+first loses every visible plane <a, -a> at once, found by bisection over its
+runs, so only what is left is folded, a plane at a time.  phi and psi are
+Witt equivalent iff phi + (-psi) strips to the zero class, and isometric iff
+they also have equal dimensions (Witt cancellation).  These criteria assume a
+quadratically presentable field; `cli witt` checks the field first, and
+`cli isom` refuses tables that are not pre-quadratic hyperfields.  On a
+sorted form, a row that repeats inside a run of equal entries is every
+earlier row of the run: O(runs) rows.
 witt_ring walks the classes as the sums rep + <a> that do not split, a unary
 step table that the sum table folds; the product table, bilinear, folds the
-sum table over the scaled forms a.rep, and only a sum or product whose
-partial result leaves the found classes is stripped whole.
+sum table over the scaled forms a.rep.  A sum or product whose partial
+result leaves the found classes is named None by the value sets of the
+classes when it does not split, since phi + psi splits iff a value of phi is
+minus one of psi; only one that splits, or a product whose summands a.rep
+are not all one class, is built and stripped whole.
 
 The paper's inductive isometry (unary forms by equality, binary forms by
 equal products plus membership of the head in the hypersum, higher
@@ -52,7 +57,7 @@ from .posets import _bits
 WITT_BUDGET = 100_000_000      # cap on witt_ring's classes^2 * dmax^2 (the entries of every product)
 RING_ISO_MAX = 16
 _LEFT = object()  # a fold's partial result left the found classes
-_UNSEEN = object()  # a form not in a memo
+_UNSEEN = object()  # a form not in a memo; in _splits, an isotropic form whose tail is not found yet
 
 
 @dataclass(frozen=True)
@@ -207,13 +212,20 @@ class IsometryContext:
     # -- isotropy and Witt reduction --------------------------------------
 
     def split_hyperbolic(self, entries) -> Optional[tuple]:
-        """The tail psi with entries ~ H + psi, or None if anisotropic."""
+        """The tail psi with entries ~ H + psi, or None if anisotropic.  A
+        form that is_isotropic found isotropic has no tail in the memo yet,
+        so it is folded here as if cold."""
         entries = self._norm(self._entries_of(entries))
         tail = self._splits.get(entries, _UNSEEN)
-        return tail if tail is not _UNSEEN else self._split(self._ints(entries))
+        return tail if tail is not _UNSEEN else self._tail(self._ints(entries))
 
     def _split(self, entries):
-        """split_hyperbolic on validated, sorted entries.
+        """split_hyperbolic on validated, sorted entries."""
+        tail = self._splits.get(entries, _UNSEEN)
+        return tail if tail is not _UNSEEN else self._tail(entries)
+
+    def _tail(self, entries):
+        """_split on validated, sorted entries that have no tail in the memo.
 
         One value-set fold: prov[k] maps each b in the hypersum of
         entries[k:] to one x in the hypersum of entries[k+1:] (that of no
@@ -224,9 +236,6 @@ class IsometryContext:
         after it, keys, order and values, it is every earlier row of the
         run, so a form over m classes folds in O(runs) rows.
         """
-        tail = self._splits.get(entries, _UNSEEN)
-        if tail is not _UNSEEN:
-            return tail
         add, mul, zero = self.F._add, self.F._mul, self.F.zero
         n = len(entries)
         prov = [None] * n + [{zero: None}]
@@ -273,7 +282,41 @@ class IsometryContext:
         return tail
 
     def is_isotropic(self, phi) -> bool:
-        return self.split_hyperbolic(phi) is not None
+        """Whether phi splits a hyperbolic plane, that is, whether 0 is in
+        its hypersum.  A form not in the memo is folded by _values alone,
+        with no provenance or tail, and memoized to None when anisotropic
+        and to _UNSEEN when isotropic, which every other reader of the memo
+        takes for "not split yet".  Where 0 is in the last entry's a + 0,
+        the fold of _tail decides, or refuses the table."""
+        entries = self._norm(self._entries_of(phi))
+        tail = self._splits.get(entries, False)  # False: not in the memo
+        if tail is not False:
+            return tail is not None
+        entries = self._ints(entries)
+        zero = self.F.zero
+        if zero in self.F._add[entries[-1]][zero]:
+            return self._tail(entries) is not None
+        isotropic = zero in self._values(entries)
+        self._splits[entries] = _UNSEEN if isotropic else None
+        return isotropic
+
+    def _values(self, entries):
+        """The hypersum a1 + ... + an of validated, sorted ``entries``: the
+        values of the form, with 0 when it is isotropic.  The fold of _tail
+        with sets for rows and no provenance.  A row is a function of its
+        entry and the row after it, so once an entry maps the row after it to
+        itself, the rest of that entry's run leaves the row as it is."""
+        add = self.F._add
+        k = len(entries) - 1
+        row = add[entries[k]][self.F.zero]
+        while k:
+            e = entries[k - 1]
+            new = set().union(*map(add[e].__getitem__, row))
+            k -= 1
+            if new == row:
+                k = bisect_left(entries, e, 0, k)
+            row = new
+        return row
 
     def anisotropic_entries(self, entries) -> tuple:
         """Strip hyperbolic planes until nothing splits; () is the zero class.
@@ -288,7 +331,7 @@ class IsometryContext:
 
         Which representative: the last form of a chain that starts at
         entries and ends at a form that does not split.  A form the fold has
-        split before (in _splits) goes on to its memoized tail.  Any other
+        split before (a tail in _splits) goes on to its memoized tail.  Any other
         form first loses every pair <a, -a>, and <a, a> where a = -a, each a
         hyperbolic plane (_unpaired); what is left goes on to the fold's
         tail.  The result is isometric, by Witt cancellation, to the part a
@@ -303,13 +346,15 @@ class IsometryContext:
             tail = self._splits.get(entries, _UNSEEN)
             if tail is _UNSEEN:
                 rest = self._unpaired(entries)
-                if rest is not entries:  # pair-free: fold it with no second pass
+                if rest is entries:  # pair-free and not split: one fold
+                    tail = self._tail(entries)
+                else:  # the rest goes on with no second pair pass
                     part = self._stripped.get(rest)
                     if part is not None:
                         break
                     met.append(rest)
                     entries = rest
-                tail = self._split(entries)
+                    tail = self._split(entries)
             if tail is None:
                 part = entries
             else:
@@ -367,32 +412,6 @@ class IsometryContext:
         form = self._norm(a + minus_b)
         part = self._stripped.get(form)
         return not (part if part is not None else self._strip(self._ints(form)))
-
-    def _canonical(self, entries):
-        """The lexicographically least sorted form isometric to phi, given as
-        validated, sorted ``entries``.
-
-        The head is the least c for which entries + <-c> splits, that is, the
-        least value c of phi.  The split's tail phi' has
-        phi + <-c> ~ <c, -c> + phi', so phi ~ <c> + phi' by Witt cancellation,
-        and the head of phi' comes next.
-
-        Least: every entry b of a sorted form psi ~ phi is a value of psi (b
-        is in b + x by the axiom a in a + b), hence of phi, since isometric
-        forms have the same values.  So psi[0] >= c, and when psi[0] = c,
-        Witt cancellation gives psi[1:] ~ phi'; induct.  Sorted: the values
-        of phi' are values of <c> + phi' by the same axiom, so no head is
-        less than the one before.
-        """
-        out = []
-        while entries:
-            for c in self.nonzero:
-                tail = self._split(self._norm(entries + (self._neg[c],)))
-                if tail is not None:
-                    break
-            out.append(c)
-            entries = tail
-        return tuple(out)
 
 
 def isometric(F, phi, psi) -> bool:
@@ -520,27 +539,39 @@ def witt_ring(F: Hyperfield, dmax: int) -> WittRing:
     """Enumerate anisotropic classes up to dmax and build the class tables.
 
     Assumes a quadratically presentable field.  Each class is represented
-    by its least isometric sorted form (IsometryContext._canonical), and
-    every sorted form met is keyed to its class.  Subforms of anisotropic
-    forms are anisotropic, so the classes of dim d + 1 are the sums
-    rep + <a>, dim rep = d, that do not split, appended in sorted order;
-    the walk fills step[x][a] = the class of rep_x + <a> (None past dmax).
+    by its least isometric sorted form (``canonical``), and every sorted
+    form met is keyed to its class.  Subforms of anisotropic forms are
+    anisotropic, so the classes of dim d + 1 are the sums rep + <a>,
+    dim rep = d, that do not split, appended in sorted order; the walk
+    fills step[x][a] = the class of rep_x + <a> (None past dmax), and stops
+    at the first dimension that adds no class, since none can follow.
     add_table[i][j], i <= j, folds step from j over the entries of rep_i.
     <a1..an>.psi = a1.psi + ... + an.psi and a.psi is anisotropic with psi,
     so mul_table[i][j] folds add_table over the classes of the a.rep_j.
-    Where a partial result leaves the found classes, or a scaled form is
-    not among them, the whole sum or product is stripped instead.  An entry
-    whose anisotropic part is not among the found classes stays None, and
-    the ring reads as "finite" exactly when no entry is None.  More than
-    WITT_BUDGET product entries, classes^2 * dmax^2, are refused as classes
-    are found.
+
+    Past the found classes an anisotropic form is None, and phi + psi, both
+    anisotropic, splits iff a value of phi is minus a value of psi (0 is in
+    v + w iff w = -v).  So each class's value set V, the hypersum of its
+    representative, is read where a form leaves the found classes:
+    rep_x + <a> of dim dmax + 1 is None iff -a is not in V_x; a sum whose
+    fold leaves is None iff V_i and -V_j are disjoint; a product whose fold
+    leaves and whose summands a.rep_j are all one class k is None while its
+    copies of rep_k do not split, by set sums memoized per class.  Any other
+    sum or product that leaves is stripped whole.  The ring reads as
+    "finite" exactly when no entry is None.  More than WITT_BUDGET product
+    entries, classes^2 * dmax^2, are refused as classes are found.
     """
     if dmax < 2:
         raise InputError("dmax must be at least 2 (the hyperbolic plane has dim 2)")
     ctx = IsometryContext(F)
-    nz = ctx.nonzero
+    nz, neg = ctx.nonzero, ctx._neg
     reps = [()]  # anisotropic entries per class; () is the zero class
     index = {(): 0}  # each sorted form met -> its class, None if not found
+    # read only past the found classes: the value set V of each class, -V,
+    # and the value sets of m copies of rep_k, m = 1, 2, ..., None once they split
+    values = _Lazy(lambda i: ctx._values(reps[i]))
+    minus = _Lazy(lambda i: {neg[v] for v in values[i]})
+    copies = _Lazy(lambda k: [values[k]])
 
     def guard(n):
         if n * n * dmax * dmax > WITT_BUDGET:
@@ -549,11 +580,24 @@ def witt_ring(F: Hyperfield, dmax: int) -> WittRing:
             )
 
     def canonical(form):
-        """ctx._canonical(form): the least value c of the anisotropic form,
-        then the canonical form of the tail of form + <-c>, read off the
-        index when the tail was met before."""
+        """The lexicographically least sorted form isometric to the
+        anisotropic sorted ``form``: its least value c, then the canonical
+        form of the tail of form + <-c>, read off the index when the tail
+        was met before.
+
+        The head is the least c for which form + <-c> splits, that is, the
+        least value c of phi = form.  The split's tail phi' has
+        phi + <-c> ~ <c, -c> + phi', so phi ~ <c> + phi' by Witt
+        cancellation, and the head of phi' comes next.  Least: every entry b
+        of a sorted form psi ~ phi is a value of psi (b is in b + x by the
+        axiom a in a + b), hence of phi, since isometric forms have the same
+        values.  So psi[0] >= c, and when psi[0] = c, Witt cancellation
+        gives psi[1:] ~ phi'; induct.  Sorted: the values of phi' are values
+        of <c> + phi' by the same axiom, so no head is less than the one
+        before.
+        """
         for c in nz:
-            tail = ctx._split(ctx._norm(form + (ctx._neg[c],)))
+            tail = ctx._split(ctx._norm(form + (neg[c],)))
             if tail is not None:
                 break
         i = index.get(tail)
@@ -571,24 +615,41 @@ def witt_ring(F: Hyperfield, dmax: int) -> WittRing:
             index[entries] = i
         return i
 
+    def copies_split(k, n):
+        """Whether n copies of rep_k split.  m + 1 copies split iff a value
+        of m copies is in -V_k; else their values are the set sum of those
+        of m copies and V_k."""
+        sums = copies[k]
+        while len(sums) < n and sums[-1] is not None:
+            last = sums[-1]
+            split = not last.isdisjoint(minus[k])
+            sums.append(None if split else set().union(*(F._add[v][w] for v in last for w in values[k])))
+        return len(sums) < n or sums[n - 1] is None
+
     step, growth, level = [], [], range(1)
-    for d in range(1, dmax + 2):
+    for d in range(1, dmax + 1):
         sums = [[ctx._norm(reps[x] + (a,)) for a in nz] for x in level]
-        if d <= dmax:
-            named, new = {}, set()  # each distinct sum that does not split -> its canonical form
-            for form in dict.fromkeys(chain.from_iterable(sums)):
-                if ctx._split(form) is None:
-                    named[form] = c = canonical(form)
-                    if c not in new:
-                        new.add(c)
-                        guard(len(reps) + len(new))
-            new = sorted(new)
-            level = range(len(reps), len(reps) + len(new))
-            index.update((form, len(reps) + i) for i, form in enumerate(new))
-            index.update((form, index[c]) for form, c in named.items())
-            reps += new
-            growth.append(len(new))
+        named, new = {}, set()  # each distinct sum that does not split -> its canonical form
+        for form in dict.fromkeys(chain.from_iterable(sums)):
+            if ctx._split(form) is None:
+                named[form] = c = canonical(form)
+                if c not in new:
+                    new.add(c)
+                    guard(len(reps) + len(new))
+        new = sorted(new)
+        level = range(len(reps), len(reps) + len(new))
+        index.update((form, len(reps) + i) for i, form in enumerate(new))
+        index.update((form, index[c]) for form, c in named.items())
+        reps += new
+        growth.append(len(new))
         step += [dict(zip(nz, map(class_of, row))) for row in sums]
+        if not level:  # no class of dim d, so none of a larger dim
+            growth += [0] * (dmax - d)
+            break
+    # rep_x + <a> past dmax: None unless -a is a value of rep_x
+    for x in level:
+        V = values[x]
+        step.append({a: class_of(ctx._norm(reps[x] + (a,))) if neg[a] in V else None for a in nz})
 
     n = len(reps)
     add_table = [[None] * n for _ in range(n)]
@@ -596,7 +657,7 @@ def witt_ring(F: Hyperfield, dmax: int) -> WittRing:
         for j in range(i, n):
             x = _fold(step, j, reps[i])
             if x is _LEFT:
-                x = class_of(ctx._norm(reps[i] + reps[j]))
+                x = None if values[i].isdisjoint(minus[j]) else class_of(ctx._norm(reps[i] + reps[j]))
             add_table[i][j] = add_table[j][i] = x
     scaled = {a: [ctx._norm(map(F._mul[a].__getitem__, rep)) for rep in reps] for a in nz}
     for form in chain.from_iterable(scaled.values()):
@@ -606,9 +667,14 @@ def witt_ring(F: Hyperfield, dmax: int) -> WittRing:
     mul_table = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            x = _fold(add_table, 0, [scale[a][j] for a in reps[i]])
+            keys = [scale[a][j] for a in reps[i]]
+            x = _fold(add_table, 0, keys)
             if x is _LEFT:
-                x = class_of(ctx._norm(chain.from_iterable(scaled[a][j] for a in reps[i])))
+                k = keys[0]
+                if k is None or keys.count(k) < len(keys) or copies_split(k, len(keys)):
+                    x = class_of(ctx._norm(chain.from_iterable(scaled[a][j] for a in reps[i])))
+                else:
+                    x = None
             mul_table[i][j] = mul_table[j][i] = x
     return WittRing(
         classes=[WittClass(Form(e) if e else None) for e in reps],
@@ -618,6 +684,18 @@ def witt_ring(F: Hyperfield, dmax: int) -> WittRing:
         one_class=class_of((F.one,)),
         growth=growth,
     )
+
+
+class _Lazy(dict):
+    """A memo that fills a missing key k with make(k)."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, k):
+        v = self[k] = self.make(k)
+        return v
 
 
 def _fold(table, x, keys):

@@ -634,8 +634,25 @@ def linear_scan_witt_ring(F: Hyperfield, dmax: int) -> WittRing:
     )
 
 
-def two_step_laurent():
-    return laurent_extension(laurent_extension(euclidean_hyperfield()), "s")
+def two_step_laurent(F=None):
+    """E((t))((s)), or F((t))((s)) for a given F."""
+    return laurent_extension(laurent_extension(euclidean_hyperfield() if F is None else F), "s")
+
+
+def canonical_form(ctx, entries):
+    """The lexicographically least sorted form isometric to sorted
+    ``entries``, by witt_ring's rule with no index of known classes: the
+    least c for which entries + <-c> splits, then the canonical form of the
+    split's tail (see witt_ring's ``canonical`` for why it is least)."""
+    out = []
+    while entries:
+        for c in ctx.nonzero:
+            tail = ctx._split(ctx._norm(entries + (ctx._neg[c],)))
+            if tail is not None:
+                break
+        out.append(c)
+        entries = tail
+    return tuple(out)
 
 
 def stripped_witt_ring(F: Hyperfield, dmax: int, context=IsometryContext) -> WittRing:
@@ -657,7 +674,7 @@ def stripped_witt_ring(F: Hyperfield, dmax: int, context=IsometryContext) -> Wit
     for d in range(1, dmax + 1):
         before = len(reps)
         for cand in combinations_with_replacement(nz, d):
-            if not ctx.is_isotropic(cand) and ctx._canonical(cand) == cand:
+            if not ctx.is_isotropic(cand) and canonical_form(ctx, cand) == cand:
                 reps.append(cand)
         growth.append(len(reps) - before)
     index = {rep: i for i, rep in enumerate(reps)}
@@ -667,7 +684,7 @@ def stripped_witt_ring(F: Hyperfield, dmax: int, context=IsometryContext) -> Wit
         if len(part) > dmax:
             return None
         if part not in index:
-            part = ctx._canonical(part)
+            part = canonical_form(ctx, part)
         return index.get(part)
 
     one_class = class_index((F.one,))
@@ -712,14 +729,15 @@ def test_witt_ring_matches_the_linear_scan(F, dmaxes):
 
 
 # witt_ring against the strip-every-cell reference: E to dmax 12, Q(GF(q))
-# to 6, the four-class fleet to 5 and E((t))((s)) to 4
+# to 6, the four-class fleet to 5, E((t))((s)) to 4 and Q(GF(3))((t))((s))
+# to 5, where products of copies of one class split past dmax
 STRIPPED_FLEET = (
     [(WITT_FIELDS[0], range(2, 13))]
     + [(F, range(2, 7)) for F in WITT_FIELDS[1:]]
     + [(F, range(2, 6)) for F in four_class_fleet()]
-    + [(two_step_laurent(), range(2, 5))]
+    + [(two_step_laurent(), range(2, 5)), (two_step_laurent(q_ctx(3)[0]), range(2, 6))]
 )
-STRIPPED_FLEET_IDS = WITT_FIELD_IDS + ["E(t)", "Q3(t)", "Q5(t)", "E(t)(s)"]
+STRIPPED_FLEET_IDS = WITT_FIELD_IDS + ["E(t)", "Q3(t)", "Q5(t)", "E(t)(s)", "Q3(t)(s)"]
 
 
 @pytest.mark.parametrize("F, dmaxes", STRIPPED_FLEET, ids=STRIPPED_FLEET_IDS)
@@ -777,14 +795,14 @@ def test_strip_is_isometric_to_the_fold_only_strip(F, dmax):
 
 
 def spy_on_split(monkeypatch):
-    """The list of the forms every IsometryContext._split call gets."""
-    split, forms = IsometryContext._split, []
+    """The list of the forms every fold, IsometryContext._tail, gets."""
+    fold, forms = IsometryContext._tail, []
 
     def spy(self, entries):
         forms.append(entries)
-        return split(self, entries)
+        return fold(self, entries)
 
-    monkeypatch.setattr(IsometryContext, "_split", spy)
+    monkeypatch.setattr(IsometryContext, "_tail", spy)
     return forms
 
 
@@ -851,12 +869,16 @@ def test_tables_strip_only_past_the_found_classes(monkeypatch):
 
 
 class RowByRowContext(IsometryContext):
-    """The fold of _split built a row at a time, every row of a run again:
-    the reference for the fold's fixed point."""
+    """The folds of _tail and _values built a row at a time, every row of a
+    run again: the reference for the folds' fixed points."""
 
-    def _split(self, entries):
-        if entries in self._splits:
-            return self._splits[entries]
+    def _values(self, entries):
+        row = {self.F.zero}
+        for e in reversed(entries):
+            row = set().union(*(self.F.add(e, x) for x in row))
+        return row
+
+    def _tail(self, entries):
         F, zero = self.F, self.F.zero
         n = len(entries)
         prov = [None] * n + [{zero: None}]
@@ -889,10 +911,10 @@ class RowByRowContext(IsometryContext):
 
 
 def fold_outcomes(ctx, entries):
-    """_split and _strip of sorted ``entries``, an exception as "raised" with
-    its type, message and witness."""
+    """_values, _split and _strip of sorted ``entries``, an exception as
+    "raised" with its type, message and witness."""
     out = []
-    for method in (ctx._split, ctx._strip):
+    for method in (ctx._values, ctx._split, ctx._strip):
         try:
             out.append(method(entries))
         except Exception as err:
@@ -915,7 +937,7 @@ def test_fold_fixed_point_matches_the_row_by_row_fold():
                 got = fold_outcomes(ctx, entries)
                 assert got == fold_outcomes(ref, entries), (F.names, entries)
                 forms += 1
-                raised += any(x[:1] == ("raised",) for x in got if x is not None)
+                raised += any(x[:1] == ("raised",) for x in got if isinstance(x, tuple))
     assert (len(mutants), len(tables), forms) == (36, 44, 3987)
     assert raised > 0
 
@@ -940,10 +962,65 @@ def test_split_refuses_zero_in_a_plus_zero():
     E = euclidean_hyperfield()
     F = mutate_add(E, E.one, E.zero, {E.zero, E.one})
     assert check_hyperfield(F).failures[0] == ("hypermonoid.i", (E.one, [E.zero, E.one]))
-    for run in (lambda: IsometryContext(F).split_hyperbolic((F.one,)), lambda: witt_ring(F, 3)):
+    for run in (lambda: IsometryContext(F).split_hyperbolic((F.one,)),
+                lambda: IsometryContext(F).is_isotropic((F.one,)), lambda: witt_ring(F, 3)):
         with pytest.raises(ValidationError, match=r"hypermonoid.i fails: 1 \+ 0 = \[0, 1\]") as err:
             run()
         assert err.value.witness == (E.one, [E.zero, E.one])
+
+
+# E, Q(GF(q)) for q = 3, 4, 5, 7, 9 and the four-class fleet to dim 5,
+# E((t))((s)) to dim 4
+MARKER_FLEET = (
+    [(euclidean_hyperfield(), 5)] + [(q_ctx(q)[0], 5) for q in (3, 4, 5, 7, 9)]
+    + [(F, 5) for F in four_class_fleet()] + [(two_step_laurent(), 4)]
+)
+
+
+@pytest.mark.parametrize("F, dmax", MARKER_FLEET, ids=STRIP_FLEET_IDS)
+def test_is_isotropic_leaves_no_tail_behind(F, dmax, monkeypatch):
+    # on a memo miss is_isotropic folds value sets only, and marks an
+    # isotropic form as not split yet: each query that then reads the form
+    # on the same context answers as on a fresh one
+    folds = spy_on_split(monkeypatch)
+    neg = F.neg_table()
+    for d in range(1, dmax + 1):
+        for phi in combinations_with_replacement(IsometryContext(F).nonzero, d):
+            k = (d + 1) // 2
+            psi = tuple(neg[e] for e in phi[k:])  # phi[:k] + (-psi) is phi
+            queries = [("split_hyperbolic", phi), ("anisotropic_entries", phi), ("is_isotropic", phi)]
+            queries += [("witt_equivalent", phi[:k], psi)] if psi else []
+            queries += [("isometric", phi[:k], psi)] if 2 * k == d else []
+            for name, *args in queries:
+                ctx = IsometryContext(F)
+                del folds[:]
+                isotropic = ctx.is_isotropic(phi)
+                assert folds == [] and isotropic == (ctx._splits[phi] is not None), phi
+                want = getattr(IsometryContext(F), name)(*args)
+                assert getattr(ctx, name)(*args) == want, (F.names, name, args)
+            assert isotropic == (IsometryContext(F).split_hyperbolic(phi) is not None), phi
+
+
+@pytest.mark.parametrize(
+    "F, dmax", [(F, 4) for F in four_class_fleet()] + [(two_step_laurent(), 3)],
+    ids=["E(t)", "Q3(t)", "Q5(t)", "E(t)(s)"],
+)
+def test_values_decide_whether_a_sum_of_classes_splits(F, dmax):
+    # b is a value of an anisotropic phi iff phi + <-b> splits, and phi + psi,
+    # both anisotropic, splits iff a value of phi is minus a value of psi:
+    # the rule witt_ring reads past the found classes
+    ctx, ref = IsometryContext(F), IsometryContext(F)
+    neg = F.neg_table()
+    reps = [c.representative.entries for c in witt_ring(F, dmax).classes[1:]]
+    values = {}
+    for rep in reps:
+        values[rep] = {b for b in ref.nonzero if ref.split_hyperbolic(rep + (neg[b],)) is not None}
+        assert ctx._values(rep) == values[rep], rep
+    for phi in reps:
+        for psi in reps:
+            disjoint = values[phi].isdisjoint(neg[v] for v in values[psi])
+            assert disjoint == (not ctx.is_isotropic(phi + psi)), (F.names, phi, psi)
+            assert disjoint == (ref.split_hyperbolic(phi + psi) is None), (F.names, phi, psi)
 
 
 def run_witt_cli(dmax):
@@ -957,7 +1034,7 @@ def run_witt_cli(dmax):
 def test_witt_ring_guard_edge_in_a_subprocess():
     # E at dmax 70: 141 classes and 141^2 * 70^2 = 97,416,900 product
     # entries, the most WITT_BUDGET admits on E.  Bound 60 s; it takes
-    # about a second.  At dmax 71 the walk stops at the 141st class
+    # about 0.2 s.  At dmax 71 the walk stops at the 141st class
     done = run_witt_cli(70)
     assert done.returncode == 0, done.stderr
     assert "witt: pass" in done.stdout
@@ -979,7 +1056,7 @@ def test_canonical_is_the_least_isometric_sorted_form(F, dmax):
     ctx = IsometryContext(F)
     for d in range(1, dmax + 1):
         forms = list(combinations_with_replacement(ctx.nonzero, d))
-        key = {phi: ctx._canonical(phi) for phi in forms}
+        key = {phi: canonical_form(ctx, phi) for phi in forms}
         for phi in forms:
             assert key[phi] == tuple(sorted(key[phi])), phi
             assert key[phi] <= phi and ctx.isometric(key[phi], phi), phi
@@ -1021,20 +1098,24 @@ def test_witt_ring_q5_is_klein_four():
 
 
 def assert_signature_ring(W, dmax):
-    """Euclidean classes are k x <1> and k x <-1> for |k| <= dmax, and the
-    sum table adds the signatures read off the representatives."""
+    """W is witt_ring(E, dmax), table for table: its classes are k x <1> and
+    k x <-1> for |k| <= dmax, read off the representatives as signatures,
+    and each sum or product entry is the class of the sum or product of the
+    signatures, None outside [-dmax, dmax]."""
     def signature(cls):
         if cls.representative is None:
             return 0
         entries = cls.representative.entries
+        assert len(set(entries)) == 1, entries
         return sum(1 if e == 1 else -1 for e in entries)
     sigs = [signature(c) for c in W.classes]
     assert sorted(sigs) == sorted([0] + [s for k in range(1, dmax + 1) for s in (k, -k)])
+    assert (W.zero_class, sigs[W.one_class]) == (0, 1)
+    cls = {s: i for i, s in enumerate(sigs)}
     for i, si in enumerate(sigs):
         for j, sj in enumerate(sigs):
-            entry = W.add_table[i][j]
-            if entry is not None:
-                assert sigs[entry] == si + sj
+            assert W.add_table[i][j] == cls.get(si + sj), (si, sj)
+            assert W.mul_table[i][j] == cls.get(si * sj), (si, sj)
 
 
 def test_witt_ring_euclidean_truncated_signature():
@@ -1044,6 +1125,12 @@ def test_witt_ring_euclidean_truncated_signature():
     assert W.growth == [2, 2, 2, 2, 2, 2]
     assert W.summary() == "W: truncated at dim 6, growth 2 per dim"
     assert_signature_ring(W, 6)
+    # past the tier-1 references' reach: a sum or product past dmax is
+    # named None by value sets, with no form built
+    for dmax in (16, 32, 64):
+        W = witt_ring(E, dmax)
+        assert (W.size, W.status, W.growth) == (2 * dmax + 1, "truncated", [2] * dmax)
+        assert_signature_ring(W, dmax)
 
 
 def test_value_set_engine_scales_past_the_search():
