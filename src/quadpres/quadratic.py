@@ -9,9 +9,9 @@ Every public form question is decided by one engine, a fold over value sets:
 and the hyperbolic split is read off the fold's provenance (n * m^2 cell
 lookups for m elements).  is_isotropic folds the value sets alone and leaves
 no tail in the memo, only a mark that the form splits.  Stripping planes
-until none splits gives the anisotropic part: a form the fold has not split
-first loses every visible plane <a, -a> at once, found by bisection over its
-runs, so only what is left is folded, a plane at a time.  phi and psi are
+until none splits gives the anisotropic part, a function of the form alone:
+each form on the way loses every visible plane <a, -a> at once, found by
+bisection over its runs, and only what is left is folded.  phi and psi are
 Witt equivalent iff phi + (-psi) strips to the zero class, and isometric iff
 they also have equal dimensions (Witt cancellation).  These criteria assume a
 quadratically presentable field; `cli witt` checks the field first, and
@@ -19,7 +19,8 @@ quadratically presentable field; `cli witt` checks the field first, and
 sorted form, a row that repeats inside a run of equal entries is every
 earlier row of the run: O(runs) rows.
 witt_ring walks the classes as the sums rep + <a> that do not split, a unary
-step table that the sum table folds; the product table, bilinear, folds the
+step table that the sum table folds (a walked sum that splits has its tail's
+class, by Witt cancellation); the product table, bilinear, folds the
 sum table over the scaled forms a.rep.  A sum or product whose partial
 result leaves the found classes is named None by the value sets of the
 classes when it does not split, since phi + psi splits iff a value of phi is
@@ -320,8 +321,8 @@ class IsometryContext:
 
     def anisotropic_entries(self, entries) -> tuple:
         """Strip hyperbolic planes until nothing splits; () is the zero class.
-        The representative is _strip's: a form the fold has not split loses
-        its pairs <a, -a> first, and what is left splits on the fold."""
+        The representative is _strip's, the same on every context: each form
+        loses its pairs <a, -a> first, and what is left splits on the fold."""
         entries = self._norm(self._entries_of(entries))
         part = self._stripped.get(entries)
         return part if part is not None else self._strip(self._ints(entries))
@@ -330,31 +331,26 @@ class IsometryContext:
         """anisotropic_entries on validated, sorted entries, as a loop.
 
         Which representative: the last form of a chain that starts at
-        entries and ends at a form that does not split.  A form the fold has
-        split before (a tail in _splits) goes on to its memoized tail.  Any other
-        form first loses every pair <a, -a>, and <a, a> where a = -a, each a
-        hyperbolic plane (_unpaired); what is left goes on to the fold's
-        tail.  The result is isometric, by Witt cancellation, to the part a
-        fold-only strip gives, but not always the same sorted form, and it
-        can depend on what the context split before.  Every form of the
-        chain is memoized to the result.
+        entries and ends at a form that does not split.  Each form of the
+        chain first loses every pair <a, -a>, and <a, a> where a = -a, each
+        a hyperbolic plane (_unpaired); what is left goes on to the fold's
+        tail.  The chain is a function of entries alone, and the result is
+        isometric, by Witt cancellation, to the part a fold-only strip
+        gives, but not always the same sorted form.  Every form of the chain
+        is memoized to the result.
         """
         met = []
         part = self._stripped.get(entries)
         while part is None:
             met.append(entries)
-            tail = self._splits.get(entries, _UNSEEN)
-            if tail is _UNSEEN:
-                rest = self._unpaired(entries)
-                if rest is entries:  # pair-free and not split: one fold
-                    tail = self._tail(entries)
-                else:  # the rest goes on with no second pair pass
-                    part = self._stripped.get(rest)
-                    if part is not None:
-                        break
-                    met.append(rest)
-                    entries = rest
-                    tail = self._split(entries)
+            rest = self._unpaired(entries)
+            if rest is not entries:  # pair-free, so it goes on to the fold
+                part = self._stripped.get(rest)
+                if part is not None:
+                    break
+                met.append(rest)
+                entries = rest
+            tail = self._split(entries)
             if tail is None:
                 part = entries
             else:
@@ -457,6 +453,8 @@ def check_quadratic(F: Hyperfield, dmax: int) -> AxiomReport:
     equality.  notes["low_dims"] records dims 1-2 separately: those are
     guaranteed for any pre-quadratic field.
     """
+    if dmax < 1:
+        raise InputError("dmax must be at least 1")
     pre = check_prequadratic(F)
     if not pre.passed:
         return AxiomReport("none", pre.failures, notes={"layer": "prequadratic"})
@@ -544,7 +542,9 @@ def witt_ring(F: Hyperfield, dmax: int) -> WittRing:
     anisotropic, so the classes of dim d + 1 are the sums rep + <a>,
     dim rep = d, that do not split, appended in sorted order; the walk
     fills step[x][a] = the class of rep_x + <a> (None past dmax), and stops
-    at the first dimension that adds no class, since none can follow.
+    at the first dimension that adds no class, since none can follow.  A
+    walked sum that splits, rep_x + <a> ~ H + psi, is classed by its tail
+    psi, by Witt cancellation, so no walked sum is stripped.
     add_table[i][j], i <= j, folds step from j over the entries of rep_i.
     <a1..an>.psi = a1.psi + ... + an.psi and a.psi is anisotropic with psi,
     so mul_table[i][j] folds add_table over the classes of the a.rep_j.
@@ -642,7 +642,7 @@ def witt_ring(F: Hyperfield, dmax: int) -> WittRing:
         index.update((form, index[c]) for form, c in named.items())
         reps += new
         growth.append(len(new))
-        step += [dict(zip(nz, map(class_of, row))) for row in sums]
+        step += [{a: index[s] if s in named else class_of(ctx._split(s)) for a, s in zip(nz, row)} for row in sums]
         if not level:  # no class of dim d, so none of a larger dim
             growth += [0] * (dmax - d)
             break

@@ -253,6 +253,9 @@ def test_quadratic_budget_guard():
     with pytest.raises(SizeGuardError):
         check_quadratic(quadratic_hyperfield(ff_make(7)), 20)
     del F
+    for dmax in (0, -3):  # nothing to check, so no verdict
+        with pytest.raises(InputError, match="dmax must be at least 1"):
+            check_quadratic(euclidean_hyperfield(), dmax)
 
 
 def test_orthogonal_sum_and_tensor():
@@ -768,7 +771,7 @@ def test_witt_ring_matches_the_fold_only_stripped_tables(F, dmaxes):
 
 
 # E, Q(GF(q)) for q = 3, 4, 5, 7, 9 and the four-class fleet to dim 6,
-# E((t))((s)) to dim 4
+# E((t))((s)) to dim 4: 1,262 sorted forms
 STRIP_FLEET = (
     [(euclidean_hyperfield(), 6)] + [(q_ctx(q)[0], 6) for q in (3, 4, 5, 7, 9)]
     + [(F, 6) for F in four_class_fleet()] + [(two_step_laurent(), 4)]
@@ -778,20 +781,35 @@ STRIP_FLEET_IDS = ["E"] + [f"Q{q}" for q in (3, 4, 5, 7, 9)] + ["E(t)", "Q3(t)",
 
 @pytest.mark.parametrize("F, dmax", STRIP_FLEET, ids=STRIP_FLEET_IDS)
 def test_strip_is_isometric_to_the_fold_only_strip(F, dmax):
-    # on a cold context every form loses its pairs first; on a warm one a
-    # form the fold has split goes on to its memoized tail.  Either part
-    # has the reference's dimension, does not split, and cancels against
-    # the reference's part on the fold alone
+    # every form loses its pairs first, so a context that split the form
+    # before strips it to the part of one that did not.  That part has the
+    # reference's dimension, does not split, and cancels against the
+    # reference's part on the fold alone
     ref, cold, warm = FoldOnlyContext(F), IsometryContext(F), IsometryContext(F)
     for d in range(1, dmax + 1):
         for entries in combinations_with_replacement(ref.nonzero, d):
             want = ref.anisotropic_entries(entries)
             warm.split_hyperbolic(entries)
-            for ctx in (cold, warm):
-                part = ctx.anisotropic_entries(entries)
-                assert len(part) == len(want), (F.names, entries)
-                assert not part or ref.split_hyperbolic(part) is None, (F.names, entries)
-                assert ref._cancels(part, want), (F.names, entries)
+            part = cold.anisotropic_entries(entries)
+            assert warm.anisotropic_entries(entries) == part, (F.names, entries)
+            assert len(part) == len(want), (F.names, entries)
+            assert not part or ref.split_hyperbolic(part) is None, (F.names, entries)
+            assert ref._cancels(part, want), (F.names, entries)
+
+
+@pytest.mark.parametrize("F, dmax", STRIP_FLEET, ids=STRIP_FLEET_IDS)
+def test_a_long_lived_context_strips_as_a_fresh_one(F, dmax):
+    # the part is a function of the form: after splitting and testing every
+    # form before it, and the form itself, a context strips it to a fresh
+    # context's part.  Over Q(GF(3)), <1, -1, -1, -1> split first went on
+    # to its tail <1, 1> where a fresh context cancels a pair to <-1, -1>
+    warm = IsometryContext(F)
+    for d in range(1, dmax + 1):
+        for entries in combinations_with_replacement(warm.nonzero, d):
+            warm.split_hyperbolic(entries)
+            warm.is_isotropic(entries)
+            want = IsometryContext(F).anisotropic_entries(entries)
+            assert warm.anisotropic_entries(entries) == want, (F.names, entries)
 
 
 def spy_on_split(monkeypatch):
@@ -816,20 +834,20 @@ def test_a_pair_rich_form_strips_in_one_fold(monkeypatch):
     assert ctx.anisotropic_part((1,) * 2000 + (2,) * 1999) == Form((1,))
 
 
-def test_the_pair_pass_skips_a_form_the_fold_has_split(monkeypatch):
-    # such a form goes on to its memoized tail, so witt_ring's walked sums
-    # pay no pair pass; over Q(GF(3)) that tail is <1, 1> where the pair
-    # pass of a cold context leaves <-1, -1>, an isometric representative
-    unpaired, seen = IsometryContext._unpaired, []
-    monkeypatch.setattr(IsometryContext, "_unpaired", lambda self, e: seen.append(e) or unpaired(self, e))
-    F, ctx = q_ctx(3)
-    one, minus = F.one, F.neg(F.one)
-    form = (one, minus, minus, minus)
-    assert IsometryContext(F).anisotropic_entries(form) == (minus, minus)
-    assert seen == [form]
-    ctx.split_hyperbolic(form)
-    assert ctx.anisotropic_entries(form) == (one, one)
-    assert seen == [form, (one, one)]  # the tail, which the fold had not split
+@pytest.mark.parametrize(
+    "F, dmax", [(euclidean_hyperfield(), 5), (q_ctx(3)[0], 4)] + [(F, 4) for F in four_class_fleet()],
+    ids=["E", "Q3", "E(t)", "Q3(t)", "Q5(t)"],
+)
+def test_witt_ring_strips_no_walked_sum(F, dmax, monkeypatch):
+    # a walked sum rep + <a> that does not split is named by the walk, and
+    # one that splits is classed by its tail, by Witt cancellation
+    strip, stripped = IsometryContext._strip, []
+    monkeypatch.setattr(IsometryContext, "_strip", lambda self, e: stripped.append(e) or strip(self, e))
+    W = witt_ring(F, dmax)
+    ctx = IsometryContext(F)
+    walked = {ctx._norm(c.normalized + (a,)) for c in W.classes if c.dim < dmax for a in ctx.nonzero}
+    assert any(ctx.split_hyperbolic(form) is not None for form in walked)
+    assert walked.isdisjoint(stripped), F.names
 
 
 def test_a_long_chain_of_planes_strips_in_a_loop(monkeypatch):
@@ -969,12 +987,9 @@ def test_split_refuses_zero_in_a_plus_zero():
         assert err.value.witness == (E.one, [E.zero, E.one])
 
 
-# E, Q(GF(q)) for q = 3, 4, 5, 7, 9 and the four-class fleet to dim 5,
-# E((t))((s)) to dim 4
-MARKER_FLEET = (
-    [(euclidean_hyperfield(), 5)] + [(q_ctx(q)[0], 5) for q in (3, 4, 5, 7, 9)]
-    + [(F, 5) for F in four_class_fleet()] + [(two_step_laurent(), 4)]
-)
+# STRIP_FLEET capped at dim 5: the test below builds two fresh contexts for
+# each of up to five queries a form
+MARKER_FLEET = [(F, min(dmax, 5)) for F, dmax in STRIP_FLEET]
 
 
 @pytest.mark.parametrize("F, dmax", MARKER_FLEET, ids=STRIP_FLEET_IDS)
