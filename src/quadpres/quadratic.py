@@ -18,14 +18,13 @@ quadratically presentable field; `cli witt` checks the field first, and
 `cli isom` refuses tables that are not pre-quadratic hyperfields.  On a
 sorted form, a row that repeats inside a run of equal entries is every
 earlier row of the run: O(runs) rows.
-witt_ring walks the classes as the sums rep + <a> that do not split, a unary
-step table that the sum table folds (a walked sum that splits has its tail's
-class, by Witt cancellation); the product table, bilinear, folds the
-sum table over the scaled forms a.rep.  A sum or product whose partial
-result leaves the found classes is named None by the value sets of the
-classes when it does not split, since phi + psi splits iff a value of phi is
-minus one of psi; only one that splits, or a product whose summands a.rep
-are not all one class, is built and stripped whole.
+witt_ring walks the classes as the sums rep + <a> that do not split, by value
+sets alone (rep + <a> splits iff -a is a value of rep), and represents each
+class as (c,) + rep_t for a class t found a dimension earlier, so every sum,
+scaling and product entry is one lookup in rows filled before it, with no
+fold.  An entry past dmax is named by value sets, since phi + psi splits iff
+a value of phi is minus one of psi; only a product whose summands a.rep are
+not all one class is built and stripped whole, once per multiset of classes.
 
 The paper's inductive isometry (unary forms by equality, binary forms by
 equal products plus membership of the head in the hypersum, higher
@@ -57,7 +56,6 @@ from .posets import _bits
 
 WITT_BUDGET = 100_000_000      # cap on witt_ring's classes^2 * dmax^2 (the entries of every product)
 RING_ISO_MAX = 16
-_LEFT = object()  # a fold's partial result left the found classes
 _UNSEEN = object()  # a form not in a memo; in _splits, an isotropic form whose tail is not found yet
 
 
@@ -263,8 +261,7 @@ class IsometryContext:
             while k < n - 1 and zero in prov[k + 1]:
                 k += 1
             if k == n - 1:
-                cell = sorted(add[entries[k]][zero])
-                raise ValidationError(f"hypermonoid.i fails: {entries[k]} + 0 = {cell}", witness=(entries[k], cell))
+                raise _hypermonoid_i(self.F, entries[k])
             tail = list(entries[:k])
             # entries[k+1:] is anisotropic and represents b = -entries[k]:
             # walk b's provenance, using <a, x> ~ <b, a*x*b> when b in a + x
@@ -410,6 +407,12 @@ class IsometryContext:
         return not (part if part is not None else self._strip(self._ints(form)))
 
 
+def _hypermonoid_i(F, a):
+    """The refusal of a table where a + 0 is not {a}."""
+    cell = sorted(F._add[a][F.zero])
+    return ValidationError(f"hypermonoid.i fails: {a} + 0 = {cell}", witness=(a, cell))
+
+
 def isometric(F, phi, psi) -> bool:
     return IsometryContext(F).isometric(phi, psi)
 
@@ -534,44 +537,55 @@ class WittRing:
 
 
 def witt_ring(F: Hyperfield, dmax: int) -> WittRing:
-    """Enumerate anisotropic classes up to dmax and build the class tables.
+    """Enumerate anisotropic classes up to dmax and build the class tables
+    by recurrence, one lookup per entry in rows filled before it.
 
-    Assumes a quadratically presentable field.  Each class is represented
-    by its least isometric sorted form (``canonical``), and every sorted
-    form met is keyed to its class.  Subforms of anisotropic forms are
-    anisotropic, so the classes of dim d + 1 are the sums rep + <a>,
-    dim rep = d, that do not split, appended in sorted order; the walk
-    fills step[x][a] = the class of rep_x + <a> (None past dmax), and stops
-    at the first dimension that adds no class, since none can follow.  A
-    walked sum that splits, rep_x + <a> ~ H + psi, is classed by its tail
-    psi, by Witt cancellation, so no walked sum is stripped.
-    add_table[i][j], i <= j, folds step from j over the entries of rep_i.
-    <a1..an>.psi = a1.psi + ... + an.psi and a.psi is anisotropic with psi,
-    so mul_table[i][j] folds add_table over the classes of the a.rep_j.
+    Assumes a quadratically presentable field and reads two facts of one:
+    phi + <a> splits iff -a is a value of phi (0 is in v + a iff v = -a),
+    and a value b of phi gives phi ~ <b> + psi, by Witt cancellation.
 
-    Past the found classes an anisotropic form is None, and phi + psi, both
-    anisotropic, splits iff a value of phi is minus a value of psi (0 is in
-    v + w iff w = -v).  So each class's value set V, the hypersum of its
-    representative, is read where a form leaves the found classes:
-    rep_x + <a> of dim dmax + 1 is None iff -a is not in V_x; a sum whose
-    fold leaves is None iff V_i and -V_j are disjoint; a product whose fold
-    leaves and whose summands a.rep_j are all one class k is None while its
-    copies of rep_k do not split, by set sums memoized per class.  Any other
-    sum or product that leaves is stripped whole.  The ring reads as
-    "finite" exactly when no entry is None.  More than WITT_BUDGET product
-    entries, classes^2 * dmax^2, are refused as classes are found.
+    The walk: subforms of anisotropic forms are anisotropic, so the classes
+    of dim d + 1 are the sums rep_x + <a>, dim rep_x = d, that do not split,
+    appended in sorted order; it stops at the first dimension that adds no
+    class, since none can follow.  Each class keeps its value set V_x, the
+    hypersum of its representative: V_0 = {0}, and rep_x + <a> has the
+    union of a + v over v in V_x.  step[x][a] is the class of rep_x + <a>
+    (None past dmax), and inv[k][a] = x where rep_x + <a> does not split and
+    is class k.  A sum that splits, -a in V_x, is rep_k + <-a, a> with
+    k = inv[x][-a], so it is class k.  One that does not is represented by
+    its least isometric sorted form (c,) + rep_y, c = min V: y = x when
+    c = a, else y = step[inv[x][v]][c.v.a] for a v in V_x with c in a + v,
+    since <v, a> ~ <c, cva>.  Least: each entry of a sorted form isometric
+    to phi is a value of phi (b is in b + x), so no head is less than c,
+    and Witt cancellation leaves a form of class y to follow it.
+
+    The tables: rep_i = (c_i,) + rep_t with t = suffix[i] < i.  Rows are
+    filled in class order and mirrored, so row t is complete when row i is
+    filled: add[i][j] = add[t][step[j][c_i]], scale[a][j] =
+    step[scale[a][t_j]][a.c_j], the class of a.rep_j, and mul[i][j] =
+    add[scale[c_i][j]][mul[t][j]], since (<c> + psi).phi = c.phi + psi.phi.
+    Each entry is exact, None iff its class is not found, so an entry that
+    reads None is None.  Only where step[j][c_i] or mul[t][j] is None, past
+    dmax, does an entry fall back to value sets, since phi + psi, both
+    anisotropic, splits iff a value v of phi is minus one of psi: a sum is
+    None when V_i and -V_j are disjoint, else add[k][l] for
+    rep_i ~ <v> + rep_k and rep_j ~ <-v> + rep_l, where k < i; a product
+    whose summands a.rep_j are all of one class k is None while its copies
+    of rep_k do not split.  Any other product is stripped whole, once per
+    multiset of summand classes, and a part of dim <= dmax is named by
+    folding step from class 0 over it (its partial sums are anisotropic,
+    hence found).  A lookup the recurrence needs that is missing means the
+    table breaks the representation rule, and is refused.  The ring reads
+    as "finite" exactly when no entry is None.  More than WITT_BUDGET
+    product entries, classes^2 * dmax^2, are refused as classes are found.
     """
     if dmax < 2:
         raise InputError("dmax must be at least 2 (the hyperbolic plane has dim 2)")
     ctx = IsometryContext(F)
-    nz, neg = ctx.nonzero, ctx._neg
-    reps = [()]  # anisotropic entries per class; () is the zero class
-    index = {(): 0}  # each sorted form met -> its class, None if not found
-    # read only past the found classes: the value set V of each class, -V,
-    # and the value sets of m copies of rep_k, m = 1, 2, ..., None once they split
-    values = _Lazy(lambda i: ctx._values(reps[i]))
-    minus = _Lazy(lambda i: {neg[v] for v in values[i]})
-    copies = _Lazy(lambda k: [values[k]])
+    nz, neg, add, mul, zero = ctx.nonzero, ctx._neg, F._add, F._mul, F.zero
+    reps, suffix = [()], [None]  # reps[i] = (reps[i][0],) + reps[suffix[i]]; () is the zero class
+    values, minus, inv = [{zero}], [{zero}], [[None] * F.size]  # V_i, -V_i, inv[i][b]
+    copies = {}  # read past dmax: the value sets of m copies of rep_k, m = 1, 2, ..., None once they split
 
     def guard(n):
         if n * n * dmax * dmax > WITT_BUDGET:
@@ -579,133 +593,137 @@ def witt_ring(F: Hyperfield, dmax: int) -> WittRing:
                 f"{n} classes at dmax {dmax} give {n * n * dmax * dmax} product entries; budget {WITT_BUDGET}"
             )
 
-    def canonical(form):
-        """The lexicographically least sorted form isometric to the
-        anisotropic sorted ``form``: its least value c, then the canonical
-        form of the tail of form + <-c>, read off the index when the tail
-        was met before.
+    def unfound(x, a):
+        return ValidationError(
+            f"the table breaks the representation rule: rep_{x} + <{a}> = {reps[x] + (a,)} has no class",
+            witness=(x, a),
+        )
 
-        The head is the least c for which form + <-c> splits, that is, the
-        least value c of phi = form.  The split's tail phi' has
-        phi + <-c> ~ <c, -c> + phi', so phi ~ <c> + phi' by Witt
-        cancellation, and the head of phi' comes next.  Least: every entry b
-        of a sorted form psi ~ phi is a value of psi (b is in b + x by the
-        axiom a in a + b), hence of phi, since isometric forms have the same
-        values.  So psi[0] >= c, and when psi[0] = c, Witt cancellation
-        gives psi[1:] ~ phi'; induct.  Sorted: the values of phi' are values
-        of <c> + phi' by the same axiom, so no head is less than the one
-        before.
-        """
-        for c in nz:
-            tail = ctx._split(ctx._norm(form + (neg[c],)))
-            if tail is not None:
-                break
-        i = index.get(tail)
-        return (c,) + (reps[i] if i is not None else canonical(tail))
+    def below(x, b):
+        """inv[x][b], the class of rep_x + <-b> for a value b of rep_x."""
+        k = inv[x][b]
+        if k is None:
+            raise unfound(x, neg[b])
+        return k
+
+    def after(x, a):
+        """step[x][a] where the recurrence needs it found."""
+        k = step[x][a]
+        if k is None:
+            raise unfound(x, a)
+        return k
+
+    step, growth, level = [], [], range(1)
+    for d in range(1, dmax + 2):
+        found, walked = {}, []  # (c, y) of each new class -> its value set; (x, a, (c, y)) per sum
+        for x in level:
+            Vx, row = values[x], [None] * F.size
+            for a in nz:
+                if neg[a] in Vx:
+                    row[a] = below(x, neg[a])
+                elif d <= dmax:
+                    V = set().union(*map(add[a].__getitem__, Vx))
+                    if x == 0 and V != {a}:
+                        raise _hypermonoid_i(F, a)
+                    if zero in V:  # 0 in a + v with v not -a
+                        raise unfound(x, a)
+                    c, y = min(V), x
+                    if c != a:  # <v, a> ~ <c, cva> for a v in V_x with c in a + v
+                        v = next(v for v in Vx if c in add[a][v])
+                        y = after(below(x, v), mul[mul[c][v]][a])
+                    if (c, y) not in found:
+                        found[c, y] = V
+                        guard(len(reps) + len(found))
+                    walked.append((x, a, (c, y)))
+            step.append(row)
+        if d > dmax:
+            break
+        # the reps of y's dimension are in sorted order, so (c, y) order is form order
+        new = sorted(found)
+        ids = {key: i for i, key in enumerate(new, len(reps))}
+        for c, y in new:
+            reps.append((c,) + reps[y])
+            suffix.append(y)
+            values.append(found[c, y])
+            minus.append({neg[v] for v in found[c, y]})
+            inv.append([None] * F.size)
+        for x, a, key in walked:
+            step[x][a] = k = ids[key]
+            inv[k][a] = x
+        growth.append(len(new))
+        level = range(len(reps) - len(new), len(reps))
+        if not new:  # no class of dim d, so none of a larger dim
+            growth += [0] * (dmax - d)
+            break
 
     def class_of(entries):
-        """The class of sorted ``entries``: a key lookup, or else its stripped
-        part's canonical form."""
-        i = index.get(entries, _UNSEEN)
-        if i is _UNSEEN:
-            part = ctx._strip(entries)
-            i = index.get(part, _UNSEEN)
-            if i is _UNSEEN:
-                i = index[part] = index.get(canonical(part)) if len(part) <= dmax else None
-            index[entries] = i
-        return i
+        """The class of sorted ``entries``: None when its stripped part has
+        dim > dmax, else the fold of step over the part from class 0."""
+        part, x = ctx._strip(entries), 0
+        if len(part) > dmax:
+            return None
+        for a in part:
+            x = after(x, a)
+        return x
 
     def copies_split(k, n):
         """Whether n copies of rep_k split.  m + 1 copies split iff a value
         of m copies is in -V_k; else their values are the set sum of those
         of m copies and V_k."""
-        sums = copies[k]
+        sums = copies.setdefault(k, [values[k]])
         while len(sums) < n and sums[-1] is not None:
             last = sums[-1]
             split = not last.isdisjoint(minus[k])
-            sums.append(None if split else set().union(*(F._add[v][w] for v in last for w in values[k])))
+            sums.append(None if split else set().union(*(add[v][w] for v in last for w in values[k])))
         return len(sums) < n or sums[n - 1] is None
 
-    step, growth, level = [], [], range(1)
-    for d in range(1, dmax + 1):
-        sums = [[ctx._norm(reps[x] + (a,)) for a in nz] for x in level]
-        named, new = {}, set()  # each distinct sum that does not split -> its canonical form
-        for form in dict.fromkeys(chain.from_iterable(sums)):
-            if ctx._split(form) is None:
-                named[form] = c = canonical(form)
-                if c not in new:
-                    new.add(c)
-                    guard(len(reps) + len(new))
-        new = sorted(new)
-        level = range(len(reps), len(reps) + len(new))
-        index.update((form, len(reps) + i) for i, form in enumerate(new))
-        index.update((form, index[c]) for form, c in named.items())
-        reps += new
-        growth.append(len(new))
-        step += [{a: index[s] if s in named else class_of(ctx._split(s)) for a, s in zip(nz, row)} for row in sums]
-        if not level:  # no class of dim d, so none of a larger dim
-            growth += [0] * (dmax - d)
-            break
-    # rep_x + <a> past dmax: None unless -a is a value of rep_x
-    for x in level:
-        V = values[x]
-        step.append({a: class_of(ctx._norm(reps[x] + (a,))) if neg[a] in V else None for a in nz})
-
     n = len(reps)
-    add_table = [[None] * n for _ in range(n)]
-    for i in range(n):
+    add_table = [list(range(n))] + [[j] + [None] * (n - 1) for j in range(1, n)]
+    for i in range(1, n):
+        c, sums, row = reps[i][0], add_table[suffix[i]], add_table[i]
         for j in range(i, n):
-            x = _fold(step, j, reps[i])
-            if x is _LEFT:
-                x = None if values[i].isdisjoint(minus[j]) else class_of(ctx._norm(reps[i] + reps[j]))
-            add_table[i][j] = add_table[j][i] = x
-    scaled = {a: [ctx._norm(map(F._mul[a].__getitem__, rep)) for rep in reps] for a in nz}
-    for form in chain.from_iterable(scaled.values()):
-        if form not in index:
-            index[form] = index.get(canonical(form))
-    scale = {a: [index[form] for form in forms] for a, forms in scaled.items()}
-    mul_table = [[None] * n for _ in range(n)]
-    for i in range(n):
+            s = step[j][c]
+            if s is not None:
+                x = sums[s]
+            elif values[i].isdisjoint(minus[j]):
+                x = None
+            else:  # rep_i ~ <v> + rep_k and rep_j ~ <-v> + rep_l for a v in V_i and -V_j
+                v = next(v for v in values[i] if v in minus[j])
+                x = add_table[below(i, v)][below(j, neg[v])]
+            row[j] = add_table[j][i] = x
+    scale = {}  # scale[a][j]: the class of a.rep_j
+    for a in nz:
+        row = scale[a] = [0] * n
+        for j in range(1, n):
+            row[j] = after(row[suffix[j]], mul[a][reps[j][0]])
+    mul_table = [[0] * n] + [[0] + [None] * (n - 1) for _ in range(1, n)]
+    products = {}  # each multiset of summand classes past dmax -> its class
+    for i in range(1, n):
+        scaled, prods, row = scale[reps[i][0]], mul_table[suffix[i]], mul_table[i]
+        summands = [scale[a] for a in reps[i]]
+        one = reps[i][0] == reps[i][-1]  # rep_i is copies of <c_i>, so a.rep_j is one class
         for j in range(i, n):
-            keys = [scale[a][j] for a in reps[i]]
-            x = _fold(add_table, 0, keys)
-            if x is _LEFT:
-                k = keys[0]
-                if k is None or keys.count(k) < len(keys) or copies_split(k, len(keys)):
-                    x = class_of(ctx._norm(chain.from_iterable(scaled[a][j] for a in reps[i])))
-                else:
-                    x = None
-            mul_table[i][j] = mul_table[j][i] = x
+            p = prods[j]
+            if p is not None:
+                x = add_table[scaled[j]][p]
+            else:
+                keys = (scaled[j],) * len(summands) if one else tuple(sorted([s[j] for s in summands]))
+                x = products.get(keys, _UNSEEN)
+                if x is _UNSEEN:
+                    if keys[0] == keys[-1] and not copies_split(keys[0], len(keys)):
+                        x = None
+                    else:
+                        x = class_of(ctx._norm(chain.from_iterable(map(reps.__getitem__, keys))))
+                    products[keys] = x
+            row[j] = mul_table[j][i] = x
     return WittRing(
         classes=[WittClass(Form(e) if e else None) for e in reps],
         add_table=add_table,
         mul_table=mul_table,
         zero_class=0,
-        one_class=class_of((F.one,)),
+        one_class=step[0][F.one],
         growth=growth,
     )
-
-
-class _Lazy(dict):
-    """A memo that fills a missing key k with make(k)."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, k):
-        v = self[k] = self.make(k)
-        return v
-
-
-def _fold(table, x, keys):
-    """x after x = table[x][k] for each k of keys in turn; _LEFT when a
-    partial result or a key is None, so that the caller strips instead."""
-    for k in keys:
-        if x is None or k is None:
-            return _LEFT
-        x = table[x][k]
-    return x
 
 
 def _additive_order(W, i):
@@ -783,7 +801,9 @@ def special_group_of(F: Hyperfield) -> SpecialGroupTable:
 
 def check_special_group(S: SpecialGroupTable, nmax: int = 4) -> AxiomReport:
     """Verify the six pre-special axioms and that the inductive n-ary
-    extension stays an equivalence up to nmax."""
+    extension stays an equivalence up to nmax >= 2."""
+    if nmax < 2:
+        raise InputError("nmax must be at least 2 (dm.i is the relation on pairs)")
     g = range(S.size)
     if any(len(row) != S.size or any(x not in g for x in row) for row in S.mul):
         raise InputError(f"special group: mul must be a {S.size}x{S.size} table of ids in {g}")
@@ -793,10 +813,9 @@ def check_special_group(S: SpecialGroupTable, nmax: int = 4) -> AxiomReport:
     for pairs in S.binary_isometry:
         if any(x not in g for pair in pairs for x in pair):
             raise InputError(f"special group: binary_isometry entry {pairs} has an id outside {g}")
-    top = max(nmax, 2)  # dm.i is the relation on pairs
-    if S.size ** (2 * top) > TRIPLE_BUDGET:
+    if S.size ** (2 * nmax) > TRIPLE_BUDGET:
         raise SizeGuardError(
-            f"{S.size}^{top} tuples give {S.size ** (2 * top)} pairs; budget {TRIPLE_BUDGET}"
+            f"{S.size}^{nmax} tuples give {S.size ** (2 * nmax)} pairs; budget {TRIPLE_BUDGET}"
         )
     failures = []
     e = S.identity

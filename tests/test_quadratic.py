@@ -644,9 +644,11 @@ def two_step_laurent(F=None):
 
 def canonical_form(ctx, entries):
     """The lexicographically least sorted form isometric to sorted
-    ``entries``, by witt_ring's rule with no index of known classes: the
-    least c for which entries + <-c> splits, then the canonical form of the
-    split's tail (see witt_ring's ``canonical`` for why it is least)."""
+    ``entries``, by folds alone: the least c for which entries + <-c>
+    splits, that is, its least value, then the canonical form of the
+    split's tail.  The reference for witt_ring's representatives
+    (c,) + rep_t, read there off value sets (see witt_ring for why it is
+    least)."""
     out = []
     while entries:
         for c in ctx.nonzero:
@@ -866,24 +868,61 @@ def test_a_long_chain_of_planes_strips_in_a_loop(monkeypatch):
 
 
 def test_tables_strip_only_past_the_found_classes(monkeypatch):
-    # a fold whose partial result leaves the found classes falls back to
-    # stripping: never on a finite ring, and here on every truncated one
-    fold, left = quadratic._fold, []
-
-    def spy(table, x, keys):
-        out = fold(table, x, keys)
-        left.append(out is quadratic._LEFT)
-        return out
-
-    monkeypatch.setattr(quadratic, "_fold", spy)
+    # each entry is one lookup in rows filled before it; only a product past
+    # dmax whose summands a.rep are not all one class is stripped: never on
+    # a finite ring, and not on every truncated one
+    strip, stripped = IsometryContext._strip, []
+    monkeypatch.setattr(IsometryContext, "_strip", lambda self, e: stripped.append(e) or strip(self, e))
     statuses = set()
     for F, dmaxes in STRIPPED_FLEET:
         for dmax in dmaxes:
-            del left[:]
+            del stripped[:]
             status = witt_ring(F, dmax).status
-            statuses.add((status, any(left)))
-            assert left and not (status == "finite" and any(left)), (F.names, dmax)
-    assert statuses == {("finite", False), ("truncated", True)}
+            statuses.add((status, bool(stripped)))
+            assert not (status == "finite" and stripped), (F.names, dmax)
+    assert statuses == {("finite", False), ("truncated", False), ("truncated", True)}
+
+
+@pytest.mark.parametrize(
+    "F, dmaxes", [(WITT_FIELDS[0], [*range(2, 13), 64])] + [(F, range(2, 7)) for F in WITT_FIELDS[1:]],
+    ids=WITT_FIELD_IDS,
+)
+def test_witt_ring_folds_nothing_on_E_and_finite_fields(F, dmaxes, monkeypatch):
+    # the walk reads value sets and the tables read rows: on E, whose
+    # entries past dmax are all named None by value sets, and on the finite
+    # rings of Q(GF(q)), no form is folded, split or stripped
+    def folded(self, entries):
+        raise AssertionError(f"folded {entries}")
+
+    for name in ("_tail", "_values", "_strip"):
+        monkeypatch.setattr(IsometryContext, name, folded)
+    for dmax in dmaxes:
+        witt_ring(F, dmax)
+
+
+@pytest.mark.parametrize("F, dmaxes", STRIPPED_FLEET, ids=STRIPPED_FLEET_IDS)
+def test_every_representative_less_its_head_is_an_earlier_one(F, dmaxes):
+    # rep_i = (c_i,) + rep_t for a class t < i: the shape the recurrence reads
+    for dmax in dmaxes:
+        index = {c.normalized: i for i, c in enumerate(witt_ring(F, dmax).classes)}
+        for rep, i in index.items():
+            assert not rep or index.get(rep[1:], i) < i, (F.names, dmax, rep)
+
+
+def test_witt_ring_refuses_a_table_that_breaks_the_representation_rule():
+    # E with 1 + 1 = {1, -1}: <1, 1> has the value -1, so <1, 1, 1> splits,
+    # but no class k has rep_k + <-1> ~ <1, 1>.  With 1 + 1 = {0, 1}, <1, 1>
+    # has the value 0 though -1 is no value of <1>.  Neither is a hyperfield
+    E = euclidean_hyperfield()
+    for cell, failure, message, witness in (
+        ({1, 2}, (2, 1, 1), r"rep_3 \+ <1> = \(1, 1, 1\) has no class", (3, 1)),
+        ({0, 1}, (0, 1, 1), r"rep_1 \+ <1> = \(1, 1\) has no class", (1, 1)),
+    ):
+        F = mutate_add(E, 1, 1, cell)
+        assert check_hyperfield(F).first_failure() == ("hypergroup.ii", failure)
+        with pytest.raises(ValidationError, match="the table breaks the representation rule: " + message) as err:
+            witt_ring(F, 3)
+        assert err.value.witness == witness
 
 
 class RowByRowContext(IsometryContext):
@@ -1404,12 +1443,16 @@ def refuse_to_build_rows(monkeypatch):
 
 def test_special_group_size_guard(monkeypatch):
     # the guard prices the (2^n)^2 pairs of the top dimension: nmax 12 is
-    # admitted on 2 elements, 13 is the first nmax refused
+    # admitted on 2 elements, 13 is the first nmax refused.  An nmax below 2
+    # is refused too: dm.i is the relation on pairs
     S = special_group_of(euclidean_hyperfield())
     assert check_special_group(S, nmax=12).level_passed == "special"
     refuse_to_build_rows(monkeypatch)
     with pytest.raises(SizeGuardError, match="2\\^13 tuples give 67108864 pairs; budget 20000000"):
         check_special_group(S, nmax=13)
+    for nmax in (1, 0, -2):
+        with pytest.raises(InputError, match="nmax must be at least 2"):
+            check_special_group(S, nmax=nmax)
 
 
 def run_in_subprocess(code):
