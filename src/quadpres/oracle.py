@@ -128,8 +128,9 @@ def congruence_classes(q: int, dim: int) -> CongruenceClasses:
     nondegeneracy, so the seeds are the nondegenerate matrices that start an
     orbit in `product` order, and flattening keeps lexicographic order.
     """
-    ok = (q <= 5 and dim <= 3) or (q <= 9 and dim <= 2)
-    if not ok or dim < 1:
+    if dim < 1:
+        raise InputError(f"dim must be at least 1, got {dim}")
+    if not ((q <= 5 and dim <= 3) or (q <= 9 and dim <= 2)):
         raise SizeGuardError(f"congruence_classes guard exceeded for q={q}, dim={dim}")
     k = _field_for(q)
     n = dim
@@ -242,7 +243,9 @@ def classical_witt_ring(q: int | FiniteField, dmax: int) -> WittRing:
     that `parse_field_arg` admits and refuses the others.
     """
     k = q if isinstance(q, FiniteField) else _field_for(q)
-    if not 2 <= dmax <= 4:
+    if dmax < 2:
+        raise InputError("dmax must be at least 2 (the hyperbolic plane has dim 2)")
+    if dmax > 4:
         raise SizeGuardError(f"oracle dmax must be 2..4, got {dmax}")
     sq = square_classes(k)
     least = sorted(min(c) for i, c in enumerate(sq.classes) if i != sq.zero_class)

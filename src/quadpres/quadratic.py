@@ -4,20 +4,21 @@ Forms are tuples of nonzero elements of a hyperfield F (the supercompacts of
 the powerset field P*(F) are its singletons, so working in F directly loses
 nothing).
 
-Every public form question is decided by one engine, a fold over value sets:
-<a1, ..., an> is isotropic iff 0 is in the iterated hypersum a1 + ... + an,
-and the hyperbolic split is read off the fold's provenance (n * m^2 cell
-lookups for m elements).  is_isotropic folds the value sets alone and leaves
-no tail in the memo, only a mark that the form splits.  Stripping planes
-until none splits gives the anisotropic part, a function of the form alone:
-each form on the way loses every visible plane <a, -a> at once, found by
-bisection over its runs, and only what is left is folded.  phi and psi are
-Witt equivalent iff phi + (-psi) strips to the zero class, and isometric iff
-they also have equal dimensions (Witt cancellation).  These criteria assume a
-quadratically presentable field; `cli witt` checks the field first, and
-`cli isom` refuses tables that are not pre-quadratic hyperfields.  On a
-sorted form, a row that repeats inside a run of equal entries is every
-earlier row of the run: O(runs) rows.
+Every public form question is decided by one fold over value sets:
+<a1, ..., an> is isotropic iff 0 is in the iterated hypersum a1 + ... + an.
+The fold builds the hypersums of the suffixes from the right and stops at
+the first that holds 0, since a form with an isotropic subform is isotropic.
+is_isotropic reads only where it stopped; the hyperbolic split walks back
+over the rows after the stop (n * m cell lookups each way for m elements).
+Stripping planes until none splits gives the anisotropic part, a function of
+the form alone: each form on the way loses every visible plane <a, -a> at
+once, found by bisection over its runs, and only what is left is folded.
+phi and psi are Witt equivalent iff phi + (-psi) strips to the zero class,
+and isometric iff they also have equal dimensions (Witt cancellation).
+These criteria assume a quadratically presentable field; `cli witt` checks
+the field first, and `cli isom` refuses tables that are not pre-quadratic
+hyperfields.  On a sorted form, a row that repeats inside a run of equal
+entries is every earlier row of the run: O(runs) rows.
 witt_ring walks the classes as the sums rep + <a> that do not split, by value
 sets alone (rep + <a> splits iff -a is a value of rep), and represents each
 class as (c,) + rep_t for a class t found a dimension earlier, so every sum,
@@ -56,7 +57,7 @@ from .posets import _bits
 
 WITT_BUDGET = 100_000_000      # cap on witt_ring's classes^2 * dmax^2 (the entries of every product)
 RING_ISO_MAX = 16
-_UNSEEN = object()  # a form not in a memo; in _splits, an isotropic form whose tail is not found yet
+_UNSEEN = object()  # a product not yet in witt_ring's memo, whose class may be None
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,9 @@ def _isometry_rows(binary, m, dmax):
 
 
 class IsometryContext:
-    """Memoized value-set fold over a fixed hyperfield.
+    """The value-set fold over a fixed hyperfield, with two memos: whether
+    a form is isotropic, and the anisotropic part of every form a strip
+    met.  Neither is bounded; split_hyperbolic is not memoized.
 
     The context assumes a quadratically presentable field: on other tables
     its verdicts need not agree with the paper's recursion.  Each public
@@ -164,7 +167,7 @@ class IsometryContext:
         self.nonzero = F.nonzero()
         self._nonzero_set = frozenset(self.nonzero)
         self._neg = F.neg_table()
-        self._splits = {}
+        self._isotropic = {}
         self._stripped = {(): ()}  # () is the zero class
 
     # -- plumbing --------------------------------------------------------
@@ -211,115 +214,73 @@ class IsometryContext:
     # -- isotropy and Witt reduction --------------------------------------
 
     def split_hyperbolic(self, entries) -> Optional[tuple]:
-        """The tail psi with entries ~ H + psi, or None if anisotropic.  A
-        form that is_isotropic found isotropic has no tail in the memo yet,
-        so it is folded here as if cold."""
-        entries = self._norm(self._entries_of(entries))
-        tail = self._splits.get(entries, _UNSEEN)
-        return tail if tail is not _UNSEEN else self._tail(self._ints(entries))
-
-    def _split(self, entries):
-        """split_hyperbolic on validated, sorted entries."""
-        tail = self._splits.get(entries, _UNSEEN)
-        return tail if tail is not _UNSEEN else self._tail(entries)
-
-    def _tail(self, entries):
-        """_split on validated, sorted entries that have no tail in the memo.
-
-        One value-set fold: prov[k] maps each b in the hypersum of
-        entries[k:] to one x in the hypersum of entries[k+1:] (that of no
-        entries is {0}) with b in entries[k] + x.  The form is isotropic iff
-        0 is in the hypersum of all its entries, and the tail is read off
-        the provenance.  Equal entries are a run, and prov[k] is a function
-        of entries[k] and prov[k+1]; once a row of a run equals the row
-        after it, keys, order and values, it is every earlier row of the
-        run, so a form over m classes folds in O(runs) rows.
-        """
-        add, mul, zero = self.F._add, self.F._mul, self.F.zero
-        n = len(entries)
-        prov = [None] * n + [{zero: None}]
-        k = n - 1
-        while k >= 0:
-            e, after = entries[k], prov[k + 1]
-            cells = add[e]
-            row = {}
-            for x in after:
-                for b in cells[x]:
-                    row.setdefault(b, x)
-            prov[k] = row
-            # prov[n] has the value None, which no row has
-            if row == after and entries[k + 1] == e and list(row) == list(after):
-                start = bisect_left(entries, e, 0, k)
-                prov[start:k] = [row] * (k - start)
-                k = start
-            k -= 1
-        if zero in prov[0]:
-            # keep heads while the rest is isotropic; entries[n-1:] is not
-            # when its hypersum is entries[n-1] + 0 = {entries[n-1]}, and a
-            # table where that cell holds 0 is refused
-            k = 0
-            while k < n - 1 and zero in prov[k + 1]:
-                k += 1
-            if k == n - 1:
-                raise _hypermonoid_i(self.F, entries[k])
-            tail = list(entries[:k])
-            # entries[k+1:] is anisotropic and represents b = -entries[k]:
-            # walk b's provenance, using <a, x> ~ <b, a*x*b> when b in a + x
-            b = prov[k][zero]
-            for j in range(k + 1, n):
-                x = prov[j][b]
-                if x == zero:
-                    tail += entries[j + 1:]
-                    break
-                tail.append(mul[mul[entries[j]][x]][b])
-                b = x
-            tail = self._norm(tail)
-        else:
-            tail = None
-        self._splits[entries] = tail
-        return tail
+        """The tail psi with entries ~ H + psi, or None if anisotropic."""
+        return self._tail(self._ints(self._norm(self._entries_of(entries))))
 
     def is_isotropic(self, phi) -> bool:
         """Whether phi splits a hyperbolic plane, that is, whether 0 is in
-        its hypersum.  A form not in the memo is folded by _values alone,
-        with no provenance or tail, and memoized to None when anisotropic
-        and to _UNSEEN when isotropic, which every other reader of the memo
-        takes for "not split yet".  Where 0 is in the last entry's a + 0,
-        the fold of _tail decides, or refuses the table."""
+        its hypersum: whether _fold finds an isotropic suffix."""
         entries = self._norm(self._entries_of(phi))
-        tail = self._splits.get(entries, False)  # False: not in the memo
-        if tail is not False:
-            return tail is not None
-        entries = self._ints(entries)
-        zero = self.F.zero
-        if zero in self.F._add[entries[-1]][zero]:
-            return self._tail(entries) is not None
-        isotropic = zero in self._values(entries)
-        self._splits[entries] = _UNSEEN if isotropic else None
+        isotropic = self._isotropic.get(entries)
+        if isotropic is None:
+            isotropic = self._isotropic[entries] = self._fold(self._ints(entries))[0] >= 0
         return isotropic
 
-    def _values(self, entries):
-        """The hypersum a1 + ... + an of validated, sorted ``entries``: the
-        values of the form, with 0 when it is isotropic.  The fold of _tail
-        with sets for rows and no provenance.  A row is a function of its
-        entry and the row after it, so once an entry maps the row after it to
-        itself, the rest of that entry's run leaves the row as it is."""
-        add = self.F._add
+    def _fold(self, entries):
+        """The value-set fold of validated, sorted ``entries``: (k, rows),
+        where k is the first suffix entries[k:] met from the right whose
+        hypersum holds 0, or -1 if none does, and rows[i] is the hypersum
+        of the last i entries (that of none is {0}) for each suffix after
+        it.  A form with an isotropic subform is isotropic, so k >= 0 iff
+        the form is.  A row is a function of its entry and the row after
+        it, so once an entry maps the row after it to itself, every earlier
+        row of that entry's run is the same row: a form over m classes
+        folds in O(runs) rows.  The one-entry suffix holds 0 only on a
+        table where a + 0 is not {a}, which is refused here."""
+        add, zero = self.F._add, self.F.zero
         k = len(entries) - 1
-        row = add[entries[k]][self.F.zero]
+        row = add[entries[k]][zero]
+        if zero in row:
+            raise _hypermonoid_i(self.F, entries[k])
+        rows = [{zero}, row]
         while k:
             e = entries[k - 1]
             new = set().union(*map(add[e].__getitem__, row))
             k -= 1
+            if zero in new:
+                return k, rows
             if new == row:
-                k = bisect_left(entries, e, 0, k)
+                start = bisect_left(entries, e, 0, k)
+                rows += [row] * (k - start)
+                k = start
+            rows.append(new)
             row = new
-        return row
+        return -1, rows
+
+    def _tail(self, entries):
+        """split_hyperbolic on validated, sorted entries.  From the isotropic
+        suffix entries[k:] of _fold, entries[:k] stay, and entries[k+1:],
+        anisotropic, represents b = -entries[k]: walk the rows, taking for
+        each entry a the first x of the row after it with b in a + x, and
+        use <a, x> ~ <b, a*x*b> to move b down the form."""
+        k, rows = self._fold(entries)
+        if k < 0:
+            return None
+        add, mul, zero = self.F._add, self.F._mul, self.F.zero
+        tail, b = list(entries[:k]), zero
+        for a, after in zip(entries[k:-1], reversed(rows)):
+            for x in after:
+                if b in add[a][x]:
+                    break
+            if b != zero:
+                tail.append(mul[mul[a][x]][b])
+            b = x
+        return self._norm(tail)
 
     def anisotropic_entries(self, entries) -> tuple:
         """Strip hyperbolic planes until nothing splits; () is the zero class.
         The representative is _strip's, the same on every context: each form
-        loses its pairs <a, -a> first, and what is left splits on the fold."""
+        loses its pairs <a, -a> first, and what is left is split by _tail."""
         entries = self._norm(self._entries_of(entries))
         part = self._stripped.get(entries)
         return part if part is not None else self._strip(self._ints(entries))
@@ -330,11 +291,11 @@ class IsometryContext:
         Which representative: the last form of a chain that starts at
         entries and ends at a form that does not split.  Each form of the
         chain first loses every pair <a, -a>, and <a, a> where a = -a, each
-        a hyperbolic plane (_unpaired); what is left goes on to the fold's
-        tail.  The chain is a function of entries alone, and the result is
-        isometric, by Witt cancellation, to the part a fold-only strip
-        gives, but not always the same sorted form.  Every form of the chain
-        is memoized to the result.
+        a hyperbolic plane (_unpaired); what is left goes on to _tail, one
+        fold and one plane a form.  The chain is a function of entries alone,
+        and the result is isometric, by Witt cancellation, to the part a
+        fold-only strip gives, but not always the same sorted form.  Every
+        form of the chain is memoized to the result.
         """
         met = []
         part = self._stripped.get(entries)
@@ -347,7 +308,7 @@ class IsometryContext:
                     break
                 met.append(rest)
                 entries = rest
-            tail = self._split(entries)
+            tail = self._tail(entries)
             if tail is None:
                 part = entries
             else:

@@ -178,9 +178,13 @@ def test_congruence_guard(monkeypatch):
         raise AssertionError("matrices enumerated")
 
     monkeypatch.setattr(oracle, "product", enumerate_matrices)
-    for q, dim in ((7, 3), (9, 3), (2, 4), (11, 2), (3, 0)):
+    for q, dim in ((7, 3), (9, 3), (2, 4), (11, 2)):
         with pytest.raises(SizeGuardError):
             congruence_classes(q, dim)
+    # a dimension below 1 is a bad argument, not a size
+    for dim in (0, -1):
+        with pytest.raises(InputError, match=f"dim must be at least 1, got {dim}"):
+            congruence_classes(3, dim)
     # an admitted size enumerates through the patched name, so the refusals above enumerated nothing
     with pytest.raises(AssertionError, match="matrices enumerated"):
         congruence_classes(3, 1)
@@ -302,6 +306,9 @@ def test_witt_ring_guards():
         classical_witt_ring(2048, 4)
     with pytest.raises(SizeGuardError):
         classical_witt_ring(3, 5)
+    for dmax in (1, 0):
+        with pytest.raises(InputError, match="dmax must be at least 2"):
+            classical_witt_ring(3, dmax)
 
 
 def binary_isometric_field(k, a, b, c, d) -> bool:

@@ -652,7 +652,7 @@ def canonical_form(ctx, entries):
     out = []
     while entries:
         for c in ctx.nonzero:
-            tail = ctx._split(ctx._norm(entries + (ctx._neg[c],)))
+            tail = ctx._tail(ctx._norm(entries + (ctx._neg[c],)))
             if tail is not None:
                 break
         out.append(c)
@@ -760,7 +760,7 @@ class FoldOnlyContext(IsometryContext):
         hit = self._stripped.get(entries)
         if hit is not None:
             return hit
-        tail = self._split(entries)
+        tail = self._tail(entries)
         result = entries if tail is None else self._strip(tail)
         self._stripped[entries] = result
         return result
@@ -814,22 +814,22 @@ def test_a_long_lived_context_strips_as_a_fresh_one(F, dmax):
             assert warm.anisotropic_entries(entries) == want, (F.names, entries)
 
 
-def spy_on_split(monkeypatch):
-    """The list of the forms every fold, IsometryContext._tail, gets."""
-    fold, forms = IsometryContext._tail, []
-
-    def spy(self, entries):
-        forms.append(entries)
-        return fold(self, entries)
-
-    monkeypatch.setattr(IsometryContext, "_tail", spy)
-    return forms
+def spy_on(monkeypatch, *names):
+    """The list of (name, entries) of every call of the named methods of
+    IsometryContext."""
+    calls = []
+    for name in names:
+        def spy(self, entries, name=name, method=getattr(IsometryContext, name)):
+            calls.append((name, entries))
+            return method(self, entries)
+        monkeypatch.setattr(IsometryContext, name, spy)
+    return calls
 
 
 def test_a_pair_rich_form_strips_in_one_fold(monkeypatch):
     # <1^32, -1^16> loses its 16 planes at once and folds <1^16> once, where
     # a fold a plane took 17 folds; <1^2000, -1^1999> is <1>
-    forms = spy_on_split(monkeypatch)
+    forms = spy_on(monkeypatch, "_tail")
     ctx = euclid_ctx()
     assert ctx.anisotropic_part((1,) * 32 + (2,) * 16) == Form((1,) * 16)
     assert len(forms) <= 1
@@ -843,13 +843,12 @@ def test_a_pair_rich_form_strips_in_one_fold(monkeypatch):
 def test_witt_ring_strips_no_walked_sum(F, dmax, monkeypatch):
     # a walked sum rep + <a> that does not split is named by the walk, and
     # one that splits is classed by its tail, by Witt cancellation
-    strip, stripped = IsometryContext._strip, []
-    monkeypatch.setattr(IsometryContext, "_strip", lambda self, e: stripped.append(e) or strip(self, e))
+    stripped = spy_on(monkeypatch, "_strip")
     W = witt_ring(F, dmax)
     ctx = IsometryContext(F)
     walked = {ctx._norm(c.normalized + (a,)) for c in W.classes if c.dim < dmax for a in ctx.nonzero}
     assert any(ctx.split_hyperbolic(form) is not None for form in walked)
-    assert walked.isdisjoint(stripped), F.names
+    assert walked.isdisjoint(form for _, form in stripped), F.names
 
 
 def test_a_long_chain_of_planes_strips_in_a_loop(monkeypatch):
@@ -858,11 +857,11 @@ def test_a_long_chain_of_planes_strips_in_a_loop(monkeypatch):
     # more than the recursion limit allows frames.  Every form on the chain
     # is memoized to the result.  <1^2401> and E's <1^1100, -1^1099> raised
     # RecursionError when _strip called itself once a plane
-    forms = spy_on_split(monkeypatch)
+    forms = spy_on(monkeypatch, "_tail")
     F, ctx = q_ctx(3)
     assert ctx.anisotropic_part((F.one,) * 4401) == Form((F.one,))
     assert len(forms) > sys.getrecursionlimit()
-    assert all(ctx._stripped[form] == (F.one,) for form in forms)
+    assert all(ctx._stripped[form] == (F.one,) for _, form in forms)
     assert q_ctx(3)[1].anisotropic_part((F.one,) * 2401) == Form((F.one,))
     assert euclid_ctx().anisotropic_part((1,) * 1100 + (2,) * 1099) == Form((1,))
 
@@ -871,8 +870,7 @@ def test_tables_strip_only_past_the_found_classes(monkeypatch):
     # each entry is one lookup in rows filled before it; only a product past
     # dmax whose summands a.rep are not all one class is stripped: never on
     # a finite ring, and not on every truncated one
-    strip, stripped = IsometryContext._strip, []
-    monkeypatch.setattr(IsometryContext, "_strip", lambda self, e: stripped.append(e) or strip(self, e))
+    stripped = spy_on(monkeypatch, "_strip")
     statuses = set()
     for F, dmaxes in STRIPPED_FLEET:
         for dmax in dmaxes:
@@ -894,7 +892,7 @@ def test_witt_ring_folds_nothing_on_E_and_finite_fields(F, dmaxes, monkeypatch):
     def folded(self, entries):
         raise AssertionError(f"folded {entries}")
 
-    for name in ("_tail", "_values", "_strip"):
+    for name in ("_fold", "_tail", "_strip"):
         monkeypatch.setattr(IsometryContext, name, folded)
     for dmax in dmaxes:
         witt_ring(F, dmax)
@@ -925,53 +923,34 @@ def test_witt_ring_refuses_a_table_that_breaks_the_representation_rule():
         assert err.value.witness == witness
 
 
+def hypersums(F, entries):
+    """The hypersum of every suffix of ``entries``, a row at a time from the
+    right: rows[j] for entries[j:], rows[len(entries)] = {0}.  The reference
+    for the rows of _fold and for the values of a form, rows[0]."""
+    rows = [{F.zero}]
+    for e in reversed(entries):
+        rows.insert(0, set().union(*(F.add(e, x) for x in rows[0])))
+    return rows
+
+
 class RowByRowContext(IsometryContext):
-    """The folds of _tail and _values built a row at a time, every row of a
-    run again: the reference for the folds' fixed points."""
+    """_fold built a row at a time, every row of a run again, with the same
+    stop rule: the reference for the fold's fixed point."""
 
-    def _values(self, entries):
-        row = {self.F.zero}
-        for e in reversed(entries):
-            row = set().union(*(self.F.add(e, x) for x in row))
-        return row
-
-    def _tail(self, entries):
-        F, zero = self.F, self.F.zero
-        n = len(entries)
-        prov = [None] * n + [{zero: None}]
-        for k in range(n - 1, -1, -1):
-            row = {}
-            for x in prov[k + 1]:
-                for b in F.add(entries[k], x):
-                    row.setdefault(b, x)
-            prov[k] = row
-        tail = None
-        if zero in prov[0]:
-            k = 0
-            while k < n - 1 and zero in prov[k + 1]:
-                k += 1
-            if k == n - 1:
-                cell = sorted(F.add(entries[k], zero))
-                raise ValidationError(f"hypermonoid.i fails: {entries[k]} + 0 = {cell}", witness=(entries[k], cell))
-            tail = list(entries[:k])
-            b = prov[k][zero]
-            for j in range(k + 1, n):
-                x = prov[j][b]
-                if x == zero:
-                    tail += entries[j + 1:]
-                    break
-                tail.append(F.mul(F.mul(entries[j], x), b))
-                b = x
-            tail = self._norm(tail)
-        self._splits[entries] = tail
-        return tail
+    def _fold(self, entries):
+        F, rows = self.F, hypersums(self.F, entries)
+        k = max((j for j, row in enumerate(rows[:-1]) if F.zero in row), default=-1)
+        if k == len(entries) - 1:
+            cell = sorted(F.add(entries[k], F.zero))
+            raise ValidationError(f"hypermonoid.i fails: {entries[k]} + 0 = {cell}", witness=(entries[k], cell))
+        return k, rows[k + 1:][::-1]
 
 
 def fold_outcomes(ctx, entries):
-    """_values, _split and _strip of sorted ``entries``, an exception as
+    """_fold, _tail and _strip of sorted ``entries``, an exception as
     "raised" with its type, message and witness."""
     out = []
-    for method in (ctx._values, ctx._split, ctx._strip):
+    for method in (ctx._fold, ctx._tail, ctx._strip):
         try:
             out.append(method(entries))
         except Exception as err:
@@ -1000,9 +979,10 @@ def test_fold_fixed_point_matches_the_row_by_row_fold():
 
 
 def test_fold_fixed_point_reads_key_order():
-    # on this redrawn E((t)) a row of the run of 2s in <1, 2, 2, 2, 2, 4>
-    # has the keys and values of the row after it, in another order, and
-    # the next row differs: the fixed point needs the order too
+    # on this redrawn E((t)), not a hyperfield, a fixed point read from
+    # rows of (value, provenance) pairs depended on their key order in the
+    # run of 2s of <1, 2, 2, 2, 2, 4>; the value-set fold and the walk to a
+    # tail answer as the row-by-row reference on every form to dim 6
     F = laurent_extension(euclidean_hyperfield())
     for a, b, cell in ((0, 2, {3}), (0, 4, range(5)), (1, 2, {3}), (1, 3, {0, 1, 3, 4}),
                        (2, 2, {3}), (2, 3, {1, 4}), (2, 4, {2, 3})):
@@ -1015,15 +995,19 @@ def test_fold_fixed_point_reads_key_order():
 
 def test_split_refuses_zero_in_a_plus_zero():
     # the fold read past its last row on such a table; the ladder's
-    # hypermonoid.i names the same cell
+    # hypermonoid.i names the same cell.  With -1 + 0 = {0}, 0 is not in the
+    # hypersum 1 + (-1 + 0) = {1} of <1, -1>, but the fold meets the
+    # one-entry suffix <-1> first, and refuses
     E = euclidean_hyperfield()
-    F = mutate_add(E, E.one, E.zero, {E.zero, E.one})
-    assert check_hyperfield(F).failures[0] == ("hypermonoid.i", (E.one, [E.zero, E.one]))
-    for run in (lambda: IsometryContext(F).split_hyperbolic((F.one,)),
-                lambda: IsometryContext(F).is_isotropic((F.one,)), lambda: witt_ring(F, 3)):
-        with pytest.raises(ValidationError, match=r"hypermonoid.i fails: 1 \+ 0 = \[0, 1\]") as err:
-            run()
-        assert err.value.witness == (E.one, [E.zero, E.one])
+    minus = E.neg(E.one)
+    for a, cell, form in (((E.one, [E.zero, E.one], (E.one,))), (minus, [E.zero], (E.one, minus))):
+        F = mutate_add(E, a, E.zero, cell)
+        assert check_hyperfield(F).failures[0] == ("hypermonoid.i", (a, cell))
+        for run in (lambda: IsometryContext(F).split_hyperbolic(form),
+                    lambda: IsometryContext(F).is_isotropic(form), lambda: witt_ring(F, 3)):
+            with pytest.raises(ValidationError, match=rf"hypermonoid.i fails: {a} \+ 0 = \{cell}") as err:
+                run()
+            assert err.value.witness == (a, cell)
 
 
 # STRIP_FLEET capped at dim 5: the test below builds two fresh contexts for
@@ -1033,10 +1017,10 @@ MARKER_FLEET = [(F, min(dmax, 5)) for F, dmax in STRIP_FLEET]
 
 @pytest.mark.parametrize("F, dmax", MARKER_FLEET, ids=STRIP_FLEET_IDS)
 def test_is_isotropic_leaves_no_tail_behind(F, dmax, monkeypatch):
-    # on a memo miss is_isotropic folds value sets only, and marks an
-    # isotropic form as not split yet: each query that then reads the form
-    # on the same context answers as on a fresh one
-    folds = spy_on_split(monkeypatch)
+    # a cold is_isotropic is one fold, with no walk to a tail and no strip;
+    # a warm one folds nothing; and each query that then reads the form on
+    # the same context answers as on a fresh one
+    calls = spy_on(monkeypatch, "_fold", "_tail", "_strip")
     neg = F.neg_table()
     for d in range(1, dmax + 1):
         for phi in combinations_with_replacement(IsometryContext(F).nonzero, d):
@@ -1047,12 +1031,24 @@ def test_is_isotropic_leaves_no_tail_behind(F, dmax, monkeypatch):
             queries += [("isometric", phi[:k], psi)] if 2 * k == d else []
             for name, *args in queries:
                 ctx = IsometryContext(F)
-                del folds[:]
+                del calls[:]
                 isotropic = ctx.is_isotropic(phi)
-                assert folds == [] and isotropic == (ctx._splits[phi] is not None), phi
+                assert calls == [("_fold", phi)], phi
+                del calls[:]
+                assert ctx.is_isotropic(phi) == isotropic and calls == [], phi
                 want = getattr(IsometryContext(F), name)(*args)
                 assert getattr(ctx, name)(*args) == want, (F.names, name, args)
             assert isotropic == (IsometryContext(F).split_hyperbolic(phi) is not None), phi
+
+
+@pytest.mark.parametrize("F, dmax", STRIP_FLEET, ids=STRIP_FLEET_IDS)
+def test_is_isotropic_is_zero_in_the_whole_hypersum(F, dmax):
+    # the fold stops at the first isotropic suffix; on a quadratically
+    # presentable field that answers as the hypersum of the whole form
+    ctx = IsometryContext(F)
+    for d in range(1, dmax + 1):
+        for phi in combinations_with_replacement(ctx.nonzero, d):
+            assert ctx.is_isotropic(phi) == (F.zero in hypersums(F, phi)[0]), (F.names, phi)
 
 
 @pytest.mark.parametrize(
@@ -1068,8 +1064,8 @@ def test_values_decide_whether_a_sum_of_classes_splits(F, dmax):
     reps = [c.representative.entries for c in witt_ring(F, dmax).classes[1:]]
     values = {}
     for rep in reps:
-        values[rep] = {b for b in ref.nonzero if ref.split_hyperbolic(rep + (neg[b],)) is not None}
-        assert ctx._values(rep) == values[rep], rep
+        values[rep] = hypersums(F, rep)[0]
+        assert values[rep] == {b for b in ref.nonzero if ref.split_hyperbolic(rep + (neg[b],)) is not None}, rep
     for phi in reps:
         for psi in reps:
             disjoint = values[phi].isdisjoint(neg[v] for v in values[psi])
