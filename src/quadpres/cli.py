@@ -105,6 +105,8 @@ def _load_structure(args, want=None, build=from_field):
     sources = [s for s in ("input", "builtin", "field") if getattr(args, s, None)]
     if len(sources) != 1:
         raise InputError("exactly one of --input, --builtin, --field is required")
+    if getattr(args, "modulus", None) and not args.field:
+        raise InputError("--modulus applies only to --field")
     k = None
     if args.input:
         try:

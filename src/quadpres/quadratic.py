@@ -25,7 +25,7 @@ class as (c,) + rep_t for a class t found a dimension earlier, so every sum,
 scaling and product entry is one lookup in rows filled before it, with no
 fold.  An entry past dmax is named by value sets, since phi + psi splits iff
 a value of phi is minus one of psi; only a product whose summands a.rep are
-not all one class is built and stripped whole, once per multiset of classes.
+not all one class is built, and stripped once per pair-free form it cancels to.
 
 The paper's inductive isometry (unary forms by equality, binary forms by
 equal products plus membership of the head in the hypersum, higher
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, islice, product
 from typing import Optional
 
@@ -150,9 +151,12 @@ def _isometry_rows(binary, m, dmax):
 
 
 class IsometryContext:
-    """The value-set fold over a fixed hyperfield, with two memos: whether
-    a form is isotropic, and the anisotropic part of every form a strip
-    met.  Neither is bounded; split_hyperbolic is not memoized.
+    """The value-set fold over a fixed hyperfield, with two memos keyed by
+    the sorted forms callers ask about: _isotropic holds one entry per
+    distinct form passed to is_isotropic, and _stripped one per distinct
+    form passed to anisotropic_entries or anisotropic_part, or formed as
+    phi + (-psi) by isometric or witt_equivalent, besides () for the zero
+    class.  split_hyperbolic is not memoized.
 
     The context assumes a quadratically presentable field: on other tables
     its verdicts need not agree with the paper's recursion.  Each public
@@ -281,12 +285,17 @@ class IsometryContext:
         """Strip hyperbolic planes until nothing splits; () is the zero class.
         The representative is _strip's, the same on every context: each form
         loses its pairs <a, -a> first, and what is left is split by _tail."""
-        entries = self._norm(self._entries_of(entries))
+        return self._part(self._norm(self._entries_of(entries)))
+
+    def _part(self, entries):
+        """_strip of validated, sorted ``entries``, memoized for this form alone."""
         part = self._stripped.get(entries)
-        return part if part is not None else self._strip(self._ints(entries))
+        if part is None:
+            part = self._stripped[entries] = self._strip(self._ints(entries))
+        return part
 
     def _strip(self, entries):
-        """anisotropic_entries on validated, sorted entries, as a loop.
+        """The anisotropic part of validated, sorted entries, as a loop.
 
         Which representative: the last form of a chain that starts at
         entries and ends at a form that does not split.  Each form of the
@@ -294,29 +303,17 @@ class IsometryContext:
         a hyperbolic plane (_unpaired); what is left goes on to _tail, one
         fold and one plane a form.  The chain is a function of entries alone,
         and the result is isometric, by Witt cancellation, to the part a
-        fold-only strip gives, but not always the same sorted form.  Every
-        form of the chain is memoized to the result.
+        fold-only strip gives, but not always the same sorted form.  A form
+        whose pairs cancel to () is the zero class, with no fold.  The loop
+        reads and writes no memo.
         """
-        met = []
-        part = self._stripped.get(entries)
-        while part is None:
-            met.append(entries)
-            rest = self._unpaired(entries)
-            if rest is not entries:  # pair-free, so it goes on to the fold
-                part = self._stripped.get(rest)
-                if part is not None:
-                    break
-                met.append(rest)
-                entries = rest
-            tail = self._tail(entries)
+        while entries:
+            entries = self._unpaired(entries)
+            tail = self._tail(entries) if entries else None
             if tail is None:
-                part = entries
-            else:
-                entries = tail
-                part = self._stripped.get(entries)
-        for form in met:
-            self._stripped[form] = part
-        return part
+                return entries
+            entries = tail
+        return entries
 
     def _unpaired(self, entries):
         """Sorted ``entries`` less every pair <a, -a>, and <a, a> where a = -a;
@@ -363,9 +360,7 @@ class IsometryContext:
             raise self._refusal(b) from None
         if self.F.zero in minus_b:
             raise InputError("negation sends a nonzero form entry to zero")
-        form = self._norm(a + minus_b)
-        part = self._stripped.get(form)
-        return not (part if part is not None else self._strip(self._ints(form)))
+        return not self._part(self._norm(a + minus_b))
 
 
 def _hypermonoid_i(F, a):
@@ -532,13 +527,14 @@ def witt_ring(F: Hyperfield, dmax: int) -> WittRing:
     None when V_i and -V_j are disjoint, else add[k][l] for
     rep_i ~ <v> + rep_k and rep_j ~ <-v> + rep_l, where k < i; a product
     whose summands a.rep_j are all of one class k is None while its copies
-    of rep_k do not split.  Any other product is stripped whole, once per
-    multiset of summand classes, and a part of dim <= dmax is named by
-    folding step from class 0 over it (its partial sums are anisotropic,
-    hence found).  A lookup the recurrence needs that is missing means the
-    table breaks the representation rule, and is refused.  The ring reads
-    as "finite" exactly when no entry is None.  More than WITT_BUDGET
-    product entries, classes^2 * dmax^2, are refused as classes are found.
+    of rep_k do not split.  Any other product is built once per multiset
+    of summand classes and stripped once per pair-free form it cancels to,
+    and a part of dim <= dmax is named by folding step from class 0 over
+    it (its partial sums are anisotropic, hence found).  A lookup the
+    recurrence needs that is missing means the table breaks the
+    representation rule, and is refused.  The ring reads as "finite"
+    exactly when no entry is None.  More than WITT_BUDGET product entries,
+    classes^2 * dmax^2, are refused as classes are found.
     """
     if dmax < 2:
         raise InputError("dmax must be at least 2 (the hyperbolic plane has dim 2)")
@@ -619,12 +615,14 @@ def witt_ring(F: Hyperfield, dmax: int) -> WittRing:
 
     def class_of(entries):
         """The class of sorted ``entries``: None when its stripped part has
-        dim > dmax, else the fold of step over the part from class 0."""
-        part, x = ctx._strip(entries), 0
-        if len(part) > dmax:
-            return None
-        for a in part:
-            x = after(x, a)
+        dim > dmax, else the fold of step over the part from class 0.  A
+        strip first cancels pairs, so forms that cancel to the same
+        pair-free form share one strip, in ``parts``."""
+        rest = ctx._unpaired(entries)
+        x = parts.get(rest, _UNSEEN)
+        if x is _UNSEEN:
+            part = ctx._strip(entries)
+            x = parts[rest] = None if len(part) > dmax else reduce(after, part, 0)
         return x
 
     def copies_split(k, n):
@@ -659,16 +657,17 @@ def witt_ring(F: Hyperfield, dmax: int) -> WittRing:
             row[j] = after(row[suffix[j]], mul[a][reps[j][0]])
     mul_table = [[0] * n] + [[0] + [None] * (n - 1) for _ in range(1, n)]
     products = {}  # each multiset of summand classes past dmax -> its class
+    parts = {}  # each pair-free form such a product cancels to -> its class
     for i in range(1, n):
         scaled, prods, row = scale[reps[i][0]], mul_table[suffix[i]], mul_table[i]
-        summands = [scale[a] for a in reps[i]]
+        columns = list(zip(*[scale[a] for a in reps[i]]))  # columns[j]: the class of each a.rep_j
         one = reps[i][0] == reps[i][-1]  # rep_i is copies of <c_i>, so a.rep_j is one class
         for j in range(i, n):
             p = prods[j]
             if p is not None:
                 x = add_table[scaled[j]][p]
             else:
-                keys = (scaled[j],) * len(summands) if one else tuple(sorted([s[j] for s in summands]))
+                keys = (scaled[j],) * len(reps[i]) if one else tuple(sorted(columns[j]))
                 x = products.get(keys, _UNSEEN)
                 if x is _UNSEEN:
                     if keys[0] == keys[-1] and not copies_split(keys[0], len(keys)):

@@ -9,7 +9,7 @@ import time
 from contextlib import contextmanager
 from itertools import combinations, combinations_with_replacement, product
 
-from quadpres.finitefield import ff_make, square_classes
+from quadpres.finitefield import square_classes
 from quadpres.hyperfields import (
     check_hyperfield,
     euclidean_hyperfield,
@@ -40,7 +40,8 @@ from quadpres.quadratic import (
     tensor_product,
     witt_ring,
 )
-from quadpres.hyperfields import Hyperfield
+
+from fleet import gf, modular_ring, quadratic_fleet
 
 
 @contextmanager
@@ -54,12 +55,6 @@ def criterion(num, title, budget_s):
     elapsed = time.perf_counter() - t0
     assert elapsed < budget_s, f"criterion {num} took {elapsed:.2f}s, budget {budget_s}s"
     print(f"PASS criterion {num}: {title} ({elapsed:.2f}s, budget {budget_s}s)")
-
-
-def quadratic_fleet():
-    fields = {q: ff_make(*pn) for q, pn in
-              {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 9: (3, 2), 13: (13, 1)}.items()}
-    return fields, {q: quadratic_hyperfield(k) for q, k in fields.items()}
 
 
 def test_criterion_1_golden_tables():
@@ -100,16 +95,7 @@ def test_criterion_1_golden_tables():
 
 def test_criterion_2_exchange_counterexample_mod8():
     with criterion(2, "P*(Z/8) exchange-law counterexample", 1.0):
-        n = 8
-        Z8 = Hyperfield(
-            zero=0,
-            one=1,
-            neg=[(-a) % n for a in range(n)],
-            mul=[[(a * b) % n for b in range(n)] for a in range(n)],
-            add=[[frozenset([(a + b) % n]) for b in range(n)] for a in range(n)],
-            names=[str(a) for a in range(n)],
-        )
-        R = powerset_of_hyperfield(Z8)
+        R = powerset_of_hyperfield(modular_ring(8))
         def pid(*xs):
             m = 0
             for x in xs:
@@ -125,18 +111,16 @@ def test_criterion_2_exchange_counterexample_mod8():
 
 def test_criterion_3_hyperfield_axiom_fleet():
     with criterion(3, "hyperfield axioms for Q(GF(q)) fleet and primes", 10.0):
-        _, qs = quadratic_fleet()
-        for q, Q in qs.items():
+        for q, Q in quadratic_fleet().items():
             assert check_hyperfield(Q).passed, q
             assert check_hyperfield(prime_hyperfield(Q)).passed, q
 
 
 def test_criterion_4_localization_suite():
     with criterion(4, "quotients by all multiplicative subsets pass", 60.0):
-        fields, qs = quadratic_fleet()
-        fleet = [euclidean_hyperfield()] + list(qs.values())
-        fleet += [from_field(ff_make(*pn)) for pn in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)]]
-        fleet += [prime_hyperfield(from_field(ff_make(3))), prime_hyperfield(from_field(ff_make(5)))]
+        fleet = [euclidean_hyperfield(), *quadratic_fleet().values()]
+        fleet += [from_field(gf(q)) for q in (2, 3, 4, 5, 7, 8)]
+        fleet += [prime_hyperfield(from_field(gf(q))) for q in (3, 5)]
         checked = 0
         for F in fleet:
             nz = F.nonzero()
@@ -155,18 +139,18 @@ def test_criterion_4_localization_suite():
 
 def test_criterion_5_pipeline_isomorphic_to_quadratic_hyperfield():
     with criterion(5, "squares pipeline reproduces Q(k)", 10.0):
-        for p, n in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)]:
-            k = ff_make(p, n)
+        for q in (2, 3, 4, 5, 7, 9):
+            k = gf(q)
             lhs = squares_pipeline(prime_hyperfield(from_field(k)))
             rhs = quadratic_hyperfield(k)
-            assert hyperfield_isomorphic(lhs, rhs) is not None, (p, n)
+            assert hyperfield_isomorphic(lhs, rhs) is not None, q
 
 
 def test_criterion_6_witt_rings_match_classical_oracle():
     with criterion(6, "W(Q(GF(q))) matches the classical Witt ring", 300.0):
-        for q, pn in [(2, (2, 1)), (3, (3, 1)), (5, (5, 1)), (7, (7, 1)), (9, (3, 2))]:
+        for q in (2, 3, 5, 7, 9):
             t0 = time.perf_counter()
-            Q = quadratic_hyperfield(ff_make(*pn))
+            Q = quadratic_hyperfield(gf(q))
             W = witt_ring(Q, 4)
             WO = classical_witt_ring(q, 4)
             assert W.status == "finite", q
@@ -198,7 +182,7 @@ def test_criterion_7_euclidean_witt_ring():
 
 def test_criterion_8_cancellation_and_congruence():
     with criterion(8, "Witt cancellation and sum/tensor congruence", 120.0):
-        _, qs = quadratic_fleet()
+        qs = quadratic_fleet()
         fleet = [euclidean_hyperfield()] + [qs[q] for q in (2, 3, 4, 5, 7, 9)]
         for F in fleet:
             ctx = IsometryContext(F)
@@ -231,8 +215,8 @@ def test_criterion_8_cancellation_and_congruence():
 
 def test_criterion_9_binary_isometry_vs_field_oracle():
     with criterion(9, "binary isometry agrees with field representations", 30.0):
-        for q, pn in [(7, (7, 1)), (9, (3, 2)), (11, (11, 1)), (13, (13, 1))]:
-            k = ff_make(*pn)
+        for q in (7, 9, 11, 13):
+            k = gf(q)
             F = quadratic_hyperfield(k)
             ctx = IsometryContext(F)
             sq = square_classes(k)
@@ -247,8 +231,8 @@ def test_criterion_9_binary_isometry_vs_field_oracle():
                 assert field_iso == hyper_iso, (q, a, b, c, d)
         # q in {3,5}: before the prime addition the equivalence fails somewhere
         witnesses = {}
-        for q, pn in [(3, (3, 1)), (5, (5, 1))]:
-            k = ff_make(*pn)
+        for q in (3, 5):
+            k = gf(q)
             from quadpres.hyperfields import quotient_by_subgroup
 
             pre = quotient_by_subgroup(from_field(k), {k.mul(a, a) for a in k.nonzero()})
@@ -296,7 +280,7 @@ def test_criterion_10_presentability_fleet():
 
 def test_criterion_11_special_groups():
     with criterion(11, "special-group extraction and n-ary equivalence", 60.0):
-        _, qs = quadratic_fleet()
+        qs = quadratic_fleet()
         for F in [euclidean_hyperfield(), qs[3], qs[5], qs[7]]:
             assert check_prequadratic(F).passed
             S = special_group_of(F)

@@ -11,7 +11,6 @@ from quadpres.cli import _oracle_match, build_parser, main
 from quadpres.documents import emit_hyperfield, emit_presentable, emit_witt_ring, parse_document
 from quadpres.finitefield import FiniteField, ff_make, parse_field_arg
 from quadpres.hyperfields import (
-    Hyperfield,
     check_hyperfield,
     euclidean_hyperfield,
     from_field,
@@ -23,11 +22,8 @@ from quadpres.oracle import classical_witt_ring
 from quadpres.posets import check_presentable as check_poset
 from quadpres.presentable import check_presentable, example_sq_structure, squares_pipeline
 from quadpres.quadratic import ring_isomorphic, witt_ring
-from test_hyperfields import TABLE_FIELDS
-from test_quadratic import laurent_extension, two_step_laurent
 
-# the fields on which the references below finish in a second or so
-ORACLE_SIZES = (2, 3, 4, 5, 7, 9)
+from fleet import ORACLE_SIZES, STRUCTURES, TABLE_FIELDS, gf, mutate_add, one_add_cell_changed, two_step_laurent
 
 
 def run(capsys, *argv):
@@ -61,13 +57,6 @@ def test_witt_field_matches_the_oracle_past_the_small_fields(capsys):
     assert code == 0 and "oracle witt: 4 classes" in out
 
 
-def one_add_cell_changed(W):
-    """W with add_table[1][1] moved to the next class: 1 + 1 is wrong."""
-    add = [list(row) for row in W.add_table]
-    add[1][1] = (add[1][1] + 1) % W.size
-    return replace(W, add_table=add)
-
-
 def two_classes_swapped(W, i, j):
     """An isomorphic copy of W with classes i and j renumbered as each other."""
     perm = list(range(W.size))
@@ -87,7 +76,7 @@ def test_oracle_match_by_equal_tables_agrees_with_the_isomorphism_search():
     # search.  That is stricter by design: it also pins the class numbering,
     # so an isomorphic relabelling fails it while the search still finds a map.
     for q in ORACLE_SIZES:
-        k = ff_make(*parse_field_arg(str(q)))
+        k = gf(q)
         F = quadratic_hyperfield(k)
         for dmax in range(2, 7):
             W = witt_ring(F, dmax)
@@ -119,7 +108,7 @@ def test_witt_euclidean_truncated(capsys):
 
 def test_witt_input_past_two_classes(tmp_path, capsys):
     # Q(GF(3))((t)): 4 nonzero square classes, 16 Witt classes, so dim 3 truncates
-    F = laurent_extension(quadratic_hyperfield(ff_make(3)))
+    F = STRUCTURES["Q3(t)"]
     doc = tmp_path / "q3t.hf"
     doc.write_text(emit_hyperfield(F))
     out_path = tmp_path / "report.json"
@@ -150,11 +139,8 @@ def test_witt_input_on_eight_classes(tmp_path, capsys):
 
 def test_witt_refuses_max_dim_below_two_before_any_ladder(tmp_path, capsys):
     # 1 + (-1) = {0}: the table fails the hyperfield ladder
-    E = euclidean_hyperfield()
-    add = E.add_full_table()
-    add[1][2] = add[2][1] = [0]
     doc = tmp_path / "bad.hf"
-    doc.write_text(emit_hyperfield(Hyperfield(E.zero, E.one, E.neg_table(), E.mul_table(), add)))
+    doc.write_text(emit_hyperfield(mutate_add(euclidean_hyperfield(), 1, 2, {0})))
     code, out = run(capsys, "witt", "--input", str(doc), "--max-dim", "2")
     assert code == 1
     assert "witt: FAIL (hyperfield axioms)" in out
@@ -255,12 +241,8 @@ def test_chains_fail_weak_presentability_at_any_size(tmp_path, capsys):
 
 
 def test_mathematical_failure_exits_one(tmp_path, capsys):
-    E = euclidean_hyperfield()
-    add = [[set(E.add(a, b)) for b in range(3)] for a in range(3)]
-    add[1][2] = add[2][1] = {0}
-    bad = Hyperfield(0, 1, E.neg_table(), E.mul_table(), add, names=E.names)
     doc = tmp_path / "bad.hf"
-    doc.write_text(emit_hyperfield(bad))
+    doc.write_text(emit_hyperfield(mutate_add(euclidean_hyperfield(), 1, 2, {0})))
     code, out = run(capsys, "check-hyperfield", "--input", str(doc))
     assert code == 1
     assert "FAIL" in out
@@ -287,6 +269,18 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert f"error: cannot read --input {tmp_path}: " in err
     assert f"error: --input {not_utf8} is not UTF-8 text" in err
     assert "Traceback" not in err
+
+
+def test_modulus_without_field_exits_two(tmp_path, capsys):
+    # --modulus shapes only the GF(q) that --field builds; beside --builtin
+    # or --input it was dropped without a word, and the command passed
+    doc = tmp_path / "e.hf"
+    doc.write_text(emit_hyperfield(euclidean_hyperfield()))
+    for command in (("check-hyperfield",), ("prime",), ("quotient", "--subset", "1")):
+        for source in (("--builtin", "euclidean3"), ("--input", str(doc))):
+            assert main([*command, *source, "--modulus", "1,1,1"]) == 2, (command, source)
+            out = capsys.readouterr()
+            assert (out.out, out.err) == ("", "error: --modulus applies only to --field\n"), (command, source)
 
 
 def test_unwritable_report_exits_two(tmp_path, capsys):
@@ -420,10 +414,7 @@ def test_each_field_command_builds_its_field_once(monkeypatch, capsys):
 def test_failing_ladders_write_their_witnesses_to_the_report(tmp_path, capsys):
     # a failing ladder's entry holds the library's failures as json.dumps
     # writes them, beside its level or, for the poset ladder, its notes
-    E = euclidean_hyperfield()
-    add = [[set(E.add(a, b)) for b in range(3)] for a in range(3)]
-    add[1][2] = add[2][1] = {0}
-    hyperfield_doc = emit_hyperfield(Hyperfield(0, 1, E.neg_table(), E.mul_table(), add, names=E.names))
+    hyperfield_doc = emit_hyperfield(mutate_add(euclidean_hyperfield(), 1, 2, {0}))
     sq7 = emit_presentable(example_sq_structure())
     presentable_doc = sq7.replace("alpha3 beta beta beta beta beta beta\n", "alpha3 beta beta beta beta alpha3 beta\n")
     assert presentable_doc != sq7  # alpha3 + alpha3 is alpha3, not beta

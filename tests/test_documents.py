@@ -12,17 +12,11 @@ from quadpres.documents import (
 )
 from quadpres.errors import InputError
 from quadpres.finitefield import ff_make
-from quadpres.hyperfields import Hyperfield, euclidean_hyperfield, from_field, quadratic_hyperfield
+from quadpres.hyperfields import Hyperfield, euclidean_hyperfield, from_field
 from quadpres.posets import squarefree_divisors, walking_supremum
 from quadpres.presentable import example_sq_structure, powerset_of_hyperfield
 
-
-HYPERFIELDS = [
-    euclidean_hyperfield(),
-    from_field(ff_make(2, 2)),
-    quadratic_hyperfield(ff_make(3)),
-    quadratic_hyperfield(ff_make(7)),
-]
+from fleet import HYPERFIELDS
 
 
 def test_hyperfield_round_trip_bit_exact():

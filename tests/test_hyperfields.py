@@ -9,7 +9,7 @@ import pytest
 
 from quadpres import hyperfields, presentable
 from quadpres.errors import InputError, SizeGuardError, ValidationError
-from quadpres.finitefield import DEFAULT_MODULI, _is_prime, ff_make
+from quadpres.finitefield import ff_make
 from quadpres.hyperfields import (
     AxiomReport,
     Hyperfield,
@@ -30,28 +30,10 @@ from quadpres.presentable import (
     squares_pipeline,
 )
 
-
-def mutate_add(F, a, b, new_cell):
-    add = [[set(F.add(x, y)) for y in range(F.size)] for x in range(F.size)]
-    add[a][b] = set(new_cell)
-    add[b][a] = set(new_cell)
-    return Hyperfield(F.zero, F.one, F.neg_table(), F.mul_table(), add, names=F.names)
-
-
-FLEET_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (13, 1)]
-# the prime fields to 127 and the extensions to GF(169), on which the table
-# builders are compared with their references
-TABLE_FIELDS = [(p, 1) for p in range(2, 129) if _is_prime(p)]
-TABLE_FIELDS += [(p, n) for p, n in DEFAULT_MODULI if p**n <= 169]
-
-
-def fleet():
-    out = [("euclidean3", euclidean_hyperfield())]
-    for p, n in FLEET_FIELDS:
-        k = ff_make(p, n)
-        out.append((f"GF({p**n})", from_field(k)))
-        out.append((f"Q(GF({p**n}))", quadratic_hyperfield(k)))
-    return out
+from fleet import (
+    FLEET_FIELDS, REFERENCE_FIELDS, TABLE_FIELDS, cell_mutants, fleet, gf, ladder_bases, mul_cell_mutants,
+    mutate_add, relabel, zero_column_mutants,
+)
 
 
 def test_euclidean_hyperfield_matches_printed_table():
@@ -64,10 +46,8 @@ def test_euclidean_hyperfield_matches_printed_table():
 
 
 def test_from_field_gives_hyperfields():
-    for q, expect in [((2, 1), None), ((3, 1), None), ((2, 2), None)]:
-        k = ff_make(*q)
-        F = from_field(k)
-        assert check_hyperfield(F).passed
+    for q in (2, 3, 4):
+        assert check_hyperfield(from_field(gf(q))).passed
     k2 = ff_make(2)
     assert from_field(k2).add(1, 1) == {0}
     k3 = ff_make(3)
@@ -90,17 +70,12 @@ def test_mutated_euclidean_fails_with_witness():
     assert all(len(w) > 0 for _, w in report.failures)
 
 
-# every GF(q) with q <= 32 that has a built-in modulus
-REFERENCE_FIELDS = [(p, 1) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)]
-REFERENCE_FIELDS += [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]
-
-
 def test_quotient_gf5_by_squares():
     # both quotient names against classes and cells read straight off field
     # arithmetic, for every subgroup T of GF(q)* (the d-th roots of unity for
     # each d | q - 1); GF(5) by its squares {1, 4} is one of the inputs
-    for p, n in REFERENCE_FIELDS:
-        k = ff_make(p, n)
+    for q in REFERENCE_FIELDS:
+        k = gf(q)
         F = from_field(k)
         order = k.q - 1
         for d in (d for d in range(1, order + 1) if order % d == 0):
@@ -253,8 +228,8 @@ def test_quadratic_hyperfield_gf7_addition_from_representations():
 
 
 def test_quadratic_hyperfield_fleet_passes():
-    for p, n in FLEET_FIELDS:
-        Q = quadratic_hyperfield(ff_make(p, n))
+    for q in FLEET_FIELDS:
+        Q = quadratic_hyperfield(gf(q))
         assert check_hyperfield(Q).passed
 
 
@@ -283,14 +258,14 @@ def test_pre_prime_vs_prime_coincidence():
     # odd q not in {3,5}: the square-class quotient already equals its prime
     # addition.  GF(4) coincides too: every nonzero element is a square, so
     # the quotient is already the 2-element structure with full 1+1.
-    for p, n in [(7, 1), (3, 2), (11, 1), (13, 1), (2, 2)]:
-        k = ff_make(p, n)
+    for q in (7, 9, 11, 13, 4):
+        k = gf(q)
         pre = quotient_by_subgroup(from_field(k), {k.mul(a, a) for a in k.nonzero()})
         assert prime_hyperfield(pre) == pre
     # q in {2,3,5}: the prime step genuinely changes the table
     witnesses = {}
-    for p, n in [(2, 1), (3, 1), (5, 1)]:
-        k = ff_make(p, n)
+    for q in (2, 3, 5):
+        k = gf(q)
         pre = quotient_by_subgroup(from_field(k), {k.mul(a, a) for a in k.nonzero()})
         post = prime_hyperfield(pre)
         diffs = [
@@ -299,8 +274,8 @@ def test_pre_prime_vs_prime_coincidence():
             for b in range(pre.size)
             if pre.add(a, b) != post.add(a, b)
         ]
-        assert diffs, f"expected a coincidence failure for GF({p**n})"
-        witnesses[(p, n)] = diffs[0]
+        assert diffs, f"expected a coincidence failure for GF({q})"
+        witnesses[q] = diffs[0]
     assert witnesses
 
 
@@ -668,22 +643,6 @@ def outcome(quotient, F, T):
     return Q, Q.names
 
 
-def mul_cell_mutants(F):
-    """Every copy of F with one product a * b = b * a redrawn that the
-    constructor accepts (a redrawn product with one is refused)."""
-    for a in range(F.size):
-        for b in range(a, F.size):
-            for v in range(F.size):
-                if v == F.mul(a, b):
-                    continue
-                mul = F.mul_table()
-                mul[a][b] = mul[b][a] = v
-                try:
-                    yield Hyperfield(F.zero, F.one, F.neg_table(), mul, F.add_full_table())
-                except ValidationError:
-                    continue
-
-
 def test_quotient_classes_match_the_pairwise_union():
     for _, F in fleet():
         if F.size <= 9:
@@ -693,7 +652,7 @@ def test_quotient_classes_match_the_pairwise_union():
     # without being equal; the classes then join the chain of such orbits
     chains = 0
     for q in (5, 7, 8, 9, 11, 13):
-        F = from_field(ff_make(*{8: (2, 3), 9: (3, 2)}.get(q, (q,))))
+        F = from_field(gf(q))
         T = {F.one, F.neg(F.one)}
         for G in mul_cell_mutants(F):
             expected = outcome(reference_quotient, G, T)
@@ -707,8 +666,8 @@ def test_quotient_classes_match_the_pairwise_union():
 def test_quotient_refusals_match_the_pairwise_check():
     rng = random.Random(23)
     refused = 0
-    for p, n in [(7, 1), (2, 3), (3, 2)]:
-        F = from_field(ff_make(p, n))
+    for q in (7, 8, 9):
+        F = from_field(gf(q))
         nz = F.nonzero()
         subsets = [set(c) for r in (1, 2, 3) for c in combinations(nz, r)]
         subsets += [set(rng.sample(nz, rng.randint(1, len(nz)))) for _ in range(40)]
@@ -725,33 +684,6 @@ def test_quotient_class_names_use_min_member():
     k = ff_make(7)
     Q = quotient_by_subgroup(from_field(k), {1, 2, 4})
     assert set(Q.names) == {"0", "1", "3"}
-
-
-def cell_mutants(F, rng, count):
-    """``count`` copies of F with one or two add, mul or neg entries redrawn:
-    add cells and products symmetrically, neg conjugated by a transposition
-    so that it stays an involution.  Copies the constructor refuses (a
-    redrawn product with one) are skipped."""
-    n = F.size
-    made = 0
-    while made < count:
-        add, mul, neg = F.add_full_table(), F.mul_table(), F.neg_table()
-        for _ in range(rng.randint(1, 2)):
-            kind = rng.choice(("add", "mul", "neg"))
-            a, b = rng.randrange(n), rng.randrange(n)
-            if kind == "add":
-                add[a][b] = add[b][a] = rng.sample(range(n), rng.randint(1, n))
-            elif kind == "mul":
-                mul[a][b] = mul[b][a] = rng.randrange(n)
-            else:
-                swap = {a: b, b: a}
-                neg = [swap.get(x, x) for x in (neg[swap.get(y, y)] for y in range(n))]
-        try:
-            G = Hyperfield(F.zero, F.one, neg, mul, add)
-        except ValidationError:
-            continue
-        made += 1
-        yield G
 
 
 # the cell-by-cell ladder: the reference that the row passes of
@@ -825,26 +757,6 @@ def cell_by_cell_multiplicative(F: Hyperfield, scalars):
     return failures
 
 
-def relabel(F, perm):
-    """F with each element x renamed perm[x]."""
-    n = F.size
-    back = sorted(range(n), key=perm.__getitem__)
-    add = [[[perm[v] for v in F.add(back[i], back[j])] for j in range(n)] for i in range(n)]
-    mul = [[perm[F.mul(back[i], back[j])] for j in range(n)] for i in range(n)]
-    neg = [perm[F.neg(back[i])] for i in range(n)]
-    return Hyperfield(perm[F.zero], perm[F.one], neg, mul, add)
-
-
-def ladder_bases():
-    bases = [euclidean_hyperfield()]
-    for p, n in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]:
-        k = ff_make(p, n)
-        bases += [from_field(k), prime_hyperfield(from_field(k)), quadratic_hyperfield(k)]
-    # ids reversed, so that one < zero
-    bases += [relabel(F, range(F.size)[::-1]) for F in bases[:5]]
-    return bases
-
-
 # the coordinate of each triple law that the reduced ladder scales to 0 or 1
 SCALED = {"hypermonoid.iii": 0, "hypergroup.ii": 1, "mul.associative": 0, "hyperring.ii": 0}
 
@@ -880,20 +792,6 @@ def test_reduced_ladder_matches_full_ladder_on_mutants():
             assert reduced.failures == expected
             assert bool(reduced.failures) == bool(full.failures)
     assert min(paths.values()) >= 100, paths
-
-
-def zero_column_mutants(F):
-    """Copies of F with x + 0 = xS for every x, for each S other than {1}
-    of at most two elements: hypermonoid.i fails, while the multiplicative
-    laws, which see these cells only through a(x + 0) = ax + 0, still hold."""
-    for r in (1, 2):
-        for S in combinations(range(F.size), r):
-            if S == (F.one,):
-                continue
-            add = F.add_full_table()
-            for x in range(F.size):
-                add[x][F.zero] = add[F.zero][x] = sorted({F.mul(x, s) for s in S})
-            yield Hyperfield(F.zero, F.one, F.neg_table(), F.mul_table(), add)
 
 
 def test_scalar_zero_is_checked_when_hypermonoid_i_fails():

@@ -23,8 +23,7 @@ from quadpres.oracle import (
 )
 from quadpres.quadratic import Form, WittClass, WittRing
 
-# the fields on which the slow references below finish in a second or so
-ORACLE_SIZES = (2, 3, 4, 5, 7, 9)
+from fleet import ORACLE_SIZES
 
 
 def test_gram_form_validation():

@@ -36,6 +36,8 @@ from quadpres.presentable import (
     supercompact_hyperfield,
 )
 
+from fleet import POWERSET_BASES, gf, lifted_mutants, modular_ring, mutants, mutate_add
+
 
 def test_powerset_of_gf2():
     F = from_field(ff_make(2))
@@ -94,19 +96,7 @@ def test_check_presentable_field_level_on_powersets():
 
 def test_exchange_law_counterexample_on_modular_powerset():
     # P*(Z/8): {1,3} <= {0,1} + {0,2} but {0,1} is not <= {1,3} - {0,2}
-    n = 8
-    add = [[(a + b) % n for b in range(n)] for a in range(n)]
-    mul = [[(a * b) % n for b in range(n)] for a in range(n)]
-    neg = [(-a) % n for a in range(n)]
-    Z8 = Hyperfield(
-        zero=0,
-        one=1,
-        neg=neg,
-        mul=mul,
-        add=[[frozenset([add[a][b]]) for b in range(n)] for a in range(n)],
-        names=[str(a) for a in range(n)],
-    )
-    R = powerset_of_hyperfield(Z8)
+    R = powerset_of_hyperfield(modular_ring(8))
     assert not R.is_field  # Z/8 has noninvertible nonzero elements
     def pid(*members):
         m = 0
@@ -131,15 +121,7 @@ def test_mutated_example_sq_fails_neutrality():
 
 
 def test_supercompact_round_trip():
-    for F in (
-        euclidean_hyperfield(),
-        from_field(ff_make(2)),
-        from_field(ff_make(3)),
-        from_field(ff_make(2, 2)),
-        from_field(ff_make(5)),
-        quadratic_hyperfield(ff_make(3)),
-        quadratic_hyperfield(ff_make(2, 2)),
-    ):
+    for F in [*POWERSET_BASES, quadratic_hyperfield(gf(4))]:
         R = powerset_of_hyperfield(F)
         G = supercompact_hyperfield(R)
         assert hyperfield_isomorphic(F, G) is not None
@@ -255,8 +237,8 @@ def test_congruence_rejects_incompatible_partition():
 
 
 def test_squares_pipeline_chain_matches_quadratic_hyperfield():
-    for p, n in [(3, 1), (5, 1), (7, 1), (3, 2)]:
-        k = ff_make(p, n)
+    for q in (3, 5, 7, 9):
+        k = gf(q)
         lhs = squares_pipeline(prime_hyperfield(from_field(k)))
         rhs = quadratic_hyperfield(k)
         assert hyperfield_isomorphic(lhs, rhs) is not None
@@ -358,9 +340,9 @@ def test_powerset_tables_match_the_pair_loop():
     k7, k11, k16 = from_field(ff_make(7)), from_field(ff_make(11)), from_field(ff_make(2, 4))
     bases = [
         euclidean_hyperfield(),
-        *(from_field(ff_make(p, e)) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1))),
+        *(from_field(gf(q)) for q in (2, 3, 4, 5)),
         *(quadratic_hyperfield(ff_make(q)) for q in (3, 5, 7)),
-        *(prime_hyperfield(from_field(ff_make(p, e))) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1))),
+        *(prime_hyperfield(from_field(gf(q))) for q in (2, 3, 4, 5)),
         quotient_by_subgroup(k7, {1, 6}),
         quotient_by_subgroup(k11, {1, 10}),
         quotient_by_subgroup(k16, {x for x in k16.nonzero() if k16.mul(k16.mul(x, x), x) == 1}),
@@ -370,11 +352,9 @@ def test_powerset_tables_match_the_pair_loop():
     for F in bases:
         made = 0
         while made < 8:
-            add = F.add_full_table()
             a, b = rng.randrange(F.size), rng.randrange(F.size)
-            add[a][b] = add[b][a] = rng.sample(range(F.size), rng.randint(1, F.size))
             try:
-                G = Hyperfield(F.zero, F.one, F.neg_table(), F.mul_table(), add)
+                G = mutate_add(F, a, b, rng.sample(range(F.size), rng.randint(1, F.size)))
             except ValidationError:
                 continue
             if not check_hyperfield(G).passed:
@@ -454,64 +434,13 @@ def whole_carrier_law_fails(R, stage, rng):
     return False
 
 
-def mutants(R, rng, count):
-    """``count`` copies of R with one or two add, mul or neg entries redrawn;
-    most add and mul changes are made symmetrically."""
-    n = R.n
-    for _ in range(count):
-        add = [list(r) for r in R.add]
-        mul = [list(r) for r in R.mul]
-        neg = list(R.neg)
-        for _ in range(rng.randint(1, 2)):
-            kind = rng.choice(("add", "mul", "neg"))
-            v = rng.randrange(n)
-            if kind == "neg":
-                neg[rng.randrange(n)] = v
-                continue
-            table = add if kind == "add" else mul
-            i, j = rng.randrange(n), rng.randrange(n)
-            table[i][j] = v
-            if rng.random() < 0.7:
-                table[j][i] = v
-        yield PresentableRing(R.poset, add, neg, mul, R.one, R.is_field)
-
-
-def lifted_mutants(F, rng, count):
-    """Powersets of ``count`` copies of F with one mul entry or one addition
-    cell redrawn symmetrically: the decomposition identities hold by
-    construction, so only the laws on supercompacts can fail."""
-    m = F.size
-    made = 0
-    while made < count:
-        mul, add = F.mul_table(), F.add_full_table()
-        a, b = rng.randrange(m), rng.randrange(m)
-        if rng.random() < 0.5:
-            mul[a][b] = mul[b][a] = rng.randrange(m)
-        else:
-            add[a][b] = add[b][a] = rng.sample(range(m), rng.randint(1, m))
-        try:
-            G = Hyperfield(F.zero, F.one, F.neg_table(), mul, add)
-        except ValidationError:
-            continue  # a redrawn product with one; the constructor refuses it
-        made += 1
-        yield powerset_of_hyperfield(G)
-
-
 def test_supercompact_laws_decide_the_level_of_mutants():
     # the laws checked on the whole carrier can only fail in a stage that
     # check_presentable's supercompact checks already fail
     rng = random.Random(2024)
     S = example_sq_structure()
     fleet = [S, *mutants(S, rng, 30)]
-    for F in (
-        euclidean_hyperfield(),
-        from_field(ff_make(2)),
-        from_field(ff_make(3)),
-        from_field(ff_make(2, 2)),
-        from_field(ff_make(5)),
-        quadratic_hyperfield(ff_make(3)),
-        prime_hyperfield(from_field(ff_make(3))),
-    ):
+    for F in POWERSET_BASES:
         R = powerset_of_hyperfield(F)
         fleet += [R, *mutants(R, rng, 30), *lifted_mutants(F, rng, 10)]
     R = powerset_of_hyperfield(from_field(ff_make(7)))
@@ -643,17 +572,7 @@ def cached_sup_ladder(R):
 def test_check_presentable_matches_the_cached_sup_ladder():
     rng = random.Random(2027)
     S = example_sq_structure()
-    bases = [(None, S)]
-    for F in (
-        euclidean_hyperfield(),
-        from_field(ff_make(2)),
-        from_field(ff_make(3)),
-        from_field(ff_make(2, 2)),
-        from_field(ff_make(5)),
-        quadratic_hyperfield(ff_make(3)),
-        prime_hyperfield(from_field(ff_make(3))),
-    ):
-        bases.append((F, powerset_of_hyperfield(F)))
+    bases = [(None, S)] + [(F, powerset_of_hyperfield(F)) for F in POWERSET_BASES]
     # GF(2) over two incomparable points: {0, 1} has no supremum
     discrete = FinitePointedPoset([[1, 0], [0, 1]], basepoint=0)
     fleet = [PresentableRing(discrete, [[0, 1], [1, 0]], [0, 1], [[0, 0], [0, 1]], 1, True)]
@@ -677,9 +596,9 @@ def test_check_presentable_matches_the_cached_sup_ladder():
 def test_squares_pipeline_outputs_are_prequadratic():
     from quadpres.quadratic import check_prequadratic
 
-    for p, n in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)]:
-        P = prime_hyperfield(from_field(ff_make(p, n)))
+    for q in (2, 3, 4, 5, 7, 9):
+        P = prime_hyperfield(from_field(gf(q)))
         out = squares_pipeline(P)
-        assert check_prequadratic(out).passed, (p, n)
+        assert check_prequadratic(out).passed, q
     E = euclidean_hyperfield()
     assert check_prequadratic(squares_pipeline(E)).passed

@@ -10,7 +10,7 @@ import pytest
 
 from quadpres import quadratic
 from quadpres.errors import InputError, SizeGuardError, ValidationError
-from quadpres.finitefield import DEFAULT_MODULI, _is_prime, ff_make, square_classes
+from quadpres.finitefield import ff_make, square_classes
 from quadpres.hyperfields import (
     AxiomReport,
     Hyperfield,
@@ -42,10 +42,14 @@ from quadpres.quadratic import (
     tensor_product,
     witt_ring,
 )
-from test_hyperfields import cell_mutants, ladder_bases, mutate_add
 
-# the fields on which the references below finish in a second or so
-ORACLE_SIZES = (2, 3, 4, 5, 7, 9)
+from fleet import (
+    CANONICAL_FLEET, CANONICAL_FLEET_IDS, FOUR_CLASS, LAURENT_FLEET, LAURENT_FLEET_IDS, LINEAR_SCAN_FLEET,
+    LINEAR_SCAN_FLEET_IDS, MARKER_FLEET, ORACLE_SIZES, PRE_QUADRATIC_FLEET, ROWS_FLEET, ROWS_FLEET_IDS,
+    STRIP_FLEET, STRIP_FLEET_IDS, STRIPPED_FLEET, STRIPPED_FLEET_IDS, TABLE_FIELDS, WALKED_FLEET,
+    WALKED_FLEET_IDS, WITT_FIELD_IDS, WITT_FIELDS, add_cell_mutants, cases, cell_mutants, four_class_fleet,
+    gf, ladder_bases, laurent_extension, mutate_add, one_add_cell_changed, q_ctx, structures, two_step_laurent,
+)
 
 
 def euclid_ctx():
@@ -104,16 +108,6 @@ def inductive_isometry(F):
     return _inductive_isometry(F.nonzero(), _binary_isometry(F._mul, F._add))
 
 
-def q_ctx(q):
-    p, n = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2),
-            11: (11, 1), 13: (13, 1)}[q]
-    F = quadratic_hyperfield(ff_make(p, n))
-    return F, IsometryContext(F)
-
-
-PRE_QUADRATIC_FLEET = [2, 3, 4, 5, 7, 9]
-
-
 def test_prequadratic_euclidean_passes():
     assert check_prequadratic(euclidean_hyperfield()).passed
 
@@ -157,9 +151,7 @@ def loop_check_prequadratic(F: Hyperfield) -> AxiomReport:
 
 def test_prequadratic_matches_the_triple_loop():
     tables = [euclidean_hyperfield()]
-    fields = [(p, 1) for p in range(2, 128) if _is_prime(p)]
-    for p, n in fields + [f for f in DEFAULT_MODULI if f[0] ** f[1] <= 127]:
-        k = ff_make(p, n)
+    for k in (ff_make(p, n) for p, n in TABLE_FIELDS if p**n <= 127):
         tables += [from_field(k), prime_hyperfield(from_field(k)), quadratic_hyperfield(k)]
     rng = random.Random(18)
     tables += [G for F in ladder_bases() for G in cell_mutants(F, rng, 40)]
@@ -197,8 +189,8 @@ def test_dimension_mismatch_is_an_error():
 def test_binary_isometry_matches_field_criterion_odd_q():
     # same discriminant class and head representation, derived from field
     # arithmetic directly
-    for q, (p, n) in [(7, (7, 1)), (9, (3, 2)), (11, (11, 1)), (13, (13, 1))]:
-        k = ff_make(p, n)
+    for q in (7, 9, 11, 13):
+        k = gf(q)
         F = quadratic_hyperfield(k)
         ctx = IsometryContext(F)
         sq = square_classes(k)
@@ -239,9 +231,7 @@ def test_check_quadratic_euclidean():
 
 def test_check_quadratic_corrupted_table_names_first_layer():
     F, _ = q_ctx(2)
-    add = [[set(F.add(a, b)) for b in range(F.size)] for a in range(F.size)]
-    add[F.one][F.one] = {F.zero}  # drop 1 from 1 + 1
-    bad = Hyperfield(F.zero, F.one, F.neg_table(), F.mul_table(), add, names=F.names)
+    bad = mutate_add(F, F.one, F.one, {F.zero})  # drop 1 from 1 + 1
     report = check_quadratic(bad, 3)
     assert not report.passed
     assert report.notes.get("layer") == "prequadratic"
@@ -249,10 +239,8 @@ def test_check_quadratic_corrupted_table_names_first_layer():
 
 
 def test_quadratic_budget_guard():
-    F = from_field(ff_make(7))
     with pytest.raises(SizeGuardError):
         check_quadratic(quadratic_hyperfield(ff_make(7)), 20)
-    del F
     for dmax in (0, -3):  # nothing to check, so no verdict
         with pytest.raises(InputError, match="dmax must be at least 1"):
             check_quadratic(euclidean_hyperfield(), dmax)
@@ -341,59 +329,12 @@ def test_witt_equivalent_dim_mismatch_false():
     assert not ctx.witt_equivalent(Form((1, 1)), Form((1,)))
 
 
-def laurent_extension(F, var="t"):
-    """The table of F((t)) from that of F = Q(K), the hyperfield of K((t)).
-
-    Nonzero classes are (a, i) with a in F* and i in {0, 1} (a*t^i), named
-    by appending var when i = 1, and the product adds parities mod 2.  The
-    cell of (a, i) + (b, j) is {(a, i), (b, j)} when i != j; when i == j it
-    is {(c, i) : c in a + b, c != 0}, or the whole carrier when 0 is in
-    a + b.
-    """
-    elems = [None] + [(a, i) for i in (0, 1) for a in F.nonzero()]
-    index = {e: k for k, e in enumerate(elems)}
-    n = len(elems)
-
-    def mul(x, y):
-        if x == 0 or y == 0:
-            return 0
-        (a, i), (b, j) = elems[x], elems[y]
-        return index[(F.mul(a, b), (i + j) % 2)]
-
-    def add(x, y):
-        if x == 0 or y == 0:
-            return {x + y}
-        (a, i), (b, j) = elems[x], elems[y]
-        if i != j:
-            return {x, y}
-        cell = F.add(a, b)
-        if F.zero in cell:
-            return set(range(n))
-        return {index[(c, i)] for c in cell}
-
-    neg = [0] + [index[(F.neg(a), i)] for a, i in elems[1:]]
-    names = ["0"] + [F.names[a] + var * i for a, i in elems[1:]]
-    return Hyperfield(
-        zero=0,
-        one=index[(F.one, 0)],
-        neg=neg,
-        mul=[[mul(x, y) for y in range(n)] for x in range(n)],
-        add=[[add(x, y) for y in range(n)] for x in range(n)],
-        names=names,
-    )
-
-
-def four_class_fleet():
-    """E((t)), Q(GF(3))((t)) and Q(GF(5))((t)): 4 nonzero classes each."""
-    return [laurent_extension(F) for F in (euclidean_hyperfield(), q_ctx(3)[0], q_ctx(5)[0])]
-
-
 def test_laurent_fleet_passes_the_ladders():
     for F in four_class_fleet():
         assert len(F.nonzero()) == 4
         assert check_hyperfield(F).passed, F.names
         assert check_quadratic(F, 3).passed, F.names
-    EE = laurent_extension(laurent_extension(euclidean_hyperfield()), "s")
+    EE = two_step_laurent()
     assert len(EE.nonzero()) == 8
     assert check_hyperfield(EE).passed
 
@@ -423,12 +364,7 @@ def test_reduced_check_reads_every_generator():
     assert ((1, 2, (0,)), "hyperring.ii", (3, 1, 2)) in later
 
 
-@pytest.mark.parametrize(
-    "F, dmax",
-    [(F, 4) for F in four_class_fleet()]
-    + [(laurent_extension(laurent_extension(euclidean_hyperfield()), "s"), 3)],
-    ids=["E(t)", "Q3(t)", "Q5(t)", "E(t)(s)"],
-)
+@pytest.mark.parametrize("F, dmax", LAURENT_FLEET, ids=LAURENT_FLEET_IDS)
 def test_fold_agrees_with_inductive_isometry_past_two_classes(F, dmax):
     ctx = IsometryContext(F)
     iso = inductive_isometry(F)
@@ -446,16 +382,12 @@ def recursion_rows(F, d, iso):
     return [sum(1 << j for j, b in enumerate(forms) if iso(a, b)) for a in forms]
 
 
-@pytest.mark.parametrize(
-    "F",
-    [euclidean_hyperfield()] + [q_ctx(q)[0] for q in (3, 5, 7, 9)] + four_class_fleet(),
-    ids=["E", "Q3", "Q5", "Q7", "Q9", "E(t)", "Q3(t)", "Q5(t)"],
-)
-def test_isometry_rows_match_the_recursion(F):
+@pytest.mark.parametrize("F, dmax", ROWS_FLEET, ids=ROWS_FLEET_IDS)
+def test_isometry_rows_match_the_recursion(F, dmax):
     nz = F.nonzero()
     iso = inductive_isometry(F)
-    levels = list(_isometry_rows(_binary_rows(nz, F._mul, F._add), len(nz), 4))
-    assert len(levels) == 3
+    levels = list(_isometry_rows(_binary_rows(nz, F._mul, F._add), len(nz), dmax))
+    assert len(levels) == dmax - 1
     for d, rows in enumerate(levels, 2):
         assert rows == recursion_rows(F, d, iso), (F.names, d)
 
@@ -488,24 +420,11 @@ def recursion_check_quadratic(F: Hyperfield, dmax: int) -> AxiomReport:
     return AxiomReport("quadratic" if not failures else "prequadratic", failures, notes=notes)
 
 
-def add_cell_mutants(F):
-    """Every copy of F with one add cell and its mirror redrawn to another
-    subset of the carrier, less the copies the constructor refuses."""
-    for a, b in combinations_with_replacement(range(F.size), 2):
-        for r in range(F.size + 1):
-            for cell in combinations(range(F.size), r):
-                if set(cell) != set(F.add(a, b)):
-                    try:
-                        yield mutate_add(F, a, b, cell)
-                    except ValidationError:
-                        pass
-
-
 def test_check_quadratic_matches_the_recursion_on_add_cell_mutants():
     # 525 tables; 207 pass the pre-quadratic axioms, and 74 of those fail an
     # equivalence law (no reflexivity failure: a in a + b makes it hold)
     reached, failed, laws = 0, 0, set()
-    for F in (euclidean_hyperfield(), q_ctx(3)[0], laurent_extension(euclidean_hyperfield())):
+    for F in structures("E Q3 E(t)"):
         for G in [F, *add_cell_mutants(F)]:
             report = check_quadratic(G, 3)
             assert report == recursion_check_quadratic(G, 3), G.names
@@ -637,11 +556,6 @@ def linear_scan_witt_ring(F: Hyperfield, dmax: int) -> WittRing:
     )
 
 
-def two_step_laurent(F=None):
-    """E((t))((s)), or F((t))((s)) for a given F."""
-    return laurent_extension(laurent_extension(euclidean_hyperfield() if F is None else F), "s")
-
-
 def canonical_form(ctx, entries):
     """The lexicographically least sorted form isometric to sorted
     ``entries``, by folds alone: the least c for which entries + <-c>
@@ -712,18 +626,7 @@ def stripped_witt_ring(F: Hyperfield, dmax: int, context=IsometryContext) -> Wit
     )
 
 
-WITT_FIELDS = [euclidean_hyperfield()] + [q_ctx(q)[0] for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
-WITT_FIELD_IDS = ["E"] + [f"Q{q}" for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
-
-
-@pytest.mark.parametrize(
-    "F, dmaxes",
-    [(WITT_FIELDS[0], range(2, 9))]
-    + [(F, range(2, 6)) for F in WITT_FIELDS[1:]]
-    + [(F, range(2, 5)) for F in four_class_fleet()]
-    + [(two_step_laurent(), range(2, 4))],
-    ids=WITT_FIELD_IDS + ["E(t)", "Q3(t)", "Q5(t)", "E(t)(s)"],
-)
+@pytest.mark.parametrize("F, dmaxes", LINEAR_SCAN_FLEET, ids=LINEAR_SCAN_FLEET_IDS)
 def test_witt_ring_matches_the_linear_scan(F, dmaxes):
     for dmax in dmaxes:
         W = witt_ring(F, dmax)
@@ -731,18 +634,6 @@ def test_witt_ring_matches_the_linear_scan(F, dmaxes):
         # dataclass equality: classes in order, both tables, zero, one, growth
         assert W == ref, dmax
         assert W.status == ref.status, dmax
-
-
-# witt_ring against the strip-every-cell reference: E to dmax 12, Q(GF(q))
-# to 6, the four-class fleet to 5, E((t))((s)) to 4 and Q(GF(3))((t))((s))
-# to 5, where products of copies of one class split past dmax
-STRIPPED_FLEET = (
-    [(WITT_FIELDS[0], range(2, 13))]
-    + [(F, range(2, 7)) for F in WITT_FIELDS[1:]]
-    + [(F, range(2, 6)) for F in four_class_fleet()]
-    + [(two_step_laurent(), range(2, 5)), (two_step_laurent(q_ctx(3)[0]), range(2, 6))]
-)
-STRIPPED_FLEET_IDS = WITT_FIELD_IDS + ["E(t)", "Q3(t)", "Q5(t)", "E(t)(s)", "Q3(t)(s)"]
 
 
 @pytest.mark.parametrize("F, dmaxes", STRIPPED_FLEET, ids=STRIPPED_FLEET_IDS)
@@ -770,15 +661,6 @@ class FoldOnlyContext(IsometryContext):
 def test_witt_ring_matches_the_fold_only_stripped_tables(F, dmaxes):
     for dmax in dmaxes:
         assert witt_ring(F, dmax) == stripped_witt_ring(F, dmax, FoldOnlyContext), dmax
-
-
-# E, Q(GF(q)) for q = 3, 4, 5, 7, 9 and the four-class fleet to dim 6,
-# E((t))((s)) to dim 4: 1,262 sorted forms
-STRIP_FLEET = (
-    [(euclidean_hyperfield(), 6)] + [(q_ctx(q)[0], 6) for q in (3, 4, 5, 7, 9)]
-    + [(F, 6) for F in four_class_fleet()] + [(two_step_laurent(), 4)]
-)
-STRIP_FLEET_IDS = ["E"] + [f"Q{q}" for q in (3, 4, 5, 7, 9)] + ["E(t)", "Q3(t)", "Q5(t)", "E(t)(s)"]
 
 
 @pytest.mark.parametrize("F, dmax", STRIP_FLEET, ids=STRIP_FLEET_IDS)
@@ -836,10 +718,7 @@ def test_a_pair_rich_form_strips_in_one_fold(monkeypatch):
     assert ctx.anisotropic_part((1,) * 2000 + (2,) * 1999) == Form((1,))
 
 
-@pytest.mark.parametrize(
-    "F, dmax", [(euclidean_hyperfield(), 5), (q_ctx(3)[0], 4)] + [(F, 4) for F in four_class_fleet()],
-    ids=["E", "Q3", "E(t)", "Q3(t)", "Q5(t)"],
-)
+@pytest.mark.parametrize("F, dmax", WALKED_FLEET, ids=WALKED_FLEET_IDS)
 def test_witt_ring_strips_no_walked_sum(F, dmax, monkeypatch):
     # a walked sum rep + <a> that does not split is named by the walk, and
     # one that splits is classed by its tail, by Witt cancellation
@@ -854,16 +733,35 @@ def test_witt_ring_strips_no_walked_sum(F, dmax, monkeypatch):
 def test_a_long_chain_of_planes_strips_in_a_loop(monkeypatch):
     # <1^n> over Q(GF(3)) has no pair <a, -a>: each fold splits off a plane
     # and leaves a tail that loses one more, so <1^4401> takes 1,101 folds,
-    # more than the recursion limit allows frames.  Every form on the chain
-    # is memoized to the result.  <1^2401> and E's <1^1100, -1^1099> raised
-    # RecursionError when _strip called itself once a plane
+    # more than the recursion limit allows frames.  Only the queried form is
+    # memoized.  <1^2401> and E's <1^1100, -1^1099> raised RecursionError
+    # when _strip called itself once a plane
     forms = spy_on(monkeypatch, "_tail")
     F, ctx = q_ctx(3)
     assert ctx.anisotropic_part((F.one,) * 4401) == Form((F.one,))
     assert len(forms) > sys.getrecursionlimit()
-    assert all(ctx._stripped[form] == (F.one,) for _, form in forms)
+    assert ctx._stripped == {(): (), (F.one,) * 4401: (F.one,)}
     assert q_ctx(3)[1].anisotropic_part((F.one,) * 2401) == Form((F.one,))
     assert euclid_ctx().anisotropic_part((1,) * 1100 + (2,) * 1099) == Form((1,))
+
+
+@pytest.mark.parametrize("F, dmax", MARKER_FLEET, ids=STRIP_FLEET_IDS)
+def test_the_strip_memo_holds_only_the_forms_asked(F, dmax):
+    # a strip stores the form it was asked about, phi + (-psi) for a pair,
+    # and none of the smaller forms its chain met; isotropy and splits
+    # store none
+    ctx, neg, asked = IsometryContext(F), F.neg_table(), set()
+    for phi in combinations_with_replacement(ctx.nonzero, dmax):
+        psi = phi[::2]
+        ctx.is_isotropic(phi)
+        ctx.split_hyperbolic(phi)
+        ctx.anisotropic_part(phi)
+        ctx.anisotropic_entries(phi)
+        ctx.witt_equivalent(phi, psi)
+        ctx.isometric(phi, phi[::-1])
+        asked |= {phi} | {ctx._norm(phi + tuple(neg[e] for e in b)) for b in (psi, phi)}
+    assert set(ctx._stripped) <= asked | {()}, F.names
+    assert len(ctx._stripped) <= 1 + len(asked), F.names
 
 
 def test_tables_strip_only_past_the_found_classes(monkeypatch):
@@ -881,10 +779,7 @@ def test_tables_strip_only_past_the_found_classes(monkeypatch):
     assert statuses == {("finite", False), ("truncated", False), ("truncated", True)}
 
 
-@pytest.mark.parametrize(
-    "F, dmaxes", [(WITT_FIELDS[0], [*range(2, 13), 64])] + [(F, range(2, 7)) for F in WITT_FIELDS[1:]],
-    ids=WITT_FIELD_IDS,
-)
+@pytest.mark.parametrize("F, dmaxes", WITT_FIELDS, ids=WITT_FIELD_IDS)
 def test_witt_ring_folds_nothing_on_E_and_finite_fields(F, dmaxes, monkeypatch):
     # the walk reads value sets and the tables read rows: on E, whose
     # entries past dmax are all named None by value sets, and on the finite
@@ -961,10 +856,9 @@ def fold_outcomes(ctx, entries):
 def test_fold_fixed_point_matches_the_row_by_row_fold():
     # 44 tables: E, Q(GF(3)), (5), (8), (9) and E's add-cell mutants to dim
     # 12, the four-class fleet to dim 5
-    E = euclidean_hyperfield()
-    mutants = list(add_cell_mutants(E))
-    tables = [(F, 12) for F in [E] + [q_ctx(q)[0] for q in (3, 5, 8, 9)] + mutants]
-    tables += [(F, 5) for F in four_class_fleet()]
+    mutants = list(add_cell_mutants(euclidean_hyperfield()))
+    tables = [(F, 12) for F in structures("E Q3 Q5 Q8 Q9") + mutants]
+    tables += [(F, 5) for F in structures(FOUR_CLASS)]
     forms, raised = 0, 0
     for F, dmax in tables:
         ctx, ref = IsometryContext(F), RowByRowContext(F)
@@ -1010,11 +904,6 @@ def test_split_refuses_zero_in_a_plus_zero():
             assert err.value.witness == (a, cell)
 
 
-# STRIP_FLEET capped at dim 5: the test below builds two fresh contexts for
-# each of up to five queries a form
-MARKER_FLEET = [(F, min(dmax, 5)) for F, dmax in STRIP_FLEET]
-
-
 @pytest.mark.parametrize("F, dmax", MARKER_FLEET, ids=STRIP_FLEET_IDS)
 def test_is_isotropic_leaves_no_tail_behind(F, dmax, monkeypatch):
     # a cold is_isotropic is one fold, with no walk to a tail and no strip;
@@ -1051,10 +940,7 @@ def test_is_isotropic_is_zero_in_the_whole_hypersum(F, dmax):
             assert ctx.is_isotropic(phi) == (F.zero in hypersums(F, phi)[0]), (F.names, phi)
 
 
-@pytest.mark.parametrize(
-    "F, dmax", [(F, 4) for F in four_class_fleet()] + [(two_step_laurent(), 3)],
-    ids=["E(t)", "Q3(t)", "Q5(t)", "E(t)(s)"],
-)
+@pytest.mark.parametrize("F, dmax", LAURENT_FLEET, ids=LAURENT_FLEET_IDS)
 def test_values_decide_whether_a_sum_of_classes_splits(F, dmax):
     # b is a value of an anisotropic phi iff phi + <-b> splits, and phi + psi,
     # both anisotropic, splits iff a value of phi is minus a value of psi:
@@ -1094,14 +980,7 @@ def test_witt_ring_guard_edge_in_a_subprocess():
     assert "error: 141 classes at dmax 71 give 100220121 product entries; budget 100000000" in done.stderr
 
 
-@pytest.mark.parametrize(
-    "F, dmax",
-    [(euclidean_hyperfield(), 6)]
-    + [(q_ctx(q)[0], 5) for q in PRE_QUADRATIC_FLEET]
-    + [(F, 4) for F in four_class_fleet()]
-    + [(two_step_laurent(), 3)],
-    ids=["E"] + [f"Q{q}" for q in PRE_QUADRATIC_FLEET] + ["E(t)", "Q3(t)", "Q5(t)", "E(t)(s)"],
-)
+@pytest.mark.parametrize("F, dmax", CANONICAL_FLEET, ids=CANONICAL_FLEET_IDS)
 def test_canonical_is_the_least_isometric_sorted_form(F, dmax):
     ctx = IsometryContext(F)
     for d in range(1, dmax + 1):
@@ -1296,9 +1175,7 @@ def test_ring_isomorphic_on_a_class_with_no_additive_order():
     for q in (2, 3, 5):
         F, _ = q_ctx(q)
         W = witt_ring(F, 4)
-        add = [list(row) for row in W.add_table]
-        add[1][1] = (add[1][1] + 1) % W.size
-        M = replace(W, add_table=add)
+        M = one_add_cell_changed(W)
         assert M.status == "finite"
         for pair in ((M, W), (W, M)):
             found = ring_isomorphic(*pair)
@@ -1322,7 +1199,7 @@ def test_ring_isomorphic_size_mismatch():
 
 
 def test_permutation_invariance_raw_mode():
-    for F in [euclidean_hyperfield(), q_ctx(3)[0], q_ctx(5)[0]]:
+    for F in structures("E Q3 Q5"):
         iso = inductive_isometry(F)
         nz = F.nonzero()
         for d in range(1, 5):
@@ -1332,7 +1209,7 @@ def test_permutation_invariance_raw_mode():
 
 
 def test_inductive_isometry_agrees_with_fold_on_unsorted_pairs():
-    for F in [euclidean_hyperfield(), q_ctx(3)[0]]:
+    for F in structures("E Q3"):
         ctx = IsometryContext(F)
         iso = inductive_isometry(F)
         nz = F.nonzero()
@@ -1370,7 +1247,7 @@ def test_negation_to_zero_is_an_input_error():
 
 
 def test_isometry_preserves_products():
-    for F in [euclidean_hyperfield(), q_ctx(3)[0], q_ctx(5)[0]]:
+    for F in structures("E Q3 Q5"):
         ctx = IsometryContext(F)
         nz = F.nonzero()
         for d in range(1, 5):
@@ -1381,7 +1258,7 @@ def test_isometry_preserves_products():
 
 
 def test_sum_and_tensor_congruence():
-    for F in [euclidean_hyperfield(), q_ctx(3)[0], q_ctx(5)[0]]:
+    for F in structures("E Q3 Q5"):
         ctx = IsometryContext(F)
         nz = F.nonzero()
         d1, d2 = 3, 2
@@ -1406,7 +1283,7 @@ def test_sum_and_tensor_congruence():
 
 
 def test_witt_cancellation():
-    for F in [euclidean_hyperfield(), q_ctx(3)[0], q_ctx(5)[0], q_ctx(2)[0]]:
+    for F in structures("E Q3 Q5 Q2"):
         ctx = IsometryContext(F)
         nz = F.nonzero()
         small = [c for d in (1, 2) for c in combinations_with_replacement(nz, d)]
@@ -1452,8 +1329,8 @@ def test_special_group_size_guard(monkeypatch):
 
 
 def run_in_subprocess(code):
-    """Run ``code`` in a fresh interpreter that imports quadpres and these
-    tests, with a 60 s bound; its stdout."""
+    """Run ``code`` in a fresh interpreter that imports quadpres and the
+    test fleet, with a 60 s bound; its stdout."""
     src = os.path.dirname(os.path.dirname(quadratic.__file__))
     path = os.pathsep.join((src, os.path.dirname(__file__)))
     done = subprocess.run(
@@ -1484,7 +1361,7 @@ def test_special_group_guard_edge_in_a_subprocess(monkeypatch):
     # pairs, the most TRIPLE_BUDGET admits at 8 elements.  Bound 60 s
     out = run_in_subprocess(
         "from quadpres.quadratic import check_special_group, special_group_of\n"
-        "from test_quadratic import two_step_laurent\n"
+        "from fleet import two_step_laurent\n"
         "r = check_special_group(special_group_of(two_step_laurent()), 4)\n"
         "print(r.level_passed, len(r.failures))\n"
     )
@@ -1497,13 +1374,13 @@ def test_special_group_guard_edge_in_a_subprocess(monkeypatch):
 
 def test_special_group_of_quadratic_hyperfields():
     for q in (3, 5, 7):
-        F, _ = q_ctx(q) if q != 7 else (quadratic_hyperfield(ff_make(7)), None)
+        F, _ = q_ctx(q)
         S = special_group_of(F)
         assert S.size == 2
         assert check_special_group(S, nmax=4).passed
 
 
-@pytest.mark.parametrize("F", four_class_fleet(), ids=["E(t)", "Q3(t)", "Q5(t)"])
+@pytest.mark.parametrize("F", structures(FOUR_CLASS), ids=FOUR_CLASS.split())
 def test_special_groups_past_two_classes(F, monkeypatch):
     S = special_group_of(F)
     assert S.size == 4
@@ -1600,9 +1477,7 @@ def cell_by_cell_group_stage(S):
 def test_group_stage_matches_the_cell_by_cell_reference():
     # every copy with one mul cell redrawn, and with a cell and its mirror
     # redrawn, so that some copies stay commutative and fail associativity only
-    E = euclidean_hyperfield()
-    fields = [(E, 3), (q_ctx(3)[0], 3), (q_ctx(5)[0], 3)]
-    fields += [(F, 3) for F in four_class_fleet()] + [(two_step_laurent(), 2)]
+    fields, _ = cases(("E Q3 Q5 " + FOUR_CLASS, 3), ("E(t)(s)", 2))
     mutants, laws = 0, set()
     for F, nmax in fields:
         S = special_group_of(F)
@@ -1634,7 +1509,7 @@ def test_witt_class_normalization():
 
 
 def test_witt_equivalence_is_a_congruence():
-    for F in [euclidean_hyperfield(), q_ctx(3)[0]]:
+    for F in structures("E Q3"):
         ctx = IsometryContext(F)
         nz = F.nonzero()
         forms = [c for d in (1, 2, 3) for c in combinations_with_replacement(nz, d)]
@@ -1665,9 +1540,8 @@ def test_witt_equivalence_is_a_congruence():
 
 
 def test_witt_ring_neutral_zero_and_unary_squares():
-    for build in [lambda: (euclidean_hyperfield(), 4), lambda: (q_ctx(3)[0], 4), lambda: (q_ctx(5)[0], 4)]:
-        F, dmax = build()
-        W = witt_ring(F, dmax)
+    for F in structures("E Q3 Q5"):
+        W = witt_ring(F, 4)
         for i in range(W.size):
             assert W.add_table[i][W.zero_class] == i
         for i, cls in enumerate(W.classes):
