@@ -15,6 +15,9 @@ the form alone: each form on the way loses every visible plane <a, -a> at
 once, found by bisection over its runs, and only what is left is folded.
 phi and psi are Witt equivalent iff phi + (-psi) strips to the zero class,
 and isometric iff they also have equal dimensions (Witt cancellation).
+An IsometryContext memoizes each verdict and part by the query as asked, so
+a repeated query is its validation and one dict read, with no sort,
+negation or fold.
 These criteria assume a quadratically presentable field; `cli witt` checks
 the field first, and `cli isom` refuses tables that are not pre-quadratic
 hyperfields.  On a sorted form, a row that repeats inside a run of equal
@@ -151,16 +154,20 @@ def _isometry_rows(binary, m, dmax):
 
 
 class IsometryContext:
-    """The value-set fold over a fixed hyperfield, with two memos keyed by
-    the sorted forms callers ask about: _isotropic holds one entry per
-    distinct form passed to is_isotropic, and _stripped one per distinct
-    form passed to anisotropic_entries or anisotropic_part, or formed as
-    phi + (-psi) by isometric or witt_equivalent, besides () for the zero
-    class.  split_hyperbolic is not memoized.
+    """The value-set fold over a fixed hyperfield, with three memos keyed
+    by the validated query exactly as asked, so each holds one entry per
+    distinct query: _isotropic maps a form passed to is_isotropic to a
+    bool, _cancelled a pair (phi, psi) passed to isometric or
+    witt_equivalent to a bool, and _stripped a form passed to
+    anisotropic_entries or anisotropic_part to its part.  As with
+    functools.lru_cache, a form asked in two entry orders takes two
+    entries.  A repeated query is its validation and one dict read; only a
+    miss sorts, negates or folds.  split_hyperbolic is not memoized.
 
     The context assumes a quadratically presentable field: on other tables
     its verdicts need not agree with the paper's recursion.  Each public
-    method validates its input once, then works on entry-sorted tuples.
+    method validates its input once, then, on a miss, works on
+    entry-sorted tuples.
 
     A context is single-owner while a computation runs; share the hyperfield,
     not the context.
@@ -172,7 +179,8 @@ class IsometryContext:
         self._nonzero_set = frozenset(self.nonzero)
         self._neg = F.neg_table()
         self._isotropic = {}
-        self._stripped = {(): ()}  # () is the zero class
+        self._cancelled = {}
+        self._stripped = {}
 
     # -- plumbing --------------------------------------------------------
 
@@ -198,7 +206,8 @@ class IsometryContext:
     def _ints(self, entries):
         """Validated ``entries`` once none is a float or the like equal to an
         id, which the set test of _entries_of lets through.  Only a query
-        that misses the memo reads this, so a warm one pays nothing."""
+        that misses the memo reads this, so a warm one reads the entry of
+        the equal ids and pays nothing."""
         if type(sum(entries)) is not int:  # a float among ints sums to a float
             raise self._refusal(entries)
         return entries
@@ -224,10 +233,10 @@ class IsometryContext:
     def is_isotropic(self, phi) -> bool:
         """Whether phi splits a hyperbolic plane, that is, whether 0 is in
         its hypersum: whether _fold finds an isotropic suffix."""
-        entries = self._norm(self._entries_of(phi))
+        entries = self._entries_of(phi)
         isotropic = self._isotropic.get(entries)
         if isotropic is None:
-            isotropic = self._isotropic[entries] = self._fold(self._ints(entries))[0] >= 0
+            isotropic = self._isotropic[entries] = self._fold(self._norm(self._ints(entries)))[0] >= 0
         return isotropic
 
     def _fold(self, entries):
@@ -284,14 +293,12 @@ class IsometryContext:
     def anisotropic_entries(self, entries) -> tuple:
         """Strip hyperbolic planes until nothing splits; () is the zero class.
         The representative is _strip's, the same on every context: each form
-        loses its pairs <a, -a> first, and what is left is split by _tail."""
-        return self._part(self._norm(self._entries_of(entries)))
-
-    def _part(self, entries):
-        """_strip of validated, sorted ``entries``, memoized for this form alone."""
+        loses its pairs <a, -a> first, and what is left is split by _tail.
+        Memoized for the form as asked, and for none met on the way."""
+        entries = self._entries_of(entries)
         part = self._stripped.get(entries)
         if part is None:
-            part = self._stripped[entries] = self._strip(self._ints(entries))
+            part = self._stripped[entries] = self._strip(self._norm(self._ints(entries)))
         return part
 
     def _strip(self, entries):
@@ -353,14 +360,15 @@ class IsometryContext:
         return self._cancels(self._entries_of(phi), self._entries_of(psi))
 
     def _cancels(self, a, b):
-        """Whether a + (-b) strips to the zero class; a and b are validated."""
-        try:
-            minus_b = tuple(map(self._neg.__getitem__, b))
-        except TypeError:  # an entry equal to an id that is not an int
-            raise self._refusal(b) from None
-        if self.F.zero in minus_b:
-            raise InputError("negation sends a nonzero form entry to zero")
-        return not self._part(self._norm(a + minus_b))
+        """Whether a + (-b) strips to the zero class, memoized for the pair
+        (a, b) as asked, and not as a form; a and b are validated."""
+        cancelled = self._cancelled.get((a, b))
+        if cancelled is None:
+            minus_b = tuple(map(self._neg.__getitem__, self._ints(b)))
+            if self.F.zero in minus_b:
+                raise InputError("negation sends a nonzero form entry to zero")
+            cancelled = self._cancelled[a, b] = not self._strip(self._norm(self._ints(a) + minus_b))
+        return cancelled
 
 
 def _hypermonoid_i(F, a):

@@ -1,5 +1,5 @@
-"""The structures, fleets and mutant generators that the tests share, each
-defined once.
+"""The structures, fleets, mutant generators and subprocess runner that the
+tests share, each defined once.
 
 Every test module imports them from here and no test module imports
 another, so a structure added here reaches every test that reads its
@@ -8,14 +8,33 @@ structure has the id its parametrized tests print: E for the Euclidean
 hyperfield, Qq for Q(GF(q)), and (t) or (s) for each Laurent step.
 """
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import combinations, combinations_with_replacement
 
+import quadpres
 from quadpres.errors import ValidationError
 from quadpres.finitefield import DEFAULT_MODULI, _is_prime, ff_make, parse_field_arg
 from quadpres.hyperfields import Hyperfield, euclidean_hyperfield, from_field, prime_hyperfield, quadratic_hyperfield
 from quadpres.presentable import PresentableRing, powerset_of_hyperfield
 from quadpres.quadratic import IsometryContext
+
+# -- subprocesses ----------------------------------------------------------
+
+
+def run_python(*args, timeout):
+    """``python *args`` in a fresh interpreter that imports quadpres from
+    this checkout's src and this module from tests, bounded by ``timeout``
+    seconds (None for no bound): the CompletedProcess, its output as text."""
+    src = os.path.dirname(os.path.dirname(quadpres.__file__))
+    path = os.pathsep.join((src, os.path.dirname(os.path.abspath(__file__))))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
 
 # -- structures ------------------------------------------------------------
 

@@ -1,11 +1,7 @@
 import io
 import json
-import os
-import subprocess
-import sys
 from dataclasses import replace
 
-import quadpres
 from quadpres import quadratic
 from quadpres.cli import _oracle_match, build_parser, main
 from quadpres.documents import emit_hyperfield, emit_presentable, emit_witt_ring, parse_document
@@ -23,7 +19,9 @@ from quadpres.posets import check_presentable as check_poset
 from quadpres.presentable import check_presentable, example_sq_structure, squares_pipeline
 from quadpres.quadratic import ring_isomorphic, witt_ring
 
-from fleet import ORACLE_SIZES, STRUCTURES, TABLE_FIELDS, gf, mutate_add, one_add_cell_changed, two_step_laurent
+from fleet import (
+    ORACLE_SIZES, STRUCTURES, TABLE_FIELDS, gf, mutate_add, one_add_cell_changed, run_python, two_step_laurent,
+)
 
 
 def run(capsys, *argv):
@@ -46,11 +44,7 @@ def test_witt_field_matches_the_oracle_past_the_small_fields(capsys):
         assert code == 0, q
         assert "oracle match: yes" in out, q
     # GF(1024), the largest field the guard admits, in a subprocess with a timeout
-    src = os.path.dirname(os.path.dirname(quadpres.__file__))
-    done = subprocess.run(
-        [sys.executable, "-m", "quadpres.cli", "witt", "--field", "1024", "--max-dim", "4"],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
-    )
+    done = run_python("-m", "quadpres.cli", "witt", "--field", "1024", "--max-dim", "4", timeout=60)
     assert done.returncode == 0
     assert "oracle match: yes" in done.stdout
     code, out = run(capsys, "oracle", "witt", "--q", "1021", "--max-dim", "4")
@@ -502,12 +496,9 @@ def test_parser_reuse_leaks_nothing_between_calls(tmp_path, capsys):
 
 
 def test_parser_is_not_built_at_import():
-    src = os.path.dirname(os.path.dirname(quadpres.__file__))
     probe = "import quadpres.cli as c; print(c.build_parser.cache_info().currsize)"
-    done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    done = run_python("-c", probe, timeout=None)
+    assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "0"
 
 
@@ -523,11 +514,7 @@ OVERSIZED = (  # (descriptor, command)
 
 def test_oversized_field_descriptors_are_refused_at_once():
     # in a subprocess with a timeout: a guard that factors q or builds p^n first hangs or raises
-    src = os.path.dirname(os.path.dirname(quadpres.__file__))
     for descriptor, argv in OVERSIZED:
-        done = subprocess.run(
-            [sys.executable, "-m", "quadpres.cli", *argv], capture_output=True, text=True,
-            timeout=10, env={**os.environ, "PYTHONPATH": src},
-        )
+        done = run_python("-m", "quadpres.cli", *argv, timeout=10)
         assert done.returncode == 2, argv
         assert done.stderr == f"error: field size {descriptor} exceeds cap 1024\n", argv

@@ -1,11 +1,7 @@
-import os
-import subprocess
-import sys
 from itertools import combinations_with_replacement, product
 
 import pytest
 
-import quadpres
 from quadpres import oracle
 from quadpres.errors import InputError, SizeGuardError, ValidationError
 from quadpres.finitefield import ff_make, square_classes
@@ -23,7 +19,7 @@ from quadpres.oracle import (
 )
 from quadpres.quadratic import Form, WittClass, WittRing
 
-from fleet import ORACLE_SIZES
+from fleet import ORACLE_SIZES, run_python
 
 
 def test_gram_form_validation():
@@ -191,12 +187,9 @@ def test_congruence_guard(monkeypatch):
 
 def test_congruence_classes_at_the_guard_edge():
     # (5, 3), the largest size the guard admits, in a subprocess with a timeout
-    src = os.path.dirname(os.path.dirname(quadpres.__file__))
     probe = "from quadpres.oracle import congruence_classes; print(congruence_classes(5, 3).count)"
-    done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-        timeout=60, env={**os.environ, "PYTHONPATH": src},
-    )
+    done = run_python("-c", probe, timeout=60)
+    assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "2"
 
 

@@ -1,13 +1,9 @@
-import os
 import random
-import subprocess
-import sys
 from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
-import quadpres
 from quadpres.errors import InputError, SizeGuardError, ValidationError
 from quadpres.finitefield import ff_make
 from quadpres.hyperfields import from_field
@@ -24,6 +20,8 @@ from quadpres.posets import (
     walking_supremum,
 )
 from quadpres.presentable import powerset_of_hyperfield
+
+from fleet import run_python
 
 
 def nonempty_subsets(xs):
@@ -423,10 +421,6 @@ def test_subset_guard_edge_in_a_subprocess():
         "n = r.notes\n"
         "print(n['weakly_presentable'], n['all_minimals_compact'], r.failures, n['tests_agree'])\n"
     )
-    src = os.path.dirname(os.path.dirname(quadpres.__file__))
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    done = run_python("-c", code, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "True False [('compactness', (2, (0, 1)))] True\n"

@@ -1,12 +1,8 @@
-import os
 import random
-import subprocess
-import sys
 from itertools import combinations
 
 import pytest
 
-import quadpres
 from quadpres.errors import InputError, SizeGuardError, ValidationError
 from quadpres.finitefield import ff_make
 from quadpres.hyperfields import (
@@ -36,7 +32,7 @@ from quadpres.presentable import (
     supercompact_hyperfield,
 )
 
-from fleet import POWERSET_BASES, gf, lifted_mutants, modular_ring, mutants, mutate_add
+from fleet import POWERSET_BASES, gf, lifted_mutants, modular_ring, mutants, mutate_add, run_python
 
 
 def test_powerset_of_gf2():
@@ -300,11 +296,7 @@ def test_powerset_guard_edge_in_a_subprocess():
         "R = powerset_of_hyperfield(F)\n"
         "print(F.size, R.n, check_presentable(R).level_passed)\n"
     )
-    src = os.path.dirname(os.path.dirname(quadpres.__file__))
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    done = run_python("-c", code, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "10 1023 field\n"
 

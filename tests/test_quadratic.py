@@ -1,6 +1,4 @@
-import os
 import random
-import subprocess
 import sys
 from dataclasses import replace
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -48,7 +46,8 @@ from fleet import (
     LINEAR_SCAN_FLEET_IDS, MARKER_FLEET, ORACLE_SIZES, PRE_QUADRATIC_FLEET, ROWS_FLEET, ROWS_FLEET_IDS,
     STRIP_FLEET, STRIP_FLEET_IDS, STRIPPED_FLEET, STRIPPED_FLEET_IDS, TABLE_FIELDS, WALKED_FLEET,
     WALKED_FLEET_IDS, WITT_FIELD_IDS, WITT_FIELDS, add_cell_mutants, cases, cell_mutants, four_class_fleet,
-    gf, ladder_bases, laurent_extension, mutate_add, one_add_cell_changed, q_ctx, structures, two_step_laurent,
+    gf, ladder_bases, laurent_extension, mutate_add, one_add_cell_changed, q_ctx, run_python, structures,
+    two_step_laurent,
 )
 
 
@@ -302,6 +301,17 @@ def test_a_float_equal_to_an_id_is_refused_on_a_memo_miss():
     for call in calls:
         with pytest.raises(InputError, match=r"^unknown element id 1\.0$"):
             call(euclid_ctx())
+
+
+def test_a_float_equal_to_an_id_reads_a_warm_pair_in_either_place():
+    # a warm pair query reads the entry of the equal ids, whichever form of
+    # the pair holds the float; negating psi on every call refused it in psi
+    ctx = euclid_ctx()
+    assert ctx.isometric((1, 2), (1, 2)) and ctx.witt_equivalent((1, 1, 2), (1,))
+    assert ctx.isometric((1.0, 2), (1, 2))
+    assert ctx.isometric((1, 2), (1.0, 2))
+    assert ctx.witt_equivalent((1.0, 1, 2), (1,))
+    assert ctx.witt_equivalent((1, 1, 2), (1.0,))
 
 
 def test_q3_four_ones_reduce_to_zero_class():
@@ -651,7 +661,7 @@ class FoldOnlyContext(IsometryContext):
         hit = self._stripped.get(entries)
         if hit is not None:
             return hit
-        tail = self._tail(entries)
+        tail = self._tail(entries) if entries else None
         result = entries if tail is None else self._strip(tail)
         self._stripped[entries] = result
         return result
@@ -740,28 +750,54 @@ def test_a_long_chain_of_planes_strips_in_a_loop(monkeypatch):
     F, ctx = q_ctx(3)
     assert ctx.anisotropic_part((F.one,) * 4401) == Form((F.one,))
     assert len(forms) > sys.getrecursionlimit()
-    assert ctx._stripped == {(): (), (F.one,) * 4401: (F.one,)}
+    assert ctx._stripped == {(F.one,) * 4401: (F.one,)}
     assert q_ctx(3)[1].anisotropic_part((F.one,) * 2401) == Form((F.one,))
     assert euclid_ctx().anisotropic_part((1,) * 1100 + (2,) * 1099) == Form((1,))
 
 
 @pytest.mark.parametrize("F, dmax", MARKER_FLEET, ids=STRIP_FLEET_IDS)
 def test_the_strip_memo_holds_only_the_forms_asked(F, dmax):
-    # a strip stores the form it was asked about, phi + (-psi) for a pair,
-    # and none of the smaller forms its chain met; isotropy and splits
-    # store none
-    ctx, neg, asked = IsometryContext(F), F.neg_table(), set()
+    # each memo holds one entry per distinct query, keyed as asked, entry
+    # order and all: a form for isotropy and for strips, a pair for
+    # isometry and Witt equivalence, whose verdicts are bools.  Splits, and
+    # the forms a strip meets on its way, store nothing
+    ctx, isotropic, stripped, pairs = IsometryContext(F), set(), set(), set()
     for phi in combinations_with_replacement(ctx.nonzero, dmax):
-        psi = phi[::2]
-        ctx.is_isotropic(phi)
+        rev, psi = phi[::-1], phi[::2]
+        ctx.is_isotropic(rev)
         ctx.split_hyperbolic(phi)
         ctx.anisotropic_part(phi)
-        ctx.anisotropic_entries(phi)
+        ctx.anisotropic_entries(rev)
         ctx.witt_equivalent(phi, psi)
-        ctx.isometric(phi, phi[::-1])
-        asked |= {phi} | {ctx._norm(phi + tuple(neg[e] for e in b)) for b in (psi, phi)}
-    assert set(ctx._stripped) <= asked | {()}, F.names
-    assert len(ctx._stripped) <= 1 + len(asked), F.names
+        ctx.isometric(phi, rev)
+        isotropic.add(rev)
+        stripped |= {phi, rev}
+        pairs |= {(phi, psi), (phi, rev)}
+    assert set(ctx._isotropic) == isotropic, F.names
+    assert set(ctx._stripped) == stripped, F.names
+    assert set(ctx._cancelled) == pairs, F.names
+    for memo in (ctx._isotropic, ctx._cancelled):
+        assert {type(v) for v in memo.values()} == {bool}, F.names
+
+
+@pytest.mark.parametrize("F, dmax", MARKER_FLEET, ids=STRIP_FLEET_IDS)
+def test_a_warm_repeat_is_one_memo_read(F, dmax, monkeypatch):
+    # a query asked before is read off its memo as asked: it sorts, pairs,
+    # folds, walks and strips nothing, and answers as a fresh context does
+    queries = []
+    for d in range(1, dmax + 1):
+        for phi in combinations_with_replacement(F.nonzero(), d):
+            rev = phi[::-1]
+            queries += [("is_isotropic", rev), ("anisotropic_entries", rev),
+                        ("isometric", phi, rev), ("witt_equivalent", rev, phi[::2])]
+    want = [getattr(IsometryContext(F), name)(*args) for name, *args in queries]
+    warm = IsometryContext(F)
+    for name, *args in queries:
+        getattr(warm, name)(*args)
+    calls = spy_on(monkeypatch, "_norm", "_unpaired", "_fold", "_tail", "_strip")
+    for (name, *args), verdict in zip(queries, want):
+        assert getattr(warm, name)(*args) == verdict, (F.names, name, args)
+        assert calls == [], (F.names, name, args)
 
 
 def test_tables_strip_only_past_the_found_classes(monkeypatch):
@@ -960,11 +996,7 @@ def test_values_decide_whether_a_sum_of_classes_splits(F, dmax):
 
 
 def run_witt_cli(dmax):
-    src = os.path.dirname(os.path.dirname(quadratic.__file__))
-    return subprocess.run(
-        [sys.executable, "-m", "quadpres.cli", "witt", "--builtin", "euclidean3", "--max-dim", str(dmax)],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
-    )
+    return run_python("-m", "quadpres.cli", "witt", "--builtin", "euclidean3", "--max-dim", str(dmax), timeout=60)
 
 
 def test_witt_ring_guard_edge_in_a_subprocess():
@@ -1331,12 +1363,7 @@ def test_special_group_size_guard(monkeypatch):
 def run_in_subprocess(code):
     """Run ``code`` in a fresh interpreter that imports quadpres and the
     test fleet, with a 60 s bound; its stdout."""
-    src = os.path.dirname(os.path.dirname(quadratic.__file__))
-    path = os.pathsep.join((src, os.path.dirname(__file__)))
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    done = run_python("-c", code, timeout=60)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
