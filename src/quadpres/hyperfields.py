@@ -21,7 +21,13 @@ TRIPLE_BUDGET = 20_000_000  # cap on the triples an exhaustive law check visits
 
 
 class Hyperfield:
-    __slots__ = ("size", "zero", "one", "names", "_neg", "_mul", "_add")
+    """The tables of a candidate hyperfield.  Besides them it keeps its
+    nonzero ids once, as the tuple ``nonzero()`` returns and as a frozenset,
+    which every IsometryContext over it reads instead of building its own;
+    neither takes part in equality or the hash, being a function of size
+    and zero."""
+
+    __slots__ = ("size", "zero", "one", "names", "_neg", "_mul", "_add", "_nonzero", "_nonzero_set")
 
     def __init__(self, zero, one, neg, mul, add, names=None):
         size = len(mul)
@@ -84,6 +90,8 @@ class Hyperfield:
         self._neg = neg
         self._mul = mul
         self._add = add
+        self._nonzero = tuple(range(zero)) + tuple(range(zero + 1, size))
+        self._nonzero_set = frozenset(self._nonzero)
 
     # -- operations ------------------------------------------------------
 
@@ -100,9 +108,7 @@ class Hyperfield:
         return self.add(a, self._neg[b])
 
     def nonzero(self):
-        out = list(range(self.size))
-        del out[self.zero]
-        return tuple(out)
+        return self._nonzero
 
     def add_full_table(self):
         return [[sorted(cell) for cell in row] for row in self._add]

@@ -16,8 +16,8 @@ once, found by bisection over its runs, and only what is left is folded.
 phi and psi are Witt equivalent iff phi + (-psi) strips to the zero class,
 and isometric iff they also have equal dimensions (Witt cancellation).
 An IsometryContext memoizes each verdict and part by the query as asked, so
-a repeated query is its validation and one dict read, with no sort,
-negation or fold.
+a repeated query is one dict read: it validates, sorts, negates and folds
+nothing, since only a validated query is ever stored.
 These criteria assume a quadratically presentable field; `cli witt` checks
 the field first, and `cli isom` refuses tables that are not pre-quadratic
 hyperfields.  On a sorted form, a row that repeats inside a run of equal
@@ -161,13 +161,22 @@ class IsometryContext:
     witt_equivalent to a bool, and _stripped a form passed to
     anisotropic_entries or anisotropic_part to its part.  As with
     functools.lru_cache, a form asked in two entry orders takes two
-    entries.  A repeated query is its validation and one dict read; only a
-    miss sorts, negates or folds.  split_hyperbolic is not memoized.
+    entries.  split_hyperbolic is not memoized.
+
+    A memoized method reads its memo first and validates only on a miss.
+    That is exact: every key passed validation when it was stored, and a
+    dict hit means the query equals the key entry by entry with equal
+    hashes, which is the set membership validation tests, so a hit would
+    pass it too, and () is never stored.  A query that cannot be hashed
+    takes the miss path, so every refusal is the validating path's, in the
+    same order.  Only isometric's dimension check comes before the memo,
+    since witt_equivalent stores pairs of unequal dimension in the same one.
 
     The context assumes a quadratically presentable field: on other tables
-    its verdicts need not agree with the paper's recursion.  Each public
-    method validates its input once, then, on a miss, works on
-    entry-sorted tuples.
+    its verdicts need not agree with the paper's recursion.  On a miss each
+    public method validates its input once, then works on entry-sorted
+    tuples.  The nonzero ids and the negation are F's own tables, read,
+    not copied, so a fresh context builds nothing but its memos.
 
     A context is single-owner while a computation runs; share the hyperfield,
     not the context.
@@ -175,9 +184,9 @@ class IsometryContext:
 
     def __init__(self, F: Hyperfield):
         self.F = F
-        self.nonzero = F.nonzero()
-        self._nonzero_set = frozenset(self.nonzero)
-        self._neg = F.neg_table()
+        self.nonzero = F._nonzero
+        self._nonzero_set = F._nonzero_set
+        self._neg = F._neg
         self._isotropic = {}
         self._cancelled = {}
         self._stripped = {}
@@ -206,8 +215,8 @@ class IsometryContext:
     def _ints(self, entries):
         """Validated ``entries`` once none is a float or the like equal to an
         id, which the set test of _entries_of lets through.  Only a query
-        that misses the memo reads this, so a warm one reads the entry of
-        the equal ids and pays nothing."""
+        that misses the memo reads this, after _entries_of, so a warm one
+        reads the entry of the equal ids and validates nothing."""
         if type(sum(entries)) is not int:  # a float among ints sums to a float
             raise self._refusal(entries)
         return entries
@@ -218,11 +227,21 @@ class IsometryContext:
     # -- isometry ----------------------------------------------------------
 
     def isometric(self, phi, psi) -> bool:
-        a = self._entries_of(phi)
-        b = self._entries_of(psi)
+        a = phi.entries if isinstance(phi, Form) else tuple(phi)
+        try:
+            b = psi.entries if isinstance(psi, Form) else tuple(psi)
+        except Exception:  # phi is refused before psi is read
+            self._entries_of(a)
+            raise
         if len(a) != len(b):
+            self._entries_of(a)
+            self._entries_of(b)
             raise InputError(f"dimension mismatch: {len(a)} vs {len(b)}")
-        return self._cancels(a, b)
+        try:
+            cancelled = self._cancelled.get((a, b))
+        except TypeError:  # an unhashable entry: refused by _cancels, in order
+            cancelled = None
+        return self._cancels(a, b) if cancelled is None else cancelled
 
     # -- isotropy and Witt reduction --------------------------------------
 
@@ -233,10 +252,14 @@ class IsometryContext:
     def is_isotropic(self, phi) -> bool:
         """Whether phi splits a hyperbolic plane, that is, whether 0 is in
         its hypersum: whether _fold finds an isotropic suffix."""
-        entries = self._entries_of(phi)
-        isotropic = self._isotropic.get(entries)
+        entries = phi.entries if isinstance(phi, Form) else tuple(phi)
+        try:
+            isotropic = self._isotropic.get(entries)
+        except TypeError:  # an unhashable entry: refused below
+            isotropic = None
         if isotropic is None:
-            isotropic = self._isotropic[entries] = self._fold(self._norm(self._ints(entries)))[0] >= 0
+            entries = self._ints(self._entries_of(entries))
+            isotropic = self._isotropic[entries] = self._fold(self._norm(entries))[0] >= 0
         return isotropic
 
     def _fold(self, entries):
@@ -295,10 +318,14 @@ class IsometryContext:
         The representative is _strip's, the same on every context: each form
         loses its pairs <a, -a> first, and what is left is split by _tail.
         Memoized for the form as asked, and for none met on the way."""
-        entries = self._entries_of(entries)
-        part = self._stripped.get(entries)
+        entries = entries.entries if isinstance(entries, Form) else tuple(entries)
+        try:
+            part = self._stripped.get(entries)
+        except TypeError:  # an unhashable entry: refused below
+            part = None
         if part is None:
-            part = self._stripped[entries] = self._strip(self._norm(self._ints(entries)))
+            entries = self._ints(self._entries_of(entries))
+            part = self._stripped[entries] = self._strip(self._norm(entries))
         return part
 
     def _strip(self, entries):
@@ -357,17 +384,27 @@ class IsometryContext:
         return Form(part) if part else None
 
     def witt_equivalent(self, phi, psi) -> bool:
-        return self._cancels(self._entries_of(phi), self._entries_of(psi))
+        a = phi.entries if isinstance(phi, Form) else tuple(phi)
+        try:
+            b = psi.entries if isinstance(psi, Form) else tuple(psi)
+        except Exception:  # phi is refused before psi is read
+            self._entries_of(a)
+            raise
+        try:
+            cancelled = self._cancelled.get((a, b))
+        except TypeError:  # an unhashable entry: refused by _cancels, in order
+            cancelled = None
+        return self._cancels(a, b) if cancelled is None else cancelled
 
     def _cancels(self, a, b):
-        """Whether a + (-b) strips to the zero class, memoized for the pair
-        (a, b) as asked, and not as a form; a and b are validated."""
-        cancelled = self._cancelled.get((a, b))
-        if cancelled is None:
-            minus_b = tuple(map(self._neg.__getitem__, self._ints(b)))
-            if self.F.zero in minus_b:
-                raise InputError("negation sends a nonzero form entry to zero")
-            cancelled = self._cancelled[a, b] = not self._strip(self._norm(self._ints(a) + minus_b))
+        """The miss of isometric and witt_equivalent on the tuples a and b:
+        validate a, then b, and store under the pair (a, b) as asked, not
+        as a form, whether a + (-b) strips to the zero class."""
+        a, b = self._entries_of(a), self._entries_of(b)
+        minus_b = tuple(map(self._neg.__getitem__, self._ints(b)))
+        if self.F.zero in minus_b:
+            raise InputError("negation sends a nonzero form entry to zero")
+        cancelled = self._cancelled[a, b] = not self._strip(self._norm(self._ints(a) + minus_b))
         return cancelled
 
 

@@ -27,7 +27,10 @@ from quadpres.quadratic import IsometryContext
 def run_python(*args, timeout):
     """``python *args`` in a fresh interpreter that imports quadpres from
     this checkout's src and this module from tests, bounded by ``timeout``
-    seconds (None for no bound): the CompletedProcess, its output as text."""
+    seconds: the CompletedProcess, its output as text.  A child that hangs
+    must not hang the suite, so None is refused."""
+    if timeout is None:
+        raise ValueError("run_python needs a timeout in seconds")
     src = os.path.dirname(os.path.dirname(quadpres.__file__))
     path = os.pathsep.join((src, os.path.dirname(os.path.abspath(__file__))))
     return subprocess.run(

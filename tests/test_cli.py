@@ -2,6 +2,8 @@ import io
 import json
 from dataclasses import replace
 
+import pytest
+
 from quadpres import quadratic
 from quadpres.cli import _oracle_match, build_parser, main
 from quadpres.documents import emit_hyperfield, emit_presentable, emit_witt_ring, parse_document
@@ -497,9 +499,14 @@ def test_parser_reuse_leaks_nothing_between_calls(tmp_path, capsys):
 
 def test_parser_is_not_built_at_import():
     probe = "import quadpres.cli as c; print(c.build_parser.cache_info().currsize)"
-    done = run_python("-c", probe, timeout=None)
+    done = run_python("-c", probe, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "0"
+
+
+def test_run_python_refuses_an_unbounded_child():
+    with pytest.raises(ValueError, match="needs a timeout"):
+        run_python("-c", "pass", timeout=None)
 
 
 OVERSIZED = (  # (descriptor, command)

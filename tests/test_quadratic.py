@@ -44,10 +44,10 @@ from quadpres.quadratic import (
 from fleet import (
     CANONICAL_FLEET, CANONICAL_FLEET_IDS, FOUR_CLASS, LAURENT_FLEET, LAURENT_FLEET_IDS, LINEAR_SCAN_FLEET,
     LINEAR_SCAN_FLEET_IDS, MARKER_FLEET, ORACLE_SIZES, PRE_QUADRATIC_FLEET, ROWS_FLEET, ROWS_FLEET_IDS,
-    STRIP_FLEET, STRIP_FLEET_IDS, STRIPPED_FLEET, STRIPPED_FLEET_IDS, TABLE_FIELDS, WALKED_FLEET,
+    STRIP_FLEET, STRIP_FLEET_IDS, STRIPPED_FLEET, STRIPPED_FLEET_IDS, STRUCTURES, TABLE_FIELDS, WALKED_FLEET,
     WALKED_FLEET_IDS, WITT_FIELD_IDS, WITT_FIELDS, add_cell_mutants, cases, cell_mutants, four_class_fleet,
-    gf, ladder_bases, laurent_extension, mutate_add, one_add_cell_changed, q_ctx, run_python, structures,
-    two_step_laurent,
+    gf, ladder_bases, laurent_extension, mutate_add, one_add_cell_changed, q_ctx, relabel, run_python,
+    structures, two_step_laurent,
 )
 
 
@@ -509,8 +509,8 @@ CANDIDATE_BUDGET = 200_000  # the references' cap on candidate multisets up to d
 
 def linear_scan_witt_ring(F: Hyperfield, dmax: int) -> WittRing:
     """The slow reference for witt_ring: ``find`` compares each anisotropic
-    part by _cancels with every stored representative of its dimension, so
-    the cost grows with the square of the class count.
+    part by witt_equivalent with every stored representative of its
+    dimension, so the cost grows with the square of the class count.
 
     Enumerate anisotropic classes up to dmax and build the class tables.
 
@@ -531,7 +531,7 @@ def linear_scan_witt_ring(F: Hyperfield, dmax: int) -> WittRing:
 
     def find(part):
         for i, rep in enumerate(reps):
-            if len(rep) == len(part) and (rep == part or ctx._cancels(part, rep)):
+            if len(rep) == len(part) and (rep == part or ctx.witt_equivalent(part, rep)):
                 return i
         return None
 
@@ -678,7 +678,8 @@ def test_strip_is_isometric_to_the_fold_only_strip(F, dmax):
     # every form loses its pairs first, so a context that split the form
     # before strips it to the part of one that did not.  That part has the
     # reference's dimension, does not split, and cancels against the
-    # reference's part on the fold alone
+    # reference's part on the fold alone (two zero classes () trivially,
+    # since a query validates the forms it cancels)
     ref, cold, warm = FoldOnlyContext(F), IsometryContext(F), IsometryContext(F)
     for d in range(1, dmax + 1):
         for entries in combinations_with_replacement(ref.nonzero, d):
@@ -688,7 +689,7 @@ def test_strip_is_isometric_to_the_fold_only_strip(F, dmax):
             assert warm.anisotropic_entries(entries) == part, (F.names, entries)
             assert len(part) == len(want), (F.names, entries)
             assert not part or ref.split_hyperbolic(part) is None, (F.names, entries)
-            assert ref._cancels(part, want), (F.names, entries)
+            assert not part or ref.witt_equivalent(part, want), (F.names, entries)
 
 
 @pytest.mark.parametrize("F, dmax", STRIP_FLEET, ids=STRIP_FLEET_IDS)
@@ -780,24 +781,112 @@ def test_the_strip_memo_holds_only_the_forms_asked(F, dmax):
         assert {type(v) for v in memo.values()} == {bool}, F.names
 
 
-@pytest.mark.parametrize("F, dmax", MARKER_FLEET, ids=STRIP_FLEET_IDS)
-def test_a_warm_repeat_is_one_memo_read(F, dmax, monkeypatch):
-    # a query asked before is read off its memo as asked: it sorts, pairs,
-    # folds, walks and strips nothing, and answers as a fresh context does
+def warm_queries(F, dmax):
+    """(method name, *args) of every memoized query on the sorted forms of
+    F to dim dmax, each form asked reversed; witt_equivalent pairs a form
+    with every other entry of it, of unequal dimension past dim 2."""
     queries = []
     for d in range(1, dmax + 1):
         for phi in combinations_with_replacement(F.nonzero(), d):
             rev = phi[::-1]
             queries += [("is_isotropic", rev), ("anisotropic_entries", rev),
                         ("isometric", phi, rev), ("witt_equivalent", rev, phi[::2])]
+    return queries
+
+
+def outcome(call, *args):
+    """call(*args), or ("raised", type, message) if it raised."""
+    try:
+        return call(*args)
+    except Exception as err:
+        return ("raised", type(err), str(err))
+
+
+def validation_refusal(ctx, forms):
+    """What validating ``forms`` in order raises, as outcome gives it, or
+    None if each passes."""
+    for phi in forms:
+        err = outcome(ctx._entries_of, phi)
+        if err[:1] == ("raised",):
+            return err
+    return None
+
+
+@pytest.mark.parametrize("F, dmax", MARKER_FLEET, ids=STRIP_FLEET_IDS)
+def test_a_warm_repeat_is_one_memo_read(F, dmax, monkeypatch):
+    # a query asked before is read off its memo as asked: it validates,
+    # sorts, pairs, folds, walks and strips nothing, and answers as a fresh
+    # context does
+    queries = warm_queries(F, dmax)
     want = [getattr(IsometryContext(F), name)(*args) for name, *args in queries]
     warm = IsometryContext(F)
     for name, *args in queries:
         getattr(warm, name)(*args)
-    calls = spy_on(monkeypatch, "_norm", "_unpaired", "_fold", "_tail", "_strip")
+    calls = spy_on(monkeypatch, "_entries_of", "_ints", "_norm", "_unpaired", "_fold", "_tail", "_strip")
     for (name, *args), verdict in zip(queries, want):
         assert getattr(warm, name)(*args) == verdict, (F.names, name, args)
         assert calls == [], (F.names, name, args)
+
+
+@pytest.mark.parametrize("F, dmax", MARKER_FLEET, ids=STRIP_FLEET_IDS)
+def test_a_warm_context_refuses_as_a_fresh_one(F, dmax):
+    # a warm context reads its memo before it validates, and still refuses
+    # each bad query with a fresh context's exception, in the same order:
+    # phi before psi, validation before a dimension mismatch, and a zero
+    # entry before an unhashable one after it
+    warm = IsometryContext(F)
+    queries = warm_queries(F, dmax)
+    for name, *args in queries:
+        getattr(warm, name)(*args)
+    one = F.nonzero()[0]
+    bad = [
+        (one, F.zero), (F.size,), (-1,), (one, "2"), (None,), (1.5,),
+        (float(one),) * (dmax + 1),  # equal to a form of ids no query asked
+        (), [], ([1],), (F.zero, [1]), 5,
+    ]
+    others = [(one,), (one, one), (one,) * (dmax + 1), 5]
+    calls = [("is_isotropic", b) for b in bad] + [("anisotropic_part", b) for b in bad]
+    calls += [(name, *pair) for name in ("isometric", "witt_equivalent")
+              for b in bad for other in others for pair in ((b, other), (other, b))]
+    for name, *args in calls:
+        fresh = IsometryContext(F)
+        want = outcome(getattr(fresh, name), *args)
+        assert want[0] == "raised", (F.names, name, args)
+        refused = validation_refusal(fresh, args)  # the first form validation refuses
+        assert refused is None or want == refused, (F.names, name, args)
+        assert outcome(getattr(warm, name), *args) == want, (F.names, name, args)
+    # isometric on a pair of unequal dimensions that witt_equivalent cached
+    for name, *args in queries:
+        if name == "witt_equivalent" and len(args[0]) != len(args[1]):
+            want = ("raised", InputError, "dimension mismatch: {} vs {}".format(*map(len, args)))
+            assert outcome(IsometryContext(F).isometric, *args) == want, (F.names, args)
+            assert outcome(warm.isometric, *args) == want, (F.names, args)
+
+
+@pytest.mark.parametrize("name", list(STRUCTURES) + ["E zero last", "Q3 zero last"])
+def test_the_stored_nonzero_ids_skip_zero_wherever_it_sits(name):
+    # the tuple a hyperfield keeps is its ids less zero, whichever id zero
+    # is, and a context over a relabelled table answers as over the table
+    base, _, relabelled = name.partition(" ")
+    F = STRUCTURES[base]
+    perm = [(x - F.zero - 1) % F.size for x in range(F.size)]  # zero to the last id
+    G = relabel(F, perm) if relabelled else F
+    assert G.nonzero() == tuple(x for x in range(G.size) if x != G.zero), name
+    assert G.nonzero() == G.nonzero(), name
+    if not relabelled:
+        return
+    assert G.zero == G.size - 1
+    ctx, ref = IsometryContext(G), IsometryContext(F)
+    forms = [phi for d in range(1, 4) for phi in combinations_with_replacement(F.nonzero(), d)]
+    image = {phi: tuple(perm[x] for x in phi) for phi in forms}
+    for phi in forms:
+        assert ctx.is_isotropic(image[phi]) == ref.is_isotropic(phi), (name, phi)
+        part, want = ctx.anisotropic_entries(image[phi]), tuple(perm[x] for x in ref.anisotropic_entries(phi))
+        assert len(part) == len(want) and (not part or ctx.isometric(part, want)), (name, phi)
+        for psi in forms:
+            assert ctx.witt_equivalent(image[phi], image[psi]) == ref.witt_equivalent(phi, psi), (name, phi, psi)
+            if len(phi) == len(psi):
+                assert ctx.isometric(image[phi], image[psi]) == ref.isometric(phi, psi), (name, phi, psi)
 
 
 def test_tables_strip_only_past_the_found_classes(monkeypatch):
