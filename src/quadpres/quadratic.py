@@ -15,9 +15,11 @@ the form alone: each form on the way loses every visible plane <a, -a> at
 once, found by bisection over its runs, and only what is left is folded.
 phi and psi are Witt equivalent iff phi + (-psi) strips to the zero class,
 and isometric iff they also have equal dimensions (Witt cancellation).
-An IsometryContext memoizes each verdict and part by the query as asked, so
-a repeated query is one dict read: it validates, sorts, negates and folds
-nothing, since only a validated query is ever stored.
+An IsometryContext memoizes each verdict and part by the query as asked, and
+probes the memo with the query as passed, so a repeated tuple query is one
+dict read: it converts, validates, sorts, negates and folds nothing, since a
+tuple hashes and compares as its entries and only a validated query is ever
+stored.  isometric checks the dimensions before it probes.
 These criteria assume a quadratically presentable field; `cli witt` checks
 the field first, and `cli isom` refuses tables that are not pre-quadratic
 hyperfields.  On a sorted form, a row that repeats inside a run of equal
@@ -69,8 +71,10 @@ class Form:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
+        entries = self.entries
+        if type(entries) is not tuple:
+            entries = tuple(entries)
+            object.__setattr__(self, "entries", entries)
         if not entries:
             raise InputError("forms must have dimension >= 1")
 
@@ -163,14 +167,17 @@ class IsometryContext:
     functools.lru_cache, a form asked in two entry orders takes two
     entries.  split_hyperbolic is not memoized.
 
-    A memoized method reads its memo first and validates only on a miss.
-    That is exact: every key passed validation when it was stored, and a
-    dict hit means the query equals the key entry by entry with equal
-    hashes, which is the set membership validation tests, so a hit would
-    pass it too, and () is never stored.  A query that cannot be hashed
-    takes the miss path, so every refusal is the validating path's, in the
-    same order.  Only isometric's dimension check comes before the memo,
-    since witt_equivalent stores pairs of unequal dimension in the same one.
+    A memoized method probes its memo with the query as passed, and
+    converts and validates only on a miss.  A tuple needs no conversion:
+    its hash and equality are those of its entries.  A Form or a list
+    misses, and probes again once converted to a new tuple.  That is exact:
+    every key passed validation when it was stored, and a dict hit means
+    the query equals the key entry by entry with equal hashes, which is the
+    set membership validation tests, so a hit would pass it too, and () is
+    never stored.  A query that cannot be hashed or sized takes the miss
+    path, so every refusal is the validating path's, in the same order.
+    isometric probes only when len(phi) == len(psi), since witt_equivalent
+    stores pairs of unequal dimension in the same memo.
 
     The context assumes a quadratically presentable field: on other tables
     its verdicts need not agree with the paper's recursion.  On a miss each
@@ -227,21 +234,11 @@ class IsometryContext:
     # -- isometry ----------------------------------------------------------
 
     def isometric(self, phi, psi) -> bool:
-        a = phi.entries if isinstance(phi, Form) else tuple(phi)
         try:
-            b = psi.entries if isinstance(psi, Form) else tuple(psi)
-        except Exception:  # phi is refused before psi is read
-            self._entries_of(a)
-            raise
-        if len(a) != len(b):
-            self._entries_of(a)
-            self._entries_of(b)
-            raise InputError(f"dimension mismatch: {len(a)} vs {len(b)}")
-        try:
-            cancelled = self._cancelled.get((a, b))
-        except TypeError:  # an unhashable entry: refused by _cancels, in order
+            cancelled = self._cancelled.get((phi, psi)) if len(phi) == len(psi) else None
+        except Exception:  # a query that cannot be sized or hashed: converted below
             cancelled = None
-        return self._cancels(a, b) if cancelled is None else cancelled
+        return self._cancels(phi, psi, True) if cancelled is None else cancelled
 
     # -- isotropy and Witt reduction --------------------------------------
 
@@ -252,14 +249,17 @@ class IsometryContext:
     def is_isotropic(self, phi) -> bool:
         """Whether phi splits a hyperbolic plane, that is, whether 0 is in
         its hypersum: whether _fold finds an isotropic suffix."""
-        entries = phi.entries if isinstance(phi, Form) else tuple(phi)
         try:
-            isotropic = self._isotropic.get(entries)
-        except TypeError:  # an unhashable entry: refused below
+            isotropic = self._isotropic.get(phi)
+        except Exception:  # a query that cannot be hashed: converted below
             isotropic = None
         if isotropic is None:
-            entries = self._ints(self._entries_of(entries))
-            isotropic = self._isotropic[entries] = self._fold(self._norm(entries))[0] >= 0
+            key = phi.entries if isinstance(phi, Form) else tuple(phi)
+            if key is not phi:  # a new tuple, as for a Form or a list
+                isotropic = _memo_get(self._isotropic, key)
+            if isotropic is None:
+                key = self._ints(self._entries_of(key))
+                isotropic = self._isotropic[key] = self._fold(self._norm(key))[0] >= 0
         return isotropic
 
     def _fold(self, entries):
@@ -318,14 +318,17 @@ class IsometryContext:
         The representative is _strip's, the same on every context: each form
         loses its pairs <a, -a> first, and what is left is split by _tail.
         Memoized for the form as asked, and for none met on the way."""
-        entries = entries.entries if isinstance(entries, Form) else tuple(entries)
         try:
             part = self._stripped.get(entries)
-        except TypeError:  # an unhashable entry: refused below
+        except Exception:  # a query that cannot be hashed: converted below
             part = None
         if part is None:
-            entries = self._ints(self._entries_of(entries))
-            part = self._stripped[entries] = self._strip(self._norm(entries))
+            key = entries.entries if isinstance(entries, Form) else tuple(entries)
+            if key is not entries:  # a new tuple, as for a Form or a list
+                part = _memo_get(self._stripped, key)
+            if part is None:
+                key = self._ints(self._entries_of(key))
+                part = self._stripped[key] = self._strip(self._norm(key))
         return part
 
     def _strip(self, entries):
@@ -384,28 +387,48 @@ class IsometryContext:
         return Form(part) if part else None
 
     def witt_equivalent(self, phi, psi) -> bool:
+        try:
+            cancelled = self._cancelled.get((phi, psi))
+        except Exception:  # a query that cannot be hashed: converted below
+            cancelled = None
+        return self._cancels(phi, psi, False) if cancelled is None else cancelled
+
+    def _cancels(self, phi, psi, same_dim):
+        """The miss of isometric (same_dim) and witt_equivalent on phi and
+        psi as passed.  Convert them, refusing phi before psi is read, and
+        for isometric refuse unequal dimensions once both are validated.
+        Read the memo again only if conversion built a new tuple; else
+        validate a, then b, and store under the pair (a, b), not as a form,
+        whether a + (-b) strips to the zero class."""
         a = phi.entries if isinstance(phi, Form) else tuple(phi)
         try:
             b = psi.entries if isinstance(psi, Form) else tuple(psi)
-        except Exception:  # phi is refused before psi is read
+        except Exception:
             self._entries_of(a)
             raise
-        try:
-            cancelled = self._cancelled.get((a, b))
-        except TypeError:  # an unhashable entry: refused by _cancels, in order
-            cancelled = None
-        return self._cancels(a, b) if cancelled is None else cancelled
-
-    def _cancels(self, a, b):
-        """The miss of isometric and witt_equivalent on the tuples a and b:
-        validate a, then b, and store under the pair (a, b) as asked, not
-        as a form, whether a + (-b) strips to the zero class."""
+        if same_dim and len(a) != len(b):
+            self._entries_of(a)
+            self._entries_of(b)
+            raise InputError(f"dimension mismatch: {len(a)} vs {len(b)}")
+        if a is not phi or b is not psi:  # a new tuple, as for a Form or a list
+            cancelled = _memo_get(self._cancelled, (a, b))
+            if cancelled is not None:
+                return cancelled
         a, b = self._entries_of(a), self._entries_of(b)
         minus_b = tuple(map(self._neg.__getitem__, self._ints(b)))
         if self.F.zero in minus_b:
             raise InputError("negation sends a nonzero form entry to zero")
         cancelled = self._cancelled[a, b] = not self._strip(self._norm(self._ints(a) + minus_b))
         return cancelled
+
+
+def _memo_get(memo, key):
+    """memo.get(key), or None for a key with an entry that cannot be hashed,
+    which validation then refuses in order."""
+    try:
+        return memo.get(key)
+    except TypeError:
+        return None
 
 
 def _hypermonoid_i(F, a):
@@ -705,8 +728,8 @@ def witt_ring(F: Hyperfield, dmax: int) -> WittRing:
     parts = {}  # each pair-free form such a product cancels to -> its class
     for i in range(1, n):
         scaled, prods, row = scale[reps[i][0]], mul_table[suffix[i]], mul_table[i]
-        columns = list(zip(*[scale[a] for a in reps[i]]))  # columns[j]: the class of each a.rep_j
         one = reps[i][0] == reps[i][-1]  # rep_i is copies of <c_i>, so a.rep_j is one class
+        columns = None if one else list(zip(*[scale[a] for a in reps[i]]))  # columns[j]: the class of each a.rep_j
         for j in range(i, n):
             p = prods[j]
             if p is not None:

@@ -784,14 +784,20 @@ def test_the_strip_memo_holds_only_the_forms_asked(F, dmax):
 def warm_queries(F, dmax):
     """(method name, *args) of every memoized query on the sorted forms of
     F to dim dmax, each form asked reversed; witt_equivalent pairs a form
-    with every other entry of it, of unequal dimension past dim 2."""
+    with every other entry of it, of unequal dimension past dim 2.  Each
+    query is asked with tuples, then with Forms, then with lists."""
     queries = []
     for d in range(1, dmax + 1):
         for phi in combinations_with_replacement(F.nonzero(), d):
             rev = phi[::-1]
-            queries += [("is_isotropic", rev), ("anisotropic_entries", rev),
-                        ("isometric", phi, rev), ("witt_equivalent", rev, phi[::2])]
+            asked = [("is_isotropic", rev), ("anisotropic_entries", rev),
+                     ("isometric", phi, rev), ("witt_equivalent", rev, phi[::2])]
+            queries += [(name, *map(kind, args)) for kind in (tuple, Form, list) for name, *args in asked]
     return queries
+
+
+def dim(phi):
+    return len(phi.entries if isinstance(phi, Form) else phi)
 
 
 def outcome(call, *args):
@@ -814,9 +820,9 @@ def validation_refusal(ctx, forms):
 
 @pytest.mark.parametrize("F, dmax", MARKER_FLEET, ids=STRIP_FLEET_IDS)
 def test_a_warm_repeat_is_one_memo_read(F, dmax, monkeypatch):
-    # a query asked before is read off its memo as asked: it validates,
-    # sorts, pairs, folds, walks and strips nothing, and answers as a fresh
-    # context does
+    # a query asked before is read off its memo: a tuple as passed, a Form
+    # or a list once converted.  It validates, sorts, pairs, folds, walks and
+    # strips nothing, and answers as a fresh context does
     queries = warm_queries(F, dmax)
     want = [getattr(IsometryContext(F), name)(*args) for name, *args in queries]
     warm = IsometryContext(F)
@@ -833,7 +839,8 @@ def test_a_warm_context_refuses_as_a_fresh_one(F, dmax):
     # a warm context reads its memo before it validates, and still refuses
     # each bad query with a fresh context's exception, in the same order:
     # phi before psi, validation before a dimension mismatch, and a zero
-    # entry before an unhashable one after it
+    # entry before an unhashable one after it.  A hashable query that is not
+    # a tuple misses the memo as passed and is refused once converted
     warm = IsometryContext(F)
     queries = warm_queries(F, dmax)
     for name, *args in queries:
@@ -843,6 +850,8 @@ def test_a_warm_context_refuses_as_a_fresh_one(F, dmax):
         (one, F.zero), (F.size,), (-1,), (one, "2"), (None,), (1.5,),
         (float(one),) * (dmax + 1),  # equal to a form of ids no query asked
         (), [], ([1],), (F.zero, [1]), 5,
+        Form((F.zero,)), frozenset({F.zero}), "12",
+        [F.zero, [1]],  # converted to a new tuple that cannot be hashed
     ]
     others = [(one,), (one, one), (one,) * (dmax + 1), 5]
     calls = [("is_isotropic", b) for b in bad] + [("anisotropic_part", b) for b in bad]
@@ -857,8 +866,8 @@ def test_a_warm_context_refuses_as_a_fresh_one(F, dmax):
         assert outcome(getattr(warm, name), *args) == want, (F.names, name, args)
     # isometric on a pair of unequal dimensions that witt_equivalent cached
     for name, *args in queries:
-        if name == "witt_equivalent" and len(args[0]) != len(args[1]):
-            want = ("raised", InputError, "dimension mismatch: {} vs {}".format(*map(len, args)))
+        if name == "witt_equivalent" and dim(args[0]) != dim(args[1]):
+            want = ("raised", InputError, "dimension mismatch: {} vs {}".format(*map(dim, args)))
             assert outcome(IsometryContext(F).isometric, *args) == want, (F.names, args)
             assert outcome(warm.isometric, *args) == want, (F.names, args)
 
