@@ -95,7 +95,9 @@ def _int_list(option, text):
 def _field(args):
     """The GF(q) that --field names, built with --modulus when one is given."""
     p, n = parse_field_arg(args.field)
-    modulus = _int_list("--modulus", args.modulus) if getattr(args, "modulus", None) else None
+    modulus = getattr(args, "modulus", None)
+    if modulus is not None:  # an empty --modulus is refused, not dropped
+        modulus = _int_list("--modulus", modulus)
     return ff_make(p, n, modulus)
 
 
@@ -105,7 +107,7 @@ def _load_structure(args, want=None, build=from_field):
     sources = [s for s in ("input", "builtin", "field") if getattr(args, s, None)]
     if len(sources) != 1:
         raise InputError("exactly one of --input, --builtin, --field is required")
-    if getattr(args, "modulus", None) and not args.field:
+    if getattr(args, "modulus", None) is not None and not args.field:
         raise InputError("--modulus applies only to --field")
     k = None
     if args.input:

@@ -7,12 +7,17 @@ total add/mul tables; everything downstream is table lookups.
 The tables are built a row at a time, not cell by cell.  Row a of the prime
 field's addition is range(p) rotated by a; addition is digitwise mod p, so the
 table for n digits is p shifted, rotated blocks of the table for n - 1 digits.
-Row g^i of the prime field's multiplication, g the least generator of k*, is
-the powers of g read from offset i at the logarithms of the columns.  An
-extension's multiplication is linear and needs one row more, multiplication by
-x, which shifts the digits up and reduces the top one by the modulus; row
-a = d + x*a' is then row d added cell by cell to row a' read through the x
-row.  Negatives and inverses are read off the rows as the positions of 0 and 1.
+Row a of the prime field's multiplication is every a-th entry of range(p)
+repeated p times.  k* is cyclic (Lidl-Niederreiter, Finite Fields, Thm 2.8),
+so its least generator g is found by walking each candidate's own row from 1
+until one reaches all q - 1 nonzero elements; a modulus is refused as
+reducible exactly when none does, which the first walk that does not return
+to 1 shows.  An extension's multiplication is linear:
+row a = d + x*a' is row d added to row a' read through the x row, which shifts
+the digits up and reduces the top one by the modulus.  Those rows are built
+only as far as the search reaches; every later row g^i is the powers of g read
+from offset i at the logarithms of the columns.  The inverse of g^i is g^-i,
+and the negatives are the row of -1.
 """
 
 from __future__ import annotations
@@ -68,12 +73,6 @@ def _is_prime(p):
     return True
 
 
-def _least_generator(q, power):
-    """The least a in 1..q-1 of order q - 1: a^((q-1)/d) != 1 at each divisor d > 1."""
-    divisors = [d for d in range(2, q) if (q - 1) % d == 0]
-    return next(a for a in range(1, q) if all(power(a, (q - 1) // d) != 1 for d in divisors))
-
-
 def _trim(c):
     c = list(c)
     while c and c[-1] == 0:
@@ -110,12 +109,10 @@ class FiniteField:
         self.modulus = tuple(_trim(modulus))
 
         self._build_tables()
-        # Z_p[x]/(m) is a field iff m is irreducible iff every nonzero
-        # element has an inverse
-        try:
-            self._inv = [None] + [row.index(1) for row in self._mul[1:]]
-        except ValueError:
-            raise ValidationError(f"modulus {list(modulus)} is reducible over GF({p})") from None
+        # Z_p[x]/(m) is a field iff m is irreducible iff some element has
+        # order q - 1, its powers then being every nonzero element
+        if self._generator is None:
+            raise ValidationError(f"modulus {list(modulus)} is reducible over GF({p})")
 
     def _build_tables(self):
         p, n, q = self.p, self.n, self.q
@@ -131,13 +128,9 @@ class FiniteField:
             add = [cat[hi * m :] + cat[: hi * m] for hi in range(p) for cat in cats]
             m *= p
         if n == 1:
-            # k* is cyclic: with g its least generator, row g^i holds g^(i + log b),
-            # read off the powers from offset i; b = 0 reads the trailing 0 at log -1
-            g = _least_generator(p, lambda a, e: pow(a, e, p))
-            powers = [pow(g, i, p) for i in range(p - 1)]
-            log = [-1] + sorted(range(p - 1), key=powers.__getitem__)  # powers inverted
-            read, cycle = itemgetter(*log), powers * 2 + [0]
-            mul = [[0] * p] + [list(read(cycle[i:])) for i in log[1:]]
+            # row a is a*b mod p at b = 0..p-1: every a-th entry of range(p) repeated
+            ramp = list(range(p)) * p
+            mul = [[0] * p] + [ramp[: a * p : a] for a in range(1, p)]
         else:
             # a scalar c < p multiplies digit by digit: c*b = (c-1)*b + b
             mul = [[0] * q]
@@ -148,12 +141,38 @@ class FiniteField:
             top = q // p
             xn = sum(-c % p * p**i for i, c in enumerate(self.modulus[:n]))
             by_x = [add[e % top * p][mul[e // top][xn]] for e in range(q)]
-            # a = d + x*a' with d = a mod p and a' < a: a*b = d*b + x*(a'*b)
-            for a in range(p, q):
-                mul.append([add[s][by_x[t]] for s, t in zip(mul[a % p], mul[a // p])])
+        # k* is cyclic, so some g has order q - 1: walk each candidate's row
+        # from 1 until it returns to 1, reaches 0 or has q - 1 powers.  A
+        # unit's order is at most q - 1, so a walk that does not end at 1
+        # shows a non-unit, and m is reducible; q - 1 powers ending at 1 are
+        # every nonzero element, all units, so m is irreducible.  An
+        # extension builds its rows only as far as the search reaches:
+        # a = d + x*a' with d = a mod p and a' < a gives a*b = d*b + x*(a'*b)
+        for g in range(1, q):
+            if g == len(mul):
+                mul.append([add[s][by_x[t]] for s, t in zip(mul[g % p], mul[g // p])])
+            row = mul[g]
+            powers, x = [1], row[1]
+            while x > 1 and len(powers) < q - 1:
+                powers.append(x)
+                x = row[x]
+            if x != 1:
+                self._generator = None
+                return
+            if len(powers) == q - 1:
+                break
+        self._generator = g
+        # row g^i holds g^(i + log b), read off the powers from offset i;
+        # b = 0 reads the trailing 0 at log -1
+        log = [-1] * q
+        for i, a in enumerate(powers):
+            log[a] = i
+        read, cycle = itemgetter(*log), powers * 2 + [0]
+        mul += [list(read(cycle[log[a] :])) for a in range(len(mul), q)]
         self._add = add
         self._mul = mul
-        self._neg = [row.index(0) for row in add]
+        self._neg = list(mul[p - 1])  # -b = (-1)*b, and -1 is p - 1
+        self._inv = [None] + [powers[-i] for i in log[1:]]  # g^i * g^-i = 1
 
     def _decode(self, a):
         out = []
@@ -193,7 +212,7 @@ class FiniteField:
 
     def generator(self):
         """Smallest id generating the multiplicative group."""
-        return _least_generator(self.q, self.power)
+        return self._generator
 
     def nonzero(self):
         return range(1, self.q)

@@ -258,25 +258,29 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["check-presentable", "--builtin", "example-sq-7", "--seed", "1"]) == 2
     assert main(["qhf", "--field", "9", "--modulus", "1,a"]) == 2
     assert main(["qhf", "--field", "9", "--modulus", "1,5,1"]) == 2  # 5 is not in GF(3)
+    assert main(["qhf", "--field", "9", "--modulus", ""]) == 2  # not dropped for the default GF(9)
     assert main(["oracle", "isom", "--q", "3", "--form", "1,x", "--form", "1,1"]) == 2
     assert main(["oracle", "isom", "--q", "3", "--form", "1,5", "--form", "1,1"]) == 2
     assert main(["oracle", "isom", "--q", "9", "--form", "-1", "--form", "8"]) == 2  # -1 is id 2
     err = capsys.readouterr().err
     assert f"error: cannot read --input {tmp_path}: " in err
     assert f"error: --input {not_utf8} is not UTF-8 text" in err
+    assert "error: --modulus needs comma-separated integers, got ''" in err
     assert "Traceback" not in err
 
 
 def test_modulus_without_field_exits_two(tmp_path, capsys):
     # --modulus shapes only the GF(q) that --field builds; beside --builtin
-    # or --input it was dropped without a word, and the command passed
+    # or --input it was dropped without a word, and the command passed; an
+    # empty --modulus is still one
     doc = tmp_path / "e.hf"
     doc.write_text(emit_hyperfield(euclidean_hyperfield()))
     for command in (("check-hyperfield",), ("prime",), ("quotient", "--subset", "1")):
         for source in (("--builtin", "euclidean3"), ("--input", str(doc))):
-            assert main([*command, *source, "--modulus", "1,1,1"]) == 2, (command, source)
-            out = capsys.readouterr()
-            assert (out.out, out.err) == ("", "error: --modulus applies only to --field\n"), (command, source)
+            for modulus in ("1,1,1", ""):
+                assert main([*command, *source, "--modulus", modulus]) == 2, (command, source, modulus)
+                out = capsys.readouterr()
+                assert (out.out, out.err) == ("", "error: --modulus applies only to --field\n"), (command, source)
 
 
 def test_unwritable_report_exits_two(tmp_path, capsys):

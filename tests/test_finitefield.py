@@ -15,6 +15,8 @@ from quadpres.finitefield import (
     square_classes,
 )
 
+from fleet import run_python
+
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)]
 
 
@@ -50,7 +52,7 @@ def _encode(digits, p):
     return a
 
 
-# trial division: the reference for the inverse scan by which FiniteField
+# trial division: the reference for the generator search by which FiniteField
 # refuses a reducible modulus
 def _monic_polys(p, d):
     coeffs = [0] * d + [1]
@@ -80,6 +82,12 @@ def poly_is_irreducible(modulus, p):
     return True
 
 
+# every monic modulus of these degrees is tried: each irreducible one builds
+# its field, each reducible one is refused
+MODULUS_FAMILIES = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
+                    (7, 2), (11, 2)]
+
+
 def test_gf3_arithmetic():
     k = ff_make(3)
     assert k.add(1, 2) == 0
@@ -101,16 +109,20 @@ def test_gf9_multiplicative_group_cyclic_of_order_8():
 
 def multiplicative_order(k, a):
     """The order of a in k*, by walking its powers: the reference for the
-    exponent test by which the least generator is found."""
-    x, n = a, 1
-    while x != 1:
-        x, n = k.mul(x, a), n + 1
-    return n
+    walk by which the least generator is found.  0 when the powers do not
+    return to 1 within q - 1 steps, as on a table that is not a field's."""
+    x = a
+    for n in range(1, k.q):
+        if x == 1:
+            return n
+        x = k.mul(x, a)
+    return 0
 
 
 def test_generator_is_the_least_element_of_full_order():
-    sizes = [(p, n) for p in range(2, 257) if _is_prime(p) for n in range(1, 9) if p**n <= 256]
-    assert len(sizes) == 70
+    sizes = [(p, n) for p in range(2, MAX_FIELD + 1) if _is_prime(p)
+             for n in range(1, MAX_FIELD.bit_length()) if p**n <= MAX_FIELD]
+    assert len(sizes) == 198
     for p, n in sizes:
         k = ff_make(p, n)
         g = k.generator()
@@ -157,6 +169,48 @@ def test_tables_match_per_cell_arithmetic():
         assert [k.inv(a) for a in k.nonzero()] == [mul[a].index(1) for a in k.nonzero()], (p, n)
 
 
+def linear_tables(p, n, modulus):
+    """GF(p^n)'s add, mul, neg and inv tables built row by row by linearity:
+    the reference for the tables an extension reads off its generator's
+    powers.  Addition recurses on the low digit, a + b = (a mod p + b mod p)
+    mod p + p * (a div p + b div p); row a = d + x*a' of the multiplication
+    is row d plus row a' read through the x row; negatives and inverses are
+    the positions of 0 and 1 in each row."""
+    q = p**n
+    add = [[(a + b) % p for b in range(p)] for a in range(p)]
+    while len(add) < q:
+        m = len(add) * p
+        add = [[(a % p + b % p) % p + p * add[a // p][b // p] for b in range(m)] for a in range(m)]
+    mul = [[0] * q]
+    for _ in range(1, p):
+        mul.append([add[y][b] for b, y in enumerate(mul[-1])])
+    top = q // p
+    xn = sum(-c % p * p**i for i, c in enumerate(modulus[:n]))
+    by_x = [add[e % top * p][mul[e // top][xn]] for e in range(q)]
+    for a in range(p, q):
+        mul.append([add[s][by_x[t]] for s, t in zip(mul[a % p], mul[a // p])])
+    neg = [row.index(0) for row in add]
+    inv = [None] + [row.index(1) for row in mul[1:]]
+    return add, mul, neg, inv
+
+
+def test_extension_tables_match_the_linear_rows():
+    # every default modulus up to GF(2^10), then every irreducible modulus
+    # of small degree, x a generator or not
+    for (p, n), modulus in DEFAULT_MODULI.items():
+        k = ff_make(p, n, modulus)
+        assert (k._add, k._mul, k._neg, k._inv) == linear_tables(p, n, modulus), k
+    x_not_a_generator = 0
+    for p, n in MODULUS_FAMILIES:
+        for modulus in _monic_polys(p, n):
+            if poly_is_irreducible(modulus, p):
+                k = ff_make(p, n, modulus)
+                assert (k._add, k._mul, k._neg, k._inv) == linear_tables(p, n, modulus), k
+                x_not_a_generator += multiplicative_order(k, p) < k.q - 1
+    # irreducible but not primitive: I(p, n) - phi(p^n - 1)/n in each family
+    assert x_not_a_generator == 97
+
+
 def test_prime_tables_match_modular_arithmetic_up_to_the_cap():
     # every prime field the cap admits, a row at a time: the multiplication
     # rows are read off the powers of a generator, the reference is a*b mod p
@@ -189,8 +243,7 @@ def test_reducible_modulus_rejected():
 
 def test_modulus_accepted_iff_trial_division_finds_it_irreducible():
     checked = 0
-    for p, n in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
-                 (7, 2), (11, 2)]:
+    for p, n in MODULUS_FAMILIES:
         for modulus in _monic_polys(p, n):
             if poly_is_irreducible(modulus, p):
                 assert ff_make(p, n, modulus).modulus == tuple(modulus), (p, modulus)
@@ -206,6 +259,30 @@ def test_modulus_accepted_iff_trial_division_finds_it_irreducible():
     assert str(err.value) == "modulus [2, 0, 1, 0] is reducible over GF(3)"
 
 
+def test_reducible_modulus_at_the_cap_refused_in_bounded_time():
+    # a reducible modulus builds the addition table, then walks candidate
+    # rows, each built by linearity, up to the first non-unit: 0.01-0.05 s
+    # each here, against 0.07-0.18 s when every inverse was scanned for
+    probe = """
+from quadpres.errors import ValidationError
+from quadpres.finitefield import ff_make
+for p, n, modulus in [(2, 10, [1] + [0] * 9 + [1]), (2, 10, [1] + [0] * 9 + [1, 0]),
+                      (31, 2, [30, 0, 1]), (3, 6, [2, 0, 0, 0, 0, 0, 1])]:
+    try:
+        ff_make(p, n, modulus)
+    except ValidationError as err:
+        print(err)
+"""
+    done = run_python("-c", probe, timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "modulus [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1] is reducible over GF(2)",  # x^10 + 1
+        "modulus [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0] is reducible over GF(2)",  # as typed
+        "modulus [30, 0, 1] is reducible over GF(31)",  # x^2 - 1
+        "modulus [2, 0, 0, 0, 0, 0, 1] is reducible over GF(3)",  # x^6 + 2 = x^6 - 1
+    ]
+
+
 def test_modulus_coefficients_outside_the_prime_field_refused():
     for p, n, modulus, bad in [(3, 2, (1, 5, 1), 5), (3, 2, (1, -2, 1), -2), (5, 1, (7, 1), 7)]:
         with pytest.raises(InputError, match=f"coefficient {bad} "):
@@ -217,7 +294,7 @@ def test_every_extension_under_the_cap_has_a_default_modulus():
                   for n in range(2, MAX_FIELD.bit_length()) if p**n <= MAX_FIELD}
     assert set(DEFAULT_MODULI) == extensions
     assert len(extensions) == 26
-    # each builds from its size, as the CLI builds it; the inverse scan
+    # each builds from its size, as the CLI builds it; the generator search
     # would refuse a reducible modulus
     for p, n in extensions:
         k = ff_make(*parse_field_arg(str(p**n)))
