@@ -4,33 +4,23 @@ Forms are tuples of nonzero elements of a hyperfield F (the supercompacts of
 the powerset field P*(F) are its singletons, so working in F directly loses
 nothing).
 
-Every public form question is decided by one fold over value sets:
-<a1, ..., an> is isotropic iff 0 is in the iterated hypersum a1 + ... + an.
-The fold builds the hypersums of the suffixes from the right and stops at
-the first that holds 0, since a form with an isotropic subform is isotropic.
-is_isotropic reads only where it stopped; the hyperbolic split walks back
-over the rows after the stop (n * m cell lookups each way for m elements).
-Stripping planes until none splits gives the anisotropic part, a function of
-the form alone: each form on the way loses every visible plane <a, -a> at
-once, found by bisection over its runs, and only what is left is folded.
-phi and psi are Witt equivalent iff phi + (-psi) strips to the zero class,
-and isometric iff they also have equal dimensions (Witt cancellation).
-An IsometryContext memoizes each verdict and part by the query as asked, and
-probes the memo with the query as passed, so a repeated tuple query is one
-dict read: it converts, validates, sorts, negates and folds nothing, since a
-tuple hashes and compares as its entries and only a validated query is ever
-stored.  isometric checks the dimensions before it probes.
-These criteria assume a quadratically presentable field; `cli witt` checks
-the field first, and `cli isom` refuses tables that are not pre-quadratic
-hyperfields.  On a sorted form, a row that repeats inside a run of equal
-entries is every earlier row of the run: O(runs) rows.
-witt_ring walks the classes as the sums rep + <a> that do not split, by value
-sets alone (rep + <a> splits iff -a is a value of rep), and represents each
-class as (c,) + rep_t for a class t found a dimension earlier, so every sum,
-scaling and product entry is one lookup in rows filled before it, with no
-fold.  An entry past dmax is named by value sets, since phi + psi splits iff
-a value of phi is minus one of psi; only a product whose summands a.rep are
-not all one class is built, and stripped once per pair-free form it cancels to.
+Isotropy is decided by one fold over value sets: <a1, ..., an> is isotropic
+iff 0 is in the iterated hypersum a1 + ... + an.  The fold builds the
+hypersums of the suffixes from the right and stops at the first that holds
+0, since a form with an isotropic subform is isotropic; on a sorted form a
+row that repeats inside a run of equal entries is every earlier row of the
+run, so it folds O(runs) rows.  The other questions strip: a form's
+anisotropic part is what its pairs <a, -a> cancel to when the fold finds
+that anisotropic, else its least isometric sorted form, named by one class
+table, _ClassTable.  Its step[x][a] is the class of rep_x + <a>, by value
+sets alone (rep + <a> splits iff -a is a value of rep), and each class is
+represented as (c,) + rep_t for a class t a dimension lower.  phi and psi
+are Witt equivalent iff phi + (-psi) strips to the zero class, and
+isometric iff they also have equal dimensions (Witt cancellation).
+witt_ring fills the table to dmax, so every sum, scaling and product entry
+is one lookup in rows filled before it.  These criteria assume a
+quadratically presentable field; `cli witt` checks the field first, and
+`cli isom` refuses tables that are not pre-quadratic hyperfields.
 
 The paper's inductive isometry (unary forms by equality, binary forms by
 equal products plus membership of the head in the hypersum, higher
@@ -158,47 +148,36 @@ def _isometry_rows(binary, m, dmax):
 
 
 class IsometryContext:
-    """The value-set fold over a fixed hyperfield, with three memos keyed
-    by the validated query exactly as asked, so each holds one entry per
-    distinct query: _isotropic maps a form passed to is_isotropic to a
-    bool, _cancelled a pair (phi, psi) passed to isometric or
-    witt_equivalent to a bool, and _stripped a form passed to
-    anisotropic_entries or anisotropic_part to its part.  As with
-    functools.lru_cache, a form asked in two entry orders takes two
-    entries.  split_hyperbolic is not memoized.
+    """Form questions over a fixed hyperfield, with three memos keyed by
+    the validated query exactly as asked, one entry per distinct query: a
+    form passed to is_isotropic maps to a bool in _isotropic, a pair passed
+    to isometric or witt_equivalent to a bool in _cancelled, and a form
+    passed to anisotropic_entries or anisotropic_part to its part in
+    _stripped.  split_hyperbolic is not memoized.
 
     A memoized method probes its memo with the query as passed, and
-    converts and validates only on a miss.  A tuple needs no conversion:
-    its hash and equality are those of its entries.  A Form or a list
-    misses, and probes again once converted to a new tuple.  That is exact:
-    every key passed validation when it was stored, and a dict hit means
-    the query equals the key entry by entry with equal hashes, which is the
-    set membership validation tests, so a hit would pass it too, and () is
-    never stored.  A query that cannot be hashed or sized takes the miss
-    path, so every refusal is the validating path's, in the same order.
-    isometric probes only when len(phi) == len(psi), since witt_equivalent
-    stores pairs of unequal dimension in the same memo.
+    converts and validates only on a miss: a tuple hashes and compares as
+    its entries, and a Form or a list probes again once converted to a new
+    tuple.  That is exact, since every key passed validation when stored,
+    a hit equals its key entry by entry, which is what validation tests,
+    and () is never stored.  A query that cannot be hashed or sized takes
+    the miss path, so every refusal is the validating path's, in order.
+    isometric probes only at equal dimensions, since witt_equivalent stores
+    pairs of unequal dimension in the same memo.
 
-    The context assumes a quadratically presentable field: on other tables
-    its verdicts need not agree with the paper's recursion.  On a miss each
-    public method validates its input once, then works on entry-sorted
-    tuples.  The nonzero ids and the negation are F's own tables, read,
-    not copied, so a fresh context builds nothing but its memos.
-
-    A context is single-owner while a computation runs; share the hyperfield,
-    not the context.
+    A miss folds (_fold) for isotropy and strips (_strip) for the rest; the
+    class table a strip may read is made at the first isotropic pair-free
+    form, so a fresh context builds nothing but its memos.  The verdicts
+    assume a quadratically presentable field.  A context is single-owner
+    while a computation runs; share the hyperfield, not the context.
     """
 
-    def __init__(self, F: Hyperfield):
-        self.F = F
-        self.nonzero = F._nonzero
-        self._nonzero_set = F._nonzero_set
-        self._neg = F._neg
-        self._isotropic = {}
-        self._cancelled = {}
-        self._stripped = {}
+    _table = None  # the class table, set by _least at the first isotropic pair-free form
 
-    # -- plumbing --------------------------------------------------------
+    def __init__(self, F: Hyperfield):
+        self.F, self.nonzero, self._neg = F, F._nonzero, F._neg
+        self._nonzero_set = F._nonzero_set
+        self._isotropic, self._cancelled, self._stripped = {}, {}, {}
 
     def _norm(self, entries):
         return tuple(sorted(entries))
@@ -221,17 +200,13 @@ class IsometryContext:
 
     def _ints(self, entries):
         """Validated ``entries`` once none is a float or the like equal to an
-        id, which the set test of _entries_of lets through.  Only a query
-        that misses the memo reads this, after _entries_of, so a warm one
-        reads the entry of the equal ids and validates nothing."""
+        id, which the set test of _entries_of lets through; read on a miss."""
         if type(sum(entries)) is not int:  # a float among ints sums to a float
             raise self._refusal(entries)
         return entries
 
     def hyperbolic(self):
         return self._norm((self.F.one, self.F.neg(self.F.one)))
-
-    # -- isometry ----------------------------------------------------------
 
     def isometric(self, phi, psi) -> bool:
         try:
@@ -240,11 +215,15 @@ class IsometryContext:
             cancelled = None
         return self._cancels(phi, psi, True) if cancelled is None else cancelled
 
-    # -- isotropy and Witt reduction --------------------------------------
-
     def split_hyperbolic(self, entries) -> Optional[tuple]:
-        """The tail psi with entries ~ H + psi, or None if anisotropic."""
-        return self._tail(self._ints(self._norm(self._entries_of(entries))))
+        """A tail psi with entries ~ H + psi, or None if _fold finds the
+        form anisotropic: its part (_strip's) padded with hyperbolic planes
+        to dimension n - 2, sorted."""
+        entries = self._ints(self._norm(self._entries_of(entries)))
+        if self._fold(entries)[0] < 0:
+            return None
+        part = self._strip(entries)
+        return self._norm(part + self.hyperbolic() * ((len(entries) - len(part)) // 2 - 1))
 
     def is_isotropic(self, phi) -> bool:
         """Whether phi splits a hyperbolic plane, that is, whether 0 is in
@@ -265,13 +244,11 @@ class IsometryContext:
     def _fold(self, entries):
         """The value-set fold of validated, sorted ``entries``: (k, rows),
         where k is the first suffix entries[k:] met from the right whose
-        hypersum holds 0, or -1 if none does, and rows[i] is the hypersum
-        of the last i entries (that of none is {0}) for each suffix after
-        it.  A form with an isotropic subform is isotropic, so k >= 0 iff
-        the form is.  A row is a function of its entry and the row after
-        it, so once an entry maps the row after it to itself, every earlier
-        row of that entry's run is the same row: a form over m classes
-        folds in O(runs) rows.  The one-entry suffix holds 0 only on a
+        hypersum holds 0, or -1 if none does (k >= 0 iff the form is
+        isotropic), and rows[i] is the hypersum of the last i entries (that
+        of none is {0}) for each suffix after it.  Once an entry maps the row
+        after it to itself, every earlier row of its run is the same row, so
+        a form folds in O(runs) rows.  The one-entry suffix holds 0 only on a
         table where a + 0 is not {a}, which is refused here."""
         add, zero = self.F._add, self.F.zero
         k = len(entries) - 1
@@ -293,31 +270,11 @@ class IsometryContext:
             row = new
         return -1, rows
 
-    def _tail(self, entries):
-        """split_hyperbolic on validated, sorted entries.  From the isotropic
-        suffix entries[k:] of _fold, entries[:k] stay, and entries[k+1:],
-        anisotropic, represents b = -entries[k]: walk the rows, taking for
-        each entry a the first x of the row after it with b in a + x, and
-        use <a, x> ~ <b, a*x*b> to move b down the form."""
-        k, rows = self._fold(entries)
-        if k < 0:
-            return None
-        add, mul, zero = self.F._add, self.F._mul, self.F.zero
-        tail, b = list(entries[:k]), zero
-        for a, after in zip(entries[k:-1], reversed(rows)):
-            for x in after:
-                if b in add[a][x]:
-                    break
-            if b != zero:
-                tail.append(mul[mul[a][x]][b])
-            b = x
-        return self._norm(tail)
-
     def anisotropic_entries(self, entries) -> tuple:
-        """Strip hyperbolic planes until nothing splits; () is the zero class.
-        The representative is _strip's, the same on every context: each form
-        loses its pairs <a, -a> first, and what is left is split by _tail.
-        Memoized for the form as asked, and for none met on the way."""
+        """The anisotropic part, sorted; () is the zero class.  Which
+        representative: the form less its pairs <a, -a> if that is
+        anisotropic, else its least isometric sorted form (_strip).
+        Memoized for the form as asked."""
         try:
             part = self._stripped.get(entries)
         except Exception:  # a query that cannot be hashed: converted below
@@ -332,25 +289,23 @@ class IsometryContext:
         return part
 
     def _strip(self, entries):
-        """The anisotropic part of validated, sorted entries, as a loop.
+        """The anisotropic part of validated, sorted entries: what is left
+        once every pair <a, -a>, and <a, a> where a = -a, cancels
+        (_unpaired) if that is () or _fold finds it anisotropic, else its
+        least isometric sorted form (_least)."""
+        rest = self._unpaired(entries)
+        if not rest or self._fold(rest)[0] < 0:
+            return rest
+        return self._least(rest)
 
-        Which representative: the last form of a chain that starts at
-        entries and ends at a form that does not split.  Each form of the
-        chain first loses every pair <a, -a>, and <a, a> where a = -a, each
-        a hyperbolic plane (_unpaired); what is left goes on to _tail, one
-        fold and one plane a form.  The chain is a function of entries alone,
-        and the result is isometric, by Witt cancellation, to the part a
-        fold-only strip gives, but not always the same sorted form.  A form
-        whose pairs cancel to () is the zero class, with no fold.  The loop
-        reads and writes no memo.
-        """
-        while entries:
-            entries = self._unpaired(entries)
-            tail = self._tail(entries) if entries else None
-            if tail is None:
-                return entries
-            entries = tail
-        return entries
+    def _least(self, entries):
+        """The least sorted form isometric to validated, sorted entries:
+        the class table's step folded over them from class 0, read off as
+        the class's representative.  The table is made at the first call."""
+        table = self._table
+        if table is None:
+            table = self._table = _ClassTable(self.F)
+        return table.rep(reduce(table.step, entries, 0))
 
     def _unpaired(self, entries):
         """Sorted ``entries`` less every pair <a, -a>, and <a, a> where a = -a;
@@ -380,9 +335,9 @@ class IsometryContext:
         return rest
 
     def anisotropic_part(self, phi) -> Optional[Form]:
-        """The anisotropic form anisotropic_entries gives, None for the zero
-        class.  Isometric forms can get different representatives; compare
-        them with isometric, or use witt_ring's least sorted forms."""
+        """The Form of anisotropic_entries, None for the zero class.  A form
+        whose pairs cancel to an anisotropic rest keeps that rest, so compare
+        parts with isometric, or use witt_ring's least sorted forms."""
         part = self.anisotropic_entries(phi)
         return Form(part) if part else None
 
@@ -394,12 +349,10 @@ class IsometryContext:
         return self._cancels(phi, psi, False) if cancelled is None else cancelled
 
     def _cancels(self, phi, psi, same_dim):
-        """The miss of isometric (same_dim) and witt_equivalent on phi and
-        psi as passed.  Convert them, refusing phi before psi is read, and
-        for isometric refuse unequal dimensions once both are validated.
-        Read the memo again only if conversion built a new tuple; else
-        validate a, then b, and store under the pair (a, b), not as a form,
-        whether a + (-b) strips to the zero class."""
+        """The miss of isometric (same_dim) and witt_equivalent on phi and psi
+        as passed: convert them, refusing phi before psi is read, and refuse
+        unequal dimensions for isometric once both are validated.  Probe again
+        if conversion built a new tuple; else store whether a + (-b) strips to ()."""
         a = phi.entries if isinstance(phi, Form) else tuple(phi)
         try:
             b = psi.entries if isinstance(psi, Form) else tuple(psi)
@@ -435,6 +388,99 @@ def _hypermonoid_i(F, a):
     """The refusal of a table where a + 0 is not {a}."""
     cell = sorted(F._add[a][F.zero])
     return ValidationError(f"hypermonoid.i fails: {a} + 0 = {cell}", witness=(a, cell))
+
+
+class _ClassTable:
+    """Witt classes of anisotropic forms over F, by value sets alone: class
+    0 is the zero class, rep_0 = (), and class k > 0 has its least isometric
+    sorted form rep_k = (heads[k],) + rep_t, t = suffix[k], and V_k =
+    values[k], the hypersum of rep_k (V_0 = {0}).  step(x, a), the class of
+    rep_x + <a>: if -a is in V_x the sum splits and is below(x, -a) (split).
+    Else c = min V, V the union of a + v over v in V_x, and the sum is
+    (c,) + rep_y (least): y = x when c = a, else y = step[below(x, v)][cva]
+    for a v in V_x with c in a + v, as <v, a> ~ <c, cva>.  Least: each entry
+    of a sorted form isometric to phi is a value of phi (b is in b + x), so
+    no head is less than c, and Witt cancellation leaves a form of class y
+    to follow it.  below(x, b), for a value b of rep_x, is the class k with
+    rep_k + <b> ~ rep_x: the suffix t when b is the head c, else
+    step[below(t, w)][cwb] for a w in V_t with b in c + w, as
+    <c, w> ~ <b, cwb>.  Both recur on dimension, memoized a row per class
+    (steps, downs); step makes a class, keyed (c, y) in ids, at its first
+    use.  A table where a + 0 is not {a}, an unsplit sum has the value 0, or
+    below(x, b) finds no k with step[k][b] = x is refused.
+    """
+
+    def __init__(self, F):
+        self.F, self.neg = F, F._neg
+        self.add, self.mul = F._add, F._mul
+        self.heads, self.suffix, self.values = [None], [None], [{F.zero}]
+        self.steps, self.downs = [[None] * F.size], [[None] * F.size]
+        self.ids = {}  # (c, y) -> the class of (c,) + rep_y
+
+    def new(self, key, V):
+        """Append the class (c,) + rep_y, key = (c, y), with value set V."""
+        k = self.ids[key] = len(self.heads)
+        self.heads.append(key[0])
+        self.suffix.append(key[1])
+        self.values.append(V)
+        self.steps.append([None] * self.F.size)
+        self.downs.append([None] * self.F.size)
+        return k
+
+    def rep(self, x):
+        out = []
+        while x:
+            out.append(self.heads[x])
+            x = self.suffix[x]
+        return tuple(out)
+
+    def unfound(self, x, a):
+        message = f"the table breaks the representation rule: rep_{x} + <{a}> = {self.rep(x) + (a,)} has no class"
+        return ValidationError(message, witness=(x, a))
+
+    def step(self, x, a):
+        k = self.steps[x][a]
+        if k is None:
+            k = self.split(x, a)
+            if k is None:
+                key, V = self.least(x, a)
+                k = self.ids.get(key) or self.new(key, V)  # no key names class 0
+            self.steps[x][a] = k
+        return k
+
+    def split(self, x, a):
+        """below(x, -a) if rep_x + <a> splits, else None."""
+        b = self.neg[a]
+        return self.below(x, b) if b in self.values[x] else None
+
+    def least(self, x, a):
+        """((c, y), V) for rep_x + <a> ~ (c,) + rep_y that does not split."""
+        add, mul, Vx = self.add, self.mul, self.values[x]
+        V = set().union(*map(add[a].__getitem__, Vx))
+        if x == 0 and V != {a}:
+            raise _hypermonoid_i(self.F, a)
+        if self.F.zero in V:  # 0 in a + v with v not -a
+            raise self.unfound(x, a)
+        c, y = min(V), x
+        if c != a:
+            v = next(v for v in Vx if c in add[a][v])
+            y = self.step(self.below(x, v), mul[mul[c][v]][a])
+        return (c, y), V
+
+    def below(self, x, b):
+        k = self.downs[x][b]
+        if k is None:
+            c, t = self.heads[x], self.suffix[x]
+            if b == c:
+                k = t
+            elif x:
+                w = next((w for w in self.values[t] if b in self.add[c][w]), None)
+                if w is not None:
+                    k = self.step(self.below(t, w), self.mul[self.mul[c][w]][b])
+            if k is None or self.step(k, b) != x:
+                raise self.unfound(x, self.neg[b])
+            self.downs[x][b] = k
+        return k
 
 
 def isometric(F, phi, psi) -> bool:
@@ -562,130 +608,85 @@ class WittRing:
 
 def witt_ring(F: Hyperfield, dmax: int) -> WittRing:
     """Enumerate anisotropic classes up to dmax and build the class tables
-    by recurrence, one lookup per entry in rows filled before it.
+    by recurrence, one lookup per entry in rows filled before it.  Assumes
+    a quadratically presentable field.
 
-    Assumes a quadratically presentable field and reads two facts of one:
-    phi + <a> splits iff -a is a value of phi (0 is in v + a iff v = -a),
-    and a value b of phi gives phi ~ <b> + psi, by Witt cancellation.
-
-    The walk: subforms of anisotropic forms are anisotropic, so the classes
-    of dim d + 1 are the sums rep_x + <a>, dim rep_x = d, that do not split,
-    appended in sorted order; it stops at the first dimension that adds no
-    class, since none can follow.  Each class keeps its value set V_x, the
-    hypersum of its representative: V_0 = {0}, and rep_x + <a> has the
-    union of a + v over v in V_x.  step[x][a] is the class of rep_x + <a>
-    (None past dmax), and inv[k][a] = x where rep_x + <a> does not split and
-    is class k.  A sum that splits, -a in V_x, is rep_k + <-a, a> with
-    k = inv[x][-a], so it is class k.  One that does not is represented by
-    its least isometric sorted form (c,) + rep_y, c = min V: y = x when
-    c = a, else y = step[inv[x][v]][c.v.a] for a v in V_x with c in a + v,
-    since <v, a> ~ <c, cva>.  Least: each entry of a sorted form isometric
-    to phi is a value of phi (b is in b + x), so no head is less than c,
-    and Witt cancellation leaves a form of class y to follow it.
+    The walk fills a _ClassTable a dimension at a time: subforms of
+    anisotropic forms are anisotropic, so the classes of dim d + 1 are the
+    sums rep_x + <a>, dim rep_x = d, that do not split, numbered in form
+    order; it stops at the first dimension that adds no class, since none
+    can follow.  step[x][a] is None past dmax.
 
     The tables: rep_i = (c_i,) + rep_t with t = suffix[i] < i.  Rows are
     filled in class order and mirrored, so row t is complete when row i is
     filled: add[i][j] = add[t][step[j][c_i]], scale[a][j] =
     step[scale[a][t_j]][a.c_j], the class of a.rep_j, and mul[i][j] =
     add[scale[c_i][j]][mul[t][j]], since (<c> + psi).phi = c.phi + psi.phi.
-    Each entry is exact, None iff its class is not found, so an entry that
-    reads None is None.  Only where step[j][c_i] or mul[t][j] is None, past
-    dmax, does an entry fall back to value sets, since phi + psi, both
-    anisotropic, splits iff a value v of phi is minus one of psi: a sum is
-    None when V_i and -V_j are disjoint, else add[k][l] for
-    rep_i ~ <v> + rep_k and rep_j ~ <-v> + rep_l, where k < i; a product
+    An entry is None iff its class is not found.  Only where step[j][c_i]
+    or mul[t][j] is None, past dmax, does an entry fall back to value sets,
+    since phi + psi, both anisotropic, splits iff a value v of phi is minus
+    one of psi: a sum is None when V_i and -V_j are disjoint, else
+    add[k][l] for rep_i ~ <v> + rep_k and rep_j ~ <-v> + rep_l; a product
     whose summands a.rep_j are all of one class k is None while its copies
-    of rep_k do not split.  Any other product is built once per multiset
-    of summand classes and stripped once per pair-free form it cancels to,
-    and a part of dim <= dmax is named by folding step from class 0 over
-    it (its partial sums are anisotropic, hence found).  A lookup the
-    recurrence needs that is missing means the table breaks the
-    representation rule, and is refused.  The ring reads as "finite"
-    exactly when no entry is None.  More than WITT_BUDGET product entries,
+    of rep_k do not split.  Any other product is built once per multiset of
+    summand classes, stripped once per pair-free form it cancels to, and a
+    part of dim <= dmax is named by folding step over it from class 0.  A
+    lookup the recurrence needs that is missing breaks the representation
+    rule, and is refused.  More than WITT_BUDGET product entries,
     classes^2 * dmax^2, are refused as classes are found.
     """
     if dmax < 2:
         raise InputError("dmax must be at least 2 (the hyperbolic plane has dim 2)")
-    ctx = IsometryContext(F)
-    nz, neg, add, mul, zero = ctx.nonzero, ctx._neg, F._add, F._mul, F.zero
-    reps, suffix = [()], [None]  # reps[i] = (reps[i][0],) + reps[suffix[i]]; () is the zero class
-    values, minus, inv = [{zero}], [{zero}], [[None] * F.size]  # V_i, -V_i, inv[i][b]
+    ctx, table = IsometryContext(F), _ClassTable(F)
+    nz, neg, add, mul = ctx.nonzero, ctx._neg, F._add, F._mul
+    step, suffix, values, below = table.steps, table.suffix, table.values, table.below
     copies = {}  # read past dmax: the value sets of m copies of rep_k, m = 1, 2, ..., None once they split
 
     def guard(n):
         if n * n * dmax * dmax > WITT_BUDGET:
-            raise SizeGuardError(
-                f"{n} classes at dmax {dmax} give {n * n * dmax * dmax} product entries; budget {WITT_BUDGET}"
-            )
-
-    def unfound(x, a):
-        return ValidationError(
-            f"the table breaks the representation rule: rep_{x} + <{a}> = {reps[x] + (a,)} has no class",
-            witness=(x, a),
-        )
-
-    def below(x, b):
-        """inv[x][b], the class of rep_x + <-b> for a value b of rep_x."""
-        k = inv[x][b]
-        if k is None:
-            raise unfound(x, neg[b])
-        return k
+            message = f"{n} classes at dmax {dmax} give {n * n * dmax * dmax} product entries; budget {WITT_BUDGET}"
+            raise SizeGuardError(message)
 
     def after(x, a):
         """step[x][a] where the recurrence needs it found."""
         k = step[x][a]
         if k is None:
-            raise unfound(x, a)
+            raise table.unfound(x, a)
         return k
 
-    step, growth, level = [], [], range(1)
+    reps, growth, level = [()], [], range(1)
     for d in range(1, dmax + 2):
         found, walked = {}, []  # (c, y) of each new class -> its value set; (x, a, (c, y)) per sum
         for x in level:
-            Vx, row = values[x], [None] * F.size
             for a in nz:
-                if neg[a] in Vx:
-                    row[a] = below(x, neg[a])
+                k = table.split(x, a)
+                if k is not None:
+                    step[x][a] = k
                 elif d <= dmax:
-                    V = set().union(*map(add[a].__getitem__, Vx))
-                    if x == 0 and V != {a}:
-                        raise _hypermonoid_i(F, a)
-                    if zero in V:  # 0 in a + v with v not -a
-                        raise unfound(x, a)
-                    c, y = min(V), x
-                    if c != a:  # <v, a> ~ <c, cva> for a v in V_x with c in a + v
-                        v = next(v for v in Vx if c in add[a][v])
-                        y = after(below(x, v), mul[mul[c][v]][a])
-                    if (c, y) not in found:
-                        found[c, y] = V
-                        guard(len(reps) + len(found))
-                    walked.append((x, a, (c, y)))
-            step.append(row)
+                    key, V = table.least(x, a)
+                    if key not in found:
+                        found[key] = V
+                        guard(len(values) + len(found))
+                    walked.append((x, a, key))
         if d > dmax:
             break
         # the reps of y's dimension are in sorted order, so (c, y) order is form order
         new = sorted(found)
-        ids = {key: i for i, key in enumerate(new, len(reps))}
-        for c, y in new:
-            reps.append((c,) + reps[y])
-            suffix.append(y)
-            values.append(found[c, y])
-            minus.append({neg[v] for v in found[c, y]})
-            inv.append([None] * F.size)
+        for key in new:
+            table.new(key, found[key])
+            reps.append((key[0],) + reps[key[1]])
         for x, a, key in walked:
-            step[x][a] = k = ids[key]
-            inv[k][a] = x
+            step[x][a] = table.ids[key]
         growth.append(len(new))
-        level = range(len(reps) - len(new), len(reps))
+        level = range(len(values) - len(new), len(values))
         if not new:  # no class of dim d, so none of a larger dim
             growth += [0] * (dmax - d)
             break
+    minus = [{neg[v] for v in V} for V in values]
 
     def class_of(entries):
-        """The class of sorted ``entries``: None when its stripped part has
-        dim > dmax, else the fold of step over the part from class 0.  A
-        strip first cancels pairs, so forms that cancel to the same
-        pair-free form share one strip, in ``parts``."""
+        """The class of sorted ``entries``: None if its part has dim > dmax, else step
+        folded over the part; forms that cancel to one pair-free form share a strip."""
         rest = ctx._unpaired(entries)
         x = parts.get(rest, _UNSEEN)
         if x is _UNSEEN:
@@ -694,9 +695,8 @@ def witt_ring(F: Hyperfield, dmax: int) -> WittRing:
         return x
 
     def copies_split(k, n):
-        """Whether n copies of rep_k split.  m + 1 copies split iff a value
-        of m copies is in -V_k; else their values are the set sum of those
-        of m copies and V_k."""
+        """Whether n copies of rep_k split.  m + 1 copies split iff a value of
+        m copies is in -V_k; else their values are those of m copies + V_k."""
         sums = copies.setdefault(k, [values[k]])
         while len(sums) < n and sums[-1] is not None:
             last = sums[-1]

@@ -16,7 +16,7 @@ from quadpres.hyperfields import (
     prime_hyperfield,
     quadratic_hyperfield,
 )
-from quadpres.oracle import classical_witt_ring
+from quadpres.oracle import classical_isometric, classical_witt_ring
 from quadpres.posets import check_presentable as check_poset
 from quadpres.presentable import check_presentable, example_sq_structure, squares_pipeline
 from quadpres.quadratic import ring_isomorphic, witt_ring
@@ -187,6 +187,19 @@ def test_isom_on_forms_of_2404_entries_exits_zero(capsys):
     code, out = run(capsys, "isom", "--field", "3", "--form", ones, "--form", ones)
     assert code == 0
     assert out.splitlines()[-1] == "isometric"
+
+
+def test_isom_on_a_long_pair_free_sum_agrees_with_the_oracle(capsys):
+    # <1^4096> + (-<2^4096>) is <1^8192> over GF(3): no pair <a, -a> to
+    # cancel, so it is stripped by the class table, where a plane per fold
+    # took 4,095 folds.  The classical criterion agrees: equal dimensions
+    # and discriminants
+    phi, psi = (1,) * 4096, (2,) * 4096
+    code, out = run(capsys, "isom", "--field", "3", "--form", ",".join(map(str, phi)),
+                    "--form", ",".join(map(str, psi)))
+    assert code == 0
+    assert out.splitlines()[-1] == "isometric"
+    assert classical_isometric(3, phi, psi)
 
 
 def test_isom_refuses_a_field_that_is_not_prequadratic(tmp_path, capsys):

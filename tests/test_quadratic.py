@@ -1,5 +1,4 @@
 import random
-import sys
 from dataclasses import replace
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
@@ -566,6 +565,28 @@ def linear_scan_witt_ring(F: Hyperfield, dmax: int) -> WittRing:
     )
 
 
+def plane_tail(ctx, entries):
+    """The plane-per-fold split of validated, sorted ``entries`` on ``ctx``:
+    the reference for the class table.  From the isotropic suffix
+    entries[k:] of _fold, entries[:k] stay, and entries[k+1:], anisotropic,
+    represents b = -entries[k]: walk the rows, taking for each entry a the
+    first x of the row after it with b in a + x, and use <a, x> ~ <b, a*x*b>
+    to move b down the form.  None if the form is anisotropic."""
+    k, rows = ctx._fold(entries)
+    if k < 0:
+        return None
+    add, mul, zero = ctx.F._add, ctx.F._mul, ctx.F.zero
+    tail, b = list(entries[:k]), zero
+    for a, after in zip(entries[k:-1], reversed(rows)):
+        for x in after:
+            if b in add[a][x]:
+                break
+        if b != zero:
+            tail.append(mul[mul[a][x]][b])
+        b = x
+    return ctx._norm(tail)
+
+
 def canonical_form(ctx, entries):
     """The lexicographically least sorted form isometric to sorted
     ``entries``, by folds alone: the least c for which entries + <-c>
@@ -576,7 +597,7 @@ def canonical_form(ctx, entries):
     out = []
     while entries:
         for c in ctx.nonzero:
-            tail = ctx._tail(ctx._norm(entries + (ctx._neg[c],)))
+            tail = plane_tail(ctx, ctx._norm(entries + (ctx._neg[c],)))
             if tail is not None:
                 break
         out.append(c)
@@ -654,14 +675,15 @@ def test_witt_ring_matches_the_stripped_tables(F, dmaxes):
 
 
 class FoldOnlyContext(IsometryContext):
-    """_strip a plane per fold, with no pair pass: the reference for the
-    pair pass, the way RowByRowContext is for the fold's fixed point."""
+    """_strip a plane per fold by plane_tail, with no pair pass and no
+    class table: the reference for _strip, the way RowByRowContext is for
+    the fold's fixed point."""
 
     def _strip(self, entries):
         hit = self._stripped.get(entries)
         if hit is not None:
             return hit
-        tail = self._tail(entries) if entries else None
+        tail = plane_tail(self, entries) if entries else None
         result = entries if tail is None else self._strip(tail)
         self._stripped[entries] = result
         return result
@@ -675,11 +697,10 @@ def test_witt_ring_matches_the_fold_only_stripped_tables(F, dmaxes):
 
 @pytest.mark.parametrize("F, dmax", STRIP_FLEET, ids=STRIP_FLEET_IDS)
 def test_strip_is_isometric_to_the_fold_only_strip(F, dmax):
-    # every form loses its pairs first, so a context that split the form
-    # before strips it to the part of one that did not.  That part has the
-    # reference's dimension, does not split, and cancels against the
-    # reference's part on the fold alone (two zero classes () trivially,
-    # since a query validates the forms it cancels)
+    # a context that split the form before strips it as one that did not.
+    # The part has the reference's dimension, does not split, and cancels
+    # against the reference's part on the fold alone (two zero classes ()
+    # trivially, since a query validates the forms it cancels)
     ref, cold, warm = FoldOnlyContext(F), IsometryContext(F), IsometryContext(F)
     for d in range(1, dmax + 1):
         for entries in combinations_with_replacement(ref.nonzero, d):
@@ -690,6 +711,53 @@ def test_strip_is_isometric_to_the_fold_only_strip(F, dmax):
             assert len(part) == len(want), (F.names, entries)
             assert not part or ref.split_hyperbolic(part) is None, (F.names, entries)
             assert not part or ref.witt_equivalent(part, want), (F.names, entries)
+
+
+@pytest.mark.parametrize("F, dmax", STRIP_FLEET, ids=STRIP_FLEET_IDS)
+def test_the_class_table_names_least_parts_and_tails(F, dmax):
+    # where the form less its pairs <a, -a> is isotropic, its part is the
+    # least sorted form isometric to the reference's part, read off the
+    # class table (over the real tower E, E((t)), E((t))((s)) no such form
+    # exists); the tail psi of split_hyperbolic has H + psi isometric to the
+    # form by the plane-per-fold reference, and is None exactly for
+    # anisotropic forms.  Each query is asked on a fresh context
+    ref = FoldOnlyContext(F)
+    H = ref.hyperbolic()
+    for d in range(1, dmax + 1):
+        for entries in combinations_with_replacement(ref.nonzero, d):
+            part = IsometryContext(F).anisotropic_entries(entries)
+            rest = ref._unpaired(entries)
+            if rest and IsometryContext(F).is_isotropic(rest):
+                assert part == canonical_form(ref, ref.anisotropic_entries(entries)), (F.names, entries)
+            tail = IsometryContext(F).split_hyperbolic(entries)
+            assert (tail is None) == (not IsometryContext(F).is_isotropic(entries)), (F.names, entries)
+            assert tail is None or ref.isometric(ref._norm(H + tail), entries), (F.names, entries, tail)
+
+
+def test_form_queries_answer_or_refuse_on_add_cell_mutants():
+    # every add-cell mutant of a STRIP_FLEET structure with at most 5
+    # elements, 1,536 tables.  On every sorted form to dim 5, each query on a
+    # fresh context answers or refuses the table with an InputError or a
+    # ValidationError; no other exception escapes the fold or the class table
+    tables, outcomes = 0, {"answered": 0, "refused": 0}
+    for F, _ in STRIP_FLEET:
+        if F.size > 5:
+            continue
+        for G in add_cell_mutants(F):
+            tables += 1
+            for d in range(1, 6):
+                for e in combinations_with_replacement(G.nonzero(), d):
+                    for call in (lambda: IsometryContext(G).is_isotropic(e),
+                                 lambda: IsometryContext(G).anisotropic_entries(e),
+                                 lambda: IsometryContext(G).split_hyperbolic(e),
+                                 lambda: IsometryContext(G).witt_equivalent(e, e[::-1])):
+                        try:
+                            call()
+                            outcomes["answered"] += 1
+                        except (InputError, ValidationError):
+                            outcomes["refused"] += 1
+    assert tables == 1536
+    assert sum(outcomes.values()) == 689_520 and min(outcomes.values()) > 0, outcomes
 
 
 @pytest.mark.parametrize("F, dmax", STRIP_FLEET, ids=STRIP_FLEET_IDS)
@@ -721,36 +789,39 @@ def spy_on(monkeypatch, *names):
 
 def test_a_pair_rich_form_strips_in_one_fold(monkeypatch):
     # <1^32, -1^16> loses its 16 planes at once and folds <1^16> once, where
-    # a fold a plane took 17 folds; <1^2000, -1^1999> is <1>
-    forms = spy_on(monkeypatch, "_tail")
+    # a fold a plane took 17 folds; <1^16> is anisotropic, so no class table
+    # is read.  <1^2000, -1^1999> is <1>
+    forms = spy_on(monkeypatch, "_fold", "_least")
     ctx = euclid_ctx()
     assert ctx.anisotropic_part((1,) * 32 + (2,) * 16) == Form((1,) * 16)
-    assert len(forms) <= 1
+    assert forms == [("_fold", (1,) * 16)]
     assert ctx.anisotropic_part((1,) * 2000 + (2,) * 1999) == Form((1,))
 
 
 @pytest.mark.parametrize("F, dmax", WALKED_FLEET, ids=WALKED_FLEET_IDS)
 def test_witt_ring_strips_no_walked_sum(F, dmax, monkeypatch):
     # a walked sum rep + <a> that does not split is named by the walk, and
-    # one that splits is classed by its tail, by Witt cancellation
-    stripped = spy_on(monkeypatch, "_strip")
-    W = witt_ring(F, dmax)
+    # one that splits is the class below it, by Witt cancellation
     ctx = IsometryContext(F)
-    walked = {ctx._norm(c.normalized + (a,)) for c in W.classes if c.dim < dmax for a in ctx.nonzero}
+    walked = {ctx._norm(c.normalized + (a,)) for c in witt_ring(F, dmax).classes if c.dim < dmax for a in ctx.nonzero}
     assert any(ctx.split_hyperbolic(form) is not None for form in walked)
+    stripped = spy_on(monkeypatch, "_strip")
+    witt_ring(F, dmax)
     assert walked.isdisjoint(form for _, form in stripped), F.names
 
 
 def test_a_long_chain_of_planes_strips_in_a_loop(monkeypatch):
-    # <1^n> over Q(GF(3)) has no pair <a, -a>: each fold splits off a plane
-    # and leaves a tail that loses one more, so <1^4401> takes 1,101 folds,
-    # more than the recursion limit allows frames.  Only the queried form is
-    # memoized.  <1^2401> and E's <1^1100, -1^1099> raised RecursionError
-    # when _strip called itself once a plane
-    forms = spy_on(monkeypatch, "_tail")
+    # <1^n> over Q(GF(3)) has no pair <a, -a>: it is folded once, found
+    # isotropic, and named by the class table's step, one entry at a time
+    # with no fold, where splitting a plane per fold took 1,101 folds for
+    # <1^4401>.  Only the queried form is memoized.  <1^2401> and E's
+    # <1^1100, -1^1099> raised RecursionError when _strip called itself once
+    # a plane
+    forms = spy_on(monkeypatch, "_fold", "_least")
     F, ctx = q_ctx(3)
-    assert ctx.anisotropic_part((F.one,) * 4401) == Form((F.one,))
-    assert len(forms) > sys.getrecursionlimit()
+    ones = (F.one,) * 4401
+    assert ctx.anisotropic_part(ones) == Form((F.one,))
+    assert forms == [("_fold", ones), ("_least", ones)]
     assert ctx._stripped == {(F.one,) * 4401: (F.one,)}
     assert q_ctx(3)[1].anisotropic_part((F.one,) * 2401) == Form((F.one,))
     assert euclid_ctx().anisotropic_part((1,) * 1100 + (2,) * 1099) == Form((1,))
@@ -828,7 +899,7 @@ def test_a_warm_repeat_is_one_memo_read(F, dmax, monkeypatch):
     warm = IsometryContext(F)
     for name, *args in queries:
         getattr(warm, name)(*args)
-    calls = spy_on(monkeypatch, "_entries_of", "_ints", "_norm", "_unpaired", "_fold", "_tail", "_strip")
+    calls = spy_on(monkeypatch, "_entries_of", "_ints", "_norm", "_unpaired", "_fold", "_least", "_strip")
     for (name, *args), verdict in zip(queries, want):
         assert getattr(warm, name)(*args) == verdict, (F.names, name, args)
         assert calls == [], (F.names, name, args)
@@ -921,7 +992,7 @@ def test_witt_ring_folds_nothing_on_E_and_finite_fields(F, dmaxes, monkeypatch):
     def folded(self, entries):
         raise AssertionError(f"folded {entries}")
 
-    for name in ("_fold", "_tail", "_strip"):
+    for name in ("_fold", "_least", "_strip"):
         monkeypatch.setattr(IsometryContext, name, folded)
     for dmax in dmaxes:
         witt_ring(F, dmax)
@@ -976,10 +1047,10 @@ class RowByRowContext(IsometryContext):
 
 
 def fold_outcomes(ctx, entries):
-    """_fold, _tail and _strip of sorted ``entries``, an exception as
+    """_fold, plane_tail and _strip of sorted ``entries``, an exception as
     "raised" with its type, message and witness."""
     out = []
-    for method in (ctx._fold, ctx._tail, ctx._strip):
+    for method in (ctx._fold, lambda e: plane_tail(ctx, e), ctx._strip):
         try:
             out.append(method(entries))
         except Exception as err:
@@ -1038,12 +1109,27 @@ def test_split_refuses_zero_in_a_plus_zero():
             assert err.value.witness == (a, cell)
 
 
+def test_a_negation_onto_zero_is_refused_below_the_zero_class():
+    # E with its negation swapping 0 and 1, not a hyperfield: <1, -1> has no
+    # pair to cancel and 0 in its hypersum, and the class table's first step,
+    # rep_0 + <1>, splits, since the negative of 1 is 0, the value of rep_0;
+    # no class lies below the zero class
+    E = euclidean_hyperfield()
+    F = Hyperfield(E.zero, E.one, (1, 0, 2), E.mul_table(), E.add_full_table(), names=E.names)
+    message = r"the table breaks the representation rule: rep_0 \+ <1> = \(1,\) has no class"
+    for run in (lambda: IsometryContext(F).anisotropic_entries((1, 2)),
+                lambda: IsometryContext(F).split_hyperbolic((1, 2)), lambda: witt_ring(F, 3)):
+        with pytest.raises(ValidationError, match=message) as err:
+            run()
+        assert err.value.witness == (0, 1)
+
+
 @pytest.mark.parametrize("F, dmax", MARKER_FLEET, ids=STRIP_FLEET_IDS)
 def test_is_isotropic_leaves_no_tail_behind(F, dmax, monkeypatch):
-    # a cold is_isotropic is one fold, with no walk to a tail and no strip;
+    # a cold is_isotropic is one fold, with no class table and no strip;
     # a warm one folds nothing; and each query that then reads the form on
     # the same context answers as on a fresh one
-    calls = spy_on(monkeypatch, "_fold", "_tail", "_strip")
+    calls = spy_on(monkeypatch, "_fold", "_least", "_strip")
     neg = F.neg_table()
     for d in range(1, dmax + 1):
         for phi in combinations_with_replacement(IsometryContext(F).nonzero, d):
@@ -1056,7 +1142,7 @@ def test_is_isotropic_leaves_no_tail_behind(F, dmax, monkeypatch):
                 ctx = IsometryContext(F)
                 del calls[:]
                 isotropic = ctx.is_isotropic(phi)
-                assert calls == [("_fold", phi)], phi
+                assert calls == [("_fold", phi)] and ctx._table is None, phi
                 del calls[:]
                 assert ctx.is_isotropic(phi) == isotropic and calls == [], phi
                 want = getattr(IsometryContext(F), name)(*args)
