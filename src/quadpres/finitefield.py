@@ -23,7 +23,9 @@ and the negatives are the row of -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from itertools import repeat
+from operator import iconcat, itemgetter
 
 from .errors import InputError, SizeGuardError, ValidationError
 
@@ -121,10 +123,13 @@ class FiniteField:
         add = [twice[a : a + p] for a in range(p)]
         # a top digit c adds c * m, and addition is digitwise mod p: row
         # lo + m * hi is row lo of the smaller table in p shifted blocks,
-        # rotated by hi blocks
+        # rotated by hi blocks.  Block c, row lo shifted by c * m, is read
+        # whole off the ids c * m, ..., c * m + m - 1
         m = p
         while m < q:
-            cats = [[x + s for s in range(0, m * p, m) for x in row] for row in add]
+            ids = list(range(m * p))
+            spans = [ids[s : s + m] for s in range(0, m * p, m)]
+            cats = [reduce(iconcat, map(itemgetter(*row), spans), []) for row in add]
             add = [cat[hi * m :] + cat[: hi * m] for hi in range(p) for cat in cats]
             m *= p
         if n == 1:
@@ -285,8 +290,10 @@ def square_classes(k: FiniteField) -> SquareClasses:
     """{0}, the nonzero squares S and, when S is not all of k* (odd q),
     k* minus S: S has index 1 or 2 in the cyclic group k*, so these are
     its cosets."""
-    squares = frozenset(k.mul(a, a) for a in k.nonzero())
+    squares = frozenset(map(list.__getitem__, k._mul[1:], k.nonzero()))  # the diagonal a*a, a != 0
     rest = frozenset(k.nonzero()) - squares
     classes = (frozenset([0]), squares) + ((rest,) if rest else ())
-    class_of = tuple(0 if a == 0 else 1 if a in squares else 2 for a in range(k.q))
+    number = dict.fromkeys(squares, 1)
+    number[0] = 0
+    class_of = tuple(list(map(number.get, range(k.q), repeat(2))))  # from a list, so allocated at its size
     return SquareClasses(classes=classes, class_of=class_of, zero_class=0)

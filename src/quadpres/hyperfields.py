@@ -10,8 +10,8 @@ hypermonoid/hypergroup/hyperring/hyperfield laws is decided by
 
 from __future__ import annotations
 
-from itertools import product, repeat
-from operator import itemgetter
+from itertools import chain, islice, product, repeat
+from operator import eq, itemgetter
 
 from .errors import AxiomReport, InputError, SizeGuardError, ValidationError
 from .finitefield import FiniteField, square_classes
@@ -38,27 +38,31 @@ class Hyperfield:
         if zero == one:
             raise ValidationError("zero and one coincide")
         neg = tuple(neg)
-        if len(neg) != size or any(not 0 <= x < size for x in neg):
+        if len(neg) != size or min(neg) < 0 or max(neg) >= size:
             raise InputError("negation table malformed")
-        for a in range(size):
-            if neg[neg[a]] != a:
-                raise ValidationError(f"negation is not an involution at {a}", witness=(a,))
-        mul = tuple(tuple(row) for row in mul)
+        # each check compares a whole table with what it must equal, such as
+        # its lazily zipped transpose; only a table that fails is scanned a
+        # row at a time for the first witness in (a, b) order
+        carrier = tuple(range(size))
+        if itemgetter(*neg)(neg) != carrier:
+            a = next(a for a in carrier if neg[neg[a]] != a)
+            raise ValidationError(f"negation is not an involution at {a}", witness=(a,))
+        # tupled from lists, so each tuple is allocated at its size: one built
+        # from an iterator is resized as it grows, and once freed it stays in
+        # the free list of its final size until a full collection
+        mul = tuple([tuple(row) for row in mul])
         ids = set().union(*mul)  # the range checks read the distinct ids and cells once
         if any(len(row) != size for row in mul) or min(ids) < 0 or max(ids) >= size:
             raise InputError("multiplication table malformed")
-        # each check reads a whole row at once; only a row that fails is
-        # scanned cell by cell for the first witness in (a, b) order
-        columns = tuple(zip(*mul))
-        for a in range(size):
-            if mul[a][one] != a:
-                raise ValidationError(f"one is not a multiplicative identity at {a}", witness=(a,))
-            if mul[a] != columns[a]:
-                b = next(_commutativity_failures(mul, a))[0]
-                raise ValidationError(f"multiplication not commutative at ({a},{b})", witness=(a, b))
+        if not all(map(eq, map(itemgetter(one), mul), carrier)) or not all(map(eq, mul, zip(*mul))):
+            for a in carrier:
+                if mul[a][one] != a:
+                    raise ValidationError(f"one is not a multiplicative identity at {a}", witness=(a,))
+                for b, _, _ in _commutativity_failures(mul, a):
+                    raise ValidationError(f"multiplication not commutative at ({a},{b})", witness=(a, b))
         if len(add) != size or any(len(row) != size for row in add):
             raise InputError("addition table malformed")
-        add = tuple(map(tuple, add))
+        add = tuple(list(map(tuple, add)))
         try:  # the failing cells are listed only when the distinct cells fail
             cells = set().union(*add)
         except TypeError:  # unhashable cells, such as sets or lists
@@ -66,21 +70,20 @@ class Hyperfield:
         if cells is None or any(type(cell) is not frozenset for cell in cells):
             add = tuple(tuple(map(frozenset, row)) for row in add)
             cells = set().union(*add)
-        columns = tuple(zip(*add))
         ids = frozenset().union(*cells)
-        ok = all(cells) and 0 <= min(ids) and max(ids) < size
-        bad = set() if ok else {cell for cell in cells if not cell or any(not 0 <= x < size for x in cell)}
-        for a in range(size):
-            row = add[a][a:]
-            if row == columns[a][a:] and (not bad or bad.isdisjoint(row)):
-                continue
-            for b, cell in enumerate(row, start=a):
-                if not cell:
-                    raise ValidationError(f"addition cell ({a},{b}) is empty", witness=(a, b))
-                if cell in bad:
-                    raise InputError(f"addition cell ({a},{b}) mentions unknown ids")
-                if columns[a][b] != cell:
-                    raise ValidationError(f"addition not symmetric at ({a},{b})", witness=(a, b))
+        if not (all(cells) and 0 <= min(ids) and max(ids) < size and all(map(eq, add, zip(*add)))):
+            bad = {cell for cell in cells if not cell or any(not 0 <= x < size for x in cell)}
+            for a in carrier:
+                row, column = add[a][a:], tuple(map(itemgetter(a), add[a:]))
+                if row == column and bad.isdisjoint(row):
+                    continue
+                for b, cell, other in zip(range(a, size), row, column):
+                    if not cell:
+                        raise ValidationError(f"addition cell ({a},{b}) is empty", witness=(a, b))
+                    if cell in bad:
+                        raise InputError(f"addition cell ({a},{b}) mentions unknown ids")
+                    if other != cell:
+                        raise ValidationError(f"addition not symmetric at ({a},{b})", witness=(a, b))
         self.size = size
         self.zero = zero
         self.one = one
@@ -207,7 +210,13 @@ def _multiplicative_laws_hold(F: Hyperfield) -> bool:
     products once * is associative.  At a = 0 that law is one cell: 0 is
     absorbing and no cell is empty, so 0(b + c) = {0} and 0b + 0c = 0 + 0,
     and it holds iff 0 + 0 = {0}.
-    The generators come from greedy closure of {1} under right
+    F* is cyclic for a field and for every quotient of one, so the check
+    first looks for a single generator: it walks the powers of up to
+    log2(n) + 1 candidates from 1, in id order and skipping every element an
+    earlier walk reached (in a group, a proper subgroup's elements generate
+    nothing more), and keeps the first whose walk reaches all of F*.  That
+    walk is greedy closure with that one generator.  When no candidate
+    generates, the generators come from greedy closure of {1} under right
     multiplication.  In a group a new generator at least doubles the
     subgroup reached (Lagrange), so when one does not, F* is no group and
     the laws fail; this keeps g at most log2(n) + 1.
@@ -220,6 +229,16 @@ def _multiplicative_laws_hold(F: Hyperfield) -> bool:
         return False
     if F._add[z][z] != {z}:
         return False
+    n, walked = len(nz), {one}
+    for x in islice((x for x in nz if x not in walked), n.bit_length()):
+        power, order = x, 1
+        walked.add(x)
+        while power != one and order < n:
+            power = mul[power][x]
+            walked.add(power)
+            order += 1
+        if power == one and order == n:
+            return next(_multiplicative_failures(F, [x]), None) is None
     gens, reached, seen = [], [one], {one}
     for x in nz:
         if x in seen:
@@ -343,7 +362,7 @@ def from_field(k: FiniteField) -> Hyperfield:
     """The hyperfield with singleton addition a + b = {a+b}."""
     singletons = [frozenset([x]) for x in range(k.q)]
     add = [itemgetter(*row)(singletons) for row in k._add]
-    names = [k.element_name(a) for a in range(k.q)]
+    names = list(map(k.element_name, range(k.q)))
     return Hyperfield(zero=0, one=1, neg=k._neg, mul=k._mul, add=add, names=names)
 
 
@@ -354,23 +373,26 @@ def _quotient_tables(F, class_of):
     classes; every class is represented and named by its least member.
     """
     m = max(class_of) + 1
-    reps = [None] * m
-    for x in reversed(range(F.size)):
-        reps[class_of[x]] = x
-    # gather the members of the cells (a, b), a <= b, per class pair; the
-    # classes of a union are the union of the classes, so each unordered
-    # pair of classes is mapped to classes once
-    members = [[set() for _ in range(m)] for _ in range(m)]
-    for a, row in enumerate(F._add):
-        out = members[class_of[a]]
-        for b, cell in enumerate(row[a:], start=a):
-            out[class_of[b]] |= cell
-    add = [[None] * m for _ in range(m)]
-    for i, row in enumerate(members):
-        for j in range(i, m):
-            add[i][j] = add[j][i] = frozenset(map(class_of.__getitem__, row[j] | members[j][i]))
+    members = [[] for _ in range(m)]
+    for x, c in enumerate(class_of):
+        members[c].append(x)
+    reps = [xs[0] for xs in members]
+    # one getter per class reads its members (the first twice, which keeps
+    # the read a tuple): off the table it gives the rows of class i, and off
+    # each of those the cells of block (i, j).  A block's distinct cells are
+    # joined and their ids mapped to classes once; addition is commutative,
+    # so block (j, i) holds the same cells
+    reads = [itemgetter(*xs, xs[0]) for xs in members]
+    classes = class_of.__getitem__
+    add = []
+    for i, read in enumerate(reads):
+        rows = read(F._add)
+        add.append([row[i] for row in add])
+        for read_j in reads[i:]:
+            cells = set(chain.from_iterable(map(read_j, rows)))
+            add[i].append(frozenset(map(classes, frozenset().union(*cells))))
     neg = [class_of[F.neg(r)] for r in reps]
-    mul = [[class_of[F.mul(ra, rb)] for rb in reps] for ra in reps]
+    mul = [list(map(classes, map(F._mul[r].__getitem__, reps))) for r in reps]  # a row read per rep
     names = [F.names[r] for r in reps]
     return Hyperfield(
         zero=class_of[F.zero], one=class_of[F.one], neg=neg, mul=mul, add=add, names=names
@@ -397,12 +419,12 @@ def quotient_by_subgroup(F: Hyperfield, T) -> Hyperfield:
     # each orbit aT is one row read (T's first id read twice keeps the read a
     # tuple when |T| = 1); only a failing s is rescanned for its witness
     read = itemgetter(*T, next(iter(T)))
-    orbits = [frozenset(read(row)) for row in F._mul]
     for s in T:
-        if not orbits[s] <= T:
+        orbit = read(F._mul[s])
+        if not T.issuperset(orbit):
             t = next(t for t in T if F.mul(s, t) not in T)
             raise ValidationError(f"T not multiplicatively closed at ({s},{t})", witness=(s, t))
-        if F.one not in orbits[s]:
+        if F.one not in orbit:
             raise ValidationError(f"{s} has no inverse inside T", witness=(s,))
     parent = list(range(F.size))
 
@@ -412,19 +434,24 @@ def quotient_by_subgroup(F: Hyperfield, T) -> Hyperfield:
             x = parent[x]
         return x
 
-    # elements with equal orbits are one node, led by their least element;
-    # join each node to the first node whose orbit reached each of its members
-    leader, owner = {}, {}
-    for a, orbit in enumerate(orbits):
-        leader.setdefault(orbit, a)
-    for orbit, a in leader.items():
+    # join each orbit's members to the first orbit that reached each of them;
+    # an orbit inside the orbit that first reached its own element joins
+    # nothing new, and is only read
+    owner, reached = {}, {}
+    for a, orbit in enumerate(map(read, F._mul)):
+        first = owner.get(a)
+        if first is not None and reached[first].issuperset(orbit):
+            continue
+        reached[a] = frozenset(orbit)
         for x in orbit:
             first = owner.setdefault(x, a)
             if first != a:
                 ra, rf = find(a), find(first)
                 parent[max(ra, rf)] = min(ra, rf)
-    ids = {}
-    class_of = [ids.setdefault(find(leader[orbit]), len(ids)) for orbit in orbits]
+    # x is in its own orbit, so its class is its owner's; scanning x in order
+    # meets each class first at its least member
+    roots, ids = {a: find(a) for a in reached}, {}
+    class_of = [ids.setdefault(roots[owner[x]], len(ids)) for x in range(F.size)]
     return _quotient_tables(F, class_of)
 
 

@@ -101,6 +101,17 @@ def test_quotient_by_trivial_subgroup_is_isomorphic():
     assert hyperfield_isomorphic(F, Q) is not None
 
 
+def test_the_identity_quotient_is_exact():
+    # T = {1} makes every class one element, so the quotient is F itself,
+    # names included: the widest tables _quotient_tables builds, one class
+    # per element
+    for p, n in TABLE_FIELDS:
+        F = from_field(ff_make(p, n))
+        for G in (F, prime_hyperfield(F)):
+            Q = quotient_by_subgroup(G, {G.one})
+            assert Q == G and Q.names == G.names, (p, n)
+
+
 def test_quotient_by_all_nonzero_collapses():
     F = from_field(ff_make(3))
     Q = quotient_by_subgroup(F, {1, 2})
@@ -351,6 +362,9 @@ def test_constructor_rejects_malformed_tables():
     E = euclidean_hyperfield()
     with pytest.raises(ValidationError):
         Hyperfield(0, 1, (0, 1, 1), E.mul_table(), E.add_full_table())  # bad involution
+    with pytest.raises(ValidationError) as info:  # the first a with neg(neg(a)) != a
+        Hyperfield(0, 1, (0, 2, 2), E.mul_table(), E.add_full_table())
+    assert (str(info.value), info.value.witness) == ("negation is not an involution at 1", (1,))
     with pytest.raises(ValidationError):
         Hyperfield(0, 0, E.neg_table(), E.mul_table(), E.add_full_table())  # zero == one
     V = ValidationError
@@ -425,15 +439,24 @@ def refusal(check, *args):
     return None
 
 
-# seeded faults in GF(31)'s tables: each edits a cell (a, b), and all but
-# the one-sided kinds edit (b, a) the same way
+# seeded faults in GF(31)'s tables: each edits a cell (a, b), placed by its
+# last entry when the kind needs a given cell, and all but the one-sided
+# kinds edit (b, a) the same way
+def any_cell(F, a, b):
+    return a, b
+
+
 TABLE_FAULTS = {
-    "empty cell": ("add", True, lambda rng, F, a, b: []),
-    "unknown id": ("add", True, lambda rng, F, a, b: [F.size if rng.random() < 0.5 else -1]),
-    "asymmetric cell": ("add", False, lambda rng, F, a, b: sorted(F.add(a, b) ^ {F.one})),
-    "product -1": ("mul", True, lambda rng, F, a, b: -1),
-    "product size": ("mul", True, lambda rng, F, a, b: F.size),
-    "non-commutative product": ("mul", False, lambda rng, F, a, b: (F.mul(a, b) + 1) % F.size),
+    "empty cell": ("add", True, lambda rng, F, a, b: [], any_cell),
+    "unknown id": ("add", True, lambda rng, F, a, b: [F.size if rng.random() < 0.5 else -1], any_cell),
+    "asymmetric cell": ("add", False, lambda rng, F, a, b: sorted(F.add(a, b) ^ {F.one}), any_cell),
+    "asymmetric cell below the diagonal": (
+        "add", False, lambda rng, F, a, b: sorted(F.add(a, b) ^ {F.one}),
+        lambda F, a, b: (max(a, b), min(a, b))),
+    "product -1": ("mul", True, lambda rng, F, a, b: -1, any_cell),
+    "product size": ("mul", True, lambda rng, F, a, b: F.size, any_cell),
+    "non-commutative product": ("mul", False, lambda rng, F, a, b: (F.mul(a, b) + 1) % F.size, any_cell),
+    "identity": ("mul", True, lambda rng, F, a, b: (a + 1) % F.size, lambda F, a, b: (a, F.one)),
 }
 
 
@@ -446,10 +469,11 @@ def test_constructor_refusals_match_the_row_by_row_check():
         add, mul = F.add_full_table(), F.mul_table()
         faults = rng.sample(sorted(TABLE_FAULTS), rng.choice((1, 2)))
         for kind in faults:
-            table, both, value = TABLE_FAULTS[kind]
+            table, both, value, place = TABLE_FAULTS[kind]
             a, b = rng.choice(early if rng.random() < 0.5 else late), rng.randrange(F.size)
             if not both and a == b:
                 b = (a + 1) % F.size
+            a, b = place(F, a, b)
             table = add if table == "add" else mul
             table[a][b] = value(rng, F, a, b)
             if both:
@@ -458,7 +482,7 @@ def test_constructor_refusals_match_the_row_by_row_check():
         assert expected is not None, faults
         assert refusal(Hyperfield, F.zero, F.one, F.neg_table(), mul, add) == expected, faults
         seen.add(re.sub(r"\d+", "", expected[1]))
-    assert len(seen) >= 5, seen
+    assert len(seen) >= 6, seen
     # an id that is no integer but lies in range passes both checks
     mul = F.mul_table()
     mul[2][3] = mul[3][2] = 2.5
