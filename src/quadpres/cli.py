@@ -10,7 +10,10 @@ elapsed seconds.  Each ladder's AxiomReport becomes one entry of "reports":
 its failures and notes are stored as they are and written by json.dumps.
 
 `_field` is the one reader of --field and --modulus, so every command builds
-its GF(q) once; `witt --field` hands that field on to the oracle.
+its GF(q) once; `witt --field` hands that field on to the oracle.  The
+hyperfield ladder runs on every hyperfield a command reports and on what
+`prime` reads from --input or --builtin, never on a table just built from
+GF(q): Q(k), or the prime addition on `from_field(k)` (`prime`, `pipeline`).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .errors import InputError, SizeGuardError, ValidationError
 from .finitefield import ff_make, parse_field_arg
 from .hyperfields import (
     Hyperfield,
+    _prime,
     check_hyperfield,
     euclidean_hyperfield,
     from_field,
@@ -136,6 +140,12 @@ def _parse_form(F, text):
     return quadratic.Form(tuple(F.id_of(s.strip()) for s in names))
 
 
+def _field_prime(k):
+    """GF(q)'s prime hyperfield, with no ladder: field arithmetic made its tables."""
+    F = from_field(k)
+    return _prime(F.zero, F.one, F._neg, F._mul, F._add, F.names)
+
+
 def _hyperfield_summary(rep, F):
     rep.structure(
         "hyperfield", {"size": F.size, "names": list(F.names), "zero": F.names[F.zero], "one": F.names[F.one]}
@@ -228,8 +238,8 @@ def cmd_qhf(args, rep):
 
 
 def cmd_prime(args, rep):
-    F, _ = _load_structure(args, want=Hyperfield)
-    return _emit_checked(rep, prime_hyperfield(F), "prime", "prime-hyperfield")
+    F, k = _load_structure(args, want=Hyperfield, build=_field_prime)
+    return _emit_checked(rep, F if k else prime_hyperfield(F), "prime", "prime-hyperfield")
 
 
 def cmd_quotient(args, rep):
@@ -241,7 +251,7 @@ def cmd_quotient(args, rep):
 
 def cmd_pipeline(args, rep):
     k = _field(args)
-    start = prime_hyperfield(from_field(k))
+    start = _field_prime(k)
     out = presentable.squares_pipeline(start, literal_squares=args.literal_squares)
     Q = quadratic_hyperfield(k)
     _hyperfield_summary(rep, out)

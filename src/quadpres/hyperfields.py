@@ -455,32 +455,33 @@ def quotient_by_subgroup(F: Hyperfield, T) -> Hyperfield:
     return _quotient_tables(F, class_of)
 
 
-def prime_hyperfield(F: Hyperfield) -> Hyperfield:
-    """Replace addition by the three-case prime addition.
+def _prime(zero, one, neg, mul, add, names) -> Hyperfield:
+    """These hyperfield tables with the three-case prime addition, and no ladder:
+    a cell with 0 is unchanged; for nonzero a != -b the cell gains {a, b}; for
+    a = -b != 0 the cell is the whole carrier.  This is the rule's one home."""
+    full = frozenset(range(len(add)))
+    singles = [frozenset((b,)) for b in range(len(add))]
+    rows = []
+    for a, row in enumerate(add):
+        if a != zero:
+            # cell (a, b) for b < a is cell (b, a) of a row already built
+            cells = [built[a] for built in rows]
+            cells += map(frozenset.union, row[a:], singles[a:], repeat(singles[a]))
+            cells[zero], cells[neg[a]] = row[zero], full
+            row = cells
+        rows.append(row)
+    return Hyperfield(zero=zero, one=one, neg=neg, mul=mul, add=rows, names=names)
 
-    Sums with 0 are unchanged; for nonzero a != -b the cell gains {a, b};
-    for a = -b != 0 the cell becomes the whole carrier.
-    """
+
+def prime_hyperfield(F: Hyperfield) -> Hyperfield:
+    """F with the prime addition of :func:`_prime`, refused unless F passes the ladder;
+    tables built here from GF(q) skip the ladder (:func:`quadratic_hyperfield`, ``cli``)."""
     report = check_hyperfield(F)
     if not report.passed:
         raise ValidationError(
             f"prime addition needs a hyperfield; first failure {report.first_failure()}"
         )
-    full = frozenset(range(F.size))
-    singles = [frozenset((b,)) for b in range(F.size)]
-    z, neg = F.zero, F._neg
-    add = []
-    for a, row in enumerate(F._add):
-        if a != z:
-            # cell (a, b) for b < a is cell (b, a) of a row already built
-            cells = [built[a] for built in add]
-            cells += map(frozenset.union, row[a:], singles[a:], repeat(singles[a]))
-            cells[z], cells[neg[a]] = row[z], full
-            row = cells
-        add.append(row)
-    return Hyperfield(
-        zero=F.zero, one=F.one, neg=F.neg_table(), mul=F.mul_table(), add=add, names=F.names
-    )
+    return _prime(F.zero, F.one, F._neg, F._mul, F._add, F.names)
 
 
 def _own_sum_failures(F: Hyperfield):
@@ -502,28 +503,17 @@ def quadratic_hyperfield(k: FiniteField) -> Hyperfield:
     numbered as :func:`quotient_by_subgroup` numbers them and named by their
     least members, so the result equals
     ``prime_hyperfield(quotient_by_subgroup(from_field(k), squares))``;
-    ``cli pipeline`` compares the two paths table for table.
+    ``cli pipeline`` compares the two paths table for table.  It is one pass
+    with no ladder: the square-class cells go straight to :func:`_prime`.
     """
     sq = square_classes(k)
-    reps = [min(c) for c in sq.classes]
-    class_of = sq.class_of
-    m = len(reps)
+    class_of, reps, m = sq.class_of, [min(c) for c in sq.classes], len(sq.classes)
     mul = [[class_of[k.mul(r, s)] for s in reps] for r in reps]
-    one_plus = [set() for _ in range(m)]
-    for y in range(k.q):
-        one_plus[class_of[y]].add(class_of[k.add(1, y)])
+    one_plus = [set(map(class_of.__getitem__, map(k._add[1].__getitem__, c))) for c in sq.classes]
     inv = [0] + [class_of[k.inv(r)] for r in reps[1:]]
-    add = [[{j} for j in range(m)]]
-    add += [[{mul[i][c] for c in one_plus[mul[j][inv[i]]]} for j in range(m)] for i in range(1, m)]
-    pre = Hyperfield(
-        zero=0,
-        one=1,
-        neg=[class_of[k.neg(r)] for r in reps],
-        mul=mul,
-        add=add,
-        names=[k.element_name(r) for r in reps],
-    )
-    return prime_hyperfield(pre)
+    add = [[frozenset((j,)) for j in range(m)]]
+    add += [[frozenset(map(mul[i].__getitem__, one_plus[mul[j][inv[i]]])) for j in range(m)] for i in range(1, m)]
+    return _prime(0, 1, [class_of[k.neg(r)] for r in reps], mul, add, list(map(k.element_name, reps)))
 
 
 def euclidean_hyperfield() -> Hyperfield:

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from quadpres import quadratic
+from quadpres import cli, hyperfields, quadratic
 from quadpres.cli import _oracle_match, build_parser, main
 from quadpres.documents import emit_hyperfield, emit_presentable, emit_witt_ring, parse_document
 from quadpres.finitefield import FiniteField, ff_make, parse_field_arg
@@ -457,6 +457,53 @@ def test_failing_ladders_write_their_witnesses_to_the_report(tmp_path, capsys):
         else:
             assert entry["level"] == report.level_passed, command
     capsys.readouterr()
+
+
+def test_the_ladder_runs_on_reported_tables_and_on_outside_input(monkeypatch, tmp_path, capsys):
+    # a table built here from GF(q) meets no ladder on the way in; a reported
+    # hyperfield meets it once, and prime's --input meets it before and after
+    calls = []
+    real = hyperfields.check_hyperfield
+
+    def counted(F):
+        calls.append(F)
+        return real(F)
+
+    monkeypatch.setattr(hyperfields, "check_hyperfield", counted)
+    monkeypatch.setattr(cli, "check_hyperfield", counted)
+
+    def ladders(*argv):
+        calls.clear()
+        assert main(list(argv)) == 0, argv
+        return len(calls)
+
+    doc = tmp_path / "e.hf"
+    doc.write_text(emit_hyperfield(euclidean_hyperfield()))
+    for q in ("2", "3", "4", "9", "13"):
+        calls.clear()
+        quadratic_hyperfield(gf(q))
+        assert not calls, q
+        assert ladders("pipeline", "--field", q) == 0, q
+        assert ladders("qhf", "--field", q) == 1, q
+        assert ladders("isom", "--field", q, "--form", "1,1", "--form", "1,1") == 1, q
+        assert ladders("witt", "--field", q, "--max-dim", "3") == 1, q
+        assert ladders("prime", "--field", q) == 1, q
+    assert ladders("prime", "--input", str(doc)) == 2
+    capsys.readouterr()
+
+
+def test_prime_refuses_an_input_that_is_not_a_hyperfield(tmp_path, capsys):
+    # E with 1 + (-1) = {0}: (1 + 1) + (-1) = {0}, but 1 + (1 + (-1)) = {1}
+    doc = tmp_path / "bad.hf"
+    doc.write_text(emit_hyperfield(mutate_add(euclidean_hyperfield(), 1, 2, {0})))
+    out = tmp_path / "report.json"
+    assert main(["prime", "--input", str(doc), "--out", str(out)]) == 1
+    result = json.loads(out.read_text())["result"]
+    assert result == (
+        "validation failure: prime addition needs a hyperfield; first failure "
+        "('hypermonoid.iii', (1, 1, 2, [1], [0]))"
+    )
+    assert capsys.readouterr().out == result + "\n"
 
 
 def test_oracle_subcommands(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from quadpres import hyperfields, presentable
 from quadpres.errors import InputError, SizeGuardError, ValidationError
-from quadpres.finitefield import ff_make
+from quadpres.finitefield import DEFAULT_MODULI, ff_make
 from quadpres.hyperfields import (
     AxiomReport,
     Hyperfield,
@@ -236,8 +236,10 @@ def test_quadratic_hyperfield_gf7_addition_from_representations():
 
 
 def test_quadratic_hyperfield_matches_the_quotient_path():
-    # the reference: the square-class quotient of the q x q singleton table
-    for p, n in TABLE_FIELDS:
+    # the reference: the square-class quotient of the q x q singleton table,
+    # past TABLE_FIELDS at every larger extension and at three larger primes
+    larger = [(p, n) for p, n in DEFAULT_MODULI if p**n > 169] + [(257, 1), (509, 1), (1021, 1)]
+    for p, n in TABLE_FIELDS + larger:
         k = ff_make(p, n)
         squares = {k.mul(a, a) for a in k.nonzero()}
         Q = quadratic_hyperfield(k)
